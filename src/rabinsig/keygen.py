@@ -10,10 +10,19 @@ Key kinds:
 import math
 import random
 from dataclasses import dataclass
+from itertools import compress
 
 from .errors import KeyFormatError
 from .hashing import IDENTITY, RedundancySpec
-from .numtheory import Idempotents, Modulus, crt_idempotents, is_probable_prime, jacobi
+from .numtheory import (
+    MILLER_RABIN_ROUNDS,
+    Idempotents,
+    Modulus,
+    _miller_rabin,
+    _sieve_primes,
+    crt_idempotents,
+    jacobi,
+)
 
 _SYSTEM_RNG = random.SystemRandom()
 
@@ -26,24 +35,82 @@ _CONSTRAINTS = {
     "7mod8": (7, 8),
 }
 
+# Congruence constraints of the two primes of each key kind.
+_KIND_CONSTRAINTS = {"general": ("none", "none"), "blum": ("3mod4", "3mod4"), "rw": ("3mod8", "7mod8")}
+
 # Padding multipliers a, b only matter through their residue classes, so
 # small values are enough and keep generation cheap.
 _MULTIPLIER_BOUND = 1 << 16
 
+# gen_prime strikes multiples of these odd primes from each window of
+# candidates, leaving about 12% of the odd numbers for Miller-Rabin.
+_SIEVE_PRIMES = _sieve_primes(1 << 14)[1:]
+
+# Chance, as a power of 2, that gen_prime returns a composite.
+_SEARCH_ERROR_BITS = 80
+
+
+def _search_rounds(bits: int, window: int) -> int:
+    """Miller-Rabin rounds for a search over `window` candidates of `bits` bits.
+
+    Damgård, Landrock and Pomerance (Math. Comp. 61, 1993, 177-194; the
+    bound behind HAC Table 4.4, section 4.4.1) show that a random odd k-bit
+    number that passes t rounds is composite with probability below
+    k**1.5 * 2**t * t**-0.5 * 4**(2 - sqrt(t*k)) for 3 <= t <= k/9.  For
+    2**-80 that is 6 rounds at 512 bits.  gen_prime does not test independent
+    random odd numbers, and a margin covers the differences:
+      - each candidate is uniform on one residue class mod 2, 4 or 8, which
+        holds at least a quarter of the odd numbers, so its chance of being a
+        composite that passes is at most 4 times the bound;
+      - it tests up to `window` candidates per random start (incremental
+        search, analysed by Brandt and Damgård, CRYPTO '92), and the union
+        bound over them costs a factor of `window`;
+      - a window of 2*k candidates holds a prime except with probability
+        about e**-5.8 (prime number theorem), so redrawing adds under 1%;
+      - sieving only removes composites, so it costs nothing.
+    With 2*k candidates per window the margin is 12 bits at 512 bits, and
+    the bound gives 7 rounds.  Below 189 bits the bound never reaches
+    the target and the worst-case MILLER_RABIN_ROUNDS are used instead.
+    """
+    target = -_SEARCH_ERROR_BITS - math.log2(4 * window)
+    for t in range(3, bits // 9 + 1):
+        if 1.5 * math.log2(bits) + t - 0.5 * math.log2(t) + 2 * (2 - math.sqrt(t * bits)) <= target:
+            return t
+    return MILLER_RABIN_ROUNDS
+
 
 def gen_prime(bits: int, constraint: str = "none", rng=None) -> int:
-    """A random probable prime of exactly `bits` bits meeting the congruence constraint."""
+    """A random probable prime of exactly `bits` bits meeting the congruence constraint.
+
+    Incremental search with a sieve (HAC section 4.4.1): a random start in
+    the residue class, then the next 2*bits members of the class, of which
+    those with an odd prime factor below 2**14 are struck out and the rest
+    tested in order with the rounds of `_search_rounds`.
+    """
     if bits < 8:
         raise ValueError("need at least 8 bits per prime factor")
-    residue, modulus = _CONSTRAINTS[constraint]
+    residue, step = _CONSTRAINTS[constraint]
     rng = rng or _SYSTEM_RNG
+    window = 2 * bits
+    rounds = _search_rounds(bits, window)
+    low = 1 << (bits - 1)
     while True:
-        cand = (1 << (bits - 1)) | rng.getrandbits(bits - 1)
-        cand += (residue - cand) % modulus
-        if cand.bit_length() != bits:
+        start = low | rng.getrandbits(bits - 1)
+        start += (residue - start) % step
+        count = min(window, ((low << 1) - 1 - start) // step + 1)
+        if count <= 0:
             continue
-        if is_probable_prime(cand, rng):
-            return cand
+        alive = bytearray([1]) * count
+        for s in _SIEVE_PRIMES:
+            if s >= low:
+                break  # every candidate exceeds s, so a struck multiple is never s itself
+            i = -(start % s) * pow(step, -1, s) % s
+            if i < count:
+                alive[i::s] = bytes((count - 1 - i) // s + 1)
+        for i in compress(range(count), alive):
+            cand = start + step * i
+            if _miller_rabin(cand, rounds, rng):
+                return cand
 
 
 @dataclass(frozen=True)
@@ -187,28 +254,24 @@ class KeyPair:
 
 
 def gen_keypair(kind: str, bits: int, redundancy=IDENTITY, rng=None) -> KeyPair:
-    """Generate a key pair of the requested kind with `bits`-bit prime factors."""
-    rng = rng or _SYSTEM_RNG
-    if kind == "general":
-        p = gen_prime(bits, "none", rng)
-        q = gen_prime(bits, "none", rng)
-        while q == p:
-            q = gen_prime(bits, "none", rng)
-    elif kind == "blum":
-        p = gen_prime(bits, "3mod4", rng)
-        q = gen_prime(bits, "3mod4", rng)
-        while q == p:
-            q = gen_prime(bits, "3mod4", rng)
-    elif kind == "rw":
-        p = gen_prime(bits, "3mod8", rng)
-        q = gen_prime(bits, "7mod8", rng)
-    else:
+    """Generate a key pair of the requested kind with `bits`-bit prime factors.
+
+    The primes come straight from gen_prime, so the key is built without the
+    re-certification that KeyPair.from_primes gives untrusted primes.
+    """
+    if kind not in KINDS:
         raise ValueError(f"unknown key kind {kind!r}")
+    rng = rng or _SYSTEM_RNG
+    p_constraint, q_constraint = _KIND_CONSTRAINTS[kind]
+    p = gen_prime(bits, p_constraint, rng)
+    q = gen_prime(bits, q_constraint, rng)
+    while q == p:
+        q = gen_prime(bits, q_constraint, rng)
+    idem = crt_idempotents(p, q)
     padding = None
     if kind == "general":
-        idem = crt_idempotents(p, q)
         padding = build_padding_set(p, q, idem.psi1, idem.psi2, rng)
-    return KeyPair.from_primes(kind, p, q, redundancy, padding, rng)
+    return KeyPair(kind, p, q, p * q, idem.psi1, idem.psi2, redundancy, padding)
 
 
 # ---------------------------------------------------------------------------
@@ -272,6 +335,8 @@ def parse_key(text: str, path_hint: str = "key file") -> KeyPair | PublicKey:
     except ValueError as exc:
         raise KeyFormatError(f"bad hash field in {path_hint}: {exc}") from None
     n = _int_field(fields, "N", path_hint)
+    if n <= 1 or n % 2 == 0 or math.isqrt(n) ** 2 == n:
+        raise KeyFormatError(f"N is not an odd non-square above 1 in {path_hint}")
 
     padding = None
     if kind == "general":

@@ -14,7 +14,11 @@ from .errors import FactorLeakError, NonResidueError
 
 _SYSTEM_RNG = random.SystemRandom()
 
-# 40 Miller-Rabin rounds bound the composite-acceptance error by 4**-40 = 2**-80.
+# Rounds for numbers of unknown origin, such as the factors in a key file.  A
+# composite passes one round with a random base with probability at most 1/4,
+# whatever the composite (Rabin 1980; HAC section 4.2.3), so 40 independent rounds
+# accept it with probability at most 4**-40 = 2**-80.  Primes that gen_prime
+# draws itself need fewer rounds; see keygen._search_rounds.
 MILLER_RABIN_ROUNDS = 40
 
 
@@ -74,7 +78,7 @@ def jacobi(a: int, n: int) -> int:
 
 
 def is_probable_prime(n: int, rng=None) -> bool:
-    """Miller-Rabin primality test with error probability at most 2**-80."""
+    """Miller-Rabin test: a composite passes with probability at most 4**-40 = 2**-80."""
     if n < 2:
         return False
     for p in _SMALL_PRIMES:
@@ -82,12 +86,16 @@ def is_probable_prime(n: int, rng=None) -> bool:
             return True
         if n % p == 0:
             return False
-    rng = rng or _SYSTEM_RNG
+    return _miller_rabin(n, MILLER_RABIN_ROUNDS, rng or _SYSTEM_RNG)
+
+
+def _miller_rabin(n: int, rounds: int, rng) -> bool:
+    # `rounds` strong-probable-prime tests with random bases; n must be odd and above 3.
     d, s = n - 1, 0
     while d % 2 == 0:
         d //= 2
         s += 1
-    for _ in range(MILLER_RABIN_ROUNDS):
+    for _ in range(rounds):
         a = rng.randrange(2, n - 1)
         x = pow(a, d, n)
         if x == 1 or x == n - 1:

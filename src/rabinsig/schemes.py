@@ -403,11 +403,14 @@ def parse_signature(text: str, path_hint: str = "signature file") -> Signature:
 
     def take_int(name):
         try:
-            return int(fields.pop(name))
+            value = int(fields.pop(name))
         except KeyError:
             raise SignatureFormatError(f"missing field {name!r} in {path_hint}") from None
         except ValueError:
             raise SignatureFormatError(f"field {name!r} is not a decimal integer in {path_hint}") from None
+        if value < 0:
+            raise SignatureFormatError(f"field {name!r} is negative in {path_hint}")
+        return value
 
     if "message" in fields and "message-digest" in fields:
         raise SignatureFormatError(f"both message and message-digest present in {path_hint}")

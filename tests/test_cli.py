@@ -3,6 +3,7 @@ import pytest
 from rabinsig.cli import main
 from rabinsig.hashing import IDENTITY
 from rabinsig.keygen import dump_private, dump_public, gen_keypair, parse_key
+from rabinsig.numtheory import crt_idempotents
 from rabinsig.schemes import dump_signature, parse_signature, sign, verify
 
 
@@ -70,6 +71,38 @@ def test_corrupt_key_file_exits_3(tmp_path, capsys):
     bad = tmp_path / "bad.key"
     bad.write_text("rabin-key v1\nkind = blum\n")
     assert main(["verify", "--pub", str(bad), "--sig", str(bad)]) == 3
+
+
+@pytest.mark.parametrize("n", ["0", "1", "2", "9"])
+def test_degenerate_public_modulus_exits_3(keyfiles, tmp_path, n):
+    priv, pub = keyfiles
+    sig = tmp_path / "m.sig"
+    assert main(["sign", "--key", str(priv), "--scheme", "variant2", "--message", "5",
+                 "--out", str(sig), "--seed", "1"]) == 0
+    lines = [f"N = {n}" if line.startswith("N = ") else line for line in pub.read_text().splitlines()]
+    pub.write_text("\n".join(lines) + "\n")
+    assert main(["verify", "--pub", str(pub), "--sig", str(sig)]) == 3
+
+
+@pytest.mark.parametrize("field", ["message", "F"])
+def test_negative_signature_value_exits_3(keyfiles, tmp_path, field):
+    priv, pub = keyfiles
+    sig = tmp_path / "m.sig"
+    assert main(["sign", "--key", str(priv), "--scheme", "variant2", "--message", "5",
+                 "--out", str(sig), "--seed", "1"]) == 0
+    sig.write_text(sig.read_text().replace(f"\n{field} = ", f"\n{field} = -"))
+    assert main(["verify", "--pub", str(pub), "--sig", str(sig)]) == 3
+
+
+def test_composite_factor_key_exits_3(tmp_path):
+    # 15 is 3 mod 4, so only the primality test can reject this blum key
+    p, q = 15, 7
+    idem = crt_idempotents(p, q)
+    priv = tmp_path / "composite.key"
+    priv.write_text(f"rabin-key v1\nkind = blum\nhash = identity\nN = {p * q}\n"
+                    f"p = {p}\nq = {q}\npsi1 = {idem.psi1}\npsi2 = {idem.psi2}\n")
+    assert main(["sign", "--key", str(priv), "--scheme", "variant2", "--message", "5",
+                 "--out", str(tmp_path / "x.sig")]) == 3
 
 
 def test_missing_file_exits_3(tmp_path):

@@ -4,6 +4,7 @@ from rabinsig.errors import KeyFormatError
 from rabinsig.hashing import IDENTITY, QUADRATIC, RedundancySpec
 from rabinsig.keygen import (
     KeyPair,
+    _search_rounds,
     build_padding_set,
     compose_padding_set,
     dump_private,
@@ -13,7 +14,7 @@ from rabinsig.keygen import (
     padding_set_flaws,
     parse_key,
 )
-from rabinsig.numtheory import crt_idempotents, jacobi
+from rabinsig.numtheory import MILLER_RABIN_ROUNDS, crt_idempotents, jacobi
 from rabinsig.oracle import SmallRing, qr_set, units
 
 from conftest import ORACLE_PADDING
@@ -26,11 +27,19 @@ class TestGenPrime:
     )
     def test_constraints(self, constraint, residue, modulus, rng):
         sympy = pytest.importorskip("sympy")
-        for bits in (8, 16, 48):
+        for bits in (8, 16, 48, 512):
             p = gen_prime(bits, constraint, rng)
             assert p.bit_length() == bits
             assert p % modulus == residue
             assert sympy.isprime(p)
+
+    def test_search_rounds(self):
+        # the DLP bound with a 12-bit margin gives 7 rounds at 512 bits; below
+        # 189 bits it gives none, and the worst-case 40 rounds apply
+        assert _search_rounds(512, 1024) == 7
+        assert _search_rounds(188, 376) == _search_rounds(100, 200) == MILLER_RABIN_ROUNDS
+        rounds = [_search_rounds(bits, 2 * bits) for bits in range(189, 2049)]
+        assert rounds == sorted(rounds, reverse=True) and rounds[-1] == 3
 
     def test_too_few_bits(self):
         with pytest.raises(ValueError):
@@ -60,6 +69,20 @@ class TestGenKeypair:
         assert (key.psi1 + key.psi2) % key.n == 1
         assert key.psi1 % key.q == 0
         assert key.psi2 % key.p == 0
+
+    def test_fresh_primes_are_not_recertified(self, rng, monkeypatch):
+        # gen_prime certifies its own primes; only untrusted key material
+        # goes through the 40-round is_probable_prime again
+        from rabinsig import numtheory
+
+        def refuse(n, rng=None):
+            raise AssertionError("is_probable_prime called")
+
+        monkeypatch.setattr(numtheory, "is_probable_prime", refuse)
+        keys = [gen_keypair(kind, 64, IDENTITY, rng) for kind in ("general", "blum", "rw")]
+        assert [key.kind for key in keys] == ["general", "blum", "rw"]
+        with pytest.raises(AssertionError):
+            parse_key(dump_private(keys[0]))
 
     def test_kind_constraints_enforced(self):
         with pytest.raises(ValueError):
@@ -143,6 +166,21 @@ class TestKeyFiles:
         ):
             with pytest.raises(KeyFormatError):
                 parse_key(bad)
+
+    @pytest.mark.parametrize("n", [0, 1, -77, 78, 81])
+    def test_degenerate_public_modulus_rejected(self, toy_key, n):
+        with pytest.raises(KeyFormatError):
+            parse_key(dump_public(toy_key.public()).replace("N = 77", f"N = {n}"))
+
+    @pytest.mark.parametrize("p", [15, 1019 * 1021])
+    def test_composite_factor_rejected(self, p):
+        # p = 3 mod 4 like a blum prime; 1019 * 1021 also passes trial division
+        q = 7
+        idem = crt_idempotents(p, q)
+        text = (f"rabin-key v1\nkind = blum\nhash = identity\nN = {p * q}\n"
+                f"p = {p}\nq = {q}\npsi1 = {idem.psi1}\npsi2 = {idem.psi2}\n")
+        with pytest.raises(KeyFormatError):
+            parse_key(text)
 
     def test_non_decimal_value_rejected(self, toy_key):
         with pytest.raises(KeyFormatError):

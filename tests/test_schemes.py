@@ -345,6 +345,9 @@ class TestSignatureFiles:
             good.replace("F = 10", "F = ten"),
             good + "extra = 1\n",
             good + "message-digest = 5\n",
+            good.replace("message = 3", "message = -3"),
+            good.replace("R3 = 8", "R3 = -8"),
+            good.replace("message = 3", "message-digest = -3"),
         ):
             with pytest.raises(SignatureFormatError):
                 parse_signature(bad)
