@@ -7,16 +7,20 @@ bare random root is also provided as the target of the blinding attack.
 """
 
 import math
-import random
 from dataclasses import dataclass, field
 
 from .errors import FactorLeakError, UnsignableMessageError
 from .hashing import Message, apply_redundancy
 from .keygen import KeyPair, PublicKey
-from .numtheory import canonical_sqrt_mod_pq, jacobi, mod_inv, sqrt_mod_pq
-from .schemes import Variant2Signature, VerifyReport, _OpCounter, _power_chain_check, _require_blum, _sample_unit
-
-_SYSTEM_RNG = random.SystemRandom()
+from .numtheory import SYSTEM_RNG, canonical_sqrt_mod_pq, mod_inv, random_unit, sqrt_mod_pq
+from .schemes import (
+    SCHEMES,
+    Variant2Signature,
+    VerifyReport,
+    _deterministic_padding,
+    _OpCounter,
+    _power_chain_check,
+)
 
 
 @dataclass(frozen=True)
@@ -63,12 +67,11 @@ def blind_sign(key: KeyPair, disguised: int, rng=None) -> BlindSignature:
     blinding square cannot change that class, u equals the padding of the
     underlying message.
     """
-    _require_blum(key)
+    SCHEMES["variant2"].check_key(key)
     if disguised % key.n == 0 or math.gcd(disguised, key.n) != 1:
         raise FactorLeakError("disguised value is degenerate")
-    padding = (jacobi(disguised, key.p) * key.psi1 + jacobi(disguised, key.q) * key.psi2) % key.n
-    root = canonical_sqrt_mod_pq(disguised * padding % key.n, key.p, key.q, key.idem)
-    nonce = _sample_unit(key.n, rng or _SYSTEM_RNG)
+    root = _recover_root(key, disguised)
+    nonce = random_unit(key.n, rng)
     return BlindSignature(disguised, nonce * root % key.n, pow(nonce, 3, key.n))
 
 
@@ -95,15 +98,15 @@ def naive_blind_sign(key: KeyPair, disguised: int, rng=None) -> int:
     uniformly random roots is exactly what the blinding attack needs.
     """
     roots = sqrt_mod_pq(disguised, key.p, key.q, key.idem)
-    return (rng or _SYSTEM_RNG).choice(roots).value
+    return (rng or SYSTEM_RNG).choice(roots).value
 
 
 def run_blind_session(key: KeyPair, m: Message, rng=None, r: int | None = None) -> BlindSession:
     """Drive one complete disguise / blind-sign / unblind exchange."""
-    rng = rng or _SYSTEM_RNG
+    rng = rng or SYSTEM_RNG
     pub = key.public()
     if r is None:
-        r = _sample_unit(key.n, rng)
+        r = random_unit(key.n, rng)
     disguised = disguise(m, r, pub)
     transcript = [("disguise", {"disguised": disguised})]
     bsig = blind_sign(key, disguised, rng)
@@ -116,5 +119,6 @@ def run_blind_session(key: KeyPair, m: Message, rng=None, r: int | None = None) 
 
 
 def _recover_root(key: KeyPair, disguised: int) -> int:
-    padding = (jacobi(disguised, key.p) * key.psi1 + jacobi(disguised, key.q) * key.psi2) % key.n
+    """The signer's root S: the canonical root of disguised times its unity-root padding."""
+    padding = _deterministic_padding(key, disguised, 1)
     return canonical_sqrt_mod_pq(disguised * padding % key.n, key.p, key.q, key.idem)

@@ -91,14 +91,10 @@ def cmd_sign(args):
     if not isinstance(key, KeyPair):
         print("error: signing needs a private key file", file=sys.stderr)
         return 2
-    if args.scheme == "general" and key.padding is None:
-        print("error: the general scheme needs a key with a padding set", file=sys.stderr)
-        return 2
-    if args.scheme in ("variant1", "variant2") and not key.is_blum:
-        print("error: this scheme needs a key with both primes 3 mod 4", file=sys.stderr)
-        return 2
-    if args.scheme == "rw" and not key.is_rw:
-        print("error: the rw scheme needs primes congruent to 3 and 7 mod 8", file=sys.stderr)
+    try:
+        schemes.SCHEMES[args.scheme].check_key(key)
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
         return 2
     m = _message_from_args(args, key)
     if m is None:

@@ -14,22 +14,19 @@ Two families:
 """
 
 import math
-import random
 from dataclasses import dataclass
 from typing import Callable
 
 from .blind import BlindSignature
-from .numtheory import mod_inv
+from .numtheory import SYSTEM_RNG, mod_inv, random_unit
 from .schemes import (
+    SCHEMES,
     ClassicSignature,
     GeneralSignature,
-    RWSignature,
     Signature,
     Variant1Signature,
     Variant2Signature,
 )
-
-_SYSTEM_RNG = random.SystemRandom()
 
 
 @dataclass(frozen=True)
@@ -55,14 +52,6 @@ TRANSFORMS = {
     "blind": ForgeryTransform(2, (1, 0), (12,)),
 }
 
-_COMPONENT_NAMES = {
-    ClassicSignature: ("U", "S"),
-    GeneralSignature: ("u", "S"),
-    Variant1Signature: ("U", "S", "T"),
-    Variant2Signature: ("F", "R3"),
-    RWSignature: ("e", "f", "S"),
-}
-
 
 def apply_scaling(sig: Signature | BlindSignature, lam: int, n: int):
     """Scale every component of sig by the registered power of lam (mod n)."""
@@ -76,7 +65,7 @@ def apply_scaling(sig: Signature | BlindSignature, lam: int, n: int):
         raise TypeError("scaling forgeries only apply to integer messages")
     m = sig.m * pow(lam, tf.message_power, n) % n
     components = []
-    for name, power in zip(_COMPONENT_NAMES[type(sig)], tf.component_powers):
+    for name, power in zip(SCHEMES[sig.scheme].components, tf.component_powers):
         value = getattr(sig, name)
         if power:  # untouched components (e.g. multiplier flags) keep their sign
             value = value * pow(lam, power, n) % n
@@ -136,12 +125,12 @@ def rsa_blinding_attack(
     factor n.  A hardened signer never releases a usable root, so every
     trial fails the y**2 == c check.
     """
-    rng = rng or _SYSTEM_RNG
+    rng = rng or SYSTEM_RNG
     c %= n
     first = None
     trial = 0
     for trial in range(1, trials + 1):
-        r = _sample_blinder(n, rng)
+        r = random_unit(n, rng)
         answer = oracle(r * r * c % n)
         y = answer * mod_inv(r, n) % n
         if y * y % n != c:
@@ -158,10 +147,3 @@ def rsa_blinding_attack(
     if first is not None:
         return AttackOutcome("decrypted", first, trial)
     return AttackOutcome("failed", None, trial)
-
-
-def _sample_blinder(n: int, rng) -> int:
-    while True:
-        r = rng.randrange(1, n)
-        if math.gcd(r, n) == 1:
-            return r

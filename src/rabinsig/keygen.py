@@ -8,23 +8,23 @@ Key kinds:
 """
 
 import math
-import random
+import re
 from dataclasses import dataclass
 from itertools import compress
 
+from . import numtheory
 from .errors import KeyFormatError
 from .hashing import IDENTITY, RedundancySpec
 from .numtheory import (
     MILLER_RABIN_ROUNDS,
+    SYSTEM_RNG,
     Idempotents,
-    Modulus,
     _miller_rabin,
     _sieve_primes,
     crt_idempotents,
     jacobi,
+    random_unit,
 )
-
-_SYSTEM_RNG = random.SystemRandom()
 
 KINDS = ("general", "blum", "rw")
 
@@ -90,7 +90,7 @@ def gen_prime(bits: int, constraint: str = "none", rng=None) -> int:
     if bits < 8:
         raise ValueError("need at least 8 bits per prime factor")
     residue, step = _CONSTRAINTS[constraint]
-    rng = rng or _SYSTEM_RNG
+    rng = rng or SYSTEM_RNG
     window = 2 * bits
     rounds = _search_rounds(bits, window)
     low = 1 << (bits - 1)
@@ -179,7 +179,7 @@ def build_padding_set(p: int, q: int, psi1: int, psi2: int, rng=None) -> Padding
     re-drawn until every safety check passes, with fresh multipliers after
     64 failed rounds.
     """
-    rng = rng or _SYSTEM_RNG
+    rng = rng or SYSTEM_RNG
     n = p * q
     for _ in range(64):
         a1 = _sample_with_jacobi(p, 1, rng)
@@ -189,8 +189,8 @@ def build_padding_set(p: int, q: int, psi1: int, psi2: int, rng=None) -> Padding
         for _ in range(64):
             rs: list[int] = []
             while len(rs) < 4:
-                r = rng.randrange(1, n)
-                if math.gcd(r, n) == 1 and r not in rs:
+                r = random_unit(n, rng)
+                if r not in rs:
                     rs.append(r)
             elements, classes = compose_padding_set(a1, a2, b1, b2, rs, p, q, psi1, psi2)
             if not padding_set_flaws(elements, p, q):
@@ -244,13 +244,19 @@ class KeyPair:
     def from_primes(cls, kind, p, q, redundancy=IDENTITY, padding=None, rng=None) -> "KeyPair":
         if kind not in KINDS:
             raise ValueError(f"unknown key kind {kind!r}")
-        mod = Modulus.create(p, q, rng)
+        if p == q:
+            raise ValueError("prime factors must be distinct")
+        if p < 3 or q < 3 or p % 2 == 0 or q % 2 == 0:
+            raise ValueError("prime factors must be odd and at least 3")
+        # looked up on the module, so a substitute for the prime test reaches this call
+        if not numtheory.is_probable_prime(p, rng) or not numtheory.is_probable_prime(q, rng):
+            raise ValueError("factor failed the primality test")
         if kind == "blum" and (p % 4 != 3 or q % 4 != 3):
             raise ValueError("blum keys need both primes congruent to 3 mod 4")
         if kind == "rw" and {p % 8, q % 8} != {3, 7}:
             raise ValueError("rw keys need primes congruent to 3 and 7 mod 8")
         idem = crt_idempotents(p, q)
-        return cls(kind, p, q, mod.n, idem.psi1, idem.psi2, redundancy, padding)
+        return cls(kind, p, q, p * q, idem.psi1, idem.psi2, redundancy, padding)
 
 
 def gen_keypair(kind: str, bits: int, redundancy=IDENTITY, rng=None) -> KeyPair:
@@ -261,7 +267,7 @@ def gen_keypair(kind: str, bits: int, redundancy=IDENTITY, rng=None) -> KeyPair:
     """
     if kind not in KINDS:
         raise ValueError(f"unknown key kind {kind!r}")
-    rng = rng or _SYSTEM_RNG
+    rng = rng or SYSTEM_RNG
     p_constraint, q_constraint = _KIND_CONSTRAINTS[kind]
     p = gen_prime(bits, p_constraint, rng)
     q = gen_prime(bits, q_constraint, rng)
@@ -294,39 +300,46 @@ def dump_private(key: KeyPair) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _parse_fields(lines: list[str], path_hint: str) -> dict[str, str]:
+# Both text formats, keys and signatures: a magic line, then "name = value"
+# lines, every integer in canonical decimal so each file has one encoding.
+_DECIMAL = re.compile(r"0|[1-9][0-9]*")
+
+
+def _parse_record(text: str, magic: str, error: type, path_hint: str) -> dict[str, str]:
+    lines = text.splitlines()
+    if not lines or lines[0] != magic:
+        raise error(f"{path_hint} does not start with {magic!r}")
     fields: dict[str, str] = {}
-    for line in lines:
+    for line in lines[1:]:
         if not line.strip():
             continue
         name, sep, value = line.partition("=")
         if not sep:
-            raise KeyFormatError(f"malformed line {line!r} in {path_hint}")
+            raise error(f"malformed line {line!r} in {path_hint}")
         name, value = name.strip(), value.strip()
         if name in fields:
-            raise KeyFormatError(f"duplicate field {name!r} in {path_hint}")
+            raise error(f"duplicate field {name!r} in {path_hint}")
         fields[name] = value
     return fields
 
 
-def _int_field(fields: dict[str, str], name: str, path_hint: str) -> int:
+def _int_field(fields: dict[str, str], name: str, error: type, path_hint: str) -> int:
+    """Pop a field that must hold ASCII digits with no leading zero, or `0`."""
     try:
         raw = fields.pop(name)
     except KeyError:
-        raise KeyFormatError(f"missing field {name!r} in {path_hint}") from None
+        raise error(f"missing field {name!r} in {path_hint}") from None
+    if not _DECIMAL.fullmatch(raw):
+        raise error(f"field {name!r} is not a canonical decimal integer in {path_hint}")
     try:
         return int(raw)
-    except ValueError:
-        raise KeyFormatError(f"field {name!r} is not a decimal integer in {path_hint}") from None
+    except ValueError:  # more digits than int() converts
+        raise error(f"field {name!r} is too long in {path_hint}") from None
 
 
 def parse_key(text: str, path_hint: str = "key file") -> KeyPair | PublicKey:
     """Parse a public or private key file; private files carry p, q, psi1, psi2."""
-    lines = text.splitlines()
-    if not lines or lines[0] != KEY_MAGIC:
-        raise KeyFormatError(f"{path_hint} does not start with {KEY_MAGIC!r}")
-    fields = _parse_fields(lines[1:], path_hint)
-
+    fields = _parse_record(text, KEY_MAGIC, KeyFormatError, path_hint)
     kind = fields.pop("kind", None)
     if kind not in KINDS:
         raise KeyFormatError(f"unknown or missing kind in {path_hint}")
@@ -334,13 +347,15 @@ def parse_key(text: str, path_hint: str = "key file") -> KeyPair | PublicKey:
         redundancy = RedundancySpec.from_token(fields.pop("hash", ""))
     except ValueError as exc:
         raise KeyFormatError(f"bad hash field in {path_hint}: {exc}") from None
-    n = _int_field(fields, "N", path_hint)
+    n = _int_field(fields, "N", KeyFormatError, path_hint)
     if n <= 1 or n % 2 == 0 or math.isqrt(n) ** 2 == n:
         raise KeyFormatError(f"N is not an odd non-square above 1 in {path_hint}")
 
     padding = None
     if kind == "general":
-        elements = tuple(_int_field(fields, f"u{i}", path_hint) for i in range(1, 5))
+        elements = tuple(_int_field(fields, f"u{i}", KeyFormatError, path_hint) for i in range(1, 5))
+        if len(set(elements)) != 4 or any(u >= n or math.gcd(u, n) != 1 for u in elements):
+            raise KeyFormatError(f"padding elements are not four distinct units below N in {path_hint}")
         padding = PaddingSet(elements)
 
     if "p" not in fields:
@@ -348,15 +363,16 @@ def parse_key(text: str, path_hint: str = "key file") -> KeyPair | PublicKey:
             raise KeyFormatError(f"unexpected fields {sorted(fields)} in {path_hint}")
         return PublicKey(kind, n, redundancy, padding)
 
-    p = _int_field(fields, "p", path_hint)
-    q = _int_field(fields, "q", path_hint)
-    psi1 = _int_field(fields, "psi1", path_hint)
-    psi2 = _int_field(fields, "psi2", path_hint)
+    p, q, psi1, psi2 = (_int_field(fields, name, KeyFormatError, path_hint)
+                        for name in ("p", "q", "psi1", "psi2"))
     if fields:
         raise KeyFormatError(f"unexpected fields {sorted(fields)} in {path_hint}")
     if p * q != n:
         raise KeyFormatError(f"N does not equal p*q in {path_hint}")
     if padding is not None:
+        flaws = padding_set_flaws(padding.elements, p, q)
+        if flaws:
+            raise KeyFormatError(f"unsafe padding set in {path_hint}: {flaws[0]}")
         padding = PaddingSet(
             padding.elements,
             tuple((jacobi(u, p), jacobi(u, q)) for u in padding.elements),

@@ -12,7 +12,8 @@ from typing import NamedTuple
 
 from .errors import FactorLeakError, NonResidueError
 
-_SYSTEM_RNG = random.SystemRandom()
+# The one source of randomness for every function whose caller passes no rng.
+SYSTEM_RNG = random.SystemRandom()
 
 # Rounds for numbers of unknown origin, such as the factors in a key file.  A
 # composite passes one round with a random base with probability at most 1/4,
@@ -59,6 +60,15 @@ def mod_inv(a: int, n: int) -> int:
     return x % n
 
 
+def random_unit(n: int, rng=None) -> int:
+    """A uniformly random unit of Z_n, drawn by rejection from [1, n)."""
+    rng = rng or SYSTEM_RNG
+    while True:
+        r = rng.randrange(1, n)
+        if math.gcd(r, n) == 1:
+            return r
+
+
 def jacobi(a: int, n: int) -> int:
     """Jacobi symbol (a/n) for odd positive n; the Legendre symbol when n is prime."""
     if n <= 0 or n % 2 == 0:
@@ -86,7 +96,7 @@ def is_probable_prime(n: int, rng=None) -> bool:
             return True
         if n % p == 0:
             return False
-    return _miller_rabin(n, MILLER_RABIN_ROUNDS, rng or _SYSTEM_RNG)
+    return _miller_rabin(n, MILLER_RABIN_ROUNDS, rng or SYSTEM_RNG)
 
 
 def _miller_rabin(n: int, rounds: int, rng) -> bool:
@@ -137,25 +147,6 @@ def crt_combine(rp: int, rq: int, p: int, q: int, idem: Idempotents | None = Non
     if idem is None:
         idem = crt_idempotents(p, q)
     return (rp * idem.psi1 + rq * idem.psi2) % (p * q)
-
-
-@dataclass(frozen=True)
-class Modulus:
-    """A two-prime modulus together with its private factorisation."""
-
-    p: int
-    q: int
-    n: int
-
-    @classmethod
-    def create(cls, p: int, q: int, rng=None) -> "Modulus":
-        if p == q:
-            raise ValueError("prime factors must be distinct")
-        if p < 3 or q < 3 or p % 2 == 0 or q % 2 == 0:
-            raise ValueError("prime factors must be odd and at least 3")
-        if not is_probable_prime(p, rng) or not is_probable_prime(q, rng):
-            raise ValueError("factor failed the primality test")
-        return cls(p, q, p * q)
 
 
 def _tonelli_shanks(a: int, p: int) -> int:

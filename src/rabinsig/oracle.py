@@ -8,26 +8,15 @@ and verification code paths they are used to check.
 
 import dataclasses
 import math
-import random
 from dataclasses import dataclass, field
 
 from . import schemes
 from .errors import FactorLeakError
 from .hashing import IDENTITY, RedundancySpec, apply_redundancy
 from .keygen import KeyPair, build_padding_set
-from .numtheory import crt_idempotents
-
-_SYSTEM_RNG = random.SystemRandom()
+from .numtheory import SYSTEM_RNG, crt_idempotents
 
 SMALL_RING_LIMIT = 10_000
-
-_SCHEME_KINDS = {
-    "classic": "general",
-    "general": "general",
-    "variant1": "blum",
-    "variant2": "blum",
-    "rw": "rw",
-}
 
 
 def _is_prime_naive(n: int) -> bool:
@@ -80,38 +69,28 @@ def unity_roots(ring: SmallRing) -> tuple[int, ...]:
     return all_roots(1, ring)
 
 
-_SIG_TYPES = (
-    schemes.ClassicSignature,
-    schemes.GeneralSignature,
-    schemes.Variant1Signature,
-    schemes.Variant2Signature,
-    schemes.RWSignature,
-)
-
-
 def brute_valid(sig, n: int, redundancy: RedundancySpec, padding_elements=()) -> bool:
     """Evaluate a scheme's defining equations directly with pow()."""
-    if not isinstance(sig, _SIG_TYPES):
+    scheme = getattr(sig, "scheme", None)
+    if scheme not in schemes.SCHEMES:
         raise TypeError(f"unknown signature type {type(sig)!r}")
     h = apply_redundancy(redundancy, sig.m, n)
-    if isinstance(sig, schemes.ClassicSignature):
+    if scheme == "classic":
         return pow(sig.S, 2, n) == h * sig.U % n
-    if isinstance(sig, schemes.GeneralSignature):
+    if scheme == "general":
         return sig.u in padding_elements and pow(sig.S, 2, n) == h * sig.u % n
-    if isinstance(sig, schemes.Variant1Signature):
+    if scheme == "variant1":
         return (
             pow(sig.T, 2, n) == (sig.U + 1) * sig.S % n
             and pow(sig.S, 2, n) == h * sig.U % n
         )
-    if isinstance(sig, schemes.Variant2Signature):
+    if scheme == "variant2":
         return pow(sig.F, 12, n) == pow(sig.R3, 4, n) * pow(h, 6, n) % n
-    if isinstance(sig, schemes.RWSignature):
-        e = sig.e % n
-        if e not in (1, n - 1) or sig.f not in (1, 2):
-            return False
-        sign = 1 if e == 1 else -1
-        return sign * sig.f * pow(sig.S, 2, n) % n == h
-    raise AssertionError("unreachable")
+    e = sig.e % n  # rw
+    if e not in (1, n - 1) or sig.f not in (1, 2):
+        return False
+    sign = 1 if e == 1 else -1
+    return sign * sig.f * pow(sig.S, 2, n) % n == h
 
 
 @dataclass
@@ -149,8 +128,8 @@ def check_scheme_exhaustive(
     perturbation of every component, and the padding choice must match the
     residue-class prediction.
     """
-    rng = rng or _SYSTEM_RNG
-    kind = _SCHEME_KINDS[scheme]
+    rng = rng or SYSTEM_RNG
+    kind = schemes.SCHEMES[scheme].key_kind
     n = ring.n
     idem = crt_idempotents(ring.p, ring.q)
     padding = None
@@ -183,7 +162,7 @@ def check_scheme_exhaustive(
 
         _check_padding_choice(report, scheme, sig, h, n, qr, elements, nontrivial_unity, m)
 
-        for name in ("m",) + tuple(f.name for f in dataclasses.fields(sig))[1:]:
+        for name in ("m",) + schemes.SCHEMES[scheme].components:
             for delta in (1, n - 1):
                 mutated = dataclasses.replace(sig, **{name: (getattr(sig, name) + delta) % n})
                 brute = brute_valid(mutated, n, redundancy, elements)

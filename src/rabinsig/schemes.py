@@ -10,19 +10,23 @@ Verification is pure and reports the exact number of modular squares and
 products it performed, excluding the redundancy evaluation.
 """
 
+import dataclasses
 import math
-import random
 from dataclasses import dataclass
-from typing import ClassVar, Union
+from typing import Callable, ClassVar, Union
 
 from .errors import FactorLeakError, SignatureFormatError, UnsignableMessageError
 from .hashing import DigestRef, Message, apply_redundancy, digest_int
-from .keygen import KeyPair, PublicKey
-from .numtheory import canonical_sqrt_mod_pq, jacobi, mod_inv, sqrt_mod_pq, sqrt_of_unity_nontrivial
-
-_SYSTEM_RNG = random.SystemRandom()
-
-SCHEME_TAGS = ("classic", "general", "variant1", "variant2", "rw")
+from .keygen import KeyPair, PublicKey, _int_field, _parse_record
+from .numtheory import (
+    SYSTEM_RNG,
+    canonical_sqrt_mod_pq,
+    jacobi,
+    mod_inv,
+    random_unit,
+    sqrt_mod_pq,
+    sqrt_of_unity_nontrivial,
+)
 
 
 @dataclass(frozen=True)
@@ -101,28 +105,11 @@ class _OpCounter:
         return (self.squares, self.products)
 
 
-def _require_blum(key: KeyPair):
-    if key.p % 4 != 3 or key.q % 4 != 3:
-        raise ValueError("this scheme needs both prime factors congruent to 3 mod 4")
-
-
-def _require_rw(key: KeyPair):
-    if not key.is_rw:
-        raise ValueError("this scheme needs prime factors congruent to 3 and 7 mod 8")
-
-
 def _hash_for_signing(key: KeyPair, m: Message) -> int:
     h = apply_redundancy(key.redundancy, m, key.n)
     if h == 0 or math.gcd(h, key.n) != 1:
         raise UnsignableMessageError("message redundancy value is zero or not a unit")
     return h
-
-
-def _sample_unit(n: int, rng) -> int:
-    while True:
-        r = rng.randrange(1, n)
-        if math.gcd(r, n) == 1:
-            return r
 
 
 def _nonresidue_rep(p: int) -> int:
@@ -154,8 +141,7 @@ def _deterministic_padding(key: KeyPair, h: int, r: int) -> int:
 def classic_sign(key: KeyPair, m: Message, rng=None) -> ClassicSignature:
     """Sign with a random padding value U making H(m)*U a residue."""
     h = _hash_for_signing(key, m)
-    r = _sample_unit(key.n, rng or _SYSTEM_RNG)
-    padding = _deterministic_padding(key, h, r)
+    padding = _deterministic_padding(key, h, random_unit(key.n, rng))
     root = canonical_sqrt_mod_pq(h * padding % key.n, key.p, key.q, key.idem)
     return ClassicSignature(m, padding, root)
 
@@ -176,8 +162,7 @@ def classic_verify(pub: PublicKey | KeyPair, sig: ClassicSignature) -> VerifyRep
 
 def general_sign(key: KeyPair, m: Message) -> GeneralSignature:
     """Sign with the unique padding-set element in the Jacobi class of H(m)."""
-    if key.padding is None:
-        raise ValueError("general signing needs a key with a padding set")
+    SCHEMES["general"].check_key(key)
     h = _hash_for_signing(key, m)
     target = (jacobi(h, key.p), jacobi(h, key.q))
     for u in key.padding.elements:
@@ -211,13 +196,12 @@ def variant1_sign(key: KeyPair, m: Message, rng=None) -> Variant1Signature:
     of H(m)*U whose Jacobi class matches U+1, which makes (U+1)*S a
     residue; T is its canonical root.
     """
-    _require_blum(key)
+    SCHEMES["variant1"].check_key(key)
     h = _hash_for_signing(key, m)
-    rng = rng or _SYSTEM_RNG
+    rng = rng or SYSTEM_RNG
     forbidden = sqrt_of_unity_nontrivial(key.p, key.q, key.idem)
     for _ in range(64):
-        r = _sample_unit(key.n, rng)
-        padding = _deterministic_padding(key, h, r)
+        padding = _deterministic_padding(key, h, random_unit(key.n, rng))
         if padding not in forbidden:
             break
     else:
@@ -249,11 +233,11 @@ def variant1_verify(pub: PublicKey | KeyPair, sig: Variant1Signature) -> VerifyR
 
 def variant2_sign(key: KeyPair, m: Message, rng=None) -> Variant2Signature:
     """Sign as [m, F, R**3] with F = R*S and S**2 = H(m)*U, U a unity root."""
-    _require_blum(key)
+    SCHEMES["variant2"].check_key(key)
     h = _hash_for_signing(key, m)
-    padding = (jacobi(h, key.p) * key.psi1 + jacobi(h, key.q) * key.psi2) % key.n
+    padding = _deterministic_padding(key, h, 1)
     root = canonical_sqrt_mod_pq(h * padding % key.n, key.p, key.q, key.idem)
-    r = _sample_unit(key.n, rng or _SYSTEM_RNG)
+    r = random_unit(key.n, rng)
     return Variant2Signature(m, r * root % key.n, pow(r, 3, key.n))
 
 
@@ -285,7 +269,7 @@ def variant2_verify(pub: PublicKey | KeyPair, sig: Variant2Signature) -> VerifyR
 
 def rw_sign(key: KeyPair, m: Message) -> RWSignature:
     """Sign as [m, e, f, S]: the unique (e, f) makes H(m)/(e*f) a residue."""
-    _require_rw(key)
+    SCHEMES["rw"].check_key(key)
     h = _hash_for_signing(key, m)
     for e in (1, -1):
         for f in (1, 2):
@@ -311,23 +295,61 @@ def rw_verify(pub: PublicKey | KeyPair, sig: RWSignature) -> VerifyReport:
 
 
 # ---------------------------------------------------------------------------
-# dispatch helpers
+# the scheme registry
 
-_SIGNERS = {
-    "classic": classic_sign,
-    "general": lambda key, m, rng=None: general_sign(key, m),
-    "variant1": variant1_sign,
-    "variant2": variant2_sign,
-    "rw": lambda key, m, rng=None: rw_sign(key, m),
-}
 
-_VERIFIERS = {
-    ClassicSignature: classic_verify,
-    GeneralSignature: general_verify,
-    Variant1Signature: variant1_verify,
-    Variant2Signature: variant2_verify,
-    RWSignature: rw_verify,
-}
+@dataclass(frozen=True)
+class Scheme:
+    """One scheme: its signature type, signer, verifier and key requirement.
+
+    The tag is `sig_type.scheme` and the components are the fields of
+    `sig_type` after the message.
+    """
+
+    sig_type: type
+    key_kind: str  # the key kind the oracle builds to check this scheme
+    sign: Callable  # (key, m, rng=None) -> signature
+    verify: Callable  # (pub, sig) -> VerifyReport
+    key_ok: Callable[[KeyPair], bool] = lambda key: True
+    key_needs: str = ""  # what key_ok demands, for the error message
+
+    @property
+    def tag(self) -> str:
+        return self.sig_type.scheme
+
+    @property
+    def components(self) -> tuple[str, ...]:
+        return tuple(f.name for f in dataclasses.fields(self.sig_type)[1:])
+
+    def check_key(self, key: KeyPair):
+        """Raise ValueError unless the key meets this scheme's requirement."""
+        if not self.key_ok(key):
+            raise ValueError(f"the {self.tag} scheme needs a key with {self.key_needs}")
+
+
+_BLUM_KEY = {"key_ok": lambda key: key.is_blum, "key_needs": "both primes congruent to 3 mod 4"}
+
+# The lambdas look general_sign and rw_sign up when called, so rebinding the
+# module attribute also reaches the calls made through sign().
+SCHEMES: dict[str, Scheme] = {s.tag: s for s in (
+    Scheme(ClassicSignature, "general", classic_sign, classic_verify),
+    Scheme(GeneralSignature, "general", lambda key, m, rng=None: general_sign(key, m), general_verify,
+           lambda key: key.padding is not None, "a padding set"),
+    Scheme(Variant1Signature, "blum", variant1_sign, variant1_verify, **_BLUM_KEY),
+    Scheme(Variant2Signature, "blum", variant2_sign, variant2_verify, **_BLUM_KEY),
+    Scheme(RWSignature, "rw", lambda key, m, rng=None: rw_sign(key, m), rw_verify,
+           lambda key: key.is_rw, "primes congruent to 3 and 7 mod 8"),
+)}
+
+SCHEME_TAGS = tuple(SCHEMES)
+
+# sign() and verify() dispatch through these module-level dicts rather than
+# through SCHEMES, because instrumentation that swaps a function (perfbench's
+# tracer, a test's monkeypatch) rebinds module attributes and module-level dict
+# values and cannot reach into Scheme objects.  _VERIFIERS stays keyed by
+# signature class, the key that verify() and its callers index it by.
+_SIGNERS = {tag: s.sign for tag, s in SCHEMES.items()}
+_VERIFIERS = {s.sig_type: s.verify for s in SCHEMES.values()}
 
 
 def sign(key: KeyPair, m: Message, scheme: str, rng=None) -> Signature:
@@ -343,25 +365,10 @@ def verify(pub: PublicKey | KeyPair, sig: Signature) -> VerifyReport:
 
 
 # ---------------------------------------------------------------------------
-# Signature file format: line-oriented text, one component per line.
+# Signature file format: the record format of key files (see keygen), one
+# component per line.
 
 SIG_MAGIC = "rabin-sig v1"
-
-_COMPONENT_FIELDS = {
-    "classic": ("U", "S"),
-    "general": ("u", "S"),
-    "variant1": ("U", "S", "T"),
-    "variant2": ("F", "R3"),
-    "rw": ("e", "f", "S"),
-}
-
-_SIG_TYPES = {
-    "classic": ClassicSignature,
-    "general": GeneralSignature,
-    "variant1": Variant1Signature,
-    "variant2": Variant2Signature,
-    "rw": RWSignature,
-}
 
 
 def dump_signature(sig: Signature, pub: PublicKey | KeyPair) -> str:
@@ -373,7 +380,7 @@ def dump_signature(sig: Signature, pub: PublicKey | KeyPair) -> str:
         lines.append(f"message-digest = {m.digest_int}")
     else:  # raw bytes: store by digest reference
         lines.append(f"message-digest = {digest_int(pub.redundancy, m)}")
-    for name in _COMPONENT_FIELDS[sig.scheme]:
+    for name in SCHEMES[sig.scheme].components:
         value = getattr(sig, name)
         if sig.scheme == "rw" and name == "e":
             value %= pub.n
@@ -382,35 +389,13 @@ def dump_signature(sig: Signature, pub: PublicKey | KeyPair) -> str:
 
 
 def parse_signature(text: str, path_hint: str = "signature file") -> Signature:
-    lines = text.splitlines()
-    if not lines or lines[0] != SIG_MAGIC:
-        raise SignatureFormatError(f"{path_hint} does not start with {SIG_MAGIC!r}")
-    fields: dict[str, str] = {}
-    for line in lines[1:]:
-        if not line.strip():
-            continue
-        name, sep, value = line.partition("=")
-        if not sep:
-            raise SignatureFormatError(f"malformed line {line!r} in {path_hint}")
-        name, value = name.strip(), value.strip()
-        if name in fields:
-            raise SignatureFormatError(f"duplicate field {name!r} in {path_hint}")
-        fields[name] = value
-
-    scheme = fields.pop("scheme", None)
-    if scheme not in _COMPONENT_FIELDS:
+    fields = _parse_record(text, SIG_MAGIC, SignatureFormatError, path_hint)
+    scheme = SCHEMES.get(fields.pop("scheme", None))
+    if scheme is None:
         raise SignatureFormatError(f"unknown or missing scheme in {path_hint}")
 
     def take_int(name):
-        try:
-            value = int(fields.pop(name))
-        except KeyError:
-            raise SignatureFormatError(f"missing field {name!r} in {path_hint}") from None
-        except ValueError:
-            raise SignatureFormatError(f"field {name!r} is not a decimal integer in {path_hint}") from None
-        if value < 0:
-            raise SignatureFormatError(f"field {name!r} is negative in {path_hint}")
-        return value
+        return _int_field(fields, name, SignatureFormatError, path_hint)
 
     if "message" in fields and "message-digest" in fields:
         raise SignatureFormatError(f"both message and message-digest present in {path_hint}")
@@ -421,7 +406,7 @@ def parse_signature(text: str, path_hint: str = "signature file") -> Signature:
     else:
         raise SignatureFormatError(f"missing message in {path_hint}")
 
-    components = [take_int(name) for name in _COMPONENT_FIELDS[scheme]]
+    components = [take_int(name) for name in scheme.components]
     if fields:
         raise SignatureFormatError(f"unexpected fields {sorted(fields)} in {path_hint}")
-    return _SIG_TYPES[scheme](m, *components)
+    return scheme.sig_type(m, *components)

@@ -1,8 +1,18 @@
+import random
+
 import pytest
 
 from rabinsig.cli import main
 from rabinsig.hashing import IDENTITY
-from rabinsig.keygen import dump_private, dump_public, gen_keypair, parse_key
+from rabinsig.keygen import (
+    KeyPair,
+    PaddingSet,
+    build_padding_set,
+    dump_private,
+    dump_public,
+    gen_keypair,
+    parse_key,
+)
 from rabinsig.numtheory import crt_idempotents
 from rabinsig.schemes import dump_signature, parse_signature, sign, verify
 
@@ -116,15 +126,28 @@ def test_bad_flags_exit_2():
 
 
 def test_scheme_key_mismatch_exits_2(tmp_path, capsys):
-    # 11 and 19 are both 3 mod 8: a blum key with no padding set and no 7-mod-8 prime
-    from rabinsig.keygen import KeyPair
-
-    priv = tmp_path / "mismatch.key"
-    priv.write_text(dump_private(KeyPair.from_primes("blum", 11, 19, IDENTITY)))
-    for scheme in ("general", "rw"):
+    # 11 and 19 are both 3 mod 8: a blum key with no padding set and no 7-mod-8 prime;
+    # 13 is 1 mod 4, so the general key is no blum key
+    idem = crt_idempotents(13, 17)
+    padding = build_padding_set(13, 17, idem.psi1, idem.psi2, random.Random(1))
+    keys = {"blum": KeyPair.from_primes("blum", 11, 19, IDENTITY),
+            "general": KeyPair.from_primes("general", 13, 17, IDENTITY, padding)}
+    for kind, scheme, expected in (("blum", "general", 2), ("blum", "rw", 2), ("blum", "classic", 0),
+                                   ("general", "variant1", 2), ("general", "variant2", 2)):
+        priv = tmp_path / f"{kind}.key"
+        priv.write_text(dump_private(keys[kind]))
         rc = main(["sign", "--key", str(priv), "--scheme", scheme, "--message", "5",
                    "--out", str(tmp_path / "x.sig")])
-        assert rc == 2
+        assert rc == expected, (kind, scheme)
+
+
+def test_padding_set_missing_a_class_exits_3(tmp_path):
+    # four squares cover one Jacobi class; m = 3 is a non-residue mod 7, so no
+    # element fits it and signing used to escape with a ValueError
+    priv = tmp_path / "deficient.key"
+    priv.write_text(dump_private(KeyPair.from_primes("general", 7, 11, IDENTITY, PaddingSet((4, 9, 16, 25)))))
+    assert main(["sign", "--key", str(priv), "--scheme", "general", "--message", "3",
+                 "--out", str(tmp_path / "x.sig")]) == 3
 
 
 def test_oversized_message_needs_digest_redundancy(keyfiles, tmp_path):

@@ -4,6 +4,7 @@ from rabinsig.errors import KeyFormatError
 from rabinsig.hashing import IDENTITY, QUADRATIC, RedundancySpec
 from rabinsig.keygen import (
     KeyPair,
+    PaddingSet,
     _search_rounds,
     build_padding_set,
     compose_padding_set,
@@ -85,6 +86,11 @@ class TestGenKeypair:
             parse_key(dump_private(keys[0]))
 
     def test_kind_constraints_enforced(self):
+        assert KeyPair.from_primes("general", 7, 11).n == 77
+        # equal, even, composite and unit factors
+        for p, q in ((7, 7), (8, 11), (7, 15), (1, 11)):
+            with pytest.raises(ValueError):
+                KeyPair.from_primes("general", p, q)
         with pytest.raises(ValueError):
             KeyPair.from_primes("blum", 13, 11)  # 13 = 1 mod 4
         with pytest.raises(ValueError):
@@ -163,6 +169,12 @@ class TestKeyFiles:
             good + "extra = 1\n",
             good + "p = 7\n",  # duplicate
             good.replace("p = 7\n", ""),  # private file missing q's partner
+            # one encoding per value: canonical ASCII decimal only
+            good.replace("N = 77", "N = 7_7"),
+            good.replace("N = 77", "N = +77"),
+            good.replace("N = 77", "N = \u0667\u0667"),  # Arabic-Indic digits
+            good.replace("N = 77", "N = 077"),
+            good.replace("p = 7", "p = 07"),
         ):
             with pytest.raises(KeyFormatError):
                 parse_key(bad)
@@ -181,6 +193,20 @@ class TestKeyFiles:
                 f"p = {p}\nq = {q}\npsi1 = {idem.psi1}\npsi2 = {idem.psi2}\n")
         with pytest.raises(KeyFormatError):
             parse_key(text)
+
+    @pytest.mark.parametrize("elements", [(0, 2, 3, 24), (2, 2, 3, 24), (2, 3, 24, 79), (2, 3, 24, 14)])
+    def test_public_padding_must_be_distinct_units_below_n(self, elements):
+        text = "rabin-key v1\nkind = general\nhash = identity\nN = 77\n"
+        text += "".join(f"u{i} = {u}\n" for i, u in enumerate(elements, start=1))
+        with pytest.raises(KeyFormatError):
+            parse_key(text)
+
+    def test_private_padding_must_pass_the_safety_checks(self):
+        # four squares lie in one Jacobi class, so three classes are uncovered
+        key = KeyPair.from_primes("general", 7, 11, IDENTITY, PaddingSet((4, 9, 16, 25)))
+        with pytest.raises(KeyFormatError):
+            parse_key(dump_private(key))
+        assert parse_key(dump_public(key)).padding.elements == (4, 9, 16, 25)
 
     def test_non_decimal_value_rejected(self, toy_key):
         with pytest.raises(KeyFormatError):

@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from rabinsig.errors import FactorLeakError, NonResidueError
 from rabinsig.numtheory import (
     Idempotents,
-    Modulus,
     canonical_sqrt_mod_pq,
     crt_combine,
     crt_idempotents,
@@ -214,13 +213,3 @@ class TestResidueCharacterisation:
         residues = qr_set(ring)
         for a in units(ring):
             assert (a in residues) == (jacobi(a, p) == 1 and jacobi(a, q) == 1)
-
-
-class TestModulus:
-    def test_validates(self):
-        assert Modulus.create(7, 11).n == 77
-
-    def test_rejects_bad_material(self):
-        for p, q in ((7, 7), (8, 11), (7, 15), (1, 11)):
-            with pytest.raises(ValueError):
-                Modulus.create(p, q)

@@ -348,9 +348,15 @@ class TestSignatureFiles:
             good.replace("message = 3", "message = -3"),
             good.replace("R3 = 8", "R3 = -8"),
             good.replace("message = 3", "message-digest = -3"),
+            good.replace("message = 3", "message = 0_3"),
+            good.replace("message = 3", "message = +3"),
+            good.replace("message = 3", "message = \u0663"),  # Arabic-Indic three
+            good.replace("message = 3", "message = 03"),
+            good.replace("F = 10", "F = 1_0"),
         ):
             with pytest.raises(SignatureFormatError):
                 parse_signature(bad)
+        assert parse_signature(good.replace("message = 3", "message = 0")).m == 0
 
 
 class TestExhaustiveAgreement:
