@@ -6,6 +6,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from rabinsig.errors import FactorLeakError, NonResidueError
+from rabinsig.keygen import KeyPair
 from rabinsig.numtheory import (
     Idempotents,
     canonical_sqrt_mod_pq,
@@ -213,3 +214,14 @@ class TestResidueCharacterisation:
         residues = qr_set(ring)
         for a in units(ring):
             assert (a in residues) == (jacobi(a, p) == 1 and jacobi(a, q) == 1)
+
+
+class TestModulus:
+    # the factor-pair checks live in KeyPair.from_primes
+    def test_validates(self):
+        assert KeyPair.from_primes("general", 7, 11).n == 77
+
+    def test_rejects_bad_material(self):
+        for p, q in ((7, 7), (8, 11), (7, 15), (1, 11)):
+            with pytest.raises(ValueError):
+                KeyPair.from_primes("general", p, q)
