@@ -6,7 +6,6 @@ invocation, 3 unreadable or malformed key/signature file.
 """
 
 import argparse
-import math
 import os
 import random
 import sys
@@ -18,7 +17,7 @@ from .errors import KeyFormatError, NonResidueError, RabinError, SignatureFormat
 from .forgery import apply_scaling, forge_classic, rsa_blinding_attack
 from .hashing import IDENTITY, QUADRATIC, DigestRef, RedundancySpec, apply_redundancy, digest_int
 from .keygen import KeyPair, dump_private, dump_public, gen_keypair, parse_key
-from .numtheory import jacobi, mod_inv, sqrt_mod_pq
+from .numtheory import jacobi, mod_inv, random_unit, sqrt_mod_pq
 
 
 def _rng(seed):
@@ -150,8 +149,8 @@ def cmd_blind_demo(args):
 def _naive_blind_demo(key, m, rng):
     pub = key.public()
     r = 1
-    while math.gcd(r, key.n) != 1 or r == 1:
-        r = rng.randrange(2, key.n)
+    while r == 1:  # a blinder of 1 would hand the signer the message itself
+        r = random_unit(key.n, rng)
     disguised = disguise(m, r, pub)
     print("rabin-blind-demo v1 (naive)")
     print(f"N = {key.n}")

@@ -118,8 +118,8 @@ class PaddingSet:
     """Four public multipliers covering the four Jacobi classes.
 
     `classes` lists ((u/p), (u/q)) per element and is only populated on the
-    private side; the published form is the bare elements in a randomised
-    order.
+    private side, where KeyPair.from_primes computes it; the published form
+    is the bare elements in a randomised order.
     """
 
     elements: tuple[int, int, int, int]
@@ -256,6 +256,8 @@ class KeyPair:
         if kind == "rw" and {p % 8, q % 8} != {3, 7}:
             raise ValueError("rw keys need primes congruent to 3 and 7 mod 8")
         idem = crt_idempotents(p, q)
+        if padding is not None:  # the classes are computed here, never taken on trust
+            padding = PaddingSet(padding.elements, tuple((jacobi(u, p), jacobi(u, q)) for u in padding.elements))
         return cls(kind, p, q, p * q, idem.psi1, idem.psi2, redundancy, padding)
 
 
@@ -373,10 +375,6 @@ def parse_key(text: str, path_hint: str = "key file") -> KeyPair | PublicKey:
         flaws = padding_set_flaws(padding.elements, p, q)
         if flaws:
             raise KeyFormatError(f"unsafe padding set in {path_hint}: {flaws[0]}")
-        padding = PaddingSet(
-            padding.elements,
-            tuple((jacobi(u, p), jacobi(u, q)) for u in padding.elements),
-        )
     try:
         key = KeyPair.from_primes(kind, p, q, redundancy, padding)
     except ValueError as exc:

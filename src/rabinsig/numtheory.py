@@ -76,12 +76,13 @@ def jacobi(a: int, n: int) -> int:
     a %= n
     result = 1
     while a:
-        while a % 2 == 0:
-            a //= 2
-            if n % 8 in (3, 5):
+        if not a & 1:  # strip every factor 2 with one shift
+            twos = (a & -a).bit_length() - 1
+            a >>= twos
+            if twos & 1 and n & 7 in (3, 5):
                 result = -result
         a, n = n, a
-        if a % 4 == 3 and n % 4 == 3:
+        if a & n & 3 == 3:  # both are 3 mod 4
             result = -result
         a %= n
     return result if n == 1 else 0
@@ -155,12 +156,15 @@ def _tonelli_shanks(a: int, p: int) -> int:
     while d % 2 == 0:
         d //= 2
         s += 1
+    y = pow(a, (d - 1) // 2, p)  # one modexp gives x = a**((d+1)/2) and t = a**d
+    x = y * a % p
+    t = x * y % p
+    if t == 1:  # x is a root already, so no non-residue is needed
+        return x
     z = 2
     while jacobi(z, p) != -1:
         z += 1
     c = pow(z, d, p)
-    x = pow(a, (d + 1) // 2, p)
-    t = pow(a, d, p)
     m = s
     while t != 1:
         i, t2 = 0, t
@@ -175,6 +179,24 @@ def _tonelli_shanks(a: int, p: int) -> int:
     return x
 
 
+def _principal_root(a: int, p: int) -> int:
+    """A square root of the unit a (reduced mod p) modulo an odd prime p.
+
+    For p = 3 mod 4 this is a**((p+1)/4), itself a residue; squaring it back
+    replaces the residuosity test, since it squares to (a/p)*a (Bernstein,
+    "RSA signatures and Rabin-Williams signatures: the state of the art",
+    2008).  For p = 1 mod 4, a Jacobi symbol guards Tonelli-Shanks.
+    """
+    if p % 4 == 3:
+        s = pow(a, (p + 1) // 4, p)
+        if s * s % p != a:
+            raise NonResidueError("value has no square root modulo the given prime")
+        return s
+    if jacobi(a, p) != 1:
+        raise NonResidueError("value has no square root modulo the given prime")
+    return _tonelli_shanks(a, p)
+
+
 def sqrt_mod_prime(a: int, p: int) -> int:
     """Canonical square root of a modulo an odd prime (the smaller of the pair).
 
@@ -184,12 +206,7 @@ def sqrt_mod_prime(a: int, p: int) -> int:
     a %= p
     if a == 0:
         return 0
-    if jacobi(a, p) != 1:
-        raise NonResidueError("value has no square root modulo the given prime")
-    if p % 4 == 3:
-        s = pow(a, (p + 1) // 4, p)
-    else:
-        s = _tonelli_shanks(a, p)
+    s = _principal_root(a, p)
     return min(s, p - s)
 
 
@@ -201,6 +218,29 @@ class Root(NamedTuple):
     jacobi_q: int
 
 
+def _prime_roots(a: int, p: int, q: int) -> tuple[int, int, int]:
+    # n = p*q, a reduced mod n and one principal root of a per prime; the
+    # checks and errors shared by sqrt_mod_pq and canonical_sqrt_mod_pq.
+    n = p * q
+    a %= n
+    if math.gcd(a, n) != 1:
+        raise FactorLeakError("input shares a factor with the modulus")
+    try:
+        return n, _principal_root(a % p, p), _principal_root(a % q, q)
+    except NonResidueError:
+        raise NonResidueError("value is not a quadratic residue modulo both primes") from None
+
+
+def _root_classes(s: int, p: int) -> tuple[int, int]:
+    # Jacobi classes mod p of a principal root s and of p - s.  For p = 3 mod 4
+    # s is a residue and (-1/p) = -1; for p = 1 mod 4, (-1/p) = 1 and both
+    # share the class of s.
+    if p % 4 == 3:
+        return 1, -1
+    c = jacobi(s, p)
+    return c, c
+
+
 def sqrt_mod_pq(a: int, p: int, q: int, idem: Idempotents | None = None) -> tuple[Root, ...]:
     """All four square roots of a unit a modulo n = p*q, sorted by value.
 
@@ -209,28 +249,29 @@ def sqrt_mod_pq(a: int, p: int, q: int, idem: Idempotents | None = None) -> tupl
     degenerate, factorisation-revealing input) and NonResidueError when a
     is not a residue modulo both primes.
     """
-    n = p * q
-    a %= n
-    if math.gcd(a, n) != 1:
-        raise FactorLeakError("input shares a factor with the modulus")
-    if jacobi(a, p) != 1 or jacobi(a, q) != 1:
-        raise NonResidueError("value is not a quadratic residue modulo both primes")
+    n, sp, sq = _prime_roots(a, p, q)
     if idem is None:
         idem = crt_idempotents(p, q)
-    sp = sqrt_mod_prime(a, p)
-    sq = sqrt_mod_prime(a, q)
-    roots = []
-    for rp in (sp, p - sp):
-        for rq in (sq, q - sq):
-            v = (rp * idem.psi1 + rq * idem.psi2) % n
-            roots.append(Root(v, jacobi(v, p), jacobi(v, q)))
-    roots.sort()
-    return tuple(roots)
+    return tuple(sorted(
+        Root((rp * idem.psi1 + rq * idem.psi2) % n, jp, jq)
+        for rp, jp in zip((sp, p - sp), _root_classes(sp, p))
+        for rq, jq in zip((sq, q - sq), _root_classes(sq, q))
+    ))
 
 
 def canonical_sqrt_mod_pq(a: int, p: int, q: int, idem: Idempotents | None = None) -> int:
-    """The canonical root: the smallest of the four square roots mod p*q."""
-    return sqrt_mod_pq(a, p, q, idem)[0].value
+    """The canonical root: the smallest of the four square roots mod p*q.
+
+    Raises exactly as sqrt_mod_pq does, but labels no classes: two CRT
+    lifts give the four roots as v, n-v, w and n-w.
+    """
+    n, sp, sq = _prime_roots(a, p, q)
+    if idem is None:
+        idem = crt_idempotents(p, q)
+    lift_p = sp * idem.psi1
+    v = (lift_p + sq * idem.psi2) % n
+    w = (lift_p + (q - sq) * idem.psi2) % n
+    return min(v, n - v, w, n - w)
 
 
 def sqrt_of_unity_nontrivial(p: int, q: int, idem: Idempotents | None = None) -> tuple[int, int]:

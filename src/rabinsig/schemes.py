@@ -165,8 +165,8 @@ def general_sign(key: KeyPair, m: Message) -> GeneralSignature:
     SCHEMES["general"].check_key(key)
     h = _hash_for_signing(key, m)
     target = (jacobi(h, key.p), jacobi(h, key.q))
-    for u in key.padding.elements:
-        if (jacobi(u, key.p), jacobi(u, key.q)) == target:
+    for u, cls in zip(key.padding.elements, key.padding.classes):
+        if cls == target:
             root = canonical_sqrt_mod_pq(h * u % key.n, key.p, key.q, key.idem)
             return GeneralSignature(m, u, root)
     raise ValueError("padding set does not cover the class of the message")
@@ -271,10 +271,14 @@ def rw_sign(key: KeyPair, m: Message) -> RWSignature:
     """Sign as [m, e, f, S]: the unique (e, f) makes H(m)/(e*f) a residue."""
     SCHEMES["rw"].check_key(key)
     h = _hash_for_signing(key, m)
+    # The class of h/(e*f) mod each prime is (h/p)*(e/p)*(f/p).  Both primes
+    # are 3 mod 4, so (-1/p) = -1 and (e/p) = e; (2/p) is 1 for the prime
+    # that is 7 mod 8 and -1 for the one that is 3 mod 8.
+    classes = [(jacobi(h, prime), 1 if prime % 8 == 7 else -1) for prime in (key.p, key.q)]
     for e in (1, -1):
         for f in (1, 2):
-            target = h * mod_inv(e * f % key.n, key.n) % key.n
-            if jacobi(target, key.p) == 1 and jacobi(target, key.q) == 1:
+            if all(j * e * (two if f == 2 else 1) == 1 for j, two in classes):
+                target = h * mod_inv(e * f % key.n, key.n) % key.n
                 root = canonical_sqrt_mod_pq(target, key.p, key.q, key.idem)
                 return RWSignature(m, e, f, root)
     raise RuntimeError("no multiplier pair admits a root; key is not an rw key")
@@ -334,7 +338,7 @@ _BLUM_KEY = {"key_ok": lambda key: key.is_blum, "key_needs": "both primes congru
 SCHEMES: dict[str, Scheme] = {s.tag: s for s in (
     Scheme(ClassicSignature, "general", classic_sign, classic_verify),
     Scheme(GeneralSignature, "general", lambda key, m, rng=None: general_sign(key, m), general_verify,
-           lambda key: key.padding is not None, "a padding set"),
+           lambda key: key.padding is not None and key.padding.classes is not None, "a private padding set"),
     Scheme(Variant1Signature, "blum", variant1_sign, variant1_verify, **_BLUM_KEY),
     Scheme(Variant2Signature, "blum", variant2_sign, variant2_verify, **_BLUM_KEY),
     Scheme(RWSignature, "rw", lambda key, m, rng=None: rw_sign(key, m), rw_verify,

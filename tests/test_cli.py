@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from rabinsig.cli import main
+from rabinsig.cli import _naive_blind_demo, main
 from rabinsig.hashing import IDENTITY
 from rabinsig.keygen import (
     KeyPair,
@@ -15,6 +15,8 @@ from rabinsig.keygen import (
 )
 from rabinsig.numtheory import crt_idempotents
 from rabinsig.schemes import dump_signature, parse_signature, sign, verify
+
+from conftest import SeqRng
 
 
 @pytest.fixture
@@ -207,6 +209,13 @@ def test_naive_blind_demo_on_a_square(keyfiles, capsys):
     out = capsys.readouterr().out
     assert "unblinded-root" in out
     assert "warning" in out
+
+
+def test_naive_blind_demo_redraws_a_unit_blinder_of_one(capsys):
+    # the blinder comes from random_unit, drawn again while it is 1; m = 4 is a square mod 77
+    key = KeyPair.from_primes("blum", 7, 11, IDENTITY)
+    assert _naive_blind_demo(key, 4, SeqRng(1, 1, 2, 0)) == 0
+    assert "blinding = 2" in capsys.readouterr().out
 
 
 def test_attack_classic_forge_end_to_end(keyfiles, tmp_path, capsys):

@@ -85,6 +85,13 @@ class TestGenKeypair:
         with pytest.raises(AssertionError):
             parse_key(dump_private(keys[0]))
 
+    def test_from_primes_computes_the_padding_classes(self):
+        # the classes handed in are wrong on purpose; the key carries the true ones
+        wrong = PaddingSet(ORACLE_PADDING.elements, ((1, 1),) * 4)
+        key = KeyPair.from_primes("general", 7, 11, IDENTITY, wrong)
+        assert key.padding == ORACLE_PADDING
+        assert KeyPair.from_primes("general", 7, 11, IDENTITY, PaddingSet(ORACLE_PADDING.elements)) == key
+
     def test_kind_constraints_enforced(self):
         assert KeyPair.from_primes("general", 7, 11).n == 77
         # equal, even, composite and unit factors

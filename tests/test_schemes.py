@@ -1,12 +1,14 @@
 import dataclasses
 import math
+import random
 
 import pytest
 
 from rabinsig.errors import SignatureFormatError, UnsignableMessageError
 from rabinsig.hashing import IDENTITY, QUADRATIC, DigestRef, RedundancySpec
 from rabinsig.keygen import KeyPair, gen_keypair
-from rabinsig.numtheory import jacobi, mod_inv
+from rabinsig import numtheory, schemes
+from rabinsig.numtheory import canonical_sqrt_mod_pq, jacobi, mod_inv
 from rabinsig.oracle import SmallRing, all_roots, brute_valid, qr_set
 from rabinsig.schemes import (
     ClassicSignature,
@@ -98,9 +100,13 @@ class TestGeneral:
         assert report.valid
         assert report.op_counts == (1, 1)
 
-    def test_needs_a_padding_set(self, toy_key):
+    def test_needs_a_padding_set(self, toy_key, general_toy_key):
         with pytest.raises(ValueError):
             general_sign(toy_key, 5)
+        # the published set carries no classes to select by
+        public_only = dataclasses.replace(general_toy_key, padding=general_toy_key.public().padding)
+        with pytest.raises(ValueError):
+            general_sign(public_only, 5)
 
 
 class TestVariant1:
@@ -261,6 +267,45 @@ SCHEMES_AND_KINDS = (
     ("variant2", "blum"),
     ("rw", "rw"),
 )
+
+
+class TestJacobiBudget:
+    """Signing spends no Jacobi symbol that a squaring or a known class replaces.
+
+    On Blum primes a root is checked by squaring it back, and the classes of
+    the padding elements and of the RW multipliers are known in advance.
+    """
+
+    KEYS = {kind: gen_keypair(kind, 64, IDENTITY, random.Random(f"budget/{kind}")) for kind in ("blum", "rw")}
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        made = []
+        real = numtheory.jacobi
+
+        def counted(a, n):
+            made.append(n)
+            return real(a, n)
+
+        # numtheory's own calls go through its module global, the signers' through the name schemes imported
+        monkeypatch.setattr(numtheory, "jacobi", counted)
+        monkeypatch.setattr(schemes, "jacobi", counted)
+        return made
+
+    def test_canonical_root_on_blum_primes_needs_none(self, calls, rng):
+        key = self.KEYS["blum"]
+        for _ in range(50):
+            x = rng.randrange(1, key.n)
+            assert canonical_sqrt_mod_pq(x * x % key.n, key.p, key.q, key.idem) ** 2 % key.n == x * x % key.n
+        assert calls == []
+
+    @pytest.mark.parametrize("scheme,kind,budget", [("variant2", "blum", 2), ("rw", "rw", 2), ("variant1", "blum", 4)])
+    def test_signers_stay_within_budget(self, calls, rng, scheme, kind, budget):
+        key = self.KEYS[kind]
+        for _ in range(30):
+            calls.clear()
+            assert verify(key, sign(key, rng.randrange(2, key.n), scheme, rng=rng)).valid
+            assert len(calls) <= budget
 
 
 class TestRoundTrip:
