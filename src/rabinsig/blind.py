@@ -84,7 +84,12 @@ def unblind(bsig: BlindSignature, r: int, m: Message, pub: PublicKey | KeyPair) 
 
 
 def verify_blind_signature(bsig: BlindSignature, n: int) -> VerifyReport:
-    """Check F**12 == R3**4 * disguised**6; same cost as the triple scheme."""
+    """Check F**12 == R3**4 * disguised**6; same cost as the triple scheme.
+
+    As every verifier does, rejects an F or R3 that is 0 mod n.
+    """
+    if not (bsig.F % n and bsig.R3 % n):
+        return VerifyReport(False, "zero component")
     ops = _OpCounter()
     if not _power_chain_check(bsig.F, bsig.R3, bsig.disguised % n, n, ops):
         return VerifyReport(False, "verification equation", ops.counts)

@@ -24,12 +24,19 @@ def _rng(seed):
     return random.Random(seed) if seed is not None else random.SystemRandom()
 
 
+def _read_text(path, error):
+    try:
+        return Path(path).read_text()
+    except UnicodeDecodeError:
+        raise error(f"{path} is not UTF-8 text") from None
+
+
 def _load_key(path):
-    return parse_key(Path(path).read_text(), path_hint=str(path))
+    return parse_key(_read_text(path, KeyFormatError), path_hint=str(path))
 
 
 def _load_signature(path):
-    return schemes.parse_signature(Path(path).read_text(), path_hint=str(path))
+    return schemes.parse_signature(_read_text(path, SignatureFormatError), path_hint=str(path))
 
 
 def _ops_line(report: schemes.VerifyReport) -> str:
@@ -57,7 +64,11 @@ def cmd_keygen(args):
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    key = gen_keypair(args.kind, args.bits, redundancy, _rng(args.seed))
+    try:
+        key = gen_keypair(args.kind, args.bits, redundancy, _rng(args.seed))
+    except ValueError as exc:  # too few bits per prime
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     priv_path = Path(args.out)
     pub_path = Path(str(args.out) + ".pub")
     priv_path.write_text(dump_private(key))
@@ -85,15 +96,22 @@ def _message_from_args(args, key):
     return data
 
 
+def _key_fits(scheme, key) -> bool:
+    """Whether the key meets the scheme's requirement; prints the error if not."""
+    try:
+        schemes.SCHEMES[scheme].check_key(key)
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return False
+    return True
+
+
 def cmd_sign(args):
     key = _load_key(args.key)
     if not isinstance(key, KeyPair):
         print("error: signing needs a private key file", file=sys.stderr)
         return 2
-    try:
-        schemes.SCHEMES[args.scheme].check_key(key)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    if not _key_fits(args.scheme, key):
         return 2
     m = _message_from_args(args, key)
     if m is None:
@@ -115,12 +133,18 @@ def cmd_verify(args):
         if not isinstance(sig.m, DigestRef) or sig.m.digest_int != expected:
             print("INVALID (message digest mismatch)")
             return 1
+    if isinstance(sig.m, DigestRef) and pub.redundancy.tag != "digest":
+        print("INVALID (message digest under a key without digest redundancy)")
+        return 1
     report = schemes.verify(pub, sig)
     _print_report(report)
     return 0 if report.valid else 1
 
 
 def cmd_blind_demo(args):
+    if args.message < 0:
+        print("error: messages are non-negative integers", file=sys.stderr)
+        return 2
     key = _load_key(args.key)
     if not isinstance(key, KeyPair):
         print("error: the demo needs a private key file", file=sys.stderr)
@@ -128,6 +152,8 @@ def cmd_blind_demo(args):
     rng = _rng(args.seed)
     if args.naive:
         return _naive_blind_demo(key, args.message, rng)
+    if not _key_fits("variant2", key):  # the hardened signer signs as variant2
+        return 2
 
     session = run_blind_session(key, args.message, rng)
     report = schemes.verify(key.public(), session.published)
@@ -213,6 +239,9 @@ def _attack_scale(args):
         return 2
     pub = _load_key(args.pub)
     sig = _load_signature(args.sig)
+    if not isinstance(sig.m, int):
+        print("error: scaling forgeries need a signature on an integer message", file=sys.stderr)
+        return 2
     forged = apply_scaling(sig, args.factor, pub.n)
     report = schemes.verify(pub, forged)
     print(f"scaled {sig.scheme} signature by {args.factor}: message = {forged.m}")
@@ -229,6 +258,8 @@ def _attack_blinding(args):
     key = _load_key(args.key)
     if not isinstance(key, KeyPair):
         print("error: the blinding attack drives a local signing oracle; pass a private key", file=sys.stderr)
+        return 2
+    if args.hardened and not _key_fits("variant2", key):
         return 2
     rng = _rng(args.seed)
     if args.hardened:

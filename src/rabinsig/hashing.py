@@ -31,7 +31,8 @@ class RedundancySpec:
         if self.tag == "digest":
             if not self.digest_name:
                 raise ValueError("digest redundancy needs a digest name")
-            hashlib.new(self.digest_name)  # rejects unsupported digests
+            if hashlib.new(self.digest_name).digest_size == 0:  # raises on unsupported digests
+                raise ValueError(f"digest {self.digest_name!r} has no fixed output length")
         elif self.digest_name is not None:
             raise ValueError("digest name is only meaningful for digest redundancy")
 

@@ -22,6 +22,7 @@ from .numtheory import (
     _miller_rabin,
     _sieve_primes,
     crt_idempotents,
+    crt_padding,
     jacobi,
     random_unit,
 )
@@ -134,17 +135,19 @@ def padding_set_flaws(elements, p: int, q: int) -> list[str]:
     all four Jacobi classes, and no pairwise difference may share a factor
     with the modulus.
     """
-    n = p * q
+    return _padding_flaws(elements, [(jacobi(u, p), jacobi(u, q)) for u in elements], p * q)
+
+
+def _padding_flaws(elements, classes, n: int) -> list[str]:
+    # padding_set_flaws for elements whose classes ((u/p), (u/q)) are known;
+    # a class with a 0 in it belongs to a non-unit.
     flaws = []
-    classes = set()
     for u in elements:
         if math.gcd(u, n) != 1:
             flaws.append(f"element {u} is not a unit")
-            continue
-        if u * u % n == 1:
+        elif u * u % n == 1:
             flaws.append(f"element {u} is a square root of unity")
-        classes.add((jacobi(u, p), jacobi(u, q)))
-    if len(classes) != 4:
+    if len({c for c in classes if 0 not in c}) != 4:
         flaws.append("elements do not cover all four Jacobi classes")
     for i in range(4):
         for j in range(i + 1, 4):
@@ -162,10 +165,10 @@ def _sample_with_jacobi(p: int, target: int, rng) -> int:
 
 def compose_padding_set(a1, a2, b1, b2, rs, p, q, psi1, psi2):
     """Form the four products r**2 * (a*psi1 + b*psi2) with their class labels."""
-    n = p * q
+    idem = Idempotents(psi1, psi2)
     elements, classes = [], []
     for (a, b), r in zip(((a1, b1), (a1, b2), (a2, b1), (a2, b2)), rs):
-        u = r * r * (a * psi1 + b * psi2) % n
+        u = crt_padding(a, b, r, p, q, idem)
         elements.append(u)
         classes.append((jacobi(u, p), jacobi(u, q)))
     return tuple(elements), tuple(classes)
@@ -193,7 +196,7 @@ def build_padding_set(p: int, q: int, psi1: int, psi2: int, rng=None) -> Padding
                 if r not in rs:
                     rs.append(r)
             elements, classes = compose_padding_set(a1, a2, b1, b2, rs, p, q, psi1, psi2)
-            if not padding_set_flaws(elements, p, q):
+            if not _padding_flaws(elements, classes, n):
                 order = list(range(4))
                 rng.shuffle(order)  # publication order must not hint at the classes
                 return PaddingSet(
@@ -371,14 +374,14 @@ def parse_key(text: str, path_hint: str = "key file") -> KeyPair | PublicKey:
         raise KeyFormatError(f"unexpected fields {sorted(fields)} in {path_hint}")
     if p * q != n:
         raise KeyFormatError(f"N does not equal p*q in {path_hint}")
-    if padding is not None:
-        flaws = padding_set_flaws(padding.elements, p, q)
-        if flaws:
-            raise KeyFormatError(f"unsafe padding set in {path_hint}: {flaws[0]}")
     try:
         key = KeyPair.from_primes(kind, p, q, redundancy, padding)
     except ValueError as exc:
         raise KeyFormatError(f"invalid key material in {path_hint}: {exc}") from None
+    if padding is not None:  # the classes from_primes computed serve the checks too
+        flaws = _padding_flaws(padding.elements, key.padding.classes, n)
+        if flaws:
+            raise KeyFormatError(f"unsafe padding set in {path_hint}: {flaws[0]}")
     if (key.psi1, key.psi2) != (psi1, psi2):
         raise KeyFormatError(f"idempotents do not match the prime factors in {path_hint}")
     return key

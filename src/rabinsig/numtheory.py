@@ -1,8 +1,10 @@
 """Modular arithmetic over a two-prime modulus.
 
-Jacobi symbols, extended Euclid, CRT idempotents and square-root
-extraction mod p and mod p*q.  Everything here is a pure function of its
-arguments; key material is never mutated, so concurrent use is safe.
+Jacobi symbols, modular inverses, least non-residues, CRT idempotents,
+the CRT lift and the padding built on it, and square-root extraction mod p
+and mod p*q.  Each of these facts is stated here once.  Everything here is
+a pure function of its arguments; key material is never mutated, so
+concurrent use is safe.
 """
 
 import math
@@ -35,29 +37,12 @@ def _sieve_primes(limit: int) -> tuple[int, ...]:
 _SMALL_PRIMES = _sieve_primes(1000)
 
 
-def ext_gcd(a: int, b: int) -> tuple[int, int, int]:
-    """Return (g, x, y) with a*x + b*y = g = gcd(a, b) and g > 0."""
-    if a == 0 and b == 0:
-        raise ValueError("gcd(0, 0) is undefined")
-    old_r, r = a, b
-    old_x, x = 1, 0
-    old_y, y = 0, 1
-    while r != 0:
-        quot = old_r // r
-        old_r, r = r, old_r - quot * r
-        old_x, x = x, old_x - quot * x
-        old_y, y = y, old_y - quot * y
-    if old_r < 0:
-        old_r, old_x, old_y = -old_r, -old_x, -old_y
-    return old_r, old_x, old_y
-
-
 def mod_inv(a: int, n: int) -> int:
     """Inverse of a modulo n.  Raises FactorLeakError when gcd(a, n) > 1."""
-    g, x, _ = ext_gcd(a % n, n)
-    if g != 1:
-        raise FactorLeakError("value is not invertible modulo the modulus")
-    return x % n
+    try:
+        return pow(a, -1, n)
+    except ValueError:
+        raise FactorLeakError("value is not invertible modulo the modulus") from None
 
 
 def random_unit(n: int, rng=None) -> int:
@@ -133,21 +118,37 @@ class Idempotents:
 
 
 def crt_idempotents(p: int, q: int) -> Idempotents:
-    """Idempotents of Z_pq, from the extended Euclidean algorithm."""
+    """Idempotents of Z_pq: psi1 = q * (q**-1 mod p) and psi2 = 1 - psi1."""
     if p == q:
         raise ValueError("prime factors must be distinct")
-    g, x, y = ext_gcd(p, q)
-    if g != 1:
-        raise ValueError("prime factors must be coprime")
-    n = p * q
-    return Idempotents(y * q % n, x * p % n)
+    try:
+        psi1 = q * pow(q, -1, p)
+    except ValueError:
+        raise ValueError("prime factors must be coprime") from None
+    return Idempotents(psi1, (1 - psi1) % (p * q))
 
 
 def crt_combine(rp: int, rq: int, p: int, q: int, idem: Idempotents | None = None) -> int:
-    """Lift the residue pair (rp mod p, rq mod q) to Z_pq."""
+    """Lift the residue pair (rp mod p, rq mod q) to Z_pq: rp*psi1 + rq*psi2."""
     if idem is None:
         idem = crt_idempotents(p, q)
     return (rp * idem.psi1 + rq * idem.psi2) % (p * q)
+
+
+def crt_padding(a: int, b: int, r: int, p: int, q: int, idem: Idempotents | None = None) -> int:
+    """The padding value r**2 * (a*psi1 + b*psi2) mod p*q.
+
+    It is in the Jacobi class of a mod p and of b mod q, whatever the unit r.
+    """
+    return r * r * crt_combine(a, b, p, q, idem) % (p * q)
+
+
+def least_nonresidue(p: int) -> int:
+    """The least quadratic non-residue modulo an odd prime p."""
+    z = 2
+    while jacobi(z, p) != -1:
+        z += 1
+    return z
 
 
 def _tonelli_shanks(a: int, p: int) -> int:
@@ -161,10 +162,7 @@ def _tonelli_shanks(a: int, p: int) -> int:
     t = x * y % p
     if t == 1:  # x is a root already, so no non-residue is needed
         return x
-    z = 2
-    while jacobi(z, p) != -1:
-        z += 1
-    c = pow(z, d, p)
+    c = pow(least_nonresidue(p), d, p)
     m = s
     while t != 1:
         i, t2 = 0, t
@@ -195,19 +193,6 @@ def _principal_root(a: int, p: int) -> int:
     if jacobi(a, p) != 1:
         raise NonResidueError("value has no square root modulo the given prime")
     return _tonelli_shanks(a, p)
-
-
-def sqrt_mod_prime(a: int, p: int) -> int:
-    """Canonical square root of a modulo an odd prime (the smaller of the pair).
-
-    Uses the exponentiation shortcut a**((p+1)/4) when p = 3 mod 4 and the
-    Tonelli-Shanks procedure otherwise, so any odd prime is accepted.
-    """
-    a %= p
-    if a == 0:
-        return 0
-    s = _principal_root(a, p)
-    return min(s, p - s)
 
 
 class Root(NamedTuple):
@@ -249,11 +234,11 @@ def sqrt_mod_pq(a: int, p: int, q: int, idem: Idempotents | None = None) -> tupl
     degenerate, factorisation-revealing input) and NonResidueError when a
     is not a residue modulo both primes.
     """
-    n, sp, sq = _prime_roots(a, p, q)
+    _, sp, sq = _prime_roots(a, p, q)
     if idem is None:
         idem = crt_idempotents(p, q)
     return tuple(sorted(
-        Root((rp * idem.psi1 + rq * idem.psi2) % n, jp, jq)
+        Root(crt_combine(rp, rq, p, q, idem), jp, jq)
         for rp, jp in zip((sp, p - sp), _root_classes(sp, p))
         for rq, jq in zip((sq, q - sq), _root_classes(sq, q))
     ))
@@ -268,9 +253,8 @@ def canonical_sqrt_mod_pq(a: int, p: int, q: int, idem: Idempotents | None = Non
     n, sp, sq = _prime_roots(a, p, q)
     if idem is None:
         idem = crt_idempotents(p, q)
-    lift_p = sp * idem.psi1
-    v = (lift_p + sq * idem.psi2) % n
-    w = (lift_p + (q - sq) * idem.psi2) % n
+    v = crt_combine(sp, sq, p, q, idem)
+    w = crt_combine(sp, q - sq, p, q, idem)
     return min(v, n - v, w, n - w)
 
 
@@ -280,8 +264,5 @@ def sqrt_of_unity_nontrivial(p: int, q: int, idem: Idempotents | None = None) ->
     Both equal psi1 - psi2 up to sign.  Adding 1 to either gives a multiple
     of one prime factor, so neither may ever appear as a padding value.
     """
-    if idem is None:
-        idem = crt_idempotents(p, q)
-    n = p * q
-    v = (idem.psi1 - idem.psi2) % n
-    return v, n - v
+    v = crt_combine(1, -1, p, q, idem)
+    return v, p * q - v

@@ -70,24 +70,28 @@ def unity_roots(ring: SmallRing) -> tuple[int, ...]:
 
 
 def brute_valid(sig, n: int, redundancy: RedundancySpec, padding_elements=()) -> bool:
-    """Evaluate a scheme's defining equations directly with pow()."""
+    """Evaluate a scheme's defining equations directly with pow().
+
+    A signature with a component that is 0 mod n is never valid.
+    """
     scheme = getattr(sig, "scheme", None)
     if scheme not in schemes.SCHEMES:
         raise TypeError(f"unknown signature type {type(sig)!r}")
     h = apply_redundancy(redundancy, sig.m, n)
     if scheme == "classic":
-        return pow(sig.S, 2, n) == h * sig.U % n
+        return 0 not in (sig.U % n, sig.S % n) and pow(sig.S, 2, n) == h * sig.U % n
     if scheme == "general":
-        return sig.u in padding_elements and pow(sig.S, 2, n) == h * sig.u % n
+        return 0 not in (sig.u % n, sig.S % n) and sig.u in padding_elements and pow(sig.S, 2, n) == h * sig.u % n
     if scheme == "variant1":
         return (
-            pow(sig.T, 2, n) == (sig.U + 1) * sig.S % n
+            0 not in (sig.U % n, sig.S % n, sig.T % n)
+            and pow(sig.T, 2, n) == (sig.U + 1) * sig.S % n
             and pow(sig.S, 2, n) == h * sig.U % n
         )
     if scheme == "variant2":
-        return pow(sig.F, 12, n) == pow(sig.R3, 4, n) * pow(h, 6, n) % n
+        return 0 not in (sig.F % n, sig.R3 % n) and pow(sig.F, 12, n) == pow(sig.R3, 4, n) * pow(h, 6, n) % n
     e = sig.e % n  # rw
-    if e not in (1, n - 1) or sig.f not in (1, 2):
+    if 0 in (e, sig.f % n, sig.S % n) or e not in (1, n - 1) or sig.f not in (1, 2):
         return False
     sign = 1 if e == 1 else -1
     return sign * sig.f * pow(sig.S, 2, n) % n == h

@@ -7,7 +7,12 @@ variant2  [m, F, R3]    F**12 = R3**4 * H(m)**6           (Blum primes)
 rw        [m, e, f, S]  e*f*S**2 = H(m), e in {1,-1}, f in {1,2}
 
 Verification is pure and reports the exact number of modular squares and
-products it performed, excluding the redundancy evaluation.
+products it performed, excluding the redundancy evaluation.  Every verifier
+first rejects a signature with a component that is 0 mod n: zeros satisfy
+every scheme's equations for each message whose redundancy is 0 mod n, and
+classic's [m, 0, 0] for every message, while no honest signature has one
+(signing needs H(m) to be a unit, so each component is a unit or a fixed
+multiplier).
 """
 
 import dataclasses
@@ -21,7 +26,9 @@ from .keygen import KeyPair, PublicKey, _int_field, _parse_record
 from .numtheory import (
     SYSTEM_RNG,
     canonical_sqrt_mod_pq,
+    crt_padding,
     jacobi,
+    least_nonresidue,
     mod_inv,
     random_unit,
     sqrt_mod_pq,
@@ -112,26 +119,17 @@ def _hash_for_signing(key: KeyPair, m: Message) -> int:
     return h
 
 
-def _nonresidue_rep(p: int) -> int:
-    # -1 represents the non-residue class only for 3-mod-4 primes; otherwise
-    # fall back to the smallest non-residue.
-    if p % 4 == 3:
-        return p - 1
-    z = 2
-    while jacobi(z, p) != -1:
-        z += 1
-    return z
-
-
 def _deterministic_padding(key: KeyPair, h: int, r: int) -> int:
     """Padding value R**2 * (f1*psi1 + f2*psi2) built from the class of h.
 
     f1, f2 are class representatives mod p and q (so H(m) times the result
-    is a residue modulo both primes); on Blum factors they are just +-1.
+    is a residue modulo both primes): 1 where h is a residue, otherwise -1
+    for a 3-mod-4 prime and the least non-residue for a 1-mod-4 prime.
     """
-    f1 = 1 if jacobi(h, key.p) == 1 else _nonresidue_rep(key.p)
-    f2 = 1 if jacobi(h, key.q) == 1 else _nonresidue_rep(key.q)
-    return r * r * (f1 * key.psi1 + f2 * key.psi2) % key.n
+    p, q = key.p, key.q
+    f1 = 1 if jacobi(h, p) == 1 else -1 if p % 4 == 3 else least_nonresidue(p)
+    f2 = 1 if jacobi(h, q) == 1 else -1 if q % 4 == 3 else least_nonresidue(q)
+    return crt_padding(f1, f2, r, p, q, key.idem)
 
 
 # ---------------------------------------------------------------------------
@@ -147,6 +145,8 @@ def classic_sign(key: KeyPair, m: Message, rng=None) -> ClassicSignature:
 
 
 def classic_verify(pub: PublicKey | KeyPair, sig: ClassicSignature) -> VerifyReport:
+    if not (sig.U % pub.n and sig.S % pub.n):
+        return VerifyReport(False, "zero component")
     h = apply_redundancy(pub.redundancy, sig.m, pub.n)
     ops = _OpCounter()
     lhs = ops.sq(sig.S, pub.n)
@@ -173,6 +173,8 @@ def general_sign(key: KeyPair, m: Message) -> GeneralSignature:
 
 
 def general_verify(pub: PublicKey | KeyPair, sig: GeneralSignature) -> VerifyReport:
+    if not (sig.u % pub.n and sig.S % pub.n):
+        return VerifyReport(False, "zero component")
     ops = _OpCounter()
     if pub.padding is None or sig.u not in pub.padding.elements:
         return VerifyReport(False, "membership", ops.counts)
@@ -218,6 +220,8 @@ def variant1_sign(key: KeyPair, m: Message, rng=None) -> Variant1Signature:
 
 
 def variant1_verify(pub: PublicKey | KeyPair, sig: Variant1Signature) -> VerifyReport:
+    if not (sig.U % pub.n and sig.S % pub.n and sig.T % pub.n):
+        return VerifyReport(False, "zero component")
     h = apply_redundancy(pub.redundancy, sig.m, pub.n)
     ops = _OpCounter()
     if ops.sq(sig.T, pub.n) != ops.mul((sig.U + 1) % pub.n, sig.S, pub.n):
@@ -256,6 +260,8 @@ def _power_chain_check(f_val: int, r3: int, h: int, n: int, ops: _OpCounter) -> 
 
 
 def variant2_verify(pub: PublicKey | KeyPair, sig: Variant2Signature) -> VerifyReport:
+    if not (sig.F % pub.n and sig.R3 % pub.n):
+        return VerifyReport(False, "zero component")
     h = apply_redundancy(pub.redundancy, sig.m, pub.n)
     ops = _OpCounter()
     if not _power_chain_check(sig.F, sig.R3, h, pub.n, ops):
@@ -285,6 +291,8 @@ def rw_sign(key: KeyPair, m: Message) -> RWSignature:
 
 
 def rw_verify(pub: PublicKey | KeyPair, sig: RWSignature) -> VerifyReport:
+    if not (sig.e % pub.n and sig.f % pub.n and sig.S % pub.n):
+        return VerifyReport(False, "zero component")
     e = sig.e % pub.n  # -1 is serialised as n-1
     if e not in (1, pub.n - 1) or sig.f not in (1, 2):
         return VerifyReport(False, "multiplier range", (0, 0))

@@ -132,6 +132,15 @@ class TestSession:
             scaled = BlindSignature(t * t * bsig.disguised % 77, t * bsig.F % 77, bsig.R3)
             assert verify_blind_signature(scaled, 77).valid
 
+    def test_zero_components_rejected(self, toy_key, rng):
+        # F = R3 = 0 satisfies F**12 = R3**4 * d**6 for every disguised value d
+        bsig = blind_sign(toy_key, 36, rng=rng)
+        for d in (0, 36, 5):
+            for forged in (BlindSignature(d, 0, 0), BlindSignature(d, 0, bsig.R3), BlindSignature(d, 77, 77)):
+                report = verify_blind_signature(forged, 77)
+                assert not report.valid and report.failed_check == "zero component"
+        assert verify_blind_signature(bsig, 77).op_counts == (7, 3)
+
     def test_session_on_quadratic_redundancy(self, rng):
         key = gen_keypair("blum", 48, QUADRATIC, rng)
         session = run_blind_session(key, 123456, rng)

@@ -272,3 +272,72 @@ def test_selfcheck_deterministic_with_seed(capsys):
     assert main(["selfcheck", "--seed", "3"]) == 0
     assert capsys.readouterr().out == first
     assert "all checks passed" in first
+
+
+def test_all_zero_signature_is_invalid(keyfiles, tmp_path, capsys):
+    _, pub = keyfiles
+    sig = tmp_path / "zero.sig"
+    sig.write_text("rabin-sig v1\nscheme = classic\nmessage = 5\nU = 0\nS = 0\n")
+    assert main(["verify", "--pub", str(pub), "--sig", str(sig)]) == 1
+    assert "INVALID (zero component)" in capsys.readouterr().out
+
+
+@pytest.fixture
+def digest_ref_sig(keyfiles, tmp_path):
+    """A variant2 signature file whose message is a digest reference, under the identity key."""
+    priv, _ = keyfiles
+    sig = tmp_path / "ref.sig"
+    assert main(["sign", "--key", str(priv), "--scheme", "variant2", "--message", "5",
+                 "--out", str(sig), "--seed", "1"]) == 0
+    sig.write_text(sig.read_text().replace("\nmessage = 5\n", "\nmessage-digest = 5\n"))
+    return sig
+
+
+def test_digest_reference_under_a_non_digest_key_is_invalid(keyfiles, digest_ref_sig, capsys):
+    _, pub = keyfiles
+    capsys.readouterr()
+    assert main(["verify", "--pub", str(pub), "--sig", str(digest_ref_sig)]) == 1
+    assert capsys.readouterr().out.startswith("INVALID (")
+
+
+def test_scaling_a_digest_reference_exits_2(keyfiles, digest_ref_sig):
+    _, pub = keyfiles
+    assert main(["attack", "--kind", "scale", "--pub", str(pub), "--sig", str(digest_ref_sig),
+                 "--factor", "3"]) == 2
+
+
+def test_blind_demo_negative_message_exits_2(keyfiles):
+    priv, _ = keyfiles
+    assert main(["blind-demo", "--key", str(priv), "--message", "-3"]) == 2
+
+
+def test_keygen_too_few_bits_exits_2(tmp_path):
+    assert main(["keygen", "--kind", "blum", "--bits", "4", "--out", str(tmp_path / "k")]) == 2
+    assert not (tmp_path / "k").exists()
+
+
+def test_keygen_variable_length_digest_exits_2(tmp_path):
+    assert main(["keygen", "--kind", "blum", "--bits", "32", "--hash", "digest:shake_128",
+                 "--out", str(tmp_path / "k")]) == 2
+
+
+def test_key_file_naming_a_variable_length_digest_exits_3(keyfiles, tmp_path):
+    priv, pub = keyfiles
+    sig = tmp_path / "m.sig"
+    assert main(["sign", "--key", str(priv), "--scheme", "variant2", "--message", "5",
+                 "--out", str(sig), "--seed", "1"]) == 0
+    pub.write_text(pub.read_text().replace("hash = identity", "hash = digest:shake_128"))
+    assert main(["verify", "--pub", str(pub), "--sig", str(sig)]) == 3
+
+
+def test_hardened_blind_signer_on_a_non_blum_key_exits_2(tmp_path):
+    # 13 is 1 mod 4; the naive signer takes any key, the hardened one signs as variant2
+    idem = crt_idempotents(13, 17)
+    padding = build_padding_set(13, 17, idem.psi1, idem.psi2, random.Random(1))
+    priv = tmp_path / "general.key"
+    priv.write_text(dump_private(KeyPair.from_primes("general", 13, 17, IDENTITY, padding)))
+    assert main(["blind-demo", "--key", str(priv), "--message", "4", "--seed", "1"]) == 2
+    assert main(["attack", "--kind", "blinding", "--key", str(priv), "--ciphertext", "4",
+                 "--hardened", "--seed", "1"]) == 2
+    assert main(["attack", "--kind", "blinding", "--key", str(priv), "--ciphertext", "4",
+                 "--trials", "4", "--seed", "1"]) in (0, 1)

@@ -1,0 +1,133 @@
+"""Hypothesis fuzz of the command line over hostile key and signature files.
+
+Each example starts from a real key file and a real signature file, edits
+their lines (real and junk field names; canonical, non-canonical, huge, 0,
+N-1 and N values; dropped, repeated and added lines; a byte that is not
+UTF-8) and runs one `verify`, `sign` or file-driven `attack` command through
+`cli.main`.  Whatever the files hold, the command must end with an exit code
+from 0 to 3 and raise nothing.
+"""
+
+import io
+import random
+import tempfile
+from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
+
+import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from rabinsig.cli import main
+from rabinsig.hashing import IDENTITY, QUADRATIC, RedundancySpec
+from rabinsig.keygen import dump_private, dump_public, gen_keypair
+from rabinsig.schemes import SCHEME_TAGS, dump_signature, sign
+
+FIELD_NAMES = ("kind", "hash", "N", "u1", "u2", "u3", "u4", "p", "q", "psi1", "psi2",
+               "scheme", "message", "message-digest", "U", "u", "S", "T", "F", "R3", "e", "f")
+JUNK_NAMES = ("", "x", "n", "N N", "u5", "psi3", "message_digest", "ل")
+WORDS = ("general", "blum", "rw", "identity", "quadratic", "digest", "digest:sha256",
+         "digest:shake_128", "digest:no-such-hash", *SCHEME_TAGS)
+NON_CANONICAL = ("", " ", "-1", "+5", "05", "7_7", "0x4d", "1e3", "٧٧", "5 5", "abc")
+
+
+@pytest.fixture(scope="module")
+def corpus():
+    """Small fixed keys, each dumped public and private, and one signature file per scheme; each with its N."""
+    rng = random.Random(20240501)
+    keys = {
+        "general": gen_keypair("general", 24, IDENTITY, rng),
+        "blum": gen_keypair("blum", 24, QUADRATIC, rng),
+        "rw": gen_keypair("rw", 24, RedundancySpec("digest", "sha256"), rng),
+    }
+    key_texts = [(dump(key), key.n) for key in keys.values() for dump in (dump_public, dump_private)]
+    sig_texts = []
+    for scheme, kind in (("classic", "general"), ("general", "general"), ("variant1", "blum"),
+                         ("variant2", "blum"), ("rw", "rw")):
+        key = keys[kind]
+        m = b"fuzz" if key.redundancy.tag == "digest" else 1234
+        sig_texts.append((dump_signature(sign(key, m, scheme, rng=rng), key), key.n))
+    return key_texts, sig_texts
+
+
+def _values(n):
+    return st.one_of(
+        st.sampled_from(("0", "1", str(n - 1), str(n), str(n + 1), str(2 * n))),
+        st.sampled_from(NON_CANONICAL + WORDS),
+        st.integers(0, 4 * n).map(str),
+        st.integers(0, 1 << 700).map(str),
+        st.just("9" * 5000),  # more digits than int() converts
+    )
+
+
+def _edits(n):
+    index = st.integers(0, 20)
+    name = st.sampled_from(FIELD_NAMES + JUNK_NAMES)
+    return st.lists(st.one_of(
+        st.tuples(st.just("set"), index, _values(n)),
+        st.tuples(st.just("rename"), index, name),
+        st.tuples(st.just("drop"), index),
+        st.tuples(st.just("repeat"), index),
+        st.tuples(st.just("add"), name, _values(n)),
+    ), max_size=4)
+
+
+def _apply(text, edits):
+    lines = text.splitlines()
+    for edit in edits:
+        op, i = edit[0], edit[1] % len(lines) if isinstance(edit[1], int) else None
+        if op == "set":
+            lines[i] = f"{lines[i].partition('=')[0].strip()} = {edit[2]}"
+        elif op == "rename":
+            lines[i] = f"{edit[2]} = {lines[i].partition('=')[2].strip()}"
+        elif op == "drop" and len(lines) > 1:
+            del lines[i]
+        elif op == "repeat":
+            lines.insert(i, lines[i])
+        elif op == "add":
+            lines.append(f"{edit[1]} = {edit[2]}")
+    return "\n".join(lines) + "\n"
+
+
+@st.composite
+def _edited(draw, texts):
+    text, n = draw(st.sampled_from(texts))
+    # unedited about half the time, so that files reach the verifier and the signer
+    return _apply(text, draw(st.one_of(st.just(()), _edits(n)))).encode(), n
+
+
+@st.composite
+def cases(draw, corpus):
+    key_texts, sig_texts = corpus
+    key_bytes, n = draw(_edited(key_texts))
+    sig_bytes, _ = draw(_edited(sig_texts))
+    if draw(st.integers(0, 9)) == 0:
+        key_bytes, sig_bytes = draw(st.sampled_from(((key_bytes + b"\xff", sig_bytes),
+                                                     (key_bytes, b"\xfe" + sig_bytes))))
+    number = draw(st.one_of(st.integers(-3, 4 * n), st.sampled_from((0, 1, n - 1, n))))
+    command = draw(st.sampled_from(("verify", "sign", "classic-forge", "scale")))
+    scheme = draw(st.sampled_from(SCHEME_TAGS))
+    return key_bytes, sig_bytes, command, scheme, number
+
+
+def _argv(command, scheme, number, key, sig, out):
+    if command == "verify":
+        return ["verify", "--pub", key, "--sig", sig]
+    if command == "sign":
+        return ["sign", "--key", key, "--scheme", scheme, "--message", str(number), "--out", out, "--seed", "1"]
+    if command == "classic-forge":
+        return ["attack", "--kind", "classic-forge", "--pub", key, "--sig", sig, "--target", str(number)]
+    return ["attack", "--kind", "scale", "--pub", key, "--sig", sig, "--factor", str(number)]
+
+
+@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(data=st.data())
+def test_cli_exits_with_a_code_and_never_raises(corpus, data):
+    key_bytes, sig_bytes, command, scheme, number = data.draw(cases(corpus))
+    with tempfile.TemporaryDirectory() as tmp:
+        key, sig, out = (str(Path(tmp) / name) for name in ("fuzz.key", "fuzz.sig", "out.sig"))
+        Path(key).write_bytes(key_bytes)
+        Path(sig).write_bytes(sig_bytes)
+        with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
+            code = main(_argv(command, scheme, number, key, sig, out))
+    assert code in (0, 1, 2, 3)

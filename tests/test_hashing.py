@@ -71,6 +71,15 @@ def test_bad_specs_rejected():
         RedundancySpec("identity", "sha256")
 
 
+@pytest.mark.parametrize("name", ["shake_128", "shake_256"])
+def test_variable_length_digests_rejected(name):
+    # their digest() needs a length, so they could not hash a message
+    with pytest.raises(ValueError):
+        RedundancySpec("digest", name)
+    with pytest.raises(ValueError):
+        RedundancySpec.from_token(f"digest:{name}")
+
+
 @given(st.integers(0, 10**9))
 def test_deterministic(m):
     spec = RedundancySpec("digest", DEFAULT_DIGEST)

@@ -1,7 +1,10 @@
+import random
+
 import pytest
 
 from rabinsig.errors import KeyFormatError
 from rabinsig.hashing import IDENTITY, QUADRATIC, RedundancySpec
+from rabinsig import keygen
 from rabinsig.keygen import (
     KeyPair,
     PaddingSet,
@@ -214,6 +217,20 @@ class TestKeyFiles:
         with pytest.raises(KeyFormatError):
             parse_key(dump_private(key))
         assert parse_key(dump_public(key)).padding.elements == (4, 9, 16, 25)
+
+    def test_private_general_key_classifies_each_element_once(self, monkeypatch):
+        key = gen_keypair("general", 64, IDENTITY, random.Random(3))
+        text = dump_private(key)
+        calls = []
+        real = keygen.jacobi
+
+        def counted(a, n):
+            calls.append(n)
+            return real(a, n)
+
+        monkeypatch.setattr(keygen, "jacobi", counted)
+        assert parse_key(text) == key
+        assert len(calls) <= 8  # one class ((u/p), (u/q)) per element
 
     def test_non_decimal_value_rejected(self, toy_key):
         with pytest.raises(KeyFormatError):

@@ -9,47 +9,20 @@ from rabinsig.errors import FactorLeakError, NonResidueError
 from rabinsig.keygen import KeyPair
 from rabinsig.numtheory import (
     Idempotents,
+    _principal_root,
     canonical_sqrt_mod_pq,
     crt_combine,
     crt_idempotents,
-    ext_gcd,
     is_probable_prime,
     jacobi,
+    least_nonresidue,
     mod_inv,
-    sqrt_mod_prime,
     sqrt_mod_pq,
     sqrt_of_unity_nontrivial,
 )
 from rabinsig.oracle import SmallRing, all_roots, qr_set, units
 
 ODD_PRIMES = (3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
-
-
-class TestExtGcd:
-    def test_coprime_pair(self):
-        g, x, y = ext_gcd(7, 11)
-        assert g == 1
-        assert 7 * x + 11 * y == 1
-
-    def test_units(self):
-        g, x, y = ext_gcd(1, 1)
-        assert g == 1
-        assert x + y == 1
-
-    def test_degenerate_operand(self):
-        assert ext_gcd(0, 5) == (5, 0, 1)
-
-    def test_both_zero_rejected(self):
-        with pytest.raises(ValueError):
-            ext_gcd(0, 0)
-
-    @given(st.integers(-10**12, 10**12), st.integers(-10**12, 10**12))
-    def test_bezout_identity(self, a, b):
-        if a == 0 and b == 0:
-            return
-        g, x, y = ext_gcd(a, b)
-        assert g == math.gcd(a, b) > 0
-        assert a * x + b * y == g
 
 
 class TestModInv:
@@ -59,6 +32,20 @@ class TestModInv:
     def test_shared_factor_is_a_leak(self):
         with pytest.raises(FactorLeakError):
             mod_inv(14, 77)
+
+    def test_leak_message_carries_no_digits(self):
+        with pytest.raises(FactorLeakError) as excinfo:
+            mod_inv(0, 77)
+        assert not any(ch.isdigit() for ch in str(excinfo.value))
+        # nor does a chained exception show beneath it
+        assert excinfo.value.__context__ is None or excinfo.value.__suppress_context__
+
+    @given(st.integers(-10**12, 10**12), st.integers(2, 10**12))
+    def test_is_the_least_nonnegative_inverse(self, a, n):
+        if math.gcd(a, n) != 1:
+            return
+        inv = mod_inv(a, n)
+        assert 0 <= inv < n and a * inv % n == 1
 
 
 class TestJacobi:
@@ -80,6 +67,11 @@ class TestJacobi:
                 assert jacobi(a, p) == 0
             else:
                 assert jacobi(a, p) == (1 if a in residues else -1)
+
+    @pytest.mark.parametrize("p", ODD_PRIMES)
+    def test_least_nonresidue(self, p):
+        residues = {x * x % p for x in range(1, p)}
+        assert least_nonresidue(p) == min(a for a in range(2, p) if a not in residues)
 
     @given(st.integers(0, 10**9), st.integers(0, 10**9), st.sampled_from((15, 21, 77, 105, 9797)))
     def test_multiplicative(self, a, b, n):
@@ -133,26 +125,34 @@ class TestIdempotents:
 
 
 class TestSqrtModPrime:
+    # the root of one prime, _principal_root, taken to the smaller of the pair
+
+    @staticmethod
+    def canonical(a, p):
+        s = _principal_root(a, p)
+        return min(s, p - s)
+
     def test_known_values(self):
-        assert sqrt_mod_prime(2, 7) == 3
-        assert sqrt_mod_prime(0, 7) == 0
-        assert sqrt_mod_prime(4, 11) == 2
+        assert self.canonical(2, 7) == 3
+        assert self.canonical(4, 11) == 2
+        assert self.canonical(4, 13) == 2  # a 1-mod-4 prime takes Tonelli-Shanks
 
     def test_nonresidue_rejected(self):
         with pytest.raises(NonResidueError):
-            sqrt_mod_prime(3, 7)
+            _principal_root(3, 7)
+        with pytest.raises(NonResidueError):
+            _principal_root(2, 13)
 
     @pytest.mark.parametrize("p", ODD_PRIMES)
     def test_exhaustive_against_brute_force(self, p):
-        # covers both the 3-mod-4 shortcut and the general procedure
-        for a in range(p):
+        # covers both the 3-mod-4 shortcut and the general procedure, over every unit
+        for a in range(1, p):
             roots = [x for x in range(p) if x * x % p == a]
             if roots:
-                s = sqrt_mod_prime(a, p)
-                assert s == min(roots)
+                assert self.canonical(a, p) == min(roots)
             else:
                 with pytest.raises(NonResidueError):
-                    sqrt_mod_prime(a, p)
+                    _principal_root(a, p)
 
 
 class TestSqrtModPq:

@@ -308,6 +308,59 @@ class TestJacobiBudget:
             assert len(calls) <= budget
 
 
+class TestZeroComponents:
+    """A component that is 0 mod N never verifies, under any redundancy.
+
+    Zeros satisfy every scheme's equations when H(m) = 0 mod N (m = 0 under
+    identity, m in {0, N-1} under quadratic, a digest reference to N under
+    digest), and classic's and variant1's all-zero tuples for every message.
+    """
+
+    REDUNDANCIES = (IDENTITY, QUADRATIC, RedundancySpec("digest", "sha256"))
+
+    @staticmethod
+    def zero_messages(redundancy, n):
+        if redundancy.tag == "identity":
+            return [0]
+        if redundancy.tag == "quadratic":
+            return [0, n - 1]
+        return [DigestRef(0), DigestRef(n)]
+
+    @staticmethod
+    def forged(scheme, m, key):
+        n = key.n
+        return {
+            "classic": [ClassicSignature(m, 0, 0), ClassicSignature(m, n, 2 * n)],
+            "general": [GeneralSignature(m, u, 0) for u in key.padding.elements] if key.padding else [],
+            "variant1": [Variant1Signature(m, 0, 0, 0)],
+            "variant2": [Variant2Signature(m, 0, 0), Variant2Signature(m, 0, 1), Variant2Signature(m, n, n)],
+            "rw": [RWSignature(m, e, f, 0) for e in (1, -1) for f in (1, 2)],
+        }[scheme]
+
+    @pytest.mark.parametrize("redundancy", REDUNDANCIES, ids=lambda r: r.token)
+    @pytest.mark.parametrize("scheme,key_fixture", [("classic", "general_toy_key"), ("general", "general_toy_key"),
+                                                    ("variant1", "toy_key"), ("variant2", "toy_key"),
+                                                    ("rw", "rw_toy_key")])
+    def test_zero_component_rejected(self, scheme, key_fixture, redundancy, request):
+        key = dataclasses.replace(request.getfixturevalue(key_fixture), redundancy=redundancy)
+        pub = key.public()
+        elements = key.padding.elements if key.padding else ()
+        messages = self.zero_messages(redundancy, key.n)
+        if redundancy.tag != "digest":
+            messages += [5, 12]
+        for m in messages:
+            for sig in self.forged(scheme, m, key):
+                report = verify(pub, sig)
+                assert not report.valid, sig
+                assert report.failed_check == "zero component" and report.op_counts == (0, 0)
+                assert not brute_valid(sig, key.n, redundancy, elements)
+
+    def test_classic_and_variant1_zeros_are_rejected_for_every_message(self, toy_key):
+        for m in range(77):
+            assert not verify(toy_key, ClassicSignature(m, 0, 0)).valid
+            assert not verify(toy_key, Variant1Signature(m, 0, 0, 0)).valid
+
+
 class TestRoundTrip:
     @pytest.mark.parametrize("scheme,kind", SCHEMES_AND_KINDS)
     def test_sampled_roundtrip(self, scheme, kind, rng):
