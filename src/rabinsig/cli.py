@@ -79,16 +79,21 @@ def cmd_keygen(args):
     return 0
 
 
+def _message_in_range(m: int, key) -> bool:
+    """Whether the integer message m is one the key signs; prints the error if not."""
+    if m < 0:
+        print("error: messages are non-negative integers", file=sys.stderr)
+        return False
+    if key.redundancy.tag != "digest" and m >= key.n:
+        print("error: identity/quadratic redundancy needs m < N; use a digest key for long messages",
+              file=sys.stderr)
+        return False
+    return True
+
+
 def _message_from_args(args, key):
     if args.message is not None:
-        if args.message < 0:
-            print("error: messages are non-negative integers", file=sys.stderr)
-            return None
-        if key.redundancy.tag != "digest" and args.message >= key.n:
-            print("error: identity/quadratic redundancy needs m < N; use a digest key for long messages",
-                  file=sys.stderr)
-            return None
-        return args.message
+        return args.message if _message_in_range(args.message, key) else None
     data = Path(args.message_file).read_bytes()
     if key.redundancy.tag != "digest":
         print("error: byte-stream messages need a key with digest redundancy", file=sys.stderr)
@@ -142,12 +147,11 @@ def cmd_verify(args):
 
 
 def cmd_blind_demo(args):
-    if args.message < 0:
-        print("error: messages are non-negative integers", file=sys.stderr)
-        return 2
     key = _load_key(args.key)
     if not isinstance(key, KeyPair):
         print("error: the demo needs a private key file", file=sys.stderr)
+        return 2
+    if not _message_in_range(args.message, key):
         return 2
     rng = _rng(args.seed)
     if args.naive:

@@ -7,6 +7,7 @@ Key kinds:
   rw       -- one prime congruent to 3 and the other to 7 mod 8
 """
 
+import functools
 import math
 import re
 from dataclasses import dataclass
@@ -19,6 +20,7 @@ from .numtheory import (
     MILLER_RABIN_ROUNDS,
     SYSTEM_RNG,
     Idempotents,
+    _KeyRoots,
     _miller_rabin,
     _sieve_primes,
     crt_idempotents,
@@ -225,9 +227,13 @@ class KeyPair:
     redundancy: RedundancySpec
     padding: PaddingSet | None = None
 
-    @property
-    def idem(self) -> Idempotents:
-        return Idempotents(self.psi1, self.psi2)
+    @functools.cached_property
+    def idem(self) -> _KeyRoots:
+        """psi1 and psi2 with the root constants of p and q, built on first use.
+
+        Not a field, so it stays out of ==, hash, repr, key files and public().
+        """
+        return _KeyRoots(self.p, self.q, Idempotents(self.psi1, self.psi2))
 
     @property
     def is_blum(self) -> bool:

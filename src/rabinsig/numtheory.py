@@ -3,8 +3,14 @@
 Jacobi symbols, modular inverses, least non-residues, CRT idempotents,
 the CRT lift and the padding built on it, and square-root extraction mod p
 and mod p*q.  Each of these facts is stated here once.  Everything here is
-a pure function of its arguments; key material is never mutated, so
-concurrent use is safe.
+a pure function of its arguments and never mutates key material.
+
+The one cache: the constants a root needs (per prime, an exponent, a
+non-residue z and z**d for Tonelli-Shanks) are computed once per key.
+KeyPair.idem holds them and passes them in as `idem`; a caller that passes a
+bare Idempotents or None gets them built for that one call.  Each is fixed
+by its prime and written once, so a concurrent first use just computes it
+twice.
 """
 
 import math
@@ -151,48 +157,95 @@ def least_nonresidue(p: int) -> int:
     return z
 
 
-def _tonelli_shanks(a: int, p: int) -> int:
-    # General root extraction for p = 1 mod 4; caller guarantees (a/p) = 1.
-    d, s = p - 1, 0
-    while d % 2 == 0:
-        d //= 2
-        s += 1
-    y = pow(a, (d - 1) // 2, p)  # one modexp gives x = a**((d+1)/2) and t = a**d
+class _PrimeRoots:
+    """What a square root modulo the odd prime p needs, computed once per prime.
+
+    exp is the exponent of the one modexp a root takes: (p+1)/4 for p = 3 mod 4,
+    and (d-1)/2 for p = 1 mod 4, where p - 1 = 2**s * d with d odd (Cohen, "A
+    Course in Computational Algebraic Number Theory", Alg. 1.5.1).  z is a
+    non-residue: -1 for p = 3 mod 4, the least one for p = 1 mod 4, whose z**d
+    Tonelli-Shanks computes on the first call that needs it.
+    """
+
+    __slots__ = ("p", "exp", "s", "d", "z", "_zd")
+
+    def __init__(self, p: int):
+        self.p, self._zd = p, None
+        self.s = ((p - 1) & (1 - p)).bit_length() - 1  # the lowest set bit of p - 1
+        self.d = (p - 1) >> self.s
+        if p % 4 == 3:
+            self.exp, self.z = (p + 1) // 4, -1
+        else:
+            self.exp, self.z = (self.d - 1) // 2, least_nonresidue(p)
+
+    @property
+    def zd(self) -> int:
+        if self._zd is None:
+            self._zd = pow(self.z, self.d, self.p)
+        return self._zd
+
+
+class _KeyRoots:
+    """The CRT idempotents of p*q with the root constants of p and of q.
+
+    It carries psi1 and psi2, so it goes wherever an Idempotents does; a key
+    builds one on first use and keeps it (KeyPair.idem).
+    """
+
+    __slots__ = ("psi1", "psi2", "at_p", "at_q")
+
+    def __init__(self, p: int, q: int, idem: Idempotents | None = None):
+        if idem is None:
+            idem = crt_idempotents(p, q)
+        self.psi1, self.psi2 = idem.psi1, idem.psi2
+        self.at_p, self.at_q = _PrimeRoots(p), _PrimeRoots(q)
+
+
+def _tonelli_shanks(a: int, c: _PrimeRoots) -> int:
+    # Root of a unit a modulo a prime p = 1 mod 4.  t = a**d has order 2**i
+    # with i < s exactly when a is a residue; i = s means a**((p-1)/2) = -1
+    # (Euler's criterion), so the loop itself refuses a non-residue.
+    p = c.p
+    y = pow(a, c.exp, p)  # one modexp gives x = a**((d+1)/2) and t = a**d
     x = y * a % p
     t = x * y % p
     if t == 1:  # x is a root already, so no non-residue is needed
         return x
-    c = pow(least_nonresidue(p), d, p)
-    m = s
+    b, m = c.zd, c.s
     while t != 1:
         i, t2 = 0, t
         while t2 != 1:
             t2 = t2 * t2 % p
             i += 1
-        b = pow(c, 1 << (m - i - 1), p)
+        if i == m:
+            raise NonResidueError("value has no square root modulo the given prime")
+        b = pow(b, 1 << (m - i - 1), p)
         x = x * b % p
-        c = b * b % p
-        t = t * c % p
+        b = b * b % p
+        t = t * b % p
         m = i
     return x
 
 
-def _principal_root(a: int, p: int) -> int:
+def _principal_root(a: int, p: int, c: _PrimeRoots | None = None) -> int:
     """A square root of the unit a (reduced mod p) modulo an odd prime p.
 
-    For p = 3 mod 4 this is a**((p+1)/4), itself a residue; squaring it back
-    replaces the residuosity test, since it squares to (a/p)*a (Bernstein,
-    "RSA signatures and Rabin-Williams signatures: the state of the art",
-    2008).  For p = 1 mod 4, a Jacobi symbol guards Tonelli-Shanks.
+    c holds p's constants, built here when not given.  For p = 3 mod 4 this
+    is a**((p+1)/4), itself a residue; squaring it back replaces the
+    residuosity test, since it squares to (a/p)*a (Bernstein, "RSA
+    signatures and Rabin-Williams signatures: the state of the art", 2008).
+    For p = 1 mod 4, Tonelli-Shanks sees Euler's criterion on the way.
     """
+    if c is None:
+        c = _PrimeRoots(p)
     if p % 4 == 3:
-        s = pow(a, (p + 1) // 4, p)
+        s = pow(a, c.exp, p)
         if s * s % p != a:
             raise NonResidueError("value has no square root modulo the given prime")
         return s
-    if jacobi(a, p) != 1:
+    if a % p == 0:  # t = 0 would never reach 1
         raise NonResidueError("value has no square root modulo the given prime")
-    return _tonelli_shanks(a, p)
+    return _tonelli_shanks(a, c)
 
 
 class Root(NamedTuple):
@@ -203,15 +256,17 @@ class Root(NamedTuple):
     jacobi_q: int
 
 
-def _prime_roots(a: int, p: int, q: int) -> tuple[int, int, int]:
-    # n = p*q, a reduced mod n and one principal root of a per prime; the
+def _prime_roots(a: int, p: int, q: int, idem) -> tuple[int, _KeyRoots, int, int]:
+    # n = p*q, the key's constants and one principal root of a per prime; the
     # checks and errors shared by sqrt_mod_pq and canonical_sqrt_mod_pq.
     n = p * q
     a %= n
     if math.gcd(a, n) != 1:
         raise FactorLeakError("input shares a factor with the modulus")
+    # idem holds the constants when it is a key's, else they are built for this call
+    k = idem if isinstance(idem, _KeyRoots) and (idem.at_p.p, idem.at_q.p) == (p, q) else _KeyRoots(p, q, idem)
     try:
-        return n, _principal_root(a % p, p), _principal_root(a % q, q)
+        return n, k, _principal_root(a % p, p, k.at_p), _principal_root(a % q, q, k.at_q)
     except NonResidueError:
         raise NonResidueError("value is not a quadratic residue modulo both primes") from None
 
@@ -234,11 +289,9 @@ def sqrt_mod_pq(a: int, p: int, q: int, idem: Idempotents | None = None) -> tupl
     degenerate, factorisation-revealing input) and NonResidueError when a
     is not a residue modulo both primes.
     """
-    _, sp, sq = _prime_roots(a, p, q)
-    if idem is None:
-        idem = crt_idempotents(p, q)
+    _, k, sp, sq = _prime_roots(a, p, q, idem)
     return tuple(sorted(
-        Root(crt_combine(rp, rq, p, q, idem), jp, jq)
+        Root(crt_combine(rp, rq, p, q, k), jp, jq)
         for rp, jp in zip((sp, p - sp), _root_classes(sp, p))
         for rq, jq in zip((sq, q - sq), _root_classes(sq, q))
     ))
@@ -250,11 +303,9 @@ def canonical_sqrt_mod_pq(a: int, p: int, q: int, idem: Idempotents | None = Non
     Raises exactly as sqrt_mod_pq does, but labels no classes: two CRT
     lifts give the four roots as v, n-v, w and n-w.
     """
-    n, sp, sq = _prime_roots(a, p, q)
-    if idem is None:
-        idem = crt_idempotents(p, q)
-    v = crt_combine(sp, sq, p, q, idem)
-    w = crt_combine(sp, q - sq, p, q, idem)
+    n, k, sp, sq = _prime_roots(a, p, q, idem)
+    v = crt_combine(sp, sq, p, q, k)
+    w = crt_combine(sp, q - sq, p, q, k)
     return min(v, n - v, w, n - w)
 
 

@@ -28,7 +28,6 @@ from .numtheory import (
     canonical_sqrt_mod_pq,
     crt_padding,
     jacobi,
-    least_nonresidue,
     mod_inv,
     random_unit,
     sqrt_mod_pq,
@@ -123,13 +122,14 @@ def _deterministic_padding(key: KeyPair, h: int, r: int) -> int:
     """Padding value R**2 * (f1*psi1 + f2*psi2) built from the class of h.
 
     f1, f2 are class representatives mod p and q (so H(m) times the result
-    is a residue modulo both primes): 1 where h is a residue, otherwise -1
-    for a 3-mod-4 prime and the least non-residue for a 1-mod-4 prime.
+    is a residue modulo both primes): 1 where h is a residue, otherwise the
+    key's non-residue z, -1 for a 3-mod-4 prime and the least non-residue
+    for a 1-mod-4 prime.
     """
-    p, q = key.p, key.q
-    f1 = 1 if jacobi(h, p) == 1 else -1 if p % 4 == 3 else least_nonresidue(p)
-    f2 = 1 if jacobi(h, q) == 1 else -1 if q % 4 == 3 else least_nonresidue(q)
-    return crt_padding(f1, f2, r, p, q, key.idem)
+    p, q, k = key.p, key.q, key.idem
+    f1 = 1 if jacobi(h, p) == 1 else k.at_p.z
+    f2 = 1 if jacobi(h, q) == 1 else k.at_q.z
+    return crt_padding(f1, f2, r, p, q, k)
 
 
 # ---------------------------------------------------------------------------

@@ -311,6 +311,20 @@ def test_blind_demo_negative_message_exits_2(keyfiles):
     assert main(["blind-demo", "--key", str(priv), "--message", "-3"]) == 2
 
 
+@pytest.mark.parametrize("hash_token", ["identity", "quadratic"])
+def test_blind_demo_message_of_n_or_more_exits_2(tmp_path, hash_token):
+    # N + 4 is 4 mod N, a square, so neither signer would refuse it on its own
+    priv = tmp_path / "demo.key"
+    assert main(["keygen", "--kind", "blum", "--bits", "32", "--hash", hash_token,
+                 "--out", str(priv), "--seed", "5"]) == 0
+    n = parse_key(priv.read_text()).n
+    for m in (n, n + 4):
+        for naive in ([], ["--naive"]):
+            assert main(["blind-demo", "--key", str(priv), "--message", str(m), "--seed", "1", *naive]) == 2
+        assert main(["sign", "--key", str(priv), "--scheme", "variant2", "--message", str(m),
+                     "--out", str(tmp_path / "m.sig")]) == 2
+
+
 def test_keygen_too_few_bits_exits_2(tmp_path):
     assert main(["keygen", "--kind", "blum", "--bits", "4", "--out", str(tmp_path / "k")]) == 2
     assert not (tmp_path / "k").exists()

@@ -1,3 +1,4 @@
+import dataclasses
 import random
 
 import pytest
@@ -20,6 +21,7 @@ from rabinsig.keygen import (
 )
 from rabinsig.numtheory import MILLER_RABIN_ROUNDS, crt_idempotents, jacobi
 from rabinsig.oracle import SmallRing, qr_set, units
+from rabinsig.schemes import SCHEMES, sign
 
 from conftest import ORACLE_PADDING
 
@@ -235,6 +237,22 @@ class TestKeyFiles:
     def test_non_decimal_value_rejected(self, toy_key):
         with pytest.raises(KeyFormatError):
             parse_key(dump_private(toy_key).replace("N = 77", "N = 0x4d"))
+
+    @pytest.mark.parametrize("kind", ["general", "blum", "rw"])
+    def test_root_constants_stay_private(self, kind, rng):
+        # signing builds the key's root constants; no comparison, key file or public key shows them
+        key = gen_keypair(kind, 64, IDENTITY, rng)
+
+        def seen():
+            return repr(key), hash(key), dump_private(key), dump_public(key), key.public(), dataclasses.fields(KeyPair)
+
+        before = seen()
+        for tag, scheme in SCHEMES.items():
+            if scheme.key_ok(key):
+                sign(key, 5, tag, rng=rng)
+        assert "idem" in vars(key)  # kept on the key after the first signature
+        assert seen() == before
+        assert key == parse_key(dump_private(key))
 
     def test_public_file_has_no_private_fields(self, rng):
         key = gen_keypair("blum", 32, IDENTITY, rng)

@@ -2,7 +2,9 @@
 
 The root extraction takes a different path for each class of prime: the
 exponent shortcut for 3 mod 4, and Tonelli-Shanks for 5 mod 8 (one step of
-two-adic correction) and for 1 mod 8 (several).
+two-adic correction) and for 1 mod 8 (several).  A key keeps the constants
+of both paths after their first use; roots taken with them must equal roots
+taken with constants built for the one call.
 """
 
 import math
@@ -12,7 +14,8 @@ from hypothesis import assume, given
 from hypothesis import strategies as st
 
 from rabinsig.errors import NonResidueError
-from rabinsig.numtheory import canonical_sqrt_mod_pq, crt_combine, jacobi, sqrt_mod_pq
+from rabinsig.keygen import KeyPair
+from rabinsig.numtheory import _principal_root, _PrimeRoots, canonical_sqrt_mod_pq, crt_combine, jacobi, sqrt_mod_pq
 
 sympy = pytest.importorskip("sympy")
 
@@ -67,6 +70,32 @@ def test_a_residue_modulo_one_prime_only_is_refused(pq, x, swap):
         sqrt_mod_pq(a, p, q)
     with pytest.raises(NonResidueError):
         canonical_sqrt_mod_pq(a, p, q)
+
+
+@given(prime_pairs, st.lists(st.integers(1, 1 << 200), min_size=2, max_size=4))
+def test_roots_with_the_key_constants_equal_roots_built_per_call(pq, xs):
+    p, q = pq
+    key = KeyPair.from_primes("general", p, q)
+    for x in xs:  # the first value may leave z**d in the key's constants for the next
+        a = _square_of_a_unit(x, key.n)
+        assert sqrt_mod_pq(a, p, q, key.idem) == sqrt_mod_pq(a, p, q)
+        assert canonical_sqrt_mod_pq(a, p, q, key.idem) == canonical_sqrt_mod_pq(a, p, q)
+
+
+one_mod_four_primes = st.builds(_prime_in_class, st.integers(3, 1 << 80), st.sampled_from(((5, 8), (1, 8))))
+
+
+@given(one_mod_four_primes, st.lists(st.integers(1, 1 << 100), min_size=1, max_size=8))
+def test_tonelli_shanks_refuses_exactly_the_non_residues(p, values):
+    constants = _PrimeRoots(p)
+    for a in (v % p for v in values if v % p):
+        if sympy.is_quad_residue(a, p):
+            for c in (constants, None):
+                assert pow(_principal_root(a, p, c), 2, p) == a
+        else:
+            for c in (constants, None):
+                with pytest.raises(NonResidueError):
+                    _principal_root(a, p, c)
 
 
 odd_moduli = st.integers(0, 1 << 120).map(lambda k: 2 * k + 1)

@@ -6,7 +6,7 @@ import pytest
 
 from rabinsig.errors import SignatureFormatError, UnsignableMessageError
 from rabinsig.hashing import IDENTITY, QUADRATIC, DigestRef, RedundancySpec
-from rabinsig.keygen import KeyPair, gen_keypair
+from rabinsig.keygen import KeyPair, build_padding_set, gen_keypair, gen_prime
 from rabinsig import numtheory, schemes
 from rabinsig.numtheory import canonical_sqrt_mod_pq, jacobi, mod_inv
 from rabinsig.oracle import SmallRing, all_roots, brute_valid, qr_set
@@ -269,14 +269,28 @@ SCHEMES_AND_KINDS = (
 )
 
 
+def _general_key_on_1_mod_4_primes(rng) -> KeyPair:
+    # 32-bit primes p = 1 mod 8 and q = 5 mod 8, so both roots take Tonelli-Shanks
+    p = q = 0
+    while p % 8 != 1:
+        p = gen_prime(32, "none", rng)
+    while q % 8 != 5:
+        q = gen_prime(32, "none", rng)
+    idem = numtheory.crt_idempotents(p, q)
+    return KeyPair.from_primes("general", p, q, IDENTITY, build_padding_set(p, q, idem.psi1, idem.psi2, rng))
+
+
 class TestJacobiBudget:
     """Signing spends no Jacobi symbol that a squaring or a known class replaces.
 
     On Blum primes a root is checked by squaring it back, and the classes of
-    the padding elements and of the RW multipliers are known in advance.
+    the padding elements and of the RW multipliers are known in advance.  On
+    1-mod-4 primes Tonelli-Shanks sees Euler's criterion itself, and the key
+    keeps its non-residues from the first signature on.
     """
 
     KEYS = {kind: gen_keypair(kind, 64, IDENTITY, random.Random(f"budget/{kind}")) for kind in ("blum", "rw")}
+    KEYS["general"] = _general_key_on_1_mod_4_primes(random.Random("budget/general"))
 
     @pytest.fixture
     def calls(self, monkeypatch):
@@ -291,6 +305,38 @@ class TestJacobiBudget:
         monkeypatch.setattr(numtheory, "jacobi", counted)
         monkeypatch.setattr(schemes, "jacobi", counted)
         return made
+
+    @pytest.fixture
+    def nonresidue_searches(self, monkeypatch):
+        made = []
+        real = numtheory.least_nonresidue
+
+        def counted(p):
+            made.append(p)
+            return real(p)
+
+        monkeypatch.setattr(numtheory, "least_nonresidue", counted)
+        return made
+
+    @pytest.mark.parametrize("scheme", ["classic", "general"])
+    def test_signers_on_1_mod_4_primes_reuse_the_key_constants(self, calls, nonresidue_searches, rng, scheme):
+        key = self.KEYS["general"]
+        assert verify(key, sign(key, 5, "classic", rng=rng)).valid  # the first signature builds them
+        nonresidue_searches.clear()
+        for _ in range(30):
+            calls.clear()
+            assert verify(key, sign(key, rng.randrange(2, key.n), scheme, rng=rng)).valid
+            assert len(calls) <= 2
+        assert nonresidue_searches == []
+
+    def test_canonical_root_on_1_mod_4_primes_needs_none(self, calls, rng):
+        key = self.KEYS["general"]
+        assert verify(key, sign(key, 5, "classic", rng=rng)).valid
+        calls.clear()
+        for _ in range(50):
+            x = rng.randrange(1, key.n)
+            assert canonical_sqrt_mod_pq(x * x % key.n, key.p, key.q, key.idem) ** 2 % key.n == x * x % key.n
+        assert calls == []
 
     def test_canonical_root_on_blum_primes_needs_none(self, calls, rng):
         key = self.KEYS["blum"]
