@@ -12,15 +12,8 @@ from dataclasses import dataclass, field
 from .errors import FactorLeakError, UnsignableMessageError
 from .hashing import Message, apply_redundancy
 from .keygen import KeyPair, PublicKey
-from .numtheory import SYSTEM_RNG, canonical_sqrt_mod_pq, mod_inv, random_unit, sqrt_mod_pq
-from .schemes import (
-    SCHEMES,
-    Variant2Signature,
-    VerifyReport,
-    _deterministic_padding,
-    _OpCounter,
-    _power_chain_check,
-)
+from .numtheory import SYSTEM_RNG, canonical_sqrt_mod_pq, jacobi, mod_inv, random_unit, sqrt_mod_pq
+from .schemes import SCHEMES, Variant2Signature, VerifyReport, _class_padding, _OpCounter, _power_chain_check
 
 
 @dataclass(frozen=True)
@@ -121,6 +114,15 @@ def run_blind_session(key: KeyPair, m: Message, rng=None, r: int | None = None) 
     # the signer's nonce is recoverable here only because we play both roles
     signer_r = bsig.F * mod_inv(_recover_root(key, disguised), key.n) % key.n
     return BlindSession(m, r, signer_r, disguised, bsig, published, transcript)
+
+
+# The blind signer still finds the class with Jacobi symbols and takes the
+# root with canonical_sqrt_mod_pq, twice per session (ROADMAP item 1): the
+# benchmark pins those two canonical roots per session, so this path changes
+# together with the benchmark, when signer_R goes.
+def _deterministic_padding(key: KeyPair, h: int, r: int) -> int:
+    """The signers' padding r**2 * (f1*psi1 + f2*psi2), from the Jacobi symbols of h."""
+    return _class_padding(key, jacobi(h, key.p), jacobi(h, key.q), r)
 
 
 def _recover_root(key: KeyPair, disguised: int) -> int:

@@ -143,6 +143,8 @@ def padding_set_flaws(elements, p: int, q: int) -> list[str]:
 def _padding_flaws(elements, classes, n: int) -> list[str]:
     # padding_set_flaws for elements whose classes ((u/p), (u/q)) are known;
     # a class with a 0 in it belongs to a non-unit.
+    if len(elements) != 4:
+        return [f"a padding set has four elements, not {len(elements)}"]
     flaws = []
     for u in elements:
         if math.gcd(u, n) != 1:
@@ -251,6 +253,11 @@ class KeyPair:
 
     @classmethod
     def from_primes(cls, kind, p, q, redundancy=IDENTITY, padding=None, rng=None) -> "KeyPair":
+        """A key on primes of unknown origin, certified here.
+
+        Raises ValueError unless p and q pass the primality test and the kind's
+        congruences, and unless a padding set passes padding_set_flaws.
+        """
         if kind not in KINDS:
             raise ValueError(f"unknown key kind {kind!r}")
         if p == q:
@@ -266,7 +273,11 @@ class KeyPair:
             raise ValueError("rw keys need primes congruent to 3 and 7 mod 8")
         idem = crt_idempotents(p, q)
         if padding is not None:  # the classes are computed here, never taken on trust
-            padding = PaddingSet(padding.elements, tuple((jacobi(u, p), jacobi(u, q)) for u in padding.elements))
+            classes = tuple((jacobi(u, p), jacobi(u, q)) for u in padding.elements)
+            flaws = _padding_flaws(padding.elements, classes, p * q)
+            if flaws:
+                raise ValueError(f"unsafe padding set: {flaws[0]}")
+            padding = PaddingSet(padding.elements, classes)
         return cls(kind, p, q, p * q, idem.psi1, idem.psi2, redundancy, padding)
 
 
@@ -380,14 +391,10 @@ def parse_key(text: str, path_hint: str = "key file") -> KeyPair | PublicKey:
         raise KeyFormatError(f"unexpected fields {sorted(fields)} in {path_hint}")
     if p * q != n:
         raise KeyFormatError(f"N does not equal p*q in {path_hint}")
-    try:
+    try:  # from_primes also runs the padding set's safety checks
         key = KeyPair.from_primes(kind, p, q, redundancy, padding)
     except ValueError as exc:
         raise KeyFormatError(f"invalid key material in {path_hint}: {exc}") from None
-    if padding is not None:  # the classes from_primes computed serve the checks too
-        flaws = _padding_flaws(padding.elements, key.padding.classes, n)
-        if flaws:
-            raise KeyFormatError(f"unsafe padding set in {path_hint}: {flaws[0]}")
     if (key.psi1, key.psi2) != (psi1, psi2):
         raise KeyFormatError(f"idempotents do not match the prime factors in {path_hint}")
     return key

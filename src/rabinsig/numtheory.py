@@ -5,12 +5,15 @@ the CRT lift and the padding built on it, and square-root extraction mod p
 and mod p*q.  Each of these facts is stated here once.  Everything here is
 a pure function of its arguments and never mutates key material.
 
-The one cache: the constants a root needs (per prime, an exponent, a
-non-residue z and z**d for Tonelli-Shanks) are computed once per key.
+The one cache: the constants a root needs are computed once per key, each
+on its first use.  Per prime they are the root exponent, a non-residue z,
+z**((d+1)/2) and z**d for Tonelli-Shanks, and 2**(-(p+1)/4) for the rw
+signer; per padding element, its root over its class (_KeyRoots.unit_roots).
 KeyPair.idem holds them and passes them in as `idem`; a caller that passes a
 bare Idempotents or None gets them built for that one call.  Each is fixed
 by its prime and written once, so a concurrent first use just computes it
-twice.
+twice.  Every one of them reveals p (a root x of u gives gcd(x**2 - u, n)
+= p), so they stay as private as psi1 and psi2.
 """
 
 import math
@@ -150,9 +153,15 @@ def crt_padding(a: int, b: int, r: int, p: int, q: int, idem: Idempotents | None
 
 
 def least_nonresidue(p: int) -> int:
-    """The least quadratic non-residue modulo an odd prime p."""
+    """The least quadratic non-residue modulo an odd prime p.
+
+    No z below a prime has (z/p) = 0, so meeting one shows that p is not
+    prime (a perfect square has no non-residue at all) and raises ValueError.
+    """
     z = 2
-    while jacobi(z, p) != -1:
+    while (symbol := jacobi(z, p)) != -1:
+        if symbol == 0:
+            raise ValueError("modulus is not prime")
         z += 1
     return z
 
@@ -163,14 +172,15 @@ class _PrimeRoots:
     exp is the exponent of the one modexp a root takes: (p+1)/4 for p = 3 mod 4,
     and (d-1)/2 for p = 1 mod 4, where p - 1 = 2**s * d with d odd (Cohen, "A
     Course in Computational Algebraic Number Theory", Alg. 1.5.1).  z is a
-    non-residue: -1 for p = 3 mod 4, the least one for p = 1 mod 4, whose z**d
-    Tonelli-Shanks computes on the first call that needs it.
+    non-residue: -1 for p = 3 mod 4, the least one for p = 1 mod 4.  The
+    powers of z that Tonelli-Shanks needs, and 2**(-(p+1)/4) for the rw
+    signer, are computed on the first call that needs them.
     """
 
-    __slots__ = ("p", "exp", "s", "d", "z", "_zd")
+    __slots__ = ("p", "exp", "s", "d", "z", "_z_powers", "_half_root")
 
     def __init__(self, p: int):
-        self.p, self._zd = p, None
+        self.p, self._z_powers, self._half_root = p, None, None
         self.s = ((p - 1) & (1 - p)).bit_length() - 1  # the lowest set bit of p - 1
         self.d = (p - 1) >> self.s
         if p % 4 == 3:
@@ -179,10 +189,25 @@ class _PrimeRoots:
             self.exp, self.z = (self.d - 1) // 2, least_nonresidue(p)
 
     @property
-    def zd(self) -> int:
-        if self._zd is None:
-            self._zd = pow(self.z, self.d, self.p)
-        return self._zd
+    def z_powers(self) -> tuple[int, int]:
+        """z**((d+1)/2) and z**d, from one modexp, for p = 1 mod 4."""
+        if self._z_powers is None:
+            y = pow(self.z, self.exp, self.p)
+            zh = y * self.z % self.p
+            self._z_powers = zh, zh * y % self.p
+        return self._z_powers
+
+    @property
+    def half_root(self) -> int:
+        """2**(-(p+1)/4) for p = 3 mod 4, a square root of (2/p)/2."""
+        if self._half_root is None:
+            self._half_root = pow(2, -self.exp, self.p)
+        return self._half_root
+
+    def root_over_class(self, u: int) -> int:
+        """A root of u, or of u/z when u is a non-residue."""
+        symbol, x = _class_root(u, self)
+        return x if symbol == 1 else x * pow(self.z, -1, self.p) % self.p
 
 
 class _KeyRoots:
@@ -192,60 +217,88 @@ class _KeyRoots:
     builds one on first use and keeps it (KeyPair.idem).
     """
 
-    __slots__ = ("psi1", "psi2", "at_p", "at_q")
+    __slots__ = ("psi1", "psi2", "at_p", "at_q", "_unit_roots")
 
     def __init__(self, p: int, q: int, idem: Idempotents | None = None):
         if idem is None:
             idem = crt_idempotents(p, q)
         self.psi1, self.psi2 = idem.psi1, idem.psi2
         self.at_p, self.at_q = _PrimeRoots(p), _PrimeRoots(q)
+        self._unit_roots: dict[int, tuple[int, int]] = {}
+
+    def unit_roots(self, u: int) -> tuple[int, int]:
+        """root_over_class of u mod p and mod q, computed once per u (a padding element)."""
+        roots = self._unit_roots.get(u)
+        if roots is None:
+            roots = self._unit_roots[u] = self.at_p.root_over_class(u), self.at_q.root_over_class(u)
+        return roots
 
 
-def _tonelli_shanks(a: int, c: _PrimeRoots) -> int:
-    # Root of a unit a modulo a prime p = 1 mod 4.  t = a**d has order 2**i
-    # with i < s exactly when a is a residue; i = s means a**((p-1)/2) = -1
-    # (Euler's criterion), so the loop itself refuses a non-residue.
-    p = c.p
-    y = pow(a, c.exp, p)  # one modexp gives x = a**((d+1)/2) and t = a**d
-    x = y * a % p
-    t = x * y % p
-    if t == 1:  # x is a root already, so no non-residue is needed
-        return x
-    b, m = c.zd, c.s
+def _two_order(t: int, p: int, bound: int) -> int:
+    # The least i with t**(2**i) = 1 mod p.  Below a prime it is at most
+    # `bound`; a p that needs more squarings, or never reaches 1, is not prime.
+    i = 0
     while t != 1:
-        i, t2 = 0, t
-        while t2 != 1:
-            t2 = t2 * t2 % p
-            i += 1
-        if i == m:
-            raise NonResidueError("value has no square root modulo the given prime")
-        b = pow(b, 1 << (m - i - 1), p)
-        x = x * b % p
-        b = b * b % p
-        t = t * b % p
-        m = i
-    return x
+        if i == bound:
+            raise ValueError("modulus is not prime")
+        t = t * t % p
+        i += 1
+    return i
+
+
+def _class_root(a: int, c: _PrimeRoots) -> tuple[int, int]:
+    """The Legendre symbol (a/p) and a root x, from one modexp modulo p = c.p.
+
+    x**2 = a for a residue and x**2 = a*z for a non-residue, z = c.z; a
+    multiple of p gives (0, 0).  For p = 3 mod 4, y = a**((p+1)/4) squares to
+    (a/p)*a (Bernstein, "RSA signatures and Rabin-Williams signatures: the
+    state of the art", 2008), and z = -1.  For p = 1 mod 4 this is
+    Tonelli-Shanks, whose first order step is Euler's criterion: t = a**d
+    needs all s squarings exactly when a**((p-1)/2) = -1, and the root is
+    then taken of a*z from z**((d+1)/2) and z**d.  Raises ValueError when
+    the arithmetic shows that p is not prime.
+    """
+    p = c.p
+    a %= p
+    if a == 0:
+        return 0, 0
+    y = pow(a, c.exp, p)
+    if c.z == -1:
+        y2 = y * y % p
+        if y2 == a:
+            return 1, y
+        if y2 == p - a:
+            return -1, y
+        raise ValueError("modulus is not prime")
+    x = y * a % p  # a**((d+1)/2)
+    t = x * y % p  # a**d
+    symbol, i = 1, _two_order(t, p, c.s)
+    if i == c.s:
+        zh, zd = c.z_powers
+        symbol, x, t = -1, x * zh % p, t * zd % p
+        i = _two_order(t, p, c.s - 1)
+    if i:
+        b, m = c.z_powers[1], c.s
+        while i:
+            b = pow(b, 1 << (m - i - 1), p)
+            x = x * b % p
+            b = b * b % p
+            t = t * b % p
+            m, i = i, _two_order(t, p, i - 1)
+    return symbol, x
 
 
 def _principal_root(a: int, p: int, c: _PrimeRoots | None = None) -> int:
-    """A square root of the unit a (reduced mod p) modulo an odd prime p.
+    """A square root of a modulo an odd prime p: _class_root, refusing a non-residue.
 
-    c holds p's constants, built here when not given.  For p = 3 mod 4 this
-    is a**((p+1)/4), itself a residue; squaring it back replaces the
-    residuosity test, since it squares to (a/p)*a (Bernstein, "RSA
-    signatures and Rabin-Williams signatures: the state of the art", 2008).
-    For p = 1 mod 4, Tonelli-Shanks sees Euler's criterion on the way.
+    c holds p's constants, built here when not given.
     """
     if c is None:
         c = _PrimeRoots(p)
-    if p % 4 == 3:
-        s = pow(a, c.exp, p)
-        if s * s % p != a:
-            raise NonResidueError("value has no square root modulo the given prime")
-        return s
-    if a % p == 0:  # t = 0 would never reach 1
+    symbol, x = _class_root(a, c)
+    if symbol == -1:
         raise NonResidueError("value has no square root modulo the given prime")
-    return _tonelli_shanks(a, c)
+    return x
 
 
 class Root(NamedTuple):
@@ -256,9 +309,9 @@ class Root(NamedTuple):
     jacobi_q: int
 
 
-def _prime_roots(a: int, p: int, q: int, idem) -> tuple[int, _KeyRoots, int, int]:
-    # n = p*q, the key's constants and one principal root of a per prime; the
-    # checks and errors shared by sqrt_mod_pq and canonical_sqrt_mod_pq.
+def _prime_roots(a: int, p: int, q: int, idem) -> tuple[_KeyRoots, int, int]:
+    # The key's constants and one principal root of a per prime; the checks
+    # and errors shared by sqrt_mod_pq and canonical_sqrt_mod_pq.
     n = p * q
     a %= n
     if math.gcd(a, n) != 1:
@@ -266,7 +319,7 @@ def _prime_roots(a: int, p: int, q: int, idem) -> tuple[int, _KeyRoots, int, int
     # idem holds the constants when it is a key's, else they are built for this call
     k = idem if isinstance(idem, _KeyRoots) and (idem.at_p.p, idem.at_q.p) == (p, q) else _KeyRoots(p, q, idem)
     try:
-        return n, k, _principal_root(a % p, p, k.at_p), _principal_root(a % q, q, k.at_q)
+        return k, _principal_root(a % p, p, k.at_p), _principal_root(a % q, q, k.at_q)
     except NonResidueError:
         raise NonResidueError("value is not a quadratic residue modulo both primes") from None
 
@@ -289,7 +342,7 @@ def sqrt_mod_pq(a: int, p: int, q: int, idem: Idempotents | None = None) -> tupl
     degenerate, factorisation-revealing input) and NonResidueError when a
     is not a residue modulo both primes.
     """
-    _, k, sp, sq = _prime_roots(a, p, q, idem)
+    k, sp, sq = _prime_roots(a, p, q, idem)
     return tuple(sorted(
         Root(crt_combine(rp, rq, p, q, k), jp, jq)
         for rp, jp in zip((sp, p - sp), _root_classes(sp, p))
@@ -300,12 +353,22 @@ def sqrt_mod_pq(a: int, p: int, q: int, idem: Idempotents | None = None) -> tupl
 def canonical_sqrt_mod_pq(a: int, p: int, q: int, idem: Idempotents | None = None) -> int:
     """The canonical root: the smallest of the four square roots mod p*q.
 
-    Raises exactly as sqrt_mod_pq does, but labels no classes: two CRT
-    lifts give the four roots as v, n-v, w and n-w.
+    Raises exactly as sqrt_mod_pq does, but labels no classes.
     """
-    n, k, sp, sq = _prime_roots(a, p, q, idem)
-    v = crt_combine(sp, sq, p, q, k)
-    w = crt_combine(sp, q - sq, p, q, k)
+    k, sp, sq = _prime_roots(a, p, q, idem)
+    return _canonical_lift(sp, sq, p, q, k)
+
+
+def _canonical_lift(rp: int, rq: int, p: int, q: int, idem: Idempotents) -> int:
+    """The least of the four values that are +-rp mod p and +-rq mod q.
+
+    Two CRT lifts, v from (rp, rq) and w from (rp, -rq), give the four as
+    v, n-v, w and n-w.  For roots rp, rq of a mod p and q this is a's
+    canonical root.
+    """
+    n = p * q
+    v = crt_combine(rp, rq, p, q, idem)
+    w = crt_combine(rp, q - rq, p, q, idem)
     return min(v, n - v, w, n - w)
 
 

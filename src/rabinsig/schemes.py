@@ -25,12 +25,11 @@ from .hashing import DigestRef, Message, apply_redundancy, digest_int
 from .keygen import KeyPair, PublicKey, _int_field, _parse_record
 from .numtheory import (
     SYSTEM_RNG,
-    canonical_sqrt_mod_pq,
+    _canonical_lift,
+    _class_root,
+    crt_combine,
     crt_padding,
-    jacobi,
-    mod_inv,
     random_unit,
-    sqrt_mod_pq,
     sqrt_of_unity_nontrivial,
 )
 
@@ -118,18 +117,26 @@ def _hash_for_signing(key: KeyPair, m: Message) -> int:
     return h
 
 
-def _deterministic_padding(key: KeyPair, h: int, r: int) -> int:
-    """Padding value R**2 * (f1*psi1 + f2*psi2) built from the class of h.
+def _class_roots(key: KeyPair, h: int) -> tuple[int, int, int, int]:
+    """((h/p), xp, (h/q), xq), one modexp per prime (numtheory._class_root).
 
-    f1, f2 are class representatives mod p and q (so H(m) times the result
-    is a residue modulo both primes): 1 where h is a residue, otherwise the
-    key's non-residue z, -1 for a 3-mod-4 prime and the least non-residue
-    for a 1-mod-4 prime.
+    xp**2 is h mod p where h is a residue and h*z otherwise, z being the
+    key's non-residue: -1 for a 3-mod-4 prime, the least non-residue for a
+    1-mod-4 prime.  Likewise xq mod q.
     """
-    p, q, k = key.p, key.q, key.idem
-    f1 = 1 if jacobi(h, p) == 1 else k.at_p.z
-    f2 = 1 if jacobi(h, q) == 1 else k.at_q.z
-    return crt_padding(f1, f2, r, p, q, k)
+    k = key.idem
+    return _class_root(h, k.at_p) + _class_root(h, k.at_q)
+
+
+def _class_padding(key: KeyPair, hp: int, hq: int, r: int) -> int:
+    """Padding value r**2 * (f1*psi1 + f2*psi2) for h of class (hp, hq).
+
+    f1, f2 are 1 where h is a residue and the key's non-residue z otherwise,
+    so h times the result is a residue modulo both primes, with the roots
+    r*xp and r*xq of _class_roots.
+    """
+    k = key.idem
+    return crt_padding(1 if hp == 1 else k.at_p.z, 1 if hq == 1 else k.at_q.z, r, key.p, key.q, k)
 
 
 # ---------------------------------------------------------------------------
@@ -139,9 +146,11 @@ def _deterministic_padding(key: KeyPair, h: int, r: int) -> int:
 def classic_sign(key: KeyPair, m: Message, rng=None) -> ClassicSignature:
     """Sign with a random padding value U making H(m)*U a residue."""
     h = _hash_for_signing(key, m)
-    padding = _deterministic_padding(key, h, random_unit(key.n, rng))
-    root = canonical_sqrt_mod_pq(h * padding % key.n, key.p, key.q, key.idem)
-    return ClassicSignature(m, padding, root)
+    hp, xp, hq, xq = _class_roots(key, h)
+    r = random_unit(key.n, rng)
+    p, q = key.p, key.q
+    root = _canonical_lift(r * xp % p, r * xq % q, p, q, key.idem)
+    return ClassicSignature(m, _class_padding(key, hp, hq, r), root)
 
 
 def classic_verify(pub: PublicKey | KeyPair, sig: ClassicSignature) -> VerifyReport:
@@ -161,15 +170,21 @@ def classic_verify(pub: PublicKey | KeyPair, sig: ClassicSignature) -> VerifyRep
 
 
 def general_sign(key: KeyPair, m: Message) -> GeneralSignature:
-    """Sign with the unique padding-set element in the Jacobi class of H(m)."""
+    """Sign with the unique padding-set element in the Jacobi class of H(m).
+
+    With f the class representative of both h and u mod p (1 or z), the
+    root of h*u mod p is the product of h's root over f and u's.
+    """
     SCHEMES["general"].check_key(key)
     h = _hash_for_signing(key, m)
-    target = (jacobi(h, key.p), jacobi(h, key.q))
-    for u, cls in zip(key.padding.elements, key.padding.classes):
-        if cls == target:
-            root = canonical_sqrt_mod_pq(h * u % key.n, key.p, key.q, key.idem)
-            return GeneralSignature(m, u, root)
-    raise ValueError("padding set does not cover the class of the message")
+    hp, xp, hq, xq = _class_roots(key, h)
+    try:
+        u = key.padding.elements[key.padding.classes.index((hp, hq))]
+    except ValueError:
+        raise ValueError("padding set does not cover the class of the message") from None
+    p, q, k = key.p, key.q, key.idem
+    up, uq = k.unit_roots(u)
+    return GeneralSignature(m, u, _canonical_lift(xp * up % p, xq * uq % q, p, q, k))
 
 
 def general_verify(pub: PublicKey | KeyPair, sig: GeneralSignature) -> VerifyReport:
@@ -201,22 +216,29 @@ def variant1_sign(key: KeyPair, m: Message, rng=None) -> Variant1Signature:
     SCHEMES["variant1"].check_key(key)
     h = _hash_for_signing(key, m)
     rng = rng or SYSTEM_RNG
-    forbidden = sqrt_of_unity_nontrivial(key.p, key.q, key.idem)
+    p, q, k = key.p, key.q, key.idem
+    hp, xp, hq, xq = _class_roots(key, h)
+    forbidden = sqrt_of_unity_nontrivial(p, q, k)
     for _ in range(64):
-        padding = _deterministic_padding(key, h, random_unit(key.n, rng))
+        r = random_unit(key.n, rng)
+        padding = _class_padding(key, hp, hq, r)
         if padding not in forbidden:
             break
     else:
         raise RuntimeError("could not draw an acceptable padding value")
     if math.gcd(padding + 1, key.n) != 1:
         raise FactorLeakError("padding value adjacent to a multiple of a prime factor")
-    target = (jacobi(padding + 1, key.p), jacobi(padding + 1, key.q))
-    roots = sqrt_mod_pq(h * padding % key.n, key.p, key.q, key.idem)
-    root = next(r.value for r in roots if (r.jacobi_p, r.jacobi_q) == target)
-    if math.gcd(root, key.n) != 1:
-        raise FactorLeakError("selected root shares a factor with the modulus")
-    tail = canonical_sqrt_mod_pq((padding + 1) * root % key.n, key.p, key.q, key.idem)
-    return Variant1Signature(m, padding, root, tail)
+    sp, tp = _binding_root(r * xp % p, padding + 1, k.at_p)
+    sq, tq = _binding_root(r * xq % q, padding + 1, k.at_q)
+    return Variant1Signature(m, padding, crt_combine(sp, sq, p, q, k), _canonical_lift(tp, tq, p, q, k))
+
+
+def _binding_root(s: int, v: int, c) -> tuple[int, int]:
+    # The one of s, -s mod the 3-mod-4 prime c.p that makes v times it a
+    # residue, and a root of that product: _class_root's x**2 = -v*s when
+    # v*s is a non-residue.
+    symbol, t = _class_root(v * s, c)
+    return (s, t) if symbol == 1 else (c.p - s, t)
 
 
 def variant1_verify(pub: PublicKey | KeyPair, sig: Variant1Signature) -> VerifyReport:
@@ -239,8 +261,9 @@ def variant2_sign(key: KeyPair, m: Message, rng=None) -> Variant2Signature:
     """Sign as [m, F, R**3] with F = R*S and S**2 = H(m)*U, U a unity root."""
     SCHEMES["variant2"].check_key(key)
     h = _hash_for_signing(key, m)
-    padding = _deterministic_padding(key, h, 1)
-    root = canonical_sqrt_mod_pq(h * padding % key.n, key.p, key.q, key.idem)
+    # the hidden padding U = f1*psi1 + f2*psi2 is a root of unity, and S the canonical root of h*U
+    _, xp, _, xq = _class_roots(key, h)
+    root = _canonical_lift(xp, xq, key.p, key.q, key.idem)
     r = random_unit(key.n, rng)
     return Variant2Signature(m, r * root % key.n, pow(r, 3, key.n))
 
@@ -278,16 +301,19 @@ def rw_sign(key: KeyPair, m: Message) -> RWSignature:
     SCHEMES["rw"].check_key(key)
     h = _hash_for_signing(key, m)
     # The class of h/(e*f) mod each prime is (h/p)*(e/p)*(f/p).  Both primes
-    # are 3 mod 4, so (-1/p) = -1 and (e/p) = e; (2/p) is 1 for the prime
-    # that is 7 mod 8 and -1 for the one that is 3 mod 8.
-    classes = [(jacobi(h, prime), 1 if prime % 8 == 7 else -1) for prime in (key.p, key.q)]
-    for e in (1, -1):
-        for f in (1, 2):
-            if all(j * e * (two if f == 2 else 1) == 1 for j, two in classes):
-                target = h * mod_inv(e * f % key.n, key.n) % key.n
-                root = canonical_sqrt_mod_pq(target, key.p, key.q, key.idem)
-                return RWSignature(m, e, f, root)
-    raise RuntimeError("no multiplier pair admits a root; key is not an rw key")
+    # are 3 mod 4, so (-1/p) = -1 and (e/p) = e, and yp**2 = (h/p)*h; (2/p)
+    # is 1 for the prime that is 7 mod 8 and -1 for the one that is 3 mod 8.
+    # So f = 1 and e = (h/p) when the two classes agree, and S = y.  When
+    # they differ, f = 2 and e = (h/p)*(2/p), and S = y * 2**(-(p+1)/4)
+    # mod each prime, since that constant squares to (2/p)/2.
+    p, q, k = key.p, key.q, key.idem
+    hp, yp, hq, yq = _class_roots(key, h)
+    if hp == hq:
+        e, f = hp, 1
+    else:
+        e, f = hp * (1 if p % 8 == 7 else -1), 2
+        yp, yq = yp * k.at_p.half_root % p, yq * k.at_q.half_root % q
+    return RWSignature(m, e, f, _canonical_lift(yp, yq, p, q, k))
 
 
 def rw_verify(pub: PublicKey | KeyPair, sig: RWSignature) -> VerifyReport:

@@ -1,14 +1,27 @@
+import dataclasses
 import random
 
 import pytest
 
 from rabinsig.hashing import IDENTITY, QUADRATIC
 from rabinsig.keygen import KeyPair, PaddingSet
+from rabinsig.numtheory import jacobi
 
 # Padding set for the n=77 fixture, composed with multipliers a=(2,3), b=(3,2)
 # and all r_i = 1.  With equal r_i the pairwise-difference safety check fails
 # (that is the point of random r_i), so this set is for oracle tests only.
 ORACLE_PADDING = PaddingSet((58, 2, 3, 24), ((1, 1), (1, -1), (-1, 1), (-1, -1)))
+
+
+def general_key_with_unchecked_padding(p: int, q: int, elements, redundancy=IDENTITY) -> KeyPair:
+    """A general key whose padding set skips the safety checks of KeyPair.from_primes.
+
+    For sets that fail them on purpose, such as ORACLE_PADDING; the classes
+    are still computed from the elements.
+    """
+    classes = tuple((jacobi(u, p), jacobi(u, q)) for u in elements)
+    return dataclasses.replace(KeyPair.from_primes("general", p, q, redundancy),
+                               padding=PaddingSet(tuple(elements), classes))
 
 
 class SeqRng:
@@ -44,7 +57,7 @@ def toy_key_quadratic():
 
 @pytest.fixture
 def general_toy_key():
-    return KeyPair.from_primes("general", 7, 11, IDENTITY, padding=ORACLE_PADDING)
+    return general_key_with_unchecked_padding(7, 11, ORACLE_PADDING.elements)
 
 
 @pytest.fixture

@@ -6,7 +6,6 @@ from rabinsig.cli import _naive_blind_demo, main
 from rabinsig.hashing import IDENTITY
 from rabinsig.keygen import (
     KeyPair,
-    PaddingSet,
     build_padding_set,
     dump_private,
     dump_public,
@@ -16,7 +15,7 @@ from rabinsig.keygen import (
 from rabinsig.numtheory import crt_idempotents
 from rabinsig.schemes import dump_signature, parse_signature, sign, verify
 
-from conftest import SeqRng
+from conftest import SeqRng, general_key_with_unchecked_padding
 
 
 @pytest.fixture
@@ -147,7 +146,7 @@ def test_padding_set_missing_a_class_exits_3(tmp_path):
     # four squares cover one Jacobi class; m = 3 is a non-residue mod 7, so no
     # element fits it and signing used to escape with a ValueError
     priv = tmp_path / "deficient.key"
-    priv.write_text(dump_private(KeyPair.from_primes("general", 7, 11, IDENTITY, PaddingSet((4, 9, 16, 25)))))
+    priv.write_text(dump_private(general_key_with_unchecked_padding(7, 11, (4, 9, 16, 25))))
     assert main(["sign", "--key", str(priv), "--scheme", "general", "--message", "3",
                  "--out", str(tmp_path / "x.sig")]) == 3
 

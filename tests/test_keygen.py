@@ -23,7 +23,7 @@ from rabinsig.numtheory import MILLER_RABIN_ROUNDS, crt_idempotents, jacobi
 from rabinsig.oracle import SmallRing, qr_set, units
 from rabinsig.schemes import SCHEMES, sign
 
-from conftest import ORACLE_PADDING
+from conftest import ORACLE_PADDING, general_key_with_unchecked_padding
 
 
 class TestGenPrime:
@@ -92,10 +92,18 @@ class TestGenKeypair:
 
     def test_from_primes_computes_the_padding_classes(self):
         # the classes handed in are wrong on purpose; the key carries the true ones
-        wrong = PaddingSet(ORACLE_PADDING.elements, ((1, 1),) * 4)
+        idem = crt_idempotents(7, 11)
+        safe = build_padding_set(7, 11, idem.psi1, idem.psi2, random.Random(5))
+        wrong = PaddingSet(safe.elements, ((1, 1),) * 4)
         key = KeyPair.from_primes("general", 7, 11, IDENTITY, wrong)
-        assert key.padding == ORACLE_PADDING
-        assert KeyPair.from_primes("general", 7, 11, IDENTITY, PaddingSet(ORACLE_PADDING.elements)) == key
+        assert key.padding == safe
+        assert KeyPair.from_primes("general", 7, 11, IDENTITY, PaddingSet(safe.elements)) == key
+
+    @pytest.mark.parametrize("elements", [ORACLE_PADDING.elements, (4, 9, 16, 25)], ids=["difference", "one-class"])
+    def test_from_primes_runs_the_padding_checks(self, elements):
+        # the general signer relies on four unit classes; a set that fails a check never reaches a key
+        with pytest.raises(ValueError, match="unsafe padding set"):
+            KeyPair.from_primes("general", 7, 11, IDENTITY, PaddingSet(elements))
 
     def test_kind_constraints_enforced(self):
         assert KeyPair.from_primes("general", 7, 11).n == 77
@@ -130,6 +138,12 @@ class TestPaddingSet:
     def test_class_coverage_detected(self):
         flaws = padding_set_flaws((2, 2 * 4 % 77, 2 * 9 % 77, 24), 7, 11)
         assert any("classes" in f for f in flaws)
+
+    @pytest.mark.parametrize("elements", [(2, 3, 24), (58, 2, 3, 24, 5)])
+    def test_element_count_detected(self, elements):
+        assert padding_set_flaws(elements, 7, 11) == [f"a padding set has four elements, not {len(elements)}"]
+        with pytest.raises(ValueError, match="four elements"):
+            KeyPair.from_primes("general", 7, 11, IDENTITY, PaddingSet(elements))
 
     def test_built_sets_are_safe_and_labelled(self, rng):
         for p, q in ((7, 11), (11, 19), (13, 17)):
@@ -215,8 +229,8 @@ class TestKeyFiles:
 
     def test_private_padding_must_pass_the_safety_checks(self):
         # four squares lie in one Jacobi class, so three classes are uncovered
-        key = KeyPair.from_primes("general", 7, 11, IDENTITY, PaddingSet((4, 9, 16, 25)))
-        with pytest.raises(KeyFormatError):
+        key = general_key_with_unchecked_padding(7, 11, (4, 9, 16, 25))
+        with pytest.raises(KeyFormatError, match="unsafe padding set"):
             parse_key(dump_private(key))
         assert parse_key(dump_public(key)).padding.elements == (4, 9, 16, 25)
 

@@ -1,5 +1,6 @@
 import math
 import random
+import signal
 
 import pytest
 from hypothesis import given
@@ -190,6 +191,50 @@ class TestSqrtModPq:
         with pytest.raises(FactorLeakError) as excinfo:
             sqrt_mod_pq(7, 7, 11)
         assert not any(ch.isdigit() for ch in str(excinfo.value))
+
+
+class TestCompositeModuli:
+    """A composite where a prime belongs raises ValueError instead of spinning.
+
+    A perfect square has no non-residue, so the non-residue search stops at
+    its first Jacobi symbol of 0; the order loop of Tonelli-Shanks stops
+    after s squarings.  A hang would fail these tests through the alarm.
+    """
+
+    @pytest.fixture(autouse=True)
+    def alarm(self):
+        def expire(signum, frame):
+            raise TimeoutError("no answer within 5 s")
+
+        previous = signal.signal(signal.SIGALRM, expire)
+        signal.alarm(5)
+        yield
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+
+    def test_square_modulus_has_no_nonresidue(self):
+        for p in (9, 25, 49 * 121):
+            with pytest.raises(ValueError):
+                least_nonresidue(p)
+
+    def test_roots_modulo_a_square_raise(self):
+        with pytest.raises(ValueError):
+            sqrt_mod_pq(4, 9, 5)
+        with pytest.raises(ValueError):
+            canonical_sqrt_mod_pq(16, 25, 7)
+
+    def test_tonelli_shanks_order_loop_is_bounded(self):
+        # 65 = 5*13 is 1 mod 4 with (3/65) = -1, and no power 4**(2**i) is 1 mod 65
+        assert least_nonresidue(65) == 3
+        with pytest.raises(ValueError):
+            sqrt_mod_pq(4, 65, 3)
+        with pytest.raises(ValueError):
+            canonical_sqrt_mod_pq(4, 3, 65)
+
+    def test_three_mod_four_composite_raises(self):
+        # 4**((15+1)/4) = 1 mod 15 squares to neither 4 nor -4
+        with pytest.raises(ValueError):
+            sqrt_mod_pq(4, 15, 7)
 
 
 class TestSqrtOfUnity:

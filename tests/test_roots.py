@@ -4,18 +4,36 @@ The root extraction takes a different path for each class of prime: the
 exponent shortcut for 3 mod 4, and Tonelli-Shanks for 5 mod 8 (one step of
 two-adic correction) and for 1 mod 8 (several).  A key keeps the constants
 of both paths after their first use; roots taken with them must equal roots
-taken with constants built for the one call.
+taken with constants built for the one call.  The signers read the class of
+H(m) from the same exponentiation; their paddings and roots must equal those
+of the Jacobi-symbol path that the blind signer still takes.
 """
 
 import math
+import random
 
 import pytest
 from hypothesis import assume, given
 from hypothesis import strategies as st
 
+from rabinsig.blind import _deterministic_padding
 from rabinsig.errors import NonResidueError
-from rabinsig.keygen import KeyPair
-from rabinsig.numtheory import _principal_root, _PrimeRoots, canonical_sqrt_mod_pq, crt_combine, jacobi, sqrt_mod_pq
+from rabinsig.hashing import IDENTITY
+from rabinsig.keygen import KeyPair, build_padding_set
+from rabinsig.numtheory import (
+    _class_root,
+    _principal_root,
+    _PrimeRoots,
+    canonical_sqrt_mod_pq,
+    crt_combine,
+    crt_idempotents,
+    jacobi,
+    mod_inv,
+    random_unit,
+    sqrt_mod_pq,
+    sqrt_of_unity_nontrivial,
+)
+from rabinsig.schemes import sign
 
 sympy = pytest.importorskip("sympy")
 
@@ -96,6 +114,82 @@ def test_tonelli_shanks_refuses_exactly_the_non_residues(p, values):
             for c in (constants, None):
                 with pytest.raises(NonResidueError):
                     _principal_root(a, p, c)
+
+
+@given(primes, st.lists(st.integers(0, 1 << 100), min_size=1, max_size=8))
+def test_class_root_reads_the_legendre_symbol(p, values):
+    constants = _PrimeRoots(p)  # shared, so later values meet the powers of z an earlier one built
+    for a in values:
+        symbol, x = _class_root(a, constants)
+        assert symbol == sympy.legendre_symbol(a % p, p)
+        assert x * x % p == a * (constants.z if symbol == -1 else 1) % p
+
+
+# Signer keys start at 2**16: on tiny rings the padding draw can meet a factor
+# of N, and the oracle suite checks those rings exhaustively.
+def _signer_primes(classes):
+    return st.builds(_prime_in_class, st.integers(1 << 16, 1 << 80), st.sampled_from(classes))
+
+
+signer_pairs = st.tuples(_signer_primes(PRIME_CLASSES), _signer_primes(PRIME_CLASSES)).filter(lambda pq: pq[0] != pq[1])
+blum_pairs = st.tuples(_signer_primes([(3, 4)]), _signer_primes([(3, 4)])).filter(lambda pq: pq[0] != pq[1])
+rw_pairs = st.tuples(_signer_primes([(3, 8)]), _signer_primes([(7, 8)]), st.booleans()).map(
+    lambda t: t[1::-1] if t[2] else t[:2])
+messages = st.integers(2, 1 << 200)
+seeds = st.integers(0, 1 << 32)
+
+
+def _unit_message(m: int, key: KeyPair) -> int:
+    h = m % key.n
+    assume(math.gcd(h, key.n) == 1)
+    return h
+
+
+@given(signer_pairs, messages, seeds)
+def test_classic_and_general_match_the_jacobi_path(pq, m, seed):
+    p, q = pq
+    idem = crt_idempotents(p, q)
+    key = KeyPair.from_primes("general", p, q, IDENTITY, build_padding_set(p, q, idem.psi1, idem.psi2, random.Random(seed)))
+    h = _unit_message(m, key)
+    sig = sign(key, h, "classic", rng=random.Random(seed))
+    padding = _deterministic_padding(key, h, random_unit(key.n, random.Random(seed)))
+    assert sig.U == padding
+    assert sig.S == canonical_sqrt_mod_pq(h * padding, p, q)
+    sig = sign(key, h, "general")
+    assert (jacobi(sig.u, p), jacobi(sig.u, q)) == (jacobi(h, p), jacobi(h, q))
+    assert sig.S == canonical_sqrt_mod_pq(h * sig.u, p, q)
+
+
+@given(blum_pairs, messages, seeds)
+def test_blum_signers_match_the_jacobi_path(pq, m, seed):
+    p, q = pq
+    key = KeyPair.from_primes("blum", p, q)
+    n = key.n
+    h = _unit_message(m, key)
+    sig = sign(key, h, "variant2", rng=random.Random(seed))
+    r = random_unit(n, random.Random(seed))
+    root = canonical_sqrt_mod_pq(h * _deterministic_padding(key, h, 1), p, q)
+    assert (sig.F, sig.R3) == (r * root % n, pow(r, 3, n))
+
+    sig = sign(key, h, "variant1", rng=random.Random(seed))
+    rng, forbidden = random.Random(seed), sqrt_of_unity_nontrivial(p, q)
+    padding = next(u for u in (_deterministic_padding(key, h, random_unit(n, rng)) for _ in range(64))
+                   if u not in forbidden)
+    assert sig.U == padding
+    target = (jacobi(padding + 1, p), jacobi(padding + 1, q))
+    assert sig.S == next(r.value for r in sqrt_mod_pq(h * padding, p, q) if (r.jacobi_p, r.jacobi_q) == target)
+    assert sig.T == canonical_sqrt_mod_pq((padding + 1) * sig.S, p, q)
+
+
+@given(rw_pairs, messages)
+def test_rw_matches_the_jacobi_path(pq, m):
+    p, q = pq
+    key = KeyPair.from_primes("rw", p, q)
+    h = _unit_message(m, key)
+    sig = sign(key, h, "rw")
+    target = h * mod_inv(sig.e * sig.f % key.n, key.n) % key.n
+    assert (jacobi(target, p), jacobi(target, q)) == (1, 1)  # so (e, f) is the one pair that fits
+    assert sig.S == canonical_sqrt_mod_pq(target, p, q)
 
 
 odd_moduli = st.integers(0, 1 << 120).map(lambda k: 2 * k + 1)

@@ -269,28 +269,33 @@ SCHEMES_AND_KINDS = (
 )
 
 
-def _general_key_on_1_mod_4_primes(rng) -> KeyPair:
-    # 32-bit primes p = 1 mod 8 and q = 5 mod 8, so both roots take Tonelli-Shanks
+def _general_key_on_primes(rng, constraint: str, p_residue: int, q_residue: int) -> KeyPair:
+    # 32-bit primes meeting the constraint, p = p_residue and q = q_residue mod 8
     p = q = 0
-    while p % 8 != 1:
-        p = gen_prime(32, "none", rng)
-    while q % 8 != 5:
-        q = gen_prime(32, "none", rng)
+    while p % 8 != p_residue:
+        p = gen_prime(32, constraint, rng)
+    while q % 8 != q_residue:
+        q = gen_prime(32, constraint, rng)
     idem = numtheory.crt_idempotents(p, q)
     return KeyPair.from_primes("general", p, q, IDENTITY, build_padding_set(p, q, idem.psi1, idem.psi2, rng))
 
 
 class TestJacobiBudget:
-    """Signing spends no Jacobi symbol that a squaring or a known class replaces.
+    """Signing takes no Jacobi symbol, and only its half-size modexps.
 
-    On Blum primes a root is checked by squaring it back, and the classes of
-    the padding elements and of the RW multipliers are known in advance.  On
-    1-mod-4 primes Tonelli-Shanks sees Euler's criterion itself, and the key
-    keeps its non-residues from the first signature on.
+    Each signer reads the class of H(m) from the root exponentiation itself
+    (numtheory._class_root): on a 3-mod-4 prime a**((p+1)/4) squares to
+    (a/p)*a, and on a 1-mod-4 prime Tonelli-Shanks sees Euler's criterion.
+    The only Jacobi symbols left are the least-non-residue search of a
+    1-mod-4 prime, made once when the key builds its constants; the other
+    constants (powers of z, 2**(-(p+1)/4), a root per padding element) take
+    one modexp each on first use.
     """
 
     KEYS = {kind: gen_keypair(kind, 64, IDENTITY, random.Random(f"budget/{kind}")) for kind in ("blum", "rw")}
-    KEYS["general"] = _general_key_on_1_mod_4_primes(random.Random("budget/general"))
+    # p = 1 mod 8 and q = 5 mod 8, so both roots take Tonelli-Shanks; then two 3-mod-4 primes
+    KEYS["general"] = _general_key_on_primes(random.Random("budget/general"), "none", 1, 5)
+    KEYS["general-3mod4"] = _general_key_on_primes(random.Random("budget/general-3mod4"), "3mod4", 3, 7)
 
     @pytest.fixture
     def calls(self, monkeypatch):
@@ -301,9 +306,25 @@ class TestJacobiBudget:
             made.append(n)
             return real(a, n)
 
-        # numtheory's own calls go through its module global, the signers' through the name schemes imported
-        monkeypatch.setattr(numtheory, "jacobi", counted)
-        monkeypatch.setattr(schemes, "jacobi", counted)
+        # numtheory's own calls go through its module global, other modules' through the name they imported
+        for module in (numtheory, schemes):
+            monkeypatch.setattr(module, "jacobi", counted, raising=False)
+        return made
+
+    @pytest.fixture
+    def modexps(self, monkeypatch):
+        made = []
+
+        def counted(base, exp, mod=None):
+            # a full-size modexp: an exponent of more than a quarter of the modulus' bits; the
+            # Tonelli-Shanks correction steps, inverses and variant2's cube are far smaller
+            if mod is not None and abs(exp).bit_length() * 4 > mod.bit_length():
+                made.append(mod)
+            return pow(base, exp, mod)
+
+        # a module global named pow shadows the builtin for that module's calls
+        for module in (numtheory, schemes):
+            monkeypatch.setattr(module, "pow", counted, raising=False)
         return made
 
     @pytest.fixture
@@ -318,15 +339,22 @@ class TestJacobiBudget:
         monkeypatch.setattr(numtheory, "least_nonresidue", counted)
         return made
 
+    @staticmethod
+    def warm(key, scheme, rng):
+        # one signature per class ((h/p), (h/q)), so every lazily built constant exists afterwards
+        for target in ((1, 1), (1, -1), (-1, 1), (-1, -1)):
+            m = next(m for m in range(2, key.n) if (jacobi(m, key.p), jacobi(m, key.q)) == target)
+            assert verify(key, sign(key, m, scheme, rng=rng)).valid
+
     @pytest.mark.parametrize("scheme", ["classic", "general"])
     def test_signers_on_1_mod_4_primes_reuse_the_key_constants(self, calls, nonresidue_searches, rng, scheme):
         key = self.KEYS["general"]
         assert verify(key, sign(key, 5, "classic", rng=rng)).valid  # the first signature builds them
         nonresidue_searches.clear()
+        calls.clear()
         for _ in range(30):
-            calls.clear()
             assert verify(key, sign(key, rng.randrange(2, key.n), scheme, rng=rng)).valid
-            assert len(calls) <= 2
+        assert calls == []
         assert nonresidue_searches == []
 
     def test_canonical_root_on_1_mod_4_primes_needs_none(self, calls, rng):
@@ -345,13 +373,22 @@ class TestJacobiBudget:
             assert canonical_sqrt_mod_pq(x * x % key.n, key.p, key.q, key.idem) ** 2 % key.n == x * x % key.n
         assert calls == []
 
-    @pytest.mark.parametrize("scheme,kind,budget", [("variant2", "blum", 2), ("rw", "rw", 2), ("variant1", "blum", 4)])
-    def test_signers_stay_within_budget(self, calls, rng, scheme, kind, budget):
+    @pytest.mark.parametrize("scheme,kind,budget", [
+        ("variant2", "blum", 2), ("rw", "rw", 2), ("variant1", "blum", 4),
+        ("classic", "blum", 2), ("classic", "rw", 2), ("classic", "general", 2), ("classic", "general-3mod4", 2),
+        ("general", "general", 2), ("general", "general-3mod4", 2),
+    ])
+    def test_signers_stay_within_budget(self, calls, modexps, rng, scheme, kind, budget):
+        # budget is the signer's floor in half-size modexps: one root per prime, two for variant1
         key = self.KEYS[kind]
+        assert verify(key, sign(key, 5, scheme, rng=rng)).valid  # a first signature builds the key's constants
+        calls.clear()
+        self.warm(key, scheme, rng)  # the Jacobi symbols it takes itself go through the name imported here
         for _ in range(30):
-            calls.clear()
+            modexps.clear()
             assert verify(key, sign(key, rng.randrange(2, key.n), scheme, rng=rng)).valid
-            assert len(calls) <= budget
+            assert sorted(modexps) == sorted([key.p, key.q] * (budget // 2))
+        assert calls == []
 
 
 class TestZeroComponents:
