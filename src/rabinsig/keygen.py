@@ -10,18 +10,18 @@ Key kinds:
 import functools
 import math
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import compress
 
 from . import numtheory
 from .errors import KeyFormatError
 from .hashing import IDENTITY, RedundancySpec
 from .numtheory import (
-    MILLER_RABIN_ROUNDS,
     SYSTEM_RNG,
     Idempotents,
+    _exact_prime,
     _KeyRoots,
-    _miller_rabin,
+    _pocklington,
     _sieve_primes,
     crt_idempotents,
     crt_padding,
@@ -45,74 +45,87 @@ _KIND_CONSTRAINTS = {"general": ("none", "none"), "blum": ("3mod4", "3mod4"), "r
 # small values are enough and keep generation cheap.
 _MULTIPLIER_BOUND = 1 << 16
 
-# gen_prime strikes multiples of these odd primes from each window of
-# candidates, leaving about 12% of the odd numbers for Miller-Rabin.
+# gen_prime strikes multiples of odd primes below bits**2/16, at most 2**14,
+# from each window of candidates; at 512 bits that leaves about 12% of them.
+# A full 2**14 sieve at every level of the recursion costs more than it saves.
 _SIEVE_PRIMES = _sieve_primes(1 << 14)[1:]
 
-# Chance, as a power of 2, that gen_prime returns a composite.
-_SEARCH_ERROR_BITS = 80
 
+class ProvenPrime(int):
+    """A prime with the chain that proves it (numtheory._proven); empty below 2**64.
 
-def _search_rounds(bits: int, window: int) -> int:
-    """Miller-Rabin rounds for a search over `window` candidates of `bits` bits.
-
-    Damgård, Landrock and Pomerance (Math. Comp. 61, 1993, 177-194; the
-    bound behind HAC Table 4.4, section 4.4.1) show that a random odd k-bit
-    number that passes t rounds is composite with probability below
-    k**1.5 * 2**t * t**-0.5 * 4**(2 - sqrt(t*k)) for 3 <= t <= k/9.  For
-    2**-80 that is 6 rounds at 512 bits.  gen_prime does not test independent
-    random odd numbers, and a margin covers the differences:
-      - each candidate is uniform on one residue class mod 2, 4 or 8, which
-        holds at least a quarter of the odd numbers, so its chance of being a
-        composite that passes is at most 4 times the bound;
-      - it tests up to `window` candidates per random start (incremental
-        search, analysed by Brandt and Damgård, CRYPTO '92), and the union
-        bound over them costs a factor of `window`;
-      - a window of 2*k candidates holds a prime except with probability
-        about e**-5.8 (prime number theorem), so redrawing adds under 1%;
-      - sieving only removes composites, so it costs nothing.
-    With 2*k candidates per window the margin is 12 bits at 512 bits, and
-    the bound gives 7 rounds.  Below 189 bits the bound never reaches
-    the target and the worst-case MILLER_RABIN_ROUNDS are used instead.
+    The chain is as secret as the prime: its first element f divides p - 1
+    and exceeds sqrt(p), so it gives p mod 2f > N**(1/4), from which
+    Coppersmith's method factors N.
     """
-    target = -_SEARCH_ERROR_BITS - math.log2(4 * window)
-    for t in range(3, bits // 9 + 1):
-        if 1.5 * math.log2(bits) + t - 0.5 * math.log2(t) + 2 * (2 - math.sqrt(t * bits)) <= target:
-            return t
-    return MILLER_RABIN_ROUNDS
+
+    chain: tuple[int, ...]
+
+    def __new__(cls, value: int, chain: tuple[int, ...]):
+        self = super().__new__(cls, value)
+        self.chain = chain
+        return self
+
+    def __getnewargs__(self):  # copy and pickle, as for a plain int
+        return int(self), self.chain
 
 
 def gen_prime(bits: int, constraint: str = "none", rng=None) -> int:
-    """A random probable prime of exactly `bits` bits meeting the congruence constraint.
+    """A random prime of exactly `bits` bits meeting the congruence constraint.
 
-    Incremental search with a sieve (HAC section 4.4.1): a random start in
-    the residue class, then the next 2*bits members of the class, of which
-    those with an odd prime factor below 2**14 are struck out and the rest
-    tested in order with the rounds of `_search_rounds`.
+    Returns a ProvenPrime, which carries its proof.  Below 2**64 the search
+    tests candidates with the exact _exact_prime.  Above, a prime is built as in
+    Maurer's generator (J. Cryptology 8, 1995; HAC Alg. 4.62): a proven prime
+    f of bits/2 + 2 bits, then a search over candidates p = 2*R*f + 1, each
+    tested by Pocklington's criterion with base 2, which for f*f > p proves
+    a prime in the same exponentiation that rejects a composite.
     """
     if bits < 8:
         raise ValueError("need at least 8 bits per prime factor")
     residue, step = _CONSTRAINTS[constraint]
-    rng = rng or SYSTEM_RNG
-    window = 2 * bits
-    rounds = _search_rounds(bits, window)
+    return _proven_prime(bits, residue, step, rng or SYSTEM_RNG)
+
+
+def _proven_prime(bits: int, residue: int, step: int, rng) -> ProvenPrime:
+    # gen_prime for the class residue mod step (step is 2, 4 or 8).
+    if bits <= 64:
+        return ProvenPrime(_search(bits, residue, step, _exact_prime, rng), ())
+    f = _proven_prime(bits // 2 + 2, 1, 2, rng)  # f*f >= 2**(bits+1) > p
+    # p = 1 + 2*f*R with p = residue mod step: R*f = (residue-1)/2 mod step/2
+    half = step // 2
+    t = (residue - 1) // 2 * pow(f, -1, half) % half
+    p = _search(bits, 1 + 2 * f * t, 2 * f * half, lambda n: _pocklington(n, f), rng)
+    return ProvenPrime(p, (int(f), *f.chain))
+
+
+def _search(bits: int, residue: int, modulus: int, is_prime, rng) -> int:
+    """The first `bits`-bit n = residue mod modulus passing is_prime, by incremental search.
+
+    HAC section 4.4.1: a random start in the class, then its next 2*bits
+    members, of which those with an odd prime factor below bits**2/16 (at
+    most 2**14) are struck out and the rest tested in order.  modulus is a
+    power of 2, or one times a prime above the sieve bound, so it is a unit
+    modulo every sieving prime.
+    """
     low = 1 << (bits - 1)
+    window = 2 * bits
+    limit = min(bits * bits // 16, 1 << 14)  # below 2**(bits-1), so no candidate is struck as itself
     while True:
         start = low | rng.getrandbits(bits - 1)
-        start += (residue - start) % step
-        count = min(window, ((low << 1) - 1 - start) // step + 1)
+        start += (residue - start) % modulus
+        count = min(window, ((low << 1) - 1 - start) // modulus + 1)
         if count <= 0:
             continue
         alive = bytearray([1]) * count
         for s in _SIEVE_PRIMES:
-            if s >= low:
-                break  # every candidate exceeds s, so a struck multiple is never s itself
-            i = -(start % s) * pow(step, -1, s) % s
+            if s >= limit:
+                break
+            i = -(start % s) * pow(modulus, -1, s) % s
             if i < count:
                 alive[i::s] = bytes((count - 1 - i) // s + 1)
         for i in compress(range(count), alive):
-            cand = start + step * i
-            if _miller_rabin(cand, rounds, rng):
+            cand = start + modulus * i
+            if is_prime(cand):
                 return cand
 
 
@@ -228,6 +241,11 @@ class KeyPair:
     psi2: int
     redundancy: RedundancySpec
     padding: PaddingSet | None = None
+    # Proofs of p and q (numtheory._proven), or None for primes of unknown
+    # origin.  A proof is as secret as its prime (see ProvenPrime), so like
+    # idem it stays out of ==, hash, repr and public().
+    p_proof: tuple[int, ...] | None = field(default=None, compare=False, repr=False)
+    q_proof: tuple[int, ...] | None = field(default=None, compare=False, repr=False)
 
     @functools.cached_property
     def idem(self) -> _KeyRoots:
@@ -252,11 +270,14 @@ class KeyPair:
         return PublicKey(self.kind, self.n, self.redundancy, padding)
 
     @classmethod
-    def from_primes(cls, kind, p, q, redundancy=IDENTITY, padding=None, rng=None) -> "KeyPair":
+    def from_primes(cls, kind, p, q, redundancy=IDENTITY, padding=None, rng=None,
+                    p_proof=None, q_proof=None) -> "KeyPair":
         """A key on primes of unknown origin, certified here.
 
-        Raises ValueError unless p and q pass the primality test and the kind's
-        congruences, and unless a padding set passes padding_set_flaws.
+        A prime given with a proof is certified by numtheory._proven alone, and
+        one without by is_probable_prime.  Raises ValueError unless p and q pass
+        and meet the kind's congruences, and unless a padding set is on a general
+        key and passes padding_set_flaws.
         """
         if kind not in KINDS:
             raise ValueError(f"unknown key kind {kind!r}")
@@ -264,13 +285,19 @@ class KeyPair:
             raise ValueError("prime factors must be distinct")
         if p < 3 or q < 3 or p % 2 == 0 or q % 2 == 0:
             raise ValueError("prime factors must be odd and at least 3")
-        # looked up on the module, so a substitute for the prime test reaches this call
-        if not numtheory.is_probable_prime(p, rng) or not numtheory.is_probable_prime(q, rng):
-            raise ValueError("factor failed the primality test")
+        for prime, proof in ((p, p_proof), (q, q_proof)):
+            if proof is not None:
+                if not numtheory._proven(prime, proof):
+                    raise ValueError("a factor's proof of primality does not check")
+            # looked up on the module, so a substitute for the prime test reaches this call
+            elif not numtheory.is_probable_prime(prime, rng):
+                raise ValueError("factor failed the primality test")
         if kind == "blum" and (p % 4 != 3 or q % 4 != 3):
             raise ValueError("blum keys need both primes congruent to 3 mod 4")
         if kind == "rw" and {p % 8, q % 8} != {3, 7}:
             raise ValueError("rw keys need primes congruent to 3 and 7 mod 8")
+        if padding is not None and kind != "general":
+            raise ValueError("only general keys carry a padding set")
         idem = crt_idempotents(p, q)
         if padding is not None:  # the classes are computed here, never taken on trust
             classes = tuple((jacobi(u, p), jacobi(u, q)) for u in padding.elements)
@@ -278,14 +305,15 @@ class KeyPair:
             if flaws:
                 raise ValueError(f"unsafe padding set: {flaws[0]}")
             padding = PaddingSet(padding.elements, classes)
-        return cls(kind, p, q, p * q, idem.psi1, idem.psi2, redundancy, padding)
+        return cls(kind, p, q, p * q, idem.psi1, idem.psi2, redundancy, padding, p_proof, q_proof)
 
 
 def gen_keypair(kind: str, bits: int, redundancy=IDENTITY, rng=None) -> KeyPair:
     """Generate a key pair of the requested kind with `bits`-bit prime factors.
 
     The primes come straight from gen_prime, so the key is built without the
-    re-certification that KeyPair.from_primes gives untrusted primes.
+    re-certification that KeyPair.from_primes gives untrusted primes, and
+    keeps their proofs for its key file.
     """
     if kind not in KINDS:
         raise ValueError(f"unknown key kind {kind!r}")
@@ -299,11 +327,13 @@ def gen_keypair(kind: str, bits: int, redundancy=IDENTITY, rng=None) -> KeyPair:
     padding = None
     if kind == "general":
         padding = build_padding_set(p, q, idem.psi1, idem.psi2, rng)
-    return KeyPair(kind, p, q, p * q, idem.psi1, idem.psi2, redundancy, padding)
+    return KeyPair(kind, int(p), int(q), p * q, idem.psi1, idem.psi2, redundancy, padding, p.chain, q.chain)
 
 
 # ---------------------------------------------------------------------------
-# Key file format: line-oriented text, "name = decimal-value" per line.
+# Key file format: line-oriented text, "name = decimal-value" per line.  A
+# private file may add p_proof and q_proof, each chain's elements in decimal
+# separated by single spaces; a prime below 2**64 has none.
 
 KEY_MAGIC = "rabin-key v1"
 
@@ -319,12 +349,16 @@ def dump_public(pub: PublicKey | KeyPair) -> str:
 def dump_private(key: KeyPair) -> str:
     lines = dump_public(key).splitlines()
     lines += [f"p = {key.p}", f"q = {key.q}", f"psi1 = {key.psi1}", f"psi2 = {key.psi2}"]
+    for name, proof in (("p_proof", key.p_proof), ("q_proof", key.q_proof)):
+        if proof:
+            lines.append(f"{name} = {' '.join(map(str, proof))}")
     return "\n".join(lines) + "\n"
 
 
 # Both text formats, keys and signatures: a magic line, then "name = value"
 # lines, every integer in canonical decimal so each file has one encoding.
 _DECIMAL = re.compile(r"0|[1-9][0-9]*")
+_DECIMALS = re.compile(rf"(?:{_DECIMAL.pattern})(?: (?:{_DECIMAL.pattern}))*")
 
 
 def _parse_record(text: str, magic: str, error: type, path_hint: str) -> dict[str, str]:
@@ -353,14 +387,32 @@ def _int_field(fields: dict[str, str], name: str, error: type, path_hint: str) -
         raise error(f"missing field {name!r} in {path_hint}") from None
     if not _DECIMAL.fullmatch(raw):
         raise error(f"field {name!r} is not a canonical decimal integer in {path_hint}")
+    return _to_int(raw, name, error, path_hint)
+
+
+def _to_int(raw: str, name: str, error: type, path_hint: str) -> int:
     try:
         return int(raw)
     except ValueError:  # more digits than int() converts
         raise error(f"field {name!r} is too long in {path_hint}") from None
 
 
+def _proof_field(fields: dict[str, str], name: str, path_hint: str) -> tuple[int, ...] | None:
+    """Pop an optional proof: canonical decimals separated by single spaces."""
+    raw = fields.pop(name, None)
+    if raw is None:
+        return None
+    if not _DECIMALS.fullmatch(raw):
+        raise KeyFormatError(f"field {name!r} is not canonical decimals separated by single spaces in {path_hint}")
+    return tuple(_to_int(part, name, KeyFormatError, path_hint) for part in raw.split(" "))
+
+
 def parse_key(text: str, path_hint: str = "key file") -> KeyPair | PublicKey:
-    """Parse a public or private key file; private files carry p, q, psi1, psi2."""
+    """Parse a public or private key file.
+
+    Private files carry p, q, psi1, psi2 and may carry p_proof and q_proof,
+    which KeyPair.from_primes checks in place of the 40-round test.
+    """
     fields = _parse_record(text, KEY_MAGIC, KeyFormatError, path_hint)
     kind = fields.pop("kind", None)
     if kind not in KINDS:
@@ -374,7 +426,7 @@ def parse_key(text: str, path_hint: str = "key file") -> KeyPair | PublicKey:
         raise KeyFormatError(f"N is not an odd non-square above 1 in {path_hint}")
 
     padding = None
-    if kind == "general":
+    if kind == "general" and any(f"u{i}" in fields for i in range(1, 5)):  # all four or none
         elements = tuple(_int_field(fields, f"u{i}", KeyFormatError, path_hint) for i in range(1, 5))
         if len(set(elements)) != 4 or any(u >= n or math.gcd(u, n) != 1 for u in elements):
             raise KeyFormatError(f"padding elements are not four distinct units below N in {path_hint}")
@@ -387,12 +439,13 @@ def parse_key(text: str, path_hint: str = "key file") -> KeyPair | PublicKey:
 
     p, q, psi1, psi2 = (_int_field(fields, name, KeyFormatError, path_hint)
                         for name in ("p", "q", "psi1", "psi2"))
+    p_proof, q_proof = (_proof_field(fields, name, path_hint) for name in ("p_proof", "q_proof"))
     if fields:
         raise KeyFormatError(f"unexpected fields {sorted(fields)} in {path_hint}")
     if p * q != n:
         raise KeyFormatError(f"N does not equal p*q in {path_hint}")
     try:  # from_primes also runs the padding set's safety checks
-        key = KeyPair.from_primes(kind, p, q, redundancy, padding)
+        key = KeyPair.from_primes(kind, p, q, redundancy, padding, p_proof=p_proof, q_proof=q_proof)
     except ValueError as exc:
         raise KeyFormatError(f"invalid key material in {path_hint}: {exc}") from None
     if (key.psi1, key.psi2) != (psi1, psi2):

@@ -26,12 +26,23 @@ from .errors import FactorLeakError, NonResidueError
 # The one source of randomness for every function whose caller passes no rng.
 SYSTEM_RNG = random.SystemRandom()
 
-# Rounds for numbers of unknown origin, such as the factors in a key file.  A
-# composite passes one round with a random base with probability at most 1/4,
-# whatever the composite (Rabin 1980; HAC section 4.2.3), so 40 independent rounds
-# accept it with probability at most 4**-40 = 2**-80.  Primes that gen_prime
-# draws itself need fewer rounds; see keygen._search_rounds.
+# Rounds for numbers of unknown origin at or above 2**64, such as the factors
+# of a key file written without proofs.  A composite passes one round with a
+# random base with probability at most 1/4, whatever the composite (Rabin 1980;
+# HAC section 4.2.3), so 40 independent rounds accept it with probability at
+# most 4**-40 = 2**-80.  Primes that gen_prime draws carry a proof instead
+# (_proven), and below 2**64 the test is exact (_exact_prime).
 MILLER_RABIN_ROUNDS = 40
+
+# Below this bound _exact_prime decides primality exactly, and a chain of
+# _proven ends at its first element under it.
+_EXACT_LIMIT = 1 << 64
+
+# psi12 = 318665857834031151167461 is the least composite that is a strong
+# probable prime to all twelve prime bases 2..37 (Sorenson and Webster,
+# "Strong pseudoprimes to twelve prime bases", Math. Comp. 86, 2017).
+# It exceeds 2**64, so these bases decide every n below 2**64.
+_EXACT_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
 
 def _sieve_primes(limit: int) -> tuple[int, ...]:
@@ -83,25 +94,33 @@ def jacobi(a: int, n: int) -> int:
 
 
 def is_probable_prime(n: int, rng=None) -> bool:
-    """Miller-Rabin test: a composite passes with probability at most 4**-40 = 2**-80."""
+    """Exact below 2**64; above it, Miller-Rabin with 40 random bases.
+
+    A composite above 2**64 passes with probability at most 4**-40 = 2**-80.
+    """
+    if n < _EXACT_LIMIT:
+        return _exact_prime(n)
+    if any(n % p == 0 for p in _SMALL_PRIMES):
+        return False
+    rng = rng or SYSTEM_RNG
+    return _miller_rabin(n, (rng.randrange(2, n - 1) for _ in range(MILLER_RABIN_ROUNDS)))
+
+
+def _exact_prime(n: int) -> bool:
+    """Whether n is prime, decided exactly for every n below 2**64 by the bases _EXACT_BASES."""
     if n < 2:
         return False
-    for p in _SMALL_PRIMES:
-        if n == p:
-            return True
-        if n % p == 0:
-            return False
-    return _miller_rabin(n, MILLER_RABIN_ROUNDS, rng or SYSTEM_RNG)
+    for a in _EXACT_BASES:
+        if n % a == 0:
+            return n == a
+    return _miller_rabin(n, _EXACT_BASES)
 
 
-def _miller_rabin(n: int, rounds: int, rng) -> bool:
-    # `rounds` strong-probable-prime tests with random bases; n must be odd and above 3.
-    d, s = n - 1, 0
-    while d % 2 == 0:
-        d //= 2
-        s += 1
-    for _ in range(rounds):
-        a = rng.randrange(2, n - 1)
+def _miller_rabin(n: int, bases) -> bool:
+    # Whether n is a strong probable prime to every base; n must be odd and above 3.
+    s = ((n - 1) & (1 - n)).bit_length() - 1  # the lowest set bit of n - 1
+    d = (n - 1) >> s
+    for a in bases:
         x = pow(a, d, n)
         if x == 1 or x == n - 1:
             continue
@@ -112,6 +131,34 @@ def _miller_rabin(n: int, rounds: int, rng) -> bool:
         else:
             return False
     return True
+
+
+def _pocklington(n: int, f: int) -> bool:
+    """Pocklington's criterion with base 2, for a prime f dividing n - 1 with f*f > n.
+
+    With b = 2**((n-1)/f) mod n, n is prime when b**f = 1 and gcd(b - 1, n) = 1
+    (Pocklington's theorem, HAC section 4.3.3): every prime factor r of n then
+    has f | r - 1, so r > sqrt(n).  For a composite n the first condition is the Fermat test, and
+    a prime n fails the second only when 2 has order dividing (n-1)/f.
+    """
+    b = pow(2, (n - 1) // f, n)
+    return pow(b, f, n) == 1 and math.gcd(b - 1, n) == 1
+
+
+def _proven(n: int, chain) -> bool:
+    """Whether `chain` proves n prime.
+
+    The chain is f1, f2, ..., fk: each element proves the one before it
+    (n first) by _pocklington, every element but the last is at least 2**64,
+    and the last is below it, where _exact_prime decides.  A prime below 2**64
+    takes the empty chain.  Maurer (J. Cryptology 8, 1995) and FIPS 186-4
+    Appendix C.10 build primes with such chains.
+    """
+    for f in chain:
+        if n < _EXACT_LIMIT or n % 2 == 0 or f * f <= n or (n - 1) % f or not _pocklington(n, f):
+            return False
+        n = f
+    return n < _EXACT_LIMIT and _exact_prime(n)
 
 
 @dataclass(frozen=True)

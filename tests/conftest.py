@@ -24,6 +24,13 @@ def general_key_with_unchecked_padding(p: int, q: int, elements, redundancy=IDEN
                                padding=PaddingSet(tuple(elements), classes))
 
 
+class NoRandomness:
+    """An rng stand-in that fails the test when anything draws from it."""
+
+    def __getattr__(self, name):
+        raise AssertionError(f"rng.{name} used")
+
+
 class SeqRng:
     """Deterministic rng stand-in that replays a queue of values."""
 

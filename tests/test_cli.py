@@ -1,4 +1,5 @@
 import random
+from pathlib import Path
 
 import pytest
 
@@ -354,3 +355,48 @@ def test_hardened_blind_signer_on_a_non_blum_key_exits_2(tmp_path):
                  "--hardened", "--seed", "1"]) == 2
     assert main(["attack", "--kind", "blinding", "--key", str(priv), "--ciphertext", "4",
                  "--trials", "4", "--seed", "1"]) in (0, 1)
+
+
+def test_proofs_never_leave_the_private_file(tmp_path, capsys):
+    # a proof's first element f gives p mod 2f > N**(1/4), enough to factor N
+    outputs = []
+
+    def run(*argv, code=0):
+        assert main(list(argv)) == code
+        captured = capsys.readouterr()
+        outputs.extend((captured.out, captured.err))
+
+    keys = {}
+    for kind, tag, seed in (("general", "identity", "17"), ("blum", "identity", "18"), ("rw", "quadratic", "19")):
+        path = str(tmp_path / f"{kind}.key")
+        run("keygen", "--kind", kind, "--bits", "128", "--hash", tag, "--seed", seed, "--out", path)
+        keys[kind] = (path, parse_key(Path(path).read_text()))
+    secrets = {str(f) for _, key in keys.values() for f in key.p_proof + key.q_proof}
+    assert len(secrets) == 12
+
+    for kind, scheme in (("general", "classic"), ("general", "general"), ("blum", "variant1"),
+                         ("blum", "variant2"), ("rw", "rw")):
+        path, _ = keys[kind]
+        sig = str(tmp_path / f"{scheme}.sig")
+        run("sign", "--key", path, "--scheme", scheme, "--message", "12345", "--seed", "3", "--out", sig)
+        run("verify", "--pub", path + ".pub", "--sig", sig)
+        run("verify", "--pub", path, "--sig", sig)
+        outputs.append(Path(sig).read_text())
+    blum, key = keys["blum"]
+    run("blind-demo", "--key", blum, "--message", "42", "--seed", "4")
+    run("blind-demo", "--key", blum, "--message", str(1234 ** 2), "--naive", "--seed", "4")
+    run("attack", "--kind", "blinding", "--key", blum, "--ciphertext", str(123457 ** 2 % key.n),
+        "--trials", "8", "--seed", "5")
+    run("attack", "--kind", "classic-forge", "--pub", keys["general"][0] + ".pub",
+        "--sig", str(tmp_path / "classic.sig"), "--target", "99")
+    run("attack", "--kind", "scale", "--pub", blum + ".pub", "--sig", str(tmp_path / "variant2.sig"),
+        "--factor", "3")
+    tampered = tmp_path / "tampered.key"
+    tampered.write_text(dump_private(key).replace(f"p_proof = {key.p_proof[0]}", f"p_proof = {key.p_proof[0] + 2}"))
+    run("sign", "--key", str(tampered), "--scheme", "variant2", "--message", "5", "--out", str(tmp_path / "t.sig"),
+        code=3)
+
+    for _, key in keys.values():
+        outputs += [dump_public(key), dump_public(key.public()), repr(key.public()), repr(key)]
+    leaked = [s for s in secrets for text in outputs if s in text]
+    assert not leaked

@@ -2,8 +2,8 @@
 
 Each example starts from a real key file and a real signature file, edits
 their lines (real and junk field names; canonical, non-canonical, huge, 0,
-N-1 and N values; dropped, repeated and added lines; a byte that is not
-UTF-8) and runs one `verify`, `sign` or file-driven `attack` command through
+N-1 and N values; lists of decimals for the primality proofs; dropped,
+repeated and added lines; a byte that is not UTF-8) and runs one `verify`, `sign` or file-driven `attack` command through
 `cli.main`.  Whatever the files hold, the command must end with an exit code
 from 0 to 3 and raise nothing.
 """
@@ -23,27 +23,31 @@ from rabinsig.hashing import IDENTITY, QUADRATIC, RedundancySpec
 from rabinsig.keygen import dump_private, dump_public, gen_keypair
 from rabinsig.schemes import SCHEME_TAGS, dump_signature, sign
 
-FIELD_NAMES = ("kind", "hash", "N", "u1", "u2", "u3", "u4", "p", "q", "psi1", "psi2",
+FIELD_NAMES = ("kind", "hash", "N", "u1", "u2", "u3", "u4", "p", "q", "psi1", "psi2", "p_proof", "q_proof",
                "scheme", "message", "message-digest", "U", "u", "S", "T", "F", "R3", "e", "f")
 JUNK_NAMES = ("", "x", "n", "N N", "u5", "psi3", "message_digest", "ل")
 WORDS = ("general", "blum", "rw", "identity", "quadratic", "digest", "digest:sha256",
          "digest:shake_128", "digest:no-such-hash", *SCHEME_TAGS)
-NON_CANONICAL = ("", " ", "-1", "+5", "05", "7_7", "0x4d", "1e3", "٧٧", "5 5", "abc")
+NON_CANONICAL = ("", " ", "-1", "+5", "05", "7_7", "0x4d", "1e3", "٧٧", "5 5", "5  5", "5\t5", "5,5", "5 05", "abc")
 
 
 @pytest.fixture(scope="module")
 def corpus():
-    """Small fixed keys, each dumped public and private, and one signature file per scheme; each with its N."""
+    """Small fixed keys, each dumped public and private, and one signature file per scheme; each with its N.
+
+    The primes of the proven key exceed 2**64, so its private file carries p_proof and q_proof.
+    """
     rng = random.Random(20240501)
     keys = {
         "general": gen_keypair("general", 24, IDENTITY, rng),
         "blum": gen_keypair("blum", 24, QUADRATIC, rng),
         "rw": gen_keypair("rw", 24, RedundancySpec("digest", "sha256"), rng),
+        "proven": gen_keypair("blum", 80, IDENTITY, rng),
     }
     key_texts = [(dump(key), key.n) for key in keys.values() for dump in (dump_public, dump_private)]
     sig_texts = []
     for scheme, kind in (("classic", "general"), ("general", "general"), ("variant1", "blum"),
-                         ("variant2", "blum"), ("rw", "rw")):
+                         ("variant2", "blum"), ("rw", "rw"), ("variant2", "proven")):
         key = keys[kind]
         m = b"fuzz" if key.redundancy.tag == "digest" else 1234
         sig_texts.append((dump_signature(sign(key, m, scheme, rng=rng), key), key.n))
@@ -57,6 +61,7 @@ def _values(n):
         st.integers(0, 4 * n).map(str),
         st.integers(0, 1 << 700).map(str),
         st.just("9" * 5000),  # more digits than int() converts
+        st.lists(st.integers(0, 1 << 90), min_size=1, max_size=5).map(lambda xs: " ".join(map(str, xs))),
     )
 
 

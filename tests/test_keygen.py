@@ -1,15 +1,21 @@
+import copy
 import dataclasses
+import functools
+import pickle
 import random
 
 import pytest
+from hypothesis import HealthCheck, given, reject, settings
+from hypothesis import strategies as st
 
+from rabinsig.cli import main
 from rabinsig.errors import KeyFormatError
 from rabinsig.hashing import IDENTITY, QUADRATIC, RedundancySpec
-from rabinsig import keygen
+from rabinsig import keygen, numtheory
 from rabinsig.keygen import (
+    KINDS,
     KeyPair,
     PaddingSet,
-    _search_rounds,
     build_padding_set,
     compose_padding_set,
     dump_private,
@@ -19,11 +25,11 @@ from rabinsig.keygen import (
     padding_set_flaws,
     parse_key,
 )
-from rabinsig.numtheory import MILLER_RABIN_ROUNDS, crt_idempotents, jacobi
+from rabinsig.numtheory import _EXACT_BASES, _proven, crt_idempotents, jacobi
 from rabinsig.oracle import SmallRing, qr_set, units
 from rabinsig.schemes import SCHEMES, sign
 
-from conftest import ORACLE_PADDING, general_key_with_unchecked_padding
+from conftest import ORACLE_PADDING, NoRandomness, general_key_with_unchecked_padding
 
 
 class TestGenPrime:
@@ -39,13 +45,10 @@ class TestGenPrime:
             assert p % modulus == residue
             assert sympy.isprime(p)
 
-    def test_search_rounds(self):
-        # the DLP bound with a 12-bit margin gives 7 rounds at 512 bits; below
-        # 189 bits it gives none, and the worst-case 40 rounds apply
-        assert _search_rounds(512, 1024) == 7
-        assert _search_rounds(188, 376) == _search_rounds(100, 200) == MILLER_RABIN_ROUNDS
-        rounds = [_search_rounds(bits, 2 * bits) for bits in range(189, 2049)]
-        assert rounds == sorted(rounds, reverse=True) and rounds[-1] == 3
+    def test_a_proven_prime_copies_and_pickles_like_an_int(self, rng):
+        p = gen_prime(100, "none", rng)
+        for clone in (copy.copy(p), copy.deepcopy(p), pickle.loads(pickle.dumps(p))):
+            assert clone == p and clone.chain == p.chain and len(p.chain) == 1
 
     def test_too_few_bits(self):
         with pytest.raises(ValueError):
@@ -77,8 +80,8 @@ class TestGenKeypair:
         assert key.psi2 % key.p == 0
 
     def test_fresh_primes_are_not_recertified(self, rng, monkeypatch):
-        # gen_prime certifies its own primes; only untrusted key material
-        # goes through the 40-round is_probable_prime again
+        # gen_prime certifies its own primes; only key material without a
+        # proof goes through is_probable_prime again
         from rabinsig import numtheory
 
         def refuse(n, rng=None):
@@ -117,6 +120,49 @@ class TestGenKeypair:
             KeyPair.from_primes("rw", 7, 23)  # both 7 mod 8
         with pytest.raises(ValueError):
             KeyPair.from_primes("nonsense", 7, 11)
+
+    @pytest.mark.parametrize("kind,p,q", [("blum", 7, 11), ("rw", 11, 7)])
+    def test_only_general_keys_take_a_padding_set(self, kind, p, q):
+        # a blum or rw key keeping one would write u1..u4, which parse_key refuses on those kinds
+        idem = crt_idempotents(p, q)
+        safe = build_padding_set(p, q, idem.psi1, idem.psi2, random.Random(5))
+        with pytest.raises(ValueError, match="only general keys"):
+            KeyPair.from_primes(kind, p, q, IDENTITY, safe)
+
+
+REDUNDANCIES = (IDENTITY, QUADRATIC, RedundancySpec("digest", "sha256"))
+
+
+@st.composite
+def accepted_keys(draw):
+    """Keys that KeyPair.from_primes accepts: any kind, padding set and proofs, or none."""
+    kind = draw(st.sampled_from(KINDS))
+    bits = draw(st.sampled_from((16, 40, 64, 65, 100)))
+    rng = random.Random(draw(st.integers(0, 1 << 32)))
+    p_constraint, q_constraint = keygen._KIND_CONSTRAINTS[kind]
+    p, q = gen_prime(bits, p_constraint, rng), gen_prime(bits, q_constraint, rng)
+    padding = draw(st.sampled_from((None, "built", "drawn")))
+    if padding == "built":
+        idem = crt_idempotents(p, q)
+        padding = build_padding_set(p, q, idem.psi1, idem.psi2, rng)
+    elif padding == "drawn":
+        padding = PaddingSet(tuple(draw(st.lists(st.integers(1, p * q - 1), min_size=4, max_size=4))))
+    proofs = draw(st.sampled_from(((p.chain, q.chain), (p.chain, None), (None, None))))
+    try:
+        return KeyPair.from_primes(kind, int(p), int(q), draw(st.sampled_from(REDUNDANCIES)), padding,
+                                   p_proof=proofs[0], q_proof=proofs[1])
+    except ValueError:
+        reject()
+
+
+@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.filter_too_much, HealthCheck.too_slow])
+@given(accepted_keys())
+def test_every_key_from_primes_accepts_survives_its_key_file(key):
+    text = dump_private(key)
+    parsed = parse_key(text)
+    assert parsed == key
+    assert dump_private(parsed) == text  # proofs included
+    assert parse_key(dump_public(key)) == key.public()
 
 
 class TestPaddingSet:
@@ -273,3 +319,148 @@ class TestKeyFiles:
         text = dump_public(key.public())
         for field in ("p =", "q =", "psi1", "psi2"):
             assert field not in text
+
+
+# ---------------------------------------------------------------------------
+# Proofs of primality carried by generated keys
+
+
+@functools.cache
+def proven_key() -> KeyPair:
+    """A general key on 512-bit primes, whose chains have four elements each."""
+    return gen_keypair("general", 512, IDENTITY, random.Random("proven"))
+
+
+def _refuse_prime_test(n, rng=None):
+    raise AssertionError("is_probable_prime called")
+
+
+@pytest.mark.parametrize("bits", [128, 256, 512])
+@pytest.mark.parametrize("kind", KINDS)
+@settings(max_examples=3, deadline=None)
+@given(seed=st.integers(0, 1 << 32))
+def test_every_chain_element_is_prime(kind, bits, seed):
+    sympy = pytest.importorskip("sympy")
+    key = gen_keypair(kind, bits, IDENTITY, random.Random(seed))
+    for prime, proof in ((key.p, key.p_proof), (key.q, key.q_proof)):
+        assert proof[0].bit_length() == bits // 2 + 2
+        assert all(f >= 1 << 64 for f in proof[:-1]) and proof[-1] < 1 << 64
+        assert all(sympy.isprime(f) for f in proof)
+        assert _proven(prime, proof)
+
+
+def _spaced(chain):
+    return " ".join(map(str, chain))
+
+
+def _plus(i, delta):
+    return lambda c: _spaced(c[:i] + (c[i] + delta,) + c[i + 1:])
+
+
+def _swap(i):
+    return lambda c: _spaced(c[:i] + (c[i + 1], c[i]) + c[i + 2:])
+
+
+def _drop(i):
+    return lambda c: _spaced(c[:i] + c[i + 1:])
+
+
+TAMPERS = {
+    **{f"element{i}{delta:+d}": _plus(i, delta) for i in range(4) for delta in (2, -2)},
+    **{f"swap{i}{i + 1}": _swap(i) for i in range(3)},
+    **{f"drop{i}": _drop(i) for i in range(4)},
+    "append-3": lambda c: _spaced(c + (3,)),
+    "append-last": lambda c: _spaced(c + c[-1:]),
+}
+# the file format refuses these before any arithmetic
+NON_CANONICAL_PROOFS = {
+    "empty-chain": lambda c: "",
+    "two-spaces": lambda c: "  ".join(map(str, c)),
+    "tab": lambda c: "\t".join(map(str, c)),
+    "comma": lambda c: ",".join(map(str, c)),
+    "leading-zero": lambda c: "0" + _spaced(c),
+    "sign": lambda c: "+" + _spaced(c),
+}
+
+
+def _refused_everywhere(text, tmp_path, monkeypatch, match="proof of primality does not check"):
+    """parse_key refuses the file and `rabinsig sign` exits 3, without is_probable_prime."""
+    monkeypatch.setattr(numtheory, "is_probable_prime", _refuse_prime_test)
+    with pytest.raises(KeyFormatError, match=match):
+        parse_key(text)
+    path = tmp_path / "tampered.key"
+    path.write_text(text)
+    assert main(["sign", "--key", str(path), "--scheme", "classic", "--message", "5",
+                 "--out", str(tmp_path / "tampered.sig")]) == 3
+
+
+@pytest.mark.parametrize("field", ["p_proof", "q_proof"])
+@pytest.mark.parametrize("tamper", [*TAMPERS, *NON_CANONICAL_PROOFS])
+def test_tampered_proof_is_refused(tamper, field, tmp_path, monkeypatch):
+    key = proven_key()
+    chain = getattr(key, field)
+    text = dump_private(key)
+    line = f"{field} = {_spaced(chain)}\n"
+    assert line in text and len(chain) == 4
+    if tamper in TAMPERS:
+        bad, match = TAMPERS[tamper](chain), "proof of primality does not check"
+    else:
+        bad, match = NON_CANONICAL_PROOFS[tamper](chain), "not canonical decimals separated by single spaces"
+    _refused_everywhere(text.replace(line, f"{field} = {bad}\n"), tmp_path, monkeypatch, match)
+
+
+def test_proof_of_a_composite_is_refused(tmp_path, monkeypatch):
+    # f is a proven prime with f | n - 1 and f*f > n, but n is composite
+    sympy = pytest.importorskip("sympy")
+    rng = random.Random(9)
+    f, q = gen_prime(100, "none", rng), gen_prime(100, "3mod4", rng)
+    n = next(n for n in range((1 << 140) // (2 * f) * 2 * f + 1, 1 << 141, 2 * f)
+             if n % 4 == 3 and not sympy.isprime(n))
+    assert (n - 1) % f == 0 and f * f > n and n > 1 << 64
+    idem = crt_idempotents(n, q)
+    text = (f"rabin-key v1\nkind = blum\nhash = identity\nN = {n * q}\np = {n}\nq = {q}\n"
+            f"psi1 = {idem.psi1}\npsi2 = {idem.psi2}\n"
+            f"p_proof = {_spaced((f, *f.chain))}\nq_proof = {_spaced(q.chain)}\n")
+    _refused_everywhere(text, tmp_path, monkeypatch)
+
+
+def test_loading_a_proven_key_takes_no_random_round(monkeypatch):
+    key = proven_key()
+    text = dump_private(key)
+    bases = []
+    real = numtheory._miller_rabin
+
+    def recorded(n, chosen):
+        chosen = list(chosen)
+        bases.extend(chosen)
+        return real(n, chosen)
+
+    monkeypatch.setattr(numtheory, "is_probable_prime", _refuse_prime_test)
+    monkeypatch.setattr(numtheory, "_miller_rabin", recorded)
+    monkeypatch.setattr(numtheory, "SYSTEM_RNG", NoRandomness())
+    parsed = parse_key(text)
+    assert parsed == key and (parsed.p_proof, parsed.q_proof) == (key.p_proof, key.q_proof)
+    assert bases and set(bases) <= set(_EXACT_BASES)  # only the chains' last elements, below 2**64
+
+
+def test_a_key_file_without_proofs_still_loads_with_40_rounds_per_prime(monkeypatch):
+    key = proven_key()
+    text = "".join(line for line in dump_private(key).splitlines(keepends=True) if "_proof" not in line)
+    calls, rounds = [], []
+    real_test, real_rounds = numtheory.is_probable_prime, numtheory._miller_rabin
+
+    def counted(n, rng=None):
+        calls.append(n)
+        return real_test(n, rng)
+
+    def recorded(n, chosen):
+        chosen = list(chosen)
+        rounds.append(len(chosen))
+        return real_rounds(n, chosen)
+
+    monkeypatch.setattr(numtheory, "is_probable_prime", counted)
+    monkeypatch.setattr(numtheory, "_miller_rabin", recorded)
+    parsed = parse_key(text)
+    assert parsed == key and (parsed.p_proof, parsed.q_proof) == (None, None)
+    assert dump_private(parsed) == text
+    assert calls == [key.p, key.q] and rounds == [40, 40]

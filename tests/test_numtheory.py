@@ -7,10 +7,16 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from rabinsig.errors import FactorLeakError, NonResidueError
-from rabinsig.keygen import KeyPair
+from rabinsig import keygen
+from rabinsig.keygen import KeyPair, gen_prime
 from rabinsig.numtheory import (
+    _EXACT_BASES,
     Idempotents,
+    _exact_prime,
+    _miller_rabin,
+    _pocklington,
     _principal_root,
+    _proven,
     canonical_sqrt_mod_pq,
     crt_combine,
     crt_idempotents,
@@ -22,6 +28,8 @@ from rabinsig.numtheory import (
     sqrt_of_unity_nontrivial,
 )
 from rabinsig.oracle import SmallRing, all_roots, qr_set, units
+
+from conftest import NoRandomness
 
 ODD_PRIMES = (3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 
@@ -96,6 +104,58 @@ class TestPrimality:
         for _ in range(200):
             n = rng.randrange(3, 1 << 40) | 1
             assert is_probable_prime(n, rng) == sympy.isprime(n)
+
+
+PSI_12 = 318665857834031151167461  # least strong pseudoprime to the bases 2..37
+
+
+class TestExactPrime:
+    @given(st.one_of(st.integers(0, (1 << 64) - 1), st.integers(0, 1 << 20)))
+    def test_agrees_with_sympy_below_2_to_64(self, n):
+        sympy = pytest.importorskip("sympy")
+        assert _exact_prime(n) == sympy.isprime(n)
+        assert is_probable_prime(n, NoRandomness()) == sympy.isprime(n)  # no random rounds below 2**64
+
+    @pytest.mark.parametrize("n,bases", [(3215031751, (2, 3, 5, 7)),
+                                         (3825123056546413051, (2, 3, 5, 7, 11, 13, 17, 19, 23))])
+    def test_strong_pseudoprimes_to_fewer_bases_rejected(self, n, bases):
+        assert _miller_rabin(n, bases)  # each fools the shorter list of bases
+        assert not _exact_prime(n)
+        assert not is_probable_prime(n, NoRandomness())
+
+    def test_psi_12_needs_the_random_rounds(self):
+        # it fools all twelve bases, which is why the exact test stops at 2**64 < psi_12
+        assert PSI_12 > 1 << 64 and _miller_rabin(PSI_12, _EXACT_BASES)
+        for seed in range(5):
+            assert not is_probable_prime(PSI_12, random.Random(seed))
+
+
+class TestProven:
+    def test_a_factor_below_the_square_root_proves_nothing(self):
+        # the Carmichael number (6k+1)(12k+1)(18k+1) passes both conditions with f = 101 | n - 1,
+        # but 101**2 < n, so a prime factor of n need not exceed sqrt(n)
+        k = 1051410
+        n = (6 * k + 1) * (12 * k + 1) * (18 * k + 1)
+        assert n > 1 << 64 and (n - 1) % 101 == 0 and _pocklington(n, 101)
+        assert not _proven(n, (101,))
+
+    def test_a_factor_of_the_order_of_2_proves_nothing(self):
+        # n = 2298041 * 9361973132609 divides 2**73 - 1, so for the prime f = 8138064073, with
+        # f | n - 1 and f*f > n, b = 2**((n-1)/f) is 1 and passes b**f = 1; only gcd(b - 1, n) = 1 fails
+        n, f = 2298041 * 9361973132609, 8138064073
+        assert (2**73 - 1) % n == 0 and (n - 1) % f == 0 and f * f > n > 1 << 64 and _exact_prime(f)
+        assert pow(2, (n - 1) // f, n) == 1
+        assert not _pocklington(n, f) and not _proven(n, (f,))
+
+    def test_a_chain_ends_at_its_first_element_below_2_to_64(self):
+        # (f, g) is a valid proof of n, but only (f,) is its one encoding
+        rng = random.Random(3)
+        g = gen_prime(20, "none", rng)
+        f = keygen._search(36, 1, 2 * g, lambda m: _pocklington(m, g), rng)
+        n = keygen._search(66, 1, 2 * f, lambda m: _pocklington(m, f), rng)
+        assert _proven(n, (f,)) and _proven(f, ())
+        assert not _proven(n, (f, g)) and not _proven(f, (g,))
+        assert not _proven(n, ())  # above 2**64 a prime needs a chain
 
 
 class TestIdempotents:
