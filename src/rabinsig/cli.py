@@ -3,9 +3,14 @@
 Subcommands: keygen, sign, verify, blind-demo, attack, selfcheck.
 Exit codes: 0 success / valid, 1 invalid or failed operation, 2 bad
 invocation, 3 unreadable or malformed key/signature file.
+
+The parser is built once per process, on the first `main` call, and each
+subcommand is looked up by name when it runs, so a rebound `cmd_*` is the
+one that runs.
 """
 
 import argparse
+import functools
 import os
 import random
 import sys
@@ -18,6 +23,10 @@ from .forgery import apply_scaling, forge_classic, rsa_blinding_attack
 from .hashing import IDENTITY, QUADRATIC, DigestRef, RedundancySpec, apply_redundancy, digest_int
 from .keygen import KeyPair, dump_private, dump_public, gen_keypair, parse_key
 from .numtheory import jacobi, mod_inv, random_unit, sqrt_mod_pq
+
+
+class UsageError(Exception):
+    """A bad invocation: `main` prints `error: <message>` and exits 2."""
 
 
 def _rng(seed):
@@ -61,66 +70,59 @@ def _print_report(report: schemes.VerifyReport):
 def cmd_keygen(args):
     try:
         redundancy = RedundancySpec.from_token(args.hash)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    try:
         key = gen_keypair(args.kind, args.bits, redundancy, _rng(args.seed))
-    except ValueError as exc:  # too few bits per prime
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    except ValueError as exc:  # an unknown hash, or too few bits per prime
+        raise UsageError(exc) from None
     priv_path = Path(args.out)
     pub_path = Path(str(args.out) + ".pub")
-    priv_path.write_text(dump_private(key))
-    os.chmod(priv_path, 0o600)
+    # created as 0600, and an existing file is tightened before the factors go in
+    fd = os.open(priv_path, os.O_WRONLY | os.O_CREAT | os.O_TRUNC, 0o600)
+    with open(fd, "w") as fh:
+        os.chmod(priv_path, 0o600)
+        fh.write(dump_private(key))
     pub_path.write_text(dump_public(key.public()))
     print(f"wrote private key to {priv_path}")
     print(f"wrote public key to {pub_path}")
     return 0
 
 
-def _message_in_range(m: int, key) -> bool:
-    """Whether the integer message m is one the key signs; prints the error if not."""
+def _check_message(m: int, key):
+    """Raise UsageError unless the integer message m is one the key signs."""
     if m < 0:
-        print("error: messages are non-negative integers", file=sys.stderr)
-        return False
+        raise UsageError("messages are non-negative integers")
     if key.redundancy.tag != "digest" and m >= key.n:
-        print("error: identity/quadratic redundancy needs m < N; use a digest key for long messages",
-              file=sys.stderr)
-        return False
-    return True
+        raise UsageError("identity/quadratic redundancy needs m < N; use a digest key for long messages")
 
 
 def _message_from_args(args, key):
     if args.message is not None:
-        return args.message if _message_in_range(args.message, key) else None
+        _check_message(args.message, key)
+        return args.message
     data = Path(args.message_file).read_bytes()
     if key.redundancy.tag != "digest":
-        print("error: byte-stream messages need a key with digest redundancy", file=sys.stderr)
-        return None
+        raise UsageError("byte-stream messages need a key with digest redundancy")
     return data
 
 
-def _key_fits(scheme, key) -> bool:
-    """Whether the key meets the scheme's requirement; prints the error if not."""
+def _check_key(scheme, key):
+    """Raise UsageError unless the key meets the scheme's requirement."""
     try:
         schemes.SCHEMES[scheme].check_key(key)
     except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return False
-    return True
+        raise UsageError(exc) from None
+
+
+def _load_private_key(path, why):
+    key = _load_key(path)
+    if not isinstance(key, KeyPair):
+        raise UsageError(why)
+    return key
 
 
 def cmd_sign(args):
-    key = _load_key(args.key)
-    if not isinstance(key, KeyPair):
-        print("error: signing needs a private key file", file=sys.stderr)
-        return 2
-    if not _key_fits(args.scheme, key):
-        return 2
+    key = _load_private_key(args.key, "signing needs a private key file")
+    _check_key(args.scheme, key)
     m = _message_from_args(args, key)
-    if m is None:
-        return 2
     sig = schemes.sign(key, m, args.scheme, rng=_rng(args.seed))
     Path(args.out).write_text(schemes.dump_signature(sig, key))
     print(f"wrote {args.scheme} signature to {args.out}")
@@ -132,8 +134,7 @@ def cmd_verify(args):
     sig = _load_signature(args.sig)
     if args.message_file is not None:
         if pub.redundancy.tag != "digest":
-            print("error: --message-file needs a key with digest redundancy", file=sys.stderr)
-            return 2
+            raise UsageError("--message-file needs a key with digest redundancy")
         expected = digest_int(pub.redundancy, Path(args.message_file).read_bytes())
         if not isinstance(sig.m, DigestRef) or sig.m.digest_int != expected:
             print("INVALID (message digest mismatch)")
@@ -147,17 +148,12 @@ def cmd_verify(args):
 
 
 def cmd_blind_demo(args):
-    key = _load_key(args.key)
-    if not isinstance(key, KeyPair):
-        print("error: the demo needs a private key file", file=sys.stderr)
-        return 2
-    if not _message_in_range(args.message, key):
-        return 2
+    key = _load_private_key(args.key, "the demo needs a private key file")
+    _check_message(args.message, key)
     rng = _rng(args.seed)
     if args.naive:
         return _naive_blind_demo(key, args.message, rng)
-    if not _key_fits("variant2", key):  # the hardened signer signs as variant2
-        return 2
+    _check_key("variant2", key)  # the hardened signer signs as variant2
 
     session = run_blind_session(key, args.message, rng)
     report = schemes.verify(key.public(), session.published)
@@ -215,19 +211,15 @@ def cmd_attack(args):
 def _require(args, names):
     missing = [f"--{n.replace('_', '-')}" for n in names if getattr(args, n) is None]
     if missing:
-        print(f"error: attack --kind {args.kind} needs {', '.join(missing)}", file=sys.stderr)
-        return False
-    return True
+        raise UsageError(f"attack --kind {args.kind} needs {', '.join(missing)}")
 
 
 def _attack_classic(args):
-    if not _require(args, ("pub", "sig", "target")):
-        return 2
+    _require(args, ("pub", "sig", "target"))
     pub = _load_key(args.pub)
     sig = _load_signature(args.sig)
     if not isinstance(sig, schemes.ClassicSignature):
-        print("error: the substitution forgery targets classic signatures", file=sys.stderr)
-        return 2
+        raise UsageError("the substitution forgery targets classic signatures")
     forged = forge_classic(sig, args.target, pub.n)
     report = schemes.classic_verify(pub, forged)
     print(f"forged: message = {forged.m}, U = {forged.U}, S = {forged.S}")
@@ -239,13 +231,11 @@ def _attack_classic(args):
 
 
 def _attack_scale(args):
-    if not _require(args, ("pub", "sig", "factor")):
-        return 2
+    _require(args, ("pub", "sig", "factor"))
     pub = _load_key(args.pub)
     sig = _load_signature(args.sig)
     if not isinstance(sig.m, int):
-        print("error: scaling forgeries need a signature on an integer message", file=sys.stderr)
-        return 2
+        raise UsageError("scaling forgeries need a signature on an integer message")
     forged = apply_scaling(sig, args.factor, pub.n)
     report = schemes.verify(pub, forged)
     print(f"scaled {sig.scheme} signature by {args.factor}: message = {forged.m}")
@@ -257,16 +247,13 @@ def _attack_scale(args):
 
 
 def _attack_blinding(args):
-    if not _require(args, ("key", "ciphertext")):
-        return 2
-    key = _load_key(args.key)
-    if not isinstance(key, KeyPair):
-        print("error: the blinding attack drives a local signing oracle; pass a private key", file=sys.stderr)
-        return 2
-    if args.hardened and not _key_fits("variant2", key):
-        return 2
+    _require(args, ("key", "ciphertext"))
+    if args.trials < 1:
+        raise UsageError("attack --kind blinding needs --trials of at least 1")
+    key = _load_private_key(args.key, "the blinding attack drives a local signing oracle; pass a private key")
     rng = _rng(args.seed)
     if args.hardened:
+        _check_key("variant2", key)  # the hardened signer signs as variant2
         oracle_fn = lambda d: blind_sign(key, d, rng).F
     else:
         oracle_fn = lambda d: naive_blind_sign(key, d, rng)
@@ -344,6 +331,7 @@ def _print_check(label, failures):
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """A new parser for the command line; `main` builds one per process and reuses it."""
     parser = argparse.ArgumentParser(
         prog="rabinsig",
         description="Rabin-style signatures: keys, signing, verification, blind signing and attack demos.",
@@ -356,7 +344,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--hash", default="identity", help="identity | quadratic | digest[:NAME]")
     p.add_argument("--out", required=True, help="private key path; public key gets a .pub suffix")
     p.add_argument("--seed", type=int)
-    p.set_defaults(func=cmd_keygen)
 
     p = sub.add_parser("sign", help="sign a message")
     p.add_argument("--key", required=True, help="private key file")
@@ -366,20 +353,17 @@ def build_parser() -> argparse.ArgumentParser:
     group.add_argument("--message-file", help="byte-stream message (digest redundancy only)")
     p.add_argument("--out", required=True)
     p.add_argument("--seed", type=int)
-    p.set_defaults(func=cmd_sign)
 
     p = sub.add_parser("verify", help="verify a signature file")
     p.add_argument("--pub", required=True, help="public (or private) key file")
     p.add_argument("--sig", required=True)
     p.add_argument("--message-file", help="cross-check the stored message digest")
-    p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("blind-demo", help="run a full blind-signing session")
     p.add_argument("--key", required=True, help="private key file (plays both roles)")
     p.add_argument("--message", type=int, required=True)
     p.add_argument("--naive", action="store_true", help="use the broken bare-root signer")
     p.add_argument("--seed", type=int)
-    p.set_defaults(func=cmd_blind_demo)
 
     p = sub.add_parser("attack", help="run a forgery or oracle attack")
     p.add_argument("--kind", choices=("classic-forge", "scale", "blinding"), required=True)
@@ -393,23 +377,28 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--hardened", action="store_true", help="attack the hardened blind signer")
     p.add_argument("--out", help="write the forged signature here")
     p.add_argument("--seed", type=int)
-    p.set_defaults(func=cmd_attack)
 
     p = sub.add_parser("selfcheck", help="exhaustive checks on built-in small moduli")
     p.add_argument("--seed", type=int)
-    p.set_defaults(func=cmd_selfcheck)
 
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
     try:
-        return args.func(args)
+        return globals()["cmd_" + args.command.replace("-", "_")](args)
+    except UsageError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     except (KeyFormatError, SignatureFormatError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3

@@ -1,8 +1,11 @@
+import os
 import random
+import stat
 from pathlib import Path
 
 import pytest
 
+from rabinsig import cli
 from rabinsig.cli import _naive_blind_demo, main
 from rabinsig.hashing import IDENTITY
 from rabinsig.keygen import (
@@ -32,6 +35,33 @@ def test_keygen_writes_both_files(keyfiles):
     public = parse_key(pub.read_text())
     assert key.public() == public
     assert key.is_blum
+
+
+@pytest.mark.skipif(os.name != "posix", reason="os.chmod sets POSIX permission bits only on POSIX")
+def test_keygen_private_key_file_is_0600(tmp_path, monkeypatch):
+    # the factors are never in the file while others may read it
+    fresh, existing = tmp_path / "fresh.key", tmp_path / "existing.key"
+    existing.write_text("old contents\n")
+    existing.chmod(0o644)
+    seen = []
+    real_chmod = os.chmod
+
+    def spy(path, mode, **kwargs):
+        if Path(path) in (fresh, existing):
+            info = os.stat(path)
+            seen.append((info.st_size, stat.S_IMODE(info.st_mode)))
+        real_chmod(path, mode, **kwargs)
+
+    monkeypatch.setattr(os, "chmod", spy)
+    old_umask = os.umask(0o022)
+    try:
+        for path in (fresh, existing):
+            assert main(["keygen", "--kind", "blum", "--bits", "32", "--out", str(path), "--seed", "3"]) == 0
+            assert stat.S_IMODE(path.stat().st_mode) == 0o600
+            assert parse_key(path.read_text()).p
+    finally:
+        os.umask(old_umask)
+    assert all(size == 0 or mode == 0o600 for size, mode in seen)
 
 
 def test_keygen_rejects_unknown_hash(tmp_path, capsys):
@@ -260,6 +290,17 @@ def test_attack_blinding_naive_vs_hardened(keyfiles, capsys):
     assert "outcome = failed" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("trials", ["0", "-3"])
+def test_attack_blinding_needs_a_positive_trial_count(keyfiles, capsys, trials):
+    priv, _ = keyfiles
+    capsys.readouterr()
+    assert main(["attack", "--kind", "blinding", "--key", str(priv), "--ciphertext", "4",
+                 "--trials", trials, "--seed", "1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: attack --kind blinding needs --trials of at least 1\n"
+
+
 def test_attack_missing_flags_exit_2(keyfiles):
     priv, pub = keyfiles
     assert main(["attack", "--kind", "classic-forge", "--pub", str(pub)]) == 2
@@ -400,3 +441,75 @@ def test_proofs_never_leave_the_private_file(tmp_path, capsys):
         outputs += [dump_public(key), dump_public(key.public()), repr(key.public()), repr(key)]
     leaked = [s for s in secrets for text in outputs if s in text]
     assert not leaked
+
+
+# ---------------------------------------------------------------------------
+# the parser is built once per process
+
+
+@pytest.fixture
+def cold_parser():
+    cli._parser.cache_clear()
+    yield
+    cli._parser.cache_clear()
+
+
+def test_parser_is_built_once(cold_parser, tmp_path, monkeypatch, capsys):
+    built = []
+    real = cli.build_parser
+
+    def counting():
+        built.append(1)
+        return real()
+
+    monkeypatch.setattr(cli, "build_parser", counting)
+    priv = str(tmp_path / "k.key")
+    assert main(["keygen", "--kind", "blum", "--bits", "32", "--out", priv, "--seed", "1"]) == 0
+    for _ in range(3):
+        assert main(["sign", "--key", priv, "--scheme", "variant2", "--message", "5",
+                     "--out", str(tmp_path / "m.sig"), "--seed", "2"]) == 0
+        assert main(["verify", "--pub", priv + ".pub", "--sig", str(tmp_path / "m.sig")]) == 0
+        assert main(["sign"]) == 2
+        assert main(["--help"]) == 0
+    assert len(built) == 1
+    assert real() is not real()
+
+
+def test_a_command_rebound_after_the_first_call_runs(keyfiles, monkeypatch):
+    _, pub = keyfiles  # its keygen call built the parser
+    assert cli._parser.cache_info().currsize == 1
+    seen = []
+    monkeypatch.setattr(cli, "cmd_verify", lambda args: seen.append(args.sig) or 7)
+    assert main(["verify", "--pub", str(pub), "--sig", "x.sig"]) == 7
+    assert seen == ["x.sig"]
+
+
+def test_the_shared_parser_carries_nothing_between_calls(keyfiles, tmp_path, monkeypatch, capsys):
+    priv, pub = keyfiles
+    sig, payload = str(tmp_path / "m.sig"), tmp_path / "payload.bin"
+    payload.write_bytes(b"byte-stream message")
+    calls = [
+        ["sign", "--key", str(priv), "--scheme", "variant2"],
+        ["sign", "--key", str(priv), "--scheme", "variant2", "--message", "5", "--out", sig, "--seed", "1"],
+        # under this identity key a leftover --message 5 would sign and exit 0
+        ["sign", "--key", str(priv), "--scheme", "variant2", "--message-file", str(payload), "--out", sig],
+        ["verify", "--pub", str(pub), "--sig", sig],
+        ["blind-demo", "--key", str(priv), "--message", str(1234 * 1234), "--naive", "--seed", "4"],
+        ["blind-demo", "--key", str(priv), "--message", str(1234 * 1234), "--seed", "4"],
+        ["--help"],
+        ["blind-demo", "--help"],
+    ]
+
+    def outcomes():
+        results = []
+        for argv in calls:
+            code = main(argv)
+            captured = capsys.readouterr()
+            results.append((argv, code, captured.out, captured.err))
+        return results
+
+    capsys.readouterr()
+    shared = outcomes()
+    monkeypatch.setattr(cli, "_parser", cli.build_parser)  # a fresh parser per call
+    assert outcomes() == shared
+    assert [code for _, code, _, _ in shared] == [2, 0, 2, 0, 0, 0, 0, 0]
