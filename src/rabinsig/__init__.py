@@ -23,11 +23,7 @@ from .forgery import (
     ForgeryTransform,
     TRANSFORMS,
     apply_scaling,
-    forge_blind_scaled,
     forge_classic,
-    forge_general_scaled,
-    forge_variant1_scaled,
-    forge_variant2_scaled,
     rsa_blinding_attack,
 )
 from .hashing import DEFAULT_DIGEST, DigestRef, IDENTITY, QUADRATIC, RedundancySpec, apply_redundancy

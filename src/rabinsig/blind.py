@@ -10,10 +10,11 @@ import math
 from dataclasses import dataclass, field
 
 from .errors import FactorLeakError, UnsignableMessageError
-from .hashing import Message, apply_redundancy
+from .hashing import Message
 from .keygen import KeyPair, PublicKey
 from .numtheory import SYSTEM_RNG, canonical_sqrt_mod_pq, jacobi, mod_inv, random_unit, sqrt_mod_pq
-from .schemes import SCHEMES, Variant2Signature, VerifyReport, _class_padding, _OpCounter, _power_chain_check
+from .schemes import (SCHEMES, _OUT_OF_RANGE, Variant2Signature, VerifyReport, _class_padding, _hash_for_signing,
+                      _in_range, _OpCounter, _power_chain_check)
 
 
 @dataclass(frozen=True)
@@ -43,13 +44,10 @@ class BlindSession:
 
 
 def disguise(m: Message, r: int, pub: PublicKey | KeyPair) -> int:
-    """Author step: submit r**2 * H(m) instead of the message itself."""
+    """Author step: submit r**2 * H(m), with H(m) taken, or refused, as the signers take it."""
     if math.gcd(r, pub.n) != 1:
         raise FactorLeakError("blinding factor is not invertible")
-    h = apply_redundancy(pub.redundancy, m, pub.n)
-    if h == 0 or math.gcd(h, pub.n) != 1:
-        raise UnsignableMessageError("message redundancy value is zero or not a unit")
-    return r * r * h % pub.n
+    return r * r * _hash_for_signing(pub, m) % pub.n
 
 
 def blind_sign(key: KeyPair, disguised: int, rng=None) -> BlindSignature:
@@ -61,8 +59,10 @@ def blind_sign(key: KeyPair, disguised: int, rng=None) -> BlindSignature:
     underlying message.
     """
     SCHEMES["variant2"].check_key(key)
-    if disguised % key.n == 0 or math.gcd(disguised, key.n) != 1:
+    if math.gcd(disguised, key.n) != 1:
         raise FactorLeakError("disguised value is degenerate")
+    if not _in_range(key.n, disguised):  # the answer echoes it, and the blind verifier refuses it
+        raise UnsignableMessageError("disguised value is not below N")
     root = _recover_root(key, disguised)
     nonce = random_unit(key.n, rng)
     return BlindSignature(disguised, nonce * root % key.n, pow(nonce, 3, key.n))
@@ -79,14 +79,12 @@ def unblind(bsig: BlindSignature, r: int, m: Message, pub: PublicKey | KeyPair) 
 def verify_blind_signature(bsig: BlindSignature, n: int) -> VerifyReport:
     """Check F**12 == R3**4 * disguised**6; same cost as the triple scheme.
 
-    As every verifier does, rejects an F or R3 that is 0 mod n.
+    As every verifier does, first rejects a value outside 0 < x < n: F, R3 or the disguised value.
     """
-    if not (bsig.F % n and bsig.R3 % n):
-        return VerifyReport(False, "zero component")
+    if not _in_range(n, bsig.F, bsig.R3, bsig.disguised):
+        return _OUT_OF_RANGE
     ops = _OpCounter()
-    if not _power_chain_check(bsig.F, bsig.R3, bsig.disguised % n, n, ops):
-        return VerifyReport(False, "verification equation", ops.counts)
-    return VerifyReport(True, None, ops.counts)
+    return ops.report(_power_chain_check(bsig.F, bsig.R3, bsig.disguised, n, ops), "verification equation")
 
 
 def naive_blind_sign(key: KeyPair, disguised: int, rng=None) -> int:

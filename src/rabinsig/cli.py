@@ -11,6 +11,7 @@ one that runs.
 
 import argparse
 import functools
+import math
 import os
 import random
 import sys
@@ -87,10 +88,10 @@ def cmd_keygen(args):
 
 
 def _check_message(m: int, key):
-    """Raise UsageError unless the integer message m is one the key signs."""
+    """Raise UsageError unless the integer message m is in the range the key signs."""
     if m < 0:
         raise UsageError("messages are non-negative integers")
-    if key.redundancy.tag != "digest" and m >= key.n:
+    if not schemes._message_in_range(key, m):
         raise UsageError("identity/quadratic redundancy needs m < N; use a digest key for long messages")
 
 
@@ -236,9 +237,13 @@ def _attack_scale(args):
     sig = _load_signature(args.sig)
     if not isinstance(sig.m, int):
         raise UsageError("scaling forgeries need a signature on an integer message")
-    forged = apply_scaling(sig, args.factor, pub.n)
+    factor = args.factor % pub.n
+    if math.gcd(factor, pub.n) != 1 or factor * factor % pub.n == 1:
+        # a non-unit's scaled components share a factor with N; a square root of 1 keeps the message
+        raise UsageError("attack --kind scale needs a --factor that is a unit mod N whose square is not 1")
+    forged = apply_scaling(sig, factor, pub.n)
     report = schemes.verify(pub, forged)
-    print(f"scaled {sig.scheme} signature by {args.factor}: message = {forged.m}")
+    print(f"scaled {sig.scheme} signature by {factor}: message = {forged.m}")
     _print_report(report)
     if args.out:
         Path(args.out).write_text(schemes.dump_signature(forged, pub))

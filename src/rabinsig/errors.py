@@ -18,7 +18,7 @@ class NonResidueError(RabinError):
 
 
 class UnsignableMessageError(RabinError):
-    """The redundancy value of a message is zero or not a unit."""
+    """A message is outside the range the key signs, or its redundancy value is not a unit."""
 
 
 class KeyFormatError(RabinError):

@@ -19,14 +19,7 @@ from typing import Callable
 
 from .blind import BlindSignature
 from .numtheory import SYSTEM_RNG, mod_inv, random_unit
-from .schemes import (
-    SCHEMES,
-    ClassicSignature,
-    GeneralSignature,
-    Signature,
-    Variant1Signature,
-    Variant2Signature,
-)
+from .schemes import SCHEMES, ClassicSignature, Signature
 
 
 @dataclass(frozen=True)
@@ -64,12 +57,8 @@ def apply_scaling(sig: Signature | BlindSignature, lam: int, n: int):
     if not isinstance(sig.m, int):
         raise TypeError("scaling forgeries only apply to integer messages")
     m = sig.m * pow(lam, tf.message_power, n) % n
-    components = []
-    for name, power in zip(SCHEMES[sig.scheme].components, tf.component_powers):
-        value = getattr(sig, name)
-        if power:  # untouched components (e.g. multiplier flags) keep their sign
-            value = value * pow(lam, power, n) % n
-        components.append(value)
+    components = [getattr(sig, name) * pow(lam, power, n) % n
+                  for name, power in zip(SCHEMES[sig.scheme].components, tf.component_powers)]
     return type(sig)(m, *components)
 
 
@@ -77,26 +66,6 @@ def forge_classic(sig: ClassicSignature, m_target: int, n: int) -> ClassicSignat
     """Substitution forgery: keep S, solve the padding as S**2 / m_target."""
     padding = sig.S * sig.S % n * mod_inv(m_target, n) % n
     return ClassicSignature(m_target % n, padding, sig.S)
-
-
-def forge_general_scaled(sig: GeneralSignature, r: int, n: int) -> GeneralSignature:
-    """Scaled forgery [r**2 m, u, r S]; valid under identity redundancy."""
-    return apply_scaling(sig, r, n)
-
-
-def forge_variant1_scaled(sig: Variant1Signature, w: int, n: int) -> Variant1Signature:
-    """Scaled forgery [w**4 m, U, w**2 S, w T]; valid under identity redundancy."""
-    return apply_scaling(sig, w, n)
-
-
-def forge_variant2_scaled(sig: Variant2Signature, lam: int, n: int) -> Variant2Signature:
-    """Scaled forgery [lam**2 m, lam F, R3]; valid under identity redundancy."""
-    return apply_scaling(sig, lam, n)
-
-
-def forge_blind_scaled(bsig: BlindSignature, t: int, n: int) -> BlindSignature:
-    """Scaled blind signature [t**2 d, t F, R3]; keeps the blind invariant."""
-    return apply_scaling(bsig, t, n)
 
 
 @dataclass(frozen=True)

@@ -5,6 +5,7 @@ Three modes: identity (m mod n), quadratic (m*(m+1) mod n) and digest
 messages are only meaningful in digest mode.
 """
 
+import functools
 import hashlib
 from dataclasses import dataclass
 
@@ -35,6 +36,11 @@ class RedundancySpec:
                 raise ValueError(f"digest {self.digest_name!r} has no fixed output length")
         elif self.digest_name is not None:
             raise ValueError("digest name is only meaningful for digest redundancy")
+
+    @functools.cached_property
+    def digest_limit(self) -> int:
+        """2**(8 * digest size), above every digest value (digest redundancy only)."""
+        return 1 << 8 * hashlib.new(self.digest_name).digest_size
 
     @property
     def token(self) -> str:

@@ -7,12 +7,13 @@ and verification code paths they are used to check.
 """
 
 import dataclasses
+import hashlib
 import math
 from dataclasses import dataclass, field
 
 from . import schemes
 from .errors import FactorLeakError
-from .hashing import IDENTITY, RedundancySpec, apply_redundancy
+from .hashing import IDENTITY, DigestRef, RedundancySpec, apply_redundancy
 from .keygen import KeyPair, build_padding_set
 from .numtheory import SYSTEM_RNG, crt_idempotents
 
@@ -72,28 +73,40 @@ def unity_roots(ring: SmallRing) -> tuple[int, ...]:
 def brute_valid(sig, n: int, redundancy: RedundancySpec, padding_elements=()) -> bool:
     """Evaluate a scheme's defining equations directly with pow().
 
-    A signature with a component that is 0 mod n is never valid.
+    Only the one encoding a signer emits is valid: each component lies in
+    1..n-1 (rw's e is 1 or n-1 and its f is 1 or 2); under identity or
+    quadratic redundancy the message is an integer in 0..n-1, and under
+    digest redundancy an integer is non-negative and a digest reference
+    lies in 0..2**(8 * digest size) - 1.
     """
     scheme = getattr(sig, "scheme", None)
     if scheme not in schemes.SCHEMES:
         raise TypeError(f"unknown signature type {type(sig)!r}")
-    h = apply_redundancy(redundancy, sig.m, n)
+    m = sig.m
+    if redundancy.tag != "digest":
+        if not isinstance(m, int) or not 0 <= m < n:
+            return False
+    elif isinstance(m, DigestRef):
+        if not 0 <= m.digest_int < 2 ** (8 * hashlib.new(redundancy.digest_name).digest_size):
+            return False
+    elif isinstance(m, int) and m < 0:
+        return False
+    h = apply_redundancy(redundancy, m, n)
     if scheme == "classic":
-        return 0 not in (sig.U % n, sig.S % n) and pow(sig.S, 2, n) == h * sig.U % n
+        return 0 < sig.U < n and 0 < sig.S < n and pow(sig.S, 2, n) == h * sig.U % n
     if scheme == "general":
-        return 0 not in (sig.u % n, sig.S % n) and sig.u in padding_elements and pow(sig.S, 2, n) == h * sig.u % n
+        return 0 < sig.u < n and 0 < sig.S < n and sig.u in padding_elements and pow(sig.S, 2, n) == h * sig.u % n
     if scheme == "variant1":
         return (
-            0 not in (sig.U % n, sig.S % n, sig.T % n)
+            0 < sig.U < n and 0 < sig.S < n and 0 < sig.T < n
             and pow(sig.T, 2, n) == (sig.U + 1) * sig.S % n
             and pow(sig.S, 2, n) == h * sig.U % n
         )
     if scheme == "variant2":
-        return 0 not in (sig.F % n, sig.R3 % n) and pow(sig.F, 12, n) == pow(sig.R3, 4, n) * pow(h, 6, n) % n
-    e = sig.e % n  # rw
-    if 0 in (e, sig.f % n, sig.S % n) or e not in (1, n - 1) or sig.f not in (1, 2):
+        return 0 < sig.F < n and 0 < sig.R3 < n and pow(sig.F, 12, n) == pow(sig.R3, 4, n) * pow(h, 6, n) % n
+    if sig.e not in (1, n - 1) or sig.f not in (1, 2) or not 0 < sig.S < n:  # rw
         return False
-    sign = 1 if e == 1 else -1
+    sign = 1 if sig.e == 1 else -1
     return sign * sig.f * pow(sig.S, 2, n) % n == h
 
 
@@ -194,7 +207,7 @@ def _check_padding_choice(report, scheme, sig, h, n, qr, elements, nontrivial_un
     elif scheme == "rw":
         good = [
             (e, f)
-            for e in (1, -1)
+            for e in (1, n - 1)
             for f in (1, 2)
             if h * pow(e * f % n, -1, n) % n in qr
         ]

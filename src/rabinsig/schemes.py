@@ -4,15 +4,16 @@ classic   [m, U, S]     S**2 = H(m)*U, U a free padding value
 general   [m, u, S]     S**2 = H(m)*u, u drawn from the public padding set
 variant1  [m, U, S, T]  T**2 = (U+1)*S and S**2 = H(m)*U  (Blum primes)
 variant2  [m, F, R3]    F**12 = R3**4 * H(m)**6           (Blum primes)
-rw        [m, e, f, S]  e*f*S**2 = H(m), e in {1,-1}, f in {1,2}
+rw        [m, e, f, S]  e*f*S**2 = H(m), e in {1,N-1}, f in {1,2}
 
 Verification is pure and reports the exact number of modular squares and
-products it performed, excluding the redundancy evaluation.  Every verifier
-first rejects a signature with a component that is 0 mod n: zeros satisfy
-every scheme's equations for each message whose redundancy is 0 mod n, and
-classic's [m, 0, 0] for every message, while no honest signature has one
-(signing needs H(m) to be a unit, so each component is a unit or a fixed
-multiplier).
+products it performed, excluding the redundancy evaluation.  Each signature
+has one valid encoding, the one its signer emits and its file holds: every
+verifier first rejects, as "component range" with no operations counted, a
+component outside 0 < x < N (_in_range) or a message outside the message
+rule (_message_in_range).  Otherwise x + k*N would verify wherever x does,
+and zeros satisfy every scheme's equations for each message whose
+redundancy is 0 mod N, and classic's [m, 0, 0] for every message.
 """
 
 import dataclasses
@@ -105,14 +106,36 @@ class _OpCounter:
         self.products += 1
         return x * y % n
 
-    @property
-    def counts(self):
-        return (self.squares, self.products)
+    def report(self, ok: bool, check: str) -> "VerifyReport":
+        """The verdict with the counts so far; `check` names the failed one."""
+        return VerifyReport(ok, None if ok else check, (self.squares, self.products))
 
 
-def _hash_for_signing(key: KeyPair, m: Message) -> int:
+_OUT_OF_RANGE = VerifyReport(False, "component range")
+
+
+def _in_range(n: int, a: int, b: int = 1, c: int = 1) -> bool:
+    """The component rule: each value passed has 0 < x < n."""
+    return 0 < a < n and 0 < b < n and 0 < c < n
+
+
+def _message_in_range(key: PublicKey | KeyPair, m: Message) -> bool:
+    """The message rule: an integer 0 <= m, and m < N under identity or quadratic redundancy;
+    bytes, or a digest reference below 2**(8 * digest size), under digest redundancy."""
+    spec = key.redundancy
+    if isinstance(m, int):
+        return 0 <= m and (m < key.n or spec.tag == "digest")
+    if spec.tag != "digest":
+        return False
+    return isinstance(m, bytes) or 0 <= m.digest_int < spec.digest_limit
+
+
+def _hash_for_signing(key: PublicKey | KeyPair, m: Message) -> int:
+    """H(m), refusing a message outside the message rule or whose H(m) is not a unit."""
+    if not _message_in_range(key, m):
+        raise UnsignableMessageError("message is outside the range the key signs")
     h = apply_redundancy(key.redundancy, m, key.n)
-    if h == 0 or math.gcd(h, key.n) != 1:
+    if math.gcd(h, key.n) != 1:
         raise UnsignableMessageError("message redundancy value is zero or not a unit")
     return h
 
@@ -154,15 +177,11 @@ def classic_sign(key: KeyPair, m: Message, rng=None) -> ClassicSignature:
 
 
 def classic_verify(pub: PublicKey | KeyPair, sig: ClassicSignature) -> VerifyReport:
-    if not (sig.U % pub.n and sig.S % pub.n):
-        return VerifyReport(False, "zero component")
+    if not (_in_range(pub.n, sig.U, sig.S) and _message_in_range(pub, sig.m)):
+        return _OUT_OF_RANGE
     h = apply_redundancy(pub.redundancy, sig.m, pub.n)
     ops = _OpCounter()
-    lhs = ops.sq(sig.S, pub.n)
-    rhs = ops.mul(h, sig.U, pub.n)
-    if lhs != rhs:
-        return VerifyReport(False, "signature equation", ops.counts)
-    return VerifyReport(True, None, ops.counts)
+    return ops.report(ops.sq(sig.S, pub.n) == ops.mul(h, sig.U, pub.n), "signature equation")
 
 
 # ---------------------------------------------------------------------------
@@ -188,17 +207,13 @@ def general_sign(key: KeyPair, m: Message) -> GeneralSignature:
 
 
 def general_verify(pub: PublicKey | KeyPair, sig: GeneralSignature) -> VerifyReport:
-    if not (sig.u % pub.n and sig.S % pub.n):
-        return VerifyReport(False, "zero component")
-    ops = _OpCounter()
+    if not (_in_range(pub.n, sig.u, sig.S) and _message_in_range(pub, sig.m)):
+        return _OUT_OF_RANGE
     if pub.padding is None or sig.u not in pub.padding.elements:
-        return VerifyReport(False, "membership", ops.counts)
+        return VerifyReport(False, "membership")
     h = apply_redundancy(pub.redundancy, sig.m, pub.n)
-    lhs = ops.sq(sig.S, pub.n)
-    rhs = ops.mul(h, sig.u, pub.n)
-    if lhs != rhs:
-        return VerifyReport(False, "signature equation", ops.counts)
-    return VerifyReport(True, None, ops.counts)
+    ops = _OpCounter()
+    return ops.report(ops.sq(sig.S, pub.n) == ops.mul(h, sig.u, pub.n), "signature equation")
 
 
 # ---------------------------------------------------------------------------
@@ -242,15 +257,13 @@ def _binding_root(s: int, v: int, c) -> tuple[int, int]:
 
 
 def variant1_verify(pub: PublicKey | KeyPair, sig: Variant1Signature) -> VerifyReport:
-    if not (sig.U % pub.n and sig.S % pub.n and sig.T % pub.n):
-        return VerifyReport(False, "zero component")
+    if not (_in_range(pub.n, sig.U, sig.S, sig.T) and _message_in_range(pub, sig.m)):
+        return _OUT_OF_RANGE
     h = apply_redundancy(pub.redundancy, sig.m, pub.n)
     ops = _OpCounter()
     if ops.sq(sig.T, pub.n) != ops.mul((sig.U + 1) % pub.n, sig.S, pub.n):
-        return VerifyReport(False, "T equation", ops.counts)
-    if ops.sq(sig.S, pub.n) != ops.mul(h, sig.U, pub.n):
-        return VerifyReport(False, "S equation", ops.counts)
-    return VerifyReport(True, None, ops.counts)
+        return ops.report(False, "T equation")
+    return ops.report(ops.sq(sig.S, pub.n) == ops.mul(h, sig.U, pub.n), "S equation")
 
 
 # ---------------------------------------------------------------------------
@@ -283,13 +296,11 @@ def _power_chain_check(f_val: int, r3: int, h: int, n: int, ops: _OpCounter) -> 
 
 
 def variant2_verify(pub: PublicKey | KeyPair, sig: Variant2Signature) -> VerifyReport:
-    if not (sig.F % pub.n and sig.R3 % pub.n):
-        return VerifyReport(False, "zero component")
+    if not (_in_range(pub.n, sig.F, sig.R3) and _message_in_range(pub, sig.m)):
+        return _OUT_OF_RANGE
     h = apply_redundancy(pub.redundancy, sig.m, pub.n)
     ops = _OpCounter()
-    if not _power_chain_check(sig.F, sig.R3, h, pub.n, ops):
-        return VerifyReport(False, "verification equation", ops.counts)
-    return VerifyReport(True, None, ops.counts)
+    return ops.report(_power_chain_check(sig.F, sig.R3, h, pub.n, ops), "verification equation")
 
 
 # ---------------------------------------------------------------------------
@@ -297,7 +308,7 @@ def variant2_verify(pub: PublicKey | KeyPair, sig: Variant2Signature) -> VerifyR
 
 
 def rw_sign(key: KeyPair, m: Message) -> RWSignature:
-    """Sign as [m, e, f, S]: the unique (e, f) makes H(m)/(e*f) a residue."""
+    """Sign as [m, e, f, S]: the unique (e, f) makes H(m)/(e*f) a residue; e is 1 or N-1."""
     SCHEMES["rw"].check_key(key)
     h = _hash_for_signing(key, m)
     # The class of h/(e*f) mod each prime is (h/p)*(e/p)*(f/p).  Both primes
@@ -313,23 +324,17 @@ def rw_sign(key: KeyPair, m: Message) -> RWSignature:
     else:
         e, f = hp * (1 if p % 8 == 7 else -1), 2
         yp, yq = yp * k.at_p.half_root % p, yq * k.at_q.half_root % q
-    return RWSignature(m, e, f, _canonical_lift(yp, yq, p, q, k))
+    return RWSignature(m, e % key.n, f, _canonical_lift(yp, yq, p, q, k))
 
 
 def rw_verify(pub: PublicKey | KeyPair, sig: RWSignature) -> VerifyReport:
-    if not (sig.e % pub.n and sig.f % pub.n and sig.S % pub.n):
-        return VerifyReport(False, "zero component")
-    e = sig.e % pub.n  # -1 is serialised as n-1
-    if e not in (1, pub.n - 1) or sig.f not in (1, 2):
-        return VerifyReport(False, "multiplier range", (0, 0))
+    if not (sig.e in (1, pub.n - 1) and sig.f in (1, 2) and _in_range(pub.n, sig.S)
+            and _message_in_range(pub, sig.m)):
+        return _OUT_OF_RANGE
     h = apply_redundancy(pub.redundancy, sig.m, pub.n)
     ops = _OpCounter()
-    lhs = ops.mul(sig.f, ops.sq(sig.S, pub.n), pub.n)
-    if e == pub.n - 1:
-        lhs = (pub.n - lhs) % pub.n
-    if lhs != h:
-        return VerifyReport(False, "verification equation", ops.counts)
-    return VerifyReport(True, None, ops.counts)
+    lhs = ops.mul(sig.f, ops.sq(sig.S, pub.n), pub.n)  # e*f*S**2 = h, that is f*S**2 = e*h
+    return ops.report(lhs == (h if sig.e == 1 else (pub.n - h) % pub.n), "verification equation")
 
 
 # ---------------------------------------------------------------------------
@@ -418,11 +423,7 @@ def dump_signature(sig: Signature, pub: PublicKey | KeyPair) -> str:
         lines.append(f"message-digest = {m.digest_int}")
     else:  # raw bytes: store by digest reference
         lines.append(f"message-digest = {digest_int(pub.redundancy, m)}")
-    for name in SCHEMES[sig.scheme].components:
-        value = getattr(sig, name)
-        if sig.scheme == "rw" and name == "e":
-            value %= pub.n
-        lines.append(f"{name} = {value}")
+    lines += [f"{name} = {getattr(sig, name)}" for name in SCHEMES[sig.scheme].components]
     return "\n".join(lines) + "\n"
 
 

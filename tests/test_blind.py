@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import pytest
@@ -15,7 +16,7 @@ from rabinsig.errors import FactorLeakError, NonResidueError, UnsignableMessageE
 from rabinsig.hashing import QUADRATIC
 from rabinsig.keygen import gen_keypair
 from rabinsig.oracle import SmallRing, all_roots
-from rabinsig.schemes import variant2_verify
+from rabinsig.schemes import sign, variant2_verify
 
 from conftest import SeqRng
 
@@ -41,6 +42,17 @@ class TestDisguise:
         with pytest.raises(UnsignableMessageError):
             disguise(0, 3, toy_key.public())
 
+    def test_refuses_exactly_what_the_signers_refuse(self, toy_key, toy_key_quadratic, rng):
+        # m >= N under identity or quadratic redundancy, and m < 0, have no valid signature
+        for key in (toy_key, toy_key_quadratic):
+            for m in (-1, 77, 81, 77 * 5 + 4):
+                with pytest.raises(UnsignableMessageError):
+                    sign(key, m, "variant2", rng=rng)
+                with pytest.raises(UnsignableMessageError):
+                    disguise(m, 3, key.public())
+                with pytest.raises(UnsignableMessageError):
+                    run_blind_session(key, m, rng)
+
 
 class TestBlindSign:
     def test_toy_vector(self, toy_key):
@@ -63,6 +75,12 @@ class TestBlindSign:
             blind_sign(toy_key, 7)
         with pytest.raises(FactorLeakError):
             blind_sign(toy_key, 0)
+
+    def test_disguised_value_outside_the_range_refused(self, toy_key):
+        # its answer would echo 36 + 77, which the blind verifier refuses
+        for d in (36 + 77, 36 - 77):
+            with pytest.raises(UnsignableMessageError):
+                blind_sign(toy_key, d)
 
 
 class TestUnblind:
@@ -138,8 +156,16 @@ class TestSession:
         for d in (0, 36, 5):
             for forged in (BlindSignature(d, 0, 0), BlindSignature(d, 0, bsig.R3), BlindSignature(d, 77, 77)):
                 report = verify_blind_signature(forged, 77)
-                assert not report.valid and report.failed_check == "zero component"
+                assert not report.valid and report.failed_check == "component range"
         assert verify_blind_signature(bsig, 77).op_counts == (7, 3)
+
+    def test_re_encoded_components_rejected(self, toy_key, rng):
+        bsig = blind_sign(toy_key, 36, rng=rng)
+        for name in ("disguised", "F", "R3"):
+            for k in (1, 2, -1):
+                forged = dataclasses.replace(bsig, **{name: getattr(bsig, name) + k * 77})
+                report = verify_blind_signature(forged, 77)
+                assert not report.valid and report.failed_check == "component range" and report.op_counts == (0, 0)
 
     def test_session_on_quadratic_redundancy(self, rng):
         key = gen_keypair("blum", 48, QUADRATIC, rng)

@@ -275,6 +275,50 @@ def test_attack_scale_identity_vs_quadratic(tmp_path, capsys):
         assert rc == expected_rc
 
 
+@pytest.fixture
+def variant2_sig(keyfiles, tmp_path):
+    priv, _ = keyfiles
+    sig = tmp_path / "v2.sig"
+    assert main(["sign", "--key", str(priv), "--scheme", "variant2", "--message", "1234",
+                 "--out", str(sig), "--seed", "22"]) == 0
+    return sig
+
+
+def test_attack_scale_refuses_factors_that_forge_nothing(keyfiles, variant2_sig, capsys):
+    # 1 and -1 square to 1, so the "forgery" is a signature on the original message; 0 is no unit
+    _, pub = keyfiles
+    n = parse_key(pub.read_text()).n
+    for factor in (1, -1, n - 1, 0, n, n + 1):
+        capsys.readouterr()
+        assert main(["attack", "--kind", "scale", "--pub", str(pub), "--sig", str(variant2_sig),
+                     "--factor", str(factor)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: attack --kind scale needs a --factor that is a unit mod N whose square is not 1\n"
+
+
+def test_attack_scale_prints_the_factor_reduced_mod_n(keyfiles, variant2_sig, capsys):
+    _, pub = keyfiles
+    n = parse_key(pub.read_text()).n
+    capsys.readouterr()
+    assert main(["attack", "--kind", "scale", "--pub", str(pub), "--sig", str(variant2_sig),
+                 "--factor", str(n + 3)]) == 0
+    assert capsys.readouterr().out.startswith("scaled variant2 signature by 3: message = ")
+
+
+def test_re_encoded_component_is_invalid(keyfiles, variant2_sig, tmp_path, capsys):
+    _, pub = keyfiles
+    n = parse_key(pub.read_text()).n
+    sig = parse_signature(variant2_sig.read_text())
+    for field, value in (("F", sig.F), ("R3", sig.R3), ("message", sig.m)):
+        forged = tmp_path / f"{field}.sig"
+        forged.write_text(variant2_sig.read_text().replace(f"\n{field} = {value}\n", f"\n{field} = {value + n}\n"))
+        assert forged.read_text() != variant2_sig.read_text()
+        capsys.readouterr()
+        assert main(["verify", "--pub", str(pub), "--sig", str(forged)]) == 1
+        assert capsys.readouterr().out.startswith("INVALID (component range)\nops: 0 squares, 0 products\n")
+
+
 def test_attack_blinding_naive_vs_hardened(keyfiles, capsys):
     priv, _ = keyfiles
     key = parse_key(priv.read_text())
@@ -320,7 +364,7 @@ def test_all_zero_signature_is_invalid(keyfiles, tmp_path, capsys):
     sig = tmp_path / "zero.sig"
     sig.write_text("rabin-sig v1\nscheme = classic\nmessage = 5\nU = 0\nS = 0\n")
     assert main(["verify", "--pub", str(pub), "--sig", str(sig)]) == 1
-    assert "INVALID (zero component)" in capsys.readouterr().out
+    assert "INVALID (component range)" in capsys.readouterr().out
 
 
 @pytest.fixture

@@ -2,10 +2,12 @@
 
 Each example starts from a real key file and a real signature file, edits
 their lines (real and junk field names; canonical, non-canonical, huge, 0,
-N-1 and N values; lists of decimals for the primality proofs; dropped,
-repeated and added lines; a byte that is not UTF-8) and runs one `verify`, `sign` or file-driven `attack` command through
+N-1 and N values; a line's own value plus a multiple of N; lists of decimals
+for the primality proofs; dropped, repeated and added lines; a byte that is
+not UTF-8) and runs one `verify`, `sign` or file-driven `attack` command through
 `cli.main`.  Whatever the files hold, the command must end with an exit code
-from 0 to 3 and raise nothing.
+from 0 to 3 and raise nothing.  A signature file whose component or message
+is its own value plus a multiple of N never verifies against its key.
 """
 
 import io
@@ -45,13 +47,14 @@ def corpus():
         "proven": gen_keypair("blum", 80, IDENTITY, rng),
     }
     key_texts = [(dump(key), key.n) for key in keys.values() for dump in (dump_public, dump_private)]
-    sig_texts = []
+    sig_texts, signed = [], []
     for scheme, kind in (("classic", "general"), ("general", "general"), ("variant1", "blum"),
                          ("variant2", "blum"), ("rw", "rw"), ("variant2", "proven")):
         key = keys[kind]
         m = b"fuzz" if key.redundancy.tag == "digest" else 1234
         sig_texts.append((dump_signature(sign(key, m, scheme, rng=rng), key), key.n))
-    return key_texts, sig_texts
+        signed.append((dump_public(key.public()), sig_texts[-1][0], key.n))
+    return key_texts, sig_texts, signed
 
 
 def _values(n):
@@ -74,10 +77,17 @@ def _edits(n):
         st.tuples(st.just("drop"), index),
         st.tuples(st.just("repeat"), index),
         st.tuples(st.just("add"), name, _values(n)),
+        st.tuples(st.just("shift"), index, st.integers(1, 3)),
     ), max_size=4)
 
 
-def _apply(text, edits):
+def _shift(line, k, n):
+    """The line with its value raised by k*N, if that value is a decimal that int() converts."""
+    name, _, value = line.partition(" = ")
+    return f"{name} = {int(value) + k * n}" if value.isascii() and value.isdecimal() and len(value) < 4000 else line
+
+
+def _apply(text, edits, n):
     lines = text.splitlines()
     for edit in edits:
         op, i = edit[0], edit[1] % len(lines) if isinstance(edit[1], int) else None
@@ -91,6 +101,8 @@ def _apply(text, edits):
             lines.insert(i, lines[i])
         elif op == "add":
             lines.append(f"{edit[1]} = {edit[2]}")
+        elif op == "shift":
+            lines[i] = _shift(lines[i], edit[2], n)
     return "\n".join(lines) + "\n"
 
 
@@ -98,12 +110,12 @@ def _apply(text, edits):
 def _edited(draw, texts):
     text, n = draw(st.sampled_from(texts))
     # unedited about half the time, so that files reach the verifier and the signer
-    return _apply(text, draw(st.one_of(st.just(()), _edits(n)))).encode(), n
+    return _apply(text, draw(st.one_of(st.just(()), _edits(n))), n).encode(), n
 
 
 @st.composite
 def cases(draw, corpus):
-    key_texts, sig_texts = corpus
+    key_texts, sig_texts, _ = corpus
     key_bytes, n = draw(_edited(key_texts))
     sig_bytes, _ = draw(_edited(sig_texts))
     if draw(st.integers(0, 9)) == 0:
@@ -136,3 +148,24 @@ def test_cli_exits_with_a_code_and_never_raises(corpus, data):
         with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
             code = main(_argv(command, scheme, number, key, sig, out))
     assert code in (0, 1, 2, 3)
+
+
+@settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(data=st.data())
+def test_re_encoded_signature_file_never_verifies(corpus, data):
+    pub_text, sig_text, n = data.draw(st.sampled_from(corpus[2]))
+    lines = sig_text.splitlines()
+    # every component, and an integer message; a digest reference stays, because
+    # with N below 2**256 a digest that is equal mod N is a collision, not a re-encoding
+    shiftable = [i for i, line in enumerate(lines) if line.partition(" = ")[0] not in ("rabin-sig v1", "scheme",
+                                                                                  "message-digest")]
+    i = data.draw(st.sampled_from(shiftable))
+    lines[i] = _shift(lines[i], data.draw(st.one_of(st.just(1), st.integers(1, 1 << 80))), n)
+    with tempfile.TemporaryDirectory() as tmp:
+        key, sig = Path(tmp) / "fuzz.key.pub", Path(tmp) / "fuzz.sig"
+        key.write_text(pub_text)
+        sig.write_text("\n".join(lines) + "\n")
+        out = io.StringIO()
+        with redirect_stdout(out), redirect_stderr(io.StringIO()):
+            code = main(["verify", "--pub", str(key), "--sig", str(sig)])
+    assert code == 1 and out.getvalue().startswith("INVALID (component range)"), lines[i]

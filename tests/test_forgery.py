@@ -8,11 +8,7 @@ from rabinsig.forgery import (
     TRANSFORMS,
     AttackOutcome,
     apply_scaling,
-    forge_blind_scaled,
     forge_classic,
-    forge_general_scaled,
-    forge_variant1_scaled,
-    forge_variant2_scaled,
     rsa_blinding_attack,
 )
 from rabinsig.hashing import IDENTITY, QUADRATIC
@@ -59,37 +55,37 @@ class TestClassicForgery:
 
 class TestScalingTransforms:
     def test_general_toy_vector(self, general_toy_key):
-        forged = forge_general_scaled(GeneralSignature(5, 3, 57), 2, 77)
+        forged = apply_scaling(GeneralSignature(5, 3, 57), 2, 77)
         assert forged == GeneralSignature(20, 3, 37)
         assert general_verify(general_toy_key.public(), forged).valid
 
     def test_variant1_toy_vector(self, toy_key):
-        forged = forge_variant1_scaled(Variant1Signature(3, 59, 67, 4), 2, 77)
+        forged = apply_scaling(Variant1Signature(3, 59, 67, 4), 2, 77)
         assert forged == Variant1Signature(48, 59, 37, 8)
         assert variant1_verify(toy_key.public(), forged).valid
 
     def test_variant2_toy_vector(self, toy_key):
-        forged = forge_variant2_scaled(Variant2Signature(4, 6, 27), 2, 77)
+        forged = apply_scaling(Variant2Signature(4, 6, 27), 2, 77)
         assert forged == Variant2Signature(16, 12, 27)
         assert variant2_verify(toy_key.public(), forged).valid
 
     def test_blind_toy_vector(self, toy_key):
-        forged = forge_blind_scaled(BlindSignature(36, 12, 8), 2, 77)
+        forged = apply_scaling(BlindSignature(36, 12, 8), 2, 77)
         assert forged == BlindSignature(67, 24, 8)
         assert verify_blind_signature(forged, 77).valid
 
     def test_blind_negation_factor(self):
-        forged = forge_blind_scaled(BlindSignature(36, 12, 8), 76, 77)
+        forged = apply_scaling(BlindSignature(36, 12, 8), 76, 77)
         assert forged == BlindSignature(36, 77 - 12, 8)
         assert verify_blind_signature(forged, 77).valid
 
     def test_unit_factor_is_the_identity(self, general_toy_key):
         sig = GeneralSignature(5, 3, 57)
-        assert forge_general_scaled(sig, 1, 77) == sig
+        assert apply_scaling(sig, 1, 77) == sig
 
     def test_rw_transform_keeps_multipliers(self, rw_toy_key):
-        forged = apply_scaling(RWSignature(5, -1, 2, 6), 3, 77)
-        assert (forged.e, forged.f) == (-1, 2)
+        forged = apply_scaling(RWSignature(5, 76, 2, 6), 3, 77)
+        assert (forged.e, forged.f) == (76, 2)
         assert forged.m == 45 and forged.S == 18
         assert verify(rw_toy_key.public(), forged).valid
 

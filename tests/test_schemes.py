@@ -3,9 +3,11 @@ import math
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rabinsig.errors import SignatureFormatError, UnsignableMessageError
-from rabinsig.hashing import IDENTITY, QUADRATIC, DigestRef, RedundancySpec
+from rabinsig.hashing import IDENTITY, QUADRATIC, DigestRef, RedundancySpec, digest_int
 from rabinsig.keygen import KeyPair, build_padding_set, gen_keypair, gen_prime
 from rabinsig import numtheory, schemes
 from rabinsig.numtheory import canonical_sqrt_mod_pq, jacobi, mod_inv
@@ -215,8 +217,8 @@ class TestVariant2NonceLeak:
 class TestRW:
     def test_sign_toy_vector(self, rw_toy_key):
         sig = rw_sign(rw_toy_key, 5)
-        assert sig == RWSignature(5, -1, 2, 6)
-        assert -1 * 2 * 36 % 77 == 5
+        assert sig == RWSignature(5, 76, 2, 6)  # e = -1, emitted as N-1
+        assert 76 * 2 * 36 % 77 == 5
 
     def test_residue_message_needs_no_correction(self, rw_toy_key):
         sig = rw_sign(rw_toy_key, 4)
@@ -229,7 +231,7 @@ class TestRW:
                 continue
             good = [
                 (e, f)
-                for e in (1, -1)
+                for e in (1, n - 1)
                 for f in (1, 2)
                 if m * mod_inv(e * f % n, n) % n in QR77
             ]
@@ -237,13 +239,17 @@ class TestRW:
             assert (rw_sign(rw_toy_key, m).e, rw_sign(rw_toy_key, m).f) == good[0]
 
     def test_verify_toy_vector(self, rw_toy_key):
+        assert rw_verify(rw_toy_key.public(), RWSignature(5, 76, 2, 6)).valid
+        # -1 is a second encoding of the sign N-1, so it is out of range
         report = rw_verify(rw_toy_key.public(), RWSignature(5, -1, 2, 6))
-        assert report.valid
+        assert not report.valid
+        assert report.failed_check == "component range" and report.op_counts == (0, 0)
 
     def test_multiplier_range_enforced(self, rw_toy_key):
-        report = rw_verify(rw_toy_key.public(), RWSignature(5, -1, 3, 6))
-        assert not report.valid
-        assert report.failed_check == "multiplier range"
+        for e, f in ((76, 3), (76, 0), (76, 79), (2, 2), (153, 2)):
+            report = rw_verify(rw_toy_key.public(), RWSignature(5, e, f, 6))
+            assert not report.valid
+            assert report.failed_check == "component range" and report.op_counts == (0, 0)
 
     def test_wrong_sign_rejected(self, rw_toy_key):
         report = rw_verify(rw_toy_key.public(), RWSignature(5, 1, 2, 6))
@@ -435,13 +441,79 @@ class TestZeroComponents:
             for sig in self.forged(scheme, m, key):
                 report = verify(pub, sig)
                 assert not report.valid, sig
-                assert report.failed_check == "zero component" and report.op_counts == (0, 0)
+                assert report.failed_check == "component range" and report.op_counts == (0, 0)
                 assert not brute_valid(sig, key.n, redundancy, elements)
 
     def test_classic_and_variant1_zeros_are_rejected_for_every_message(self, toy_key):
         for m in range(77):
             assert not verify(toy_key, ClassicSignature(m, 0, 0)).valid
             assert not verify(toy_key, Variant1Signature(m, 0, 0, 0)).valid
+
+
+def _encoding_keys():
+    # 136-bit primes, so N > 2**256: below that a digest equal to another mod N
+    # is a collision of the redundancy, not a second encoding of one signature
+    rng = random.Random("one-encoding")
+    return {kind: gen_keypair(kind, 136, IDENTITY, rng) for kind in ("general", "blum", "rw")}
+
+
+class TestOneEncoding:
+    """Every signature has one valid encoding: the one its signer emits.
+
+    Adding k*N (k >= 1) to a component of an honest signature, or to its
+    message (the digest reference of a signature file under digest
+    redundancy), keeps every equation true mod N; the verifier and
+    brute_valid refuse the copy by the range rule alone.
+    """
+
+    KEYS = _encoding_keys()
+    REDUNDANCIES = (IDENTITY, QUADRATIC, RedundancySpec("digest", "sha256"))
+
+    @pytest.mark.parametrize("redundancy", REDUNDANCIES, ids=lambda r: r.token)
+    @pytest.mark.parametrize("scheme,kind", SCHEMES_AND_KINDS)
+    @settings(max_examples=25, deadline=None)
+    @given(seed=st.integers(0, 1 << 32), k=st.one_of(st.just(1), st.integers(1, 1 << 80)), pick=st.integers(0, 4))
+    def test_no_re_encoding_verifies(self, scheme, kind, redundancy, seed, k, pick):
+        key = dataclasses.replace(self.KEYS[kind], redundancy=redundancy)
+        n, pub = key.n, key.public()
+        elements = key.padding.elements if key.padding else ()
+        rng = random.Random(seed)
+        sig = sign(key, rng.randbytes(16) if redundancy.tag == "digest" else rng.randrange(n), scheme, rng=rng)
+        if isinstance(sig.m, bytes):  # the form a signature file holds
+            sig = dataclasses.replace(sig, m=DigestRef(digest_int(redundancy, sig.m)))
+        assert verify(pub, sig).valid and brute_valid(sig, n, redundancy, elements)
+        names = schemes.SCHEMES[scheme].components
+        name = names[pick % len(names)]
+        copies = [dataclasses.replace(sig, **{name: getattr(sig, name) + k * n})]
+        if isinstance(sig.m, DigestRef):
+            copies.append(dataclasses.replace(sig, m=DigestRef(sig.m.digest_int + k * n)))
+        else:
+            copies.append(dataclasses.replace(sig, m=sig.m + k * n))
+        for copy in copies:
+            report = verify(pub, copy)
+            assert not report.valid and report.failed_check == "component range", copy
+            assert not brute_valid(copy, n, redundancy, elements)
+
+    @pytest.mark.parametrize("scheme,kind", SCHEMES_AND_KINDS)
+    def test_negative_message_is_invalid(self, scheme, kind, rng):
+        key = self.KEYS[kind]
+        sig = dataclasses.replace(sign(key, 5, scheme, rng=rng), m=-1)
+        for redundancy in self.REDUNDANCIES:
+            key = dataclasses.replace(key, redundancy=redundancy)
+            report = verify(key.public(), sig)
+            assert not report.valid and report.failed_check == "component range"
+            assert not brute_valid(sig, key.n, redundancy, key.padding.elements if key.padding else ())
+
+    @pytest.mark.parametrize("scheme,kind", SCHEMES_AND_KINDS)
+    def test_signers_refuse_what_the_verifiers_refuse(self, scheme, kind, rng):
+        key = self.KEYS[kind]
+        digest_key = dataclasses.replace(key, redundancy=RedundancySpec("digest", "sha256"))
+        for k, m in ((key, -1), (key, key.n), (key, key.n + 5), (digest_key, -1), (digest_key, DigestRef(1 << 256)),
+                     (digest_key, DigestRef(-1)), (key, DigestRef(5)), (key, b"bytes")):
+            with pytest.raises(UnsignableMessageError):
+                sign(k, m, scheme, rng=rng)
+        assert verify(digest_key, sign(digest_key, DigestRef((1 << 256) - 1), scheme, rng=rng)).valid
+        assert verify(digest_key, sign(digest_key, key.n + 5, scheme, rng=rng)).valid  # any integer under digest
 
 
 class TestRoundTrip:
@@ -502,7 +574,9 @@ class TestSignatureFiles:
         assert dump_signature(parsed, key.public()) == text
 
     def test_rw_sign_encoded_as_n_minus_one(self, rw_toy_key):
-        text = dump_signature(RWSignature(5, -1, 2, 6), rw_toy_key.public())
+        sig = rw_sign(rw_toy_key, 5)
+        assert sig.e == 76
+        text = dump_signature(sig, rw_toy_key.public())
         assert "e = 76" in text
         parsed = parse_signature(text)
         assert parsed.e == 76
