@@ -18,7 +18,6 @@ from .errors import KeyFormatError
 from .hashing import IDENTITY, RedundancySpec
 from .numtheory import (
     SYSTEM_RNG,
-    Idempotents,
     _exact_prime,
     _KeyRoots,
     _pocklington,
@@ -182,7 +181,7 @@ def _sample_with_jacobi(p: int, target: int, rng) -> int:
 
 def compose_padding_set(a1, a2, b1, b2, rs, p, q, psi1, psi2):
     """Form the four products r**2 * (a*psi1 + b*psi2) with their class labels."""
-    idem = Idempotents(psi1, psi2)
+    idem = _KeyRoots(p, q, psi1, psi2)
     elements, classes = [], []
     for (a, b), r in zip(((a1, b1), (a1, b2), (a2, b1), (a2, b2)), rs):
         u = crt_padding(a, b, r, p, q, idem)
@@ -249,11 +248,11 @@ class KeyPair:
 
     @functools.cached_property
     def idem(self) -> _KeyRoots:
-        """psi1 and psi2 with the root constants of p and q, built on first use.
+        """The key's ring: psi1 and psi2, and the root constants of p and q on their first use.
 
         Not a field, so it stays out of ==, hash, repr, key files and public().
         """
-        return _KeyRoots(self.p, self.q, Idempotents(self.psi1, self.psi2))
+        return _KeyRoots(self.p, self.q, self.psi1, self.psi2)
 
     @property
     def is_blum(self) -> bool:
@@ -424,6 +423,9 @@ def parse_key(text: str, path_hint: str = "key file") -> KeyPair | PublicKey:
     n = _int_field(fields, "N", KeyFormatError, path_hint)
     if n <= 1 or n % 2 == 0 or math.isqrt(n) ** 2 == n:
         raise KeyFormatError(f"N is not an odd non-square above 1 in {path_hint}")
+    (rp, m), (rq, _) = (_CONSTRAINTS[c] for c in _KIND_CONSTRAINTS[kind])  # N = rp*rq mod m, as its primes force
+    if n % m != rp * rq % m:
+        raise KeyFormatError(f"N is not {rp * rq % m} mod {m}, as a {kind} key's is, in {path_hint}")
 
     padding = None
     if kind == "general" and any(f"u{i}" in fields for i in range(1, 5)):  # all four or none

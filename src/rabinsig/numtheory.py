@@ -5,20 +5,21 @@ the CRT lift and the padding built on it, and square-root extraction mod p
 and mod p*q.  Each of these facts is stated here once.  Everything here is
 a pure function of its arguments and never mutates key material.
 
-The one cache: the constants a root needs are computed once per key, each
-on its first use.  Per prime they are the root exponent, a non-residue z,
-z**((d+1)/2) and z**d for Tonelli-Shanks, and 2**(-(p+1)/4) for the rw
-signer; per padding element, its root over its class (_KeyRoots.unit_roots).
-KeyPair.idem holds them and passes them in as `idem`; a caller that passes a
-bare Idempotents or None gets them built for that one call.  Each is fixed
-by its prime and written once, so a concurrent first use just computes it
-twice.  Every one of them reveals p (a root x of u gives gcd(x**2 - u, n)
-= p), so they stay as private as psi1 and psi2.
+The one ring object, _KeyRoots, holds p, q, psi1 and psi2, and the
+constants a root needs, each computed on its first use.  Per prime they are
+the root exponent, a non-residue z, z**((d+1)/2) and z**d for
+Tonelli-Shanks, and 2**(-(p+1)/4) for the rw signer; per padding element,
+its root over its class (_KeyRoots.unit_roots).  crt_idempotents returns a
+ring, and every CRT and root function takes one as `idem`; given None it
+builds one for that call.  KeyPair.idem keeps its key's ring.  Each
+constant is fixed by its prime and written once, so a concurrent first use
+just computes it twice.  Every one of them reveals p (a root x of u gives
+gcd(x**2 - u, n) = p), so they stay as private as psi1 and psi2.
 """
 
 import math
 import random
-from dataclasses import dataclass
+from functools import cached_property
 from typing import NamedTuple
 
 from .errors import FactorLeakError, NonResidueError
@@ -161,37 +162,54 @@ def _proven(n: int, chain) -> bool:
     return n < _EXACT_LIMIT and _exact_prime(n)
 
 
-@dataclass(frozen=True)
-class Idempotents:
-    """Complementary CRT idempotents of a two-prime modulus.
+class _KeyRoots:
+    """The ring Z_pq of two distinct odd primes: its CRT idempotents and root constants.
 
     psi1 is 1 mod p and 0 mod q; psi2 is 0 mod p and 1 mod q.  They satisfy
-    psi1 + psi2 = 1, psi1 * psi2 = 0 and psi_i**2 = psi_i, all mod p*q.
+    psi1 + psi2 = 1, psi1 * psi2 = 0 and psi_i**2 = psi_i, all mod p*q.  The
+    root constants of p and of q (at_p, at_q) are built on the first root
+    taken, so a ring that only lifts computes no Jacobi symbol.
     """
 
-    psi1: int
-    psi2: int
+    def __init__(self, p: int, q: int, psi1: int, psi2: int):
+        self.p, self.q, self.psi1, self.psi2 = p, q, psi1, psi2
+        self._unit_roots: dict[int, tuple[int, int]] = {}
+
+    @cached_property
+    def at_p(self) -> "_PrimeRoots":
+        return _PrimeRoots(self.p)
+
+    @cached_property
+    def at_q(self) -> "_PrimeRoots":
+        return _PrimeRoots(self.q)
+
+    def unit_roots(self, u: int) -> tuple[int, int]:
+        """root_over_class of u mod p and mod q, computed once per u (a padding element)."""
+        roots = self._unit_roots.get(u)
+        if roots is None:
+            roots = self._unit_roots[u] = self.at_p.root_over_class(u), self.at_q.root_over_class(u)
+        return roots
 
 
-def crt_idempotents(p: int, q: int) -> Idempotents:
-    """Idempotents of Z_pq: psi1 = q * (q**-1 mod p) and psi2 = 1 - psi1."""
+def crt_idempotents(p: int, q: int) -> _KeyRoots:
+    """The ring Z_pq, with psi1 = q * (q**-1 mod p) and psi2 = 1 - psi1."""
     if p == q:
         raise ValueError("prime factors must be distinct")
     try:
         psi1 = q * pow(q, -1, p)
     except ValueError:
         raise ValueError("prime factors must be coprime") from None
-    return Idempotents(psi1, (1 - psi1) % (p * q))
+    return _KeyRoots(p, q, psi1, (1 - psi1) % (p * q))
 
 
-def crt_combine(rp: int, rq: int, p: int, q: int, idem: Idempotents | None = None) -> int:
+def crt_combine(rp: int, rq: int, p: int, q: int, idem: _KeyRoots | None = None) -> int:
     """Lift the residue pair (rp mod p, rq mod q) to Z_pq: rp*psi1 + rq*psi2."""
     if idem is None:
         idem = crt_idempotents(p, q)
     return (rp * idem.psi1 + rq * idem.psi2) % (p * q)
 
 
-def crt_padding(a: int, b: int, r: int, p: int, q: int, idem: Idempotents | None = None) -> int:
+def crt_padding(a: int, b: int, r: int, p: int, q: int, idem: _KeyRoots | None = None) -> int:
     """The padding value r**2 * (a*psi1 + b*psi2) mod p*q.
 
     It is in the Jacobi class of a mod p and of b mod q, whatever the unit r.
@@ -257,30 +275,6 @@ class _PrimeRoots:
         return x if symbol == 1 else x * pow(self.z, -1, self.p) % self.p
 
 
-class _KeyRoots:
-    """The CRT idempotents of p*q with the root constants of p and of q.
-
-    It carries psi1 and psi2, so it goes wherever an Idempotents does; a key
-    builds one on first use and keeps it (KeyPair.idem).
-    """
-
-    __slots__ = ("psi1", "psi2", "at_p", "at_q", "_unit_roots")
-
-    def __init__(self, p: int, q: int, idem: Idempotents | None = None):
-        if idem is None:
-            idem = crt_idempotents(p, q)
-        self.psi1, self.psi2 = idem.psi1, idem.psi2
-        self.at_p, self.at_q = _PrimeRoots(p), _PrimeRoots(q)
-        self._unit_roots: dict[int, tuple[int, int]] = {}
-
-    def unit_roots(self, u: int) -> tuple[int, int]:
-        """root_over_class of u mod p and mod q, computed once per u (a padding element)."""
-        roots = self._unit_roots.get(u)
-        if roots is None:
-            roots = self._unit_roots[u] = self.at_p.root_over_class(u), self.at_q.root_over_class(u)
-        return roots
-
-
 def _two_order(t: int, p: int, bound: int) -> int:
     # The least i with t**(2**i) = 1 mod p.  Below a prime it is at most
     # `bound`; a p that needs more squarings, or never reaches 1, is not prime.
@@ -335,19 +329,6 @@ def _class_root(a: int, c: _PrimeRoots) -> tuple[int, int]:
     return symbol, x
 
 
-def _principal_root(a: int, p: int, c: _PrimeRoots | None = None) -> int:
-    """A square root of a modulo an odd prime p: _class_root, refusing a non-residue.
-
-    c holds p's constants, built here when not given.
-    """
-    if c is None:
-        c = _PrimeRoots(p)
-    symbol, x = _class_root(a, c)
-    if symbol == -1:
-        raise NonResidueError("value has no square root modulo the given prime")
-    return x
-
-
 class Root(NamedTuple):
     """A square root mod p*q with its Jacobi class ((value/p), (value/q))."""
 
@@ -356,23 +337,22 @@ class Root(NamedTuple):
     jacobi_q: int
 
 
-def _prime_roots(a: int, p: int, q: int, idem) -> tuple[_KeyRoots, int, int]:
-    # The key's constants and one principal root of a per prime; the checks
-    # and errors shared by sqrt_mod_pq and canonical_sqrt_mod_pq.
+def _prime_roots(a: int, p: int, q: int, idem: _KeyRoots | None) -> tuple[_KeyRoots, int, int]:
+    # The ring and one root of a per prime; the checks and errors shared by
+    # sqrt_mod_pq and canonical_sqrt_mod_pq.
     n = p * q
     a %= n
     if math.gcd(a, n) != 1:
         raise FactorLeakError("input shares a factor with the modulus")
-    # idem holds the constants when it is a key's, else they are built for this call
-    k = idem if isinstance(idem, _KeyRoots) and (idem.at_p.p, idem.at_q.p) == (p, q) else _KeyRoots(p, q, idem)
-    try:
-        return k, _principal_root(a % p, p, k.at_p), _principal_root(a % q, q, k.at_q)
-    except NonResidueError:
-        raise NonResidueError("value is not a quadratic residue modulo both primes") from None
+    k = idem if idem is not None else crt_idempotents(p, q)
+    (jp, sp), (jq, sq) = _class_root(a, k.at_p), _class_root(a, k.at_q)
+    if jp == -1 or jq == -1:
+        raise NonResidueError("value is not a quadratic residue modulo both primes")
+    return k, sp, sq
 
 
 def _root_classes(s: int, p: int) -> tuple[int, int]:
-    # Jacobi classes mod p of a principal root s and of p - s.  For p = 3 mod 4
+    # Jacobi classes mod p of a root s and of p - s.  For p = 3 mod 4
     # s is a residue and (-1/p) = -1; for p = 1 mod 4, (-1/p) = 1 and both
     # share the class of s.
     if p % 4 == 3:
@@ -381,7 +361,7 @@ def _root_classes(s: int, p: int) -> tuple[int, int]:
     return c, c
 
 
-def sqrt_mod_pq(a: int, p: int, q: int, idem: Idempotents | None = None) -> tuple[Root, ...]:
+def sqrt_mod_pq(a: int, p: int, q: int, idem: _KeyRoots | None = None) -> tuple[Root, ...]:
     """All four square roots of a unit a modulo n = p*q, sorted by value.
 
     The result is closed under negation mod n and each root carries its
@@ -397,7 +377,7 @@ def sqrt_mod_pq(a: int, p: int, q: int, idem: Idempotents | None = None) -> tupl
     ))
 
 
-def canonical_sqrt_mod_pq(a: int, p: int, q: int, idem: Idempotents | None = None) -> int:
+def canonical_sqrt_mod_pq(a: int, p: int, q: int, idem: _KeyRoots | None = None) -> int:
     """The canonical root: the smallest of the four square roots mod p*q.
 
     Raises exactly as sqrt_mod_pq does, but labels no classes.
@@ -406,7 +386,7 @@ def canonical_sqrt_mod_pq(a: int, p: int, q: int, idem: Idempotents | None = Non
     return _canonical_lift(sp, sq, p, q, k)
 
 
-def _canonical_lift(rp: int, rq: int, p: int, q: int, idem: Idempotents) -> int:
+def _canonical_lift(rp: int, rq: int, p: int, q: int, idem: _KeyRoots) -> int:
     """The least of the four values that are +-rp mod p and +-rq mod q.
 
     Two CRT lifts, v from (rp, rq) and w from (rp, -rq), give the four as
@@ -419,7 +399,7 @@ def _canonical_lift(rp: int, rq: int, p: int, q: int, idem: Idempotents) -> int:
     return min(v, n - v, w, n - w)
 
 
-def sqrt_of_unity_nontrivial(p: int, q: int, idem: Idempotents | None = None) -> tuple[int, int]:
+def sqrt_of_unity_nontrivial(p: int, q: int, idem: _KeyRoots | None = None) -> tuple[int, int]:
     """The two square roots of 1 mod p*q other than 1 and n-1.
 
     Both equal psi1 - psi2 up to sign.  Adding 1 to either gives a multiple

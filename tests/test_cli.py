@@ -126,6 +126,18 @@ def test_degenerate_public_modulus_exits_3(keyfiles, tmp_path, n):
     assert main(["verify", "--pub", str(pub), "--sig", str(sig)]) == 3
 
 
+@pytest.mark.parametrize("kind, n", [("blum", 91), ("blum", 15), ("rw", 209)])
+def test_public_modulus_outside_its_kind_s_class_exits_3(keyfiles, tmp_path, capsys, kind, n):
+    # no two primes of the kind multiply to n: 91 and 15 are 3 mod 4, 209 is 1 mod 8
+    priv, pub = keyfiles
+    sig = tmp_path / "m.sig"
+    assert main(["sign", "--key", str(priv), "--scheme", "variant2", "--message", "5",
+                 "--out", str(sig), "--seed", "1"]) == 0
+    pub.write_text(f"rabin-key v1\nkind = {kind}\nhash = identity\nN = {n}\n")
+    assert main(["verify", "--pub", str(pub), "--sig", str(sig)]) == 3
+    assert f"as a {kind} key's is" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("field", ["message", "F"])
 def test_negative_signature_value_exits_3(keyfiles, tmp_path, field):
     priv, pub = keyfiles

@@ -2,12 +2,13 @@
 
 Each example starts from a real key file and a real signature file, edits
 their lines (real and junk field names; canonical, non-canonical, huge, 0,
-N-1 and N values; a line's own value plus a multiple of N; lists of decimals
-for the primality proofs; dropped, repeated and added lines; a byte that is
-not UTF-8) and runs one `verify`, `sign` or file-driven `attack` command through
-`cli.main`.  Whatever the files hold, the command must end with an exit code
-from 0 to 3 and raise nothing.  A signature file whose component or message
-is its own value plus a multiple of N never verifies against its key.
+N-1 and N values; a line's own value plus a multiple of N; N moved to
+another odd class mod 8; lists of decimals for the primality proofs;
+dropped, repeated and added lines; a byte that is not UTF-8) and runs one
+`verify`, `sign` or file-driven `attack` command through `cli.main`.
+Whatever the files hold, the command must end with an exit code from 0 to 3
+and raise nothing.  A signature file whose component or message is its own
+value plus a multiple of N never verifies against its key.
 """
 
 import io
@@ -78,6 +79,7 @@ def _edits(n):
         st.tuples(st.just("repeat"), index),
         st.tuples(st.just("add"), name, _values(n)),
         st.tuples(st.just("shift"), index, st.integers(1, 3)),
+        st.tuples(st.just("recast"), st.integers(1, 3)),
     ), max_size=4)
 
 
@@ -103,6 +105,8 @@ def _apply(text, edits, n):
             lines.append(f"{edit[1]} = {edit[2]}")
         elif op == "shift":
             lines[i] = _shift(lines[i], edit[2], n)
+        elif op == "recast":  # N + 2k is in another odd class mod 8
+            lines = [f"N = {n + 2 * edit[1]}" if line == f"N = {n}" else line for line in lines]
     return "\n".join(lines) + "\n"
 
 

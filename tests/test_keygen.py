@@ -256,6 +256,17 @@ class TestKeyFiles:
         with pytest.raises(KeyFormatError):
             parse_key(dump_public(toy_key.public()).replace("N = 77", f"N = {n}"))
 
+    # 91 = 7 * 13 and 15 = 3 * 5 are 3 mod 4, so no product of two 3-mod-4 primes;
+    # 209 = 11 * 19 is 1 mod 8, where primes of 3 and 7 mod 8 make 5
+    @pytest.mark.parametrize("kind, p, q", [("blum", 7, 13), ("blum", 3, 5), ("rw", 11, 19)])
+    def test_modulus_outside_its_kind_s_class_rejected(self, kind, p, q):
+        idem = crt_idempotents(p, q)
+        public = f"rabin-key v1\nkind = {kind}\nhash = identity\nN = {p * q}\n"
+        private = public + f"p = {p}\nq = {q}\npsi1 = {idem.psi1}\npsi2 = {idem.psi2}\n"
+        for text in (public, private):
+            with pytest.raises(KeyFormatError, match=f"as a {kind} key's is"):
+                parse_key(text)
+
     @pytest.mark.parametrize("p", [15, 1019 * 1021])
     def test_composite_factor_rejected(self, p):
         # p = 3 mod 4 like a blum prime; 1019 * 1021 also passes trial division

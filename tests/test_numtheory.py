@@ -7,19 +7,20 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from rabinsig.errors import FactorLeakError, NonResidueError
-from rabinsig import keygen
+from rabinsig import keygen, numtheory
 from rabinsig.keygen import KeyPair, gen_prime
 from rabinsig.numtheory import (
     _EXACT_BASES,
-    Idempotents,
+    _class_root,
     _exact_prime,
     _miller_rabin,
     _pocklington,
-    _principal_root,
+    _PrimeRoots,
     _proven,
     canonical_sqrt_mod_pq,
     crt_combine,
     crt_idempotents,
+    crt_padding,
     is_probable_prime,
     jacobi,
     least_nonresidue,
@@ -160,8 +161,9 @@ class TestProven:
 
 class TestIdempotents:
     def test_toy_values(self):
-        assert crt_idempotents(7, 11) == Idempotents(22, 56)
-        assert crt_idempotents(3, 5) == Idempotents(10, 6)
+        for (p, q), psi in (((7, 11), (22, 56)), ((3, 5), (10, 6))):
+            idem = crt_idempotents(p, q)
+            assert (idem.psi1, idem.psi2) == psi
 
     def test_equal_primes_rejected(self):
         with pytest.raises(ValueError):
@@ -184,13 +186,27 @@ class TestIdempotents:
         assert crt_combine(1, 2, 7, 11) == 57
         assert crt_combine(3, 4, 7, 11) == 59
 
+    def test_a_ring_builds_its_root_constants_on_the_first_root(self, monkeypatch):
+        made = {"jacobi": [], "least_nonresidue": []}
+        for name, calls in made.items():  # numtheory's own calls go through its module globals
+            real = getattr(numtheory, name)
+            monkeypatch.setattr(numtheory, name, lambda *a, real=real, calls=calls: calls.append(a) or real(*a))
+        p, q = 13, 17  # both 1 mod 4, so each prime's constants need its least non-residue
+        ring = crt_idempotents(p, q)
+        crt_combine(3, 5, p, q, ring), crt_padding(2, 3, 5, p, q, ring), sqrt_of_unity_nontrivial(p, q, ring)
+        assert made == {"jacobi": [], "least_nonresidue": []}
+        sqrt_mod_pq(4, p, q, ring)
+        sqrt_mod_pq(9, p, q, ring)
+        assert sorted(made["least_nonresidue"]) == [(p,), (q,)]
+
 
 class TestSqrtModPrime:
-    # the root of one prime, _principal_root, taken to the smaller of the pair
+    # the root of one prime, _class_root, taken to the smaller of the pair
 
     @staticmethod
     def canonical(a, p):
-        s = _principal_root(a, p)
+        symbol, s = _class_root(a, _PrimeRoots(p))
+        assert symbol == 1
         return min(s, p - s)
 
     def test_known_values(self):
@@ -199,10 +215,12 @@ class TestSqrtModPrime:
         assert self.canonical(4, 13) == 2  # a 1-mod-4 prime takes Tonelli-Shanks
 
     def test_nonresidue_rejected(self):
+        assert _class_root(3, _PrimeRoots(7))[0] == -1
+        assert _class_root(2, _PrimeRoots(13))[0] == -1
         with pytest.raises(NonResidueError):
-            _principal_root(3, 7)
+            sqrt_mod_pq(3, 7, 11)
         with pytest.raises(NonResidueError):
-            _principal_root(2, 13)
+            sqrt_mod_pq(2, 13, 17)  # 2 is a residue mod 17, not mod 13
 
     @pytest.mark.parametrize("p", ODD_PRIMES)
     def test_exhaustive_against_brute_force(self, p):
@@ -212,8 +230,7 @@ class TestSqrtModPrime:
             if roots:
                 assert self.canonical(a, p) == min(roots)
             else:
-                with pytest.raises(NonResidueError):
-                    _principal_root(a, p)
+                assert _class_root(a, _PrimeRoots(p))[0] == -1
 
 
 class TestSqrtModPq:

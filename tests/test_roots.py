@@ -22,7 +22,6 @@ from rabinsig.hashing import IDENTITY
 from rabinsig.keygen import KeyPair, build_padding_set
 from rabinsig.numtheory import (
     _class_root,
-    _principal_root,
     _PrimeRoots,
     canonical_sqrt_mod_pq,
     crt_combine,
@@ -94,10 +93,12 @@ def test_a_residue_modulo_one_prime_only_is_refused(pq, x, swap):
 def test_roots_with_the_key_constants_equal_roots_built_per_call(pq, xs):
     p, q = pq
     key = KeyPair.from_primes("general", p, q)
-    for x in xs:  # the first value may leave z**d in the key's constants for the next
+    ring = crt_idempotents(p, q)
+    for x in xs:  # the first value may leave z**d in the key's and the ring's constants for the next
         a = _square_of_a_unit(x, key.n)
-        assert sqrt_mod_pq(a, p, q, key.idem) == sqrt_mod_pq(a, p, q)
-        assert canonical_sqrt_mod_pq(a, p, q, key.idem) == canonical_sqrt_mod_pq(a, p, q)
+        assert sqrt_mod_pq(a, p, q, key.idem) == sqrt_mod_pq(a, p, q) == sqrt_mod_pq(a, p, q, ring)
+        assert canonical_sqrt_mod_pq(a, p, q, key.idem) == canonical_sqrt_mod_pq(a, p, q) == \
+            canonical_sqrt_mod_pq(a, p, q, ring)
 
 
 one_mod_four_primes = st.builds(_prime_in_class, st.integers(3, 1 << 80), st.sampled_from(((5, 8), (1, 8))))
@@ -107,13 +108,12 @@ one_mod_four_primes = st.builds(_prime_in_class, st.integers(3, 1 << 80), st.sam
 def test_tonelli_shanks_refuses_exactly_the_non_residues(p, values):
     constants = _PrimeRoots(p)
     for a in (v % p for v in values if v % p):
-        if sympy.is_quad_residue(a, p):
-            for c in (constants, None):
-                assert pow(_principal_root(a, p, c), 2, p) == a
-        else:
-            for c in (constants, None):
-                with pytest.raises(NonResidueError):
-                    _principal_root(a, p, c)
+        residue = sympy.is_quad_residue(a, p)
+        for c in (constants, _PrimeRoots(p)):  # shared across values, and built for this one
+            symbol, x = _class_root(a, c)
+            assert symbol == (1 if residue else -1)
+            if residue:
+                assert x * x % p == a
 
 
 @given(primes, st.lists(st.integers(0, 1 << 100), min_size=1, max_size=8))
