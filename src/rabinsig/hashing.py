@@ -76,14 +76,15 @@ def digest_int(spec: RedundancySpec, data: bytes) -> int:
 
 def apply_redundancy(spec: RedundancySpec, m: Message, n: int) -> int:
     """Evaluate the redundancy function of m in Z_n."""
-    if isinstance(m, DigestRef):
-        if spec.tag != "digest":
-            raise TypeError("digest references require digest redundancy")
-        return m.digest_int % n
-    if isinstance(m, bytes):
-        if spec.tag != "digest":
-            raise TypeError("byte messages require digest redundancy")
-        return digest_int(spec, m) % n
+    if not isinstance(m, int):  # the common case, an integer, skips both type tests
+        if isinstance(m, DigestRef):
+            if spec.tag != "digest":
+                raise TypeError("digest references require digest redundancy")
+            return m.digest_int % n
+        if isinstance(m, bytes):
+            if spec.tag != "digest":
+                raise TypeError("byte messages require digest redundancy")
+            return digest_int(spec, m) % n
     if m < 0:
         raise ValueError("messages are non-negative integers")
     if spec.tag == "identity":

@@ -202,10 +202,18 @@ def crt_idempotents(p: int, q: int) -> _KeyRoots:
     return _KeyRoots(p, q, psi1, (1 - psi1) % (p * q))
 
 
+def _ring_of(p: int, q: int, idem: _KeyRoots | None) -> _KeyRoots:
+    """idem, or the ring of p and q when it is None; ValueError for a ring of other primes."""
+    if idem is None:
+        return crt_idempotents(p, q)
+    if idem.p != p or idem.q != q:
+        raise ValueError("the ring's primes are not p and q")
+    return idem
+
+
 def crt_combine(rp: int, rq: int, p: int, q: int, idem: _KeyRoots | None = None) -> int:
     """Lift the residue pair (rp mod p, rq mod q) to Z_pq: rp*psi1 + rq*psi2."""
-    if idem is None:
-        idem = crt_idempotents(p, q)
+    idem = _ring_of(p, q, idem)
     return (rp * idem.psi1 + rq * idem.psi2) % (p * q)
 
 
@@ -340,11 +348,11 @@ class Root(NamedTuple):
 def _prime_roots(a: int, p: int, q: int, idem: _KeyRoots | None) -> tuple[_KeyRoots, int, int]:
     # The ring and one root of a per prime; the checks and errors shared by
     # sqrt_mod_pq and canonical_sqrt_mod_pq.
+    k = _ring_of(p, q, idem)
     n = p * q
     a %= n
     if math.gcd(a, n) != 1:
         raise FactorLeakError("input shares a factor with the modulus")
-    k = idem if idem is not None else crt_idempotents(p, q)
     (jp, sp), (jq, sq) = _class_root(a, k.at_p), _class_root(a, k.at_q)
     if jp == -1 or jq == -1:
         raise NonResidueError("value is not a quadratic residue modulo both primes")

@@ -6,7 +6,6 @@ pow), so they are definitionally correct and independent of the signing
 and verification code paths they are used to check.
 """
 
-import dataclasses
 import hashlib
 import math
 from dataclasses import dataclass, field
@@ -146,7 +145,9 @@ def check_scheme_exhaustive(
     residue-class prediction.
     """
     rng = rng or SYSTEM_RNG
-    kind = schemes.SCHEMES[scheme].key_kind
+    descriptor = schemes.SCHEMES[scheme]
+    kind, sig_type = descriptor.key_kind, descriptor.sig_type
+    fields = ("m",) + descriptor.components
     n = ring.n
     idem = crt_idempotents(ring.p, ring.q)
     padding = None
@@ -179,15 +180,19 @@ def check_scheme_exhaustive(
 
         _check_padding_choice(report, scheme, sig, h, n, qr, elements, nontrivial_unity, m)
 
-        for name in ("m",) + schemes.SCHEMES[scheme].components:
+        values = [getattr(sig, name) for name in fields]
+        for i, name in enumerate(fields):
+            value = values[i]
             for delta in (1, n - 1):
-                mutated = dataclasses.replace(sig, **{name: (getattr(sig, name) + delta) % n})
+                values[i] = (value + delta) % n
+                mutated = sig_type(*values)
                 brute = brute_valid(mutated, n, redundancy, elements)
                 verified = schemes.verify(pub, mutated).valid
                 if brute != verified:
                     report.failures.append(
                         f"m={m}: verifier disagrees with brute force on {name}+{delta}"
                     )
+            values[i] = value
     return report
 
 

@@ -17,6 +17,7 @@ redundancy is 0 mod N, and classic's [m, 0, 0] for every message.
 """
 
 import dataclasses
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable, ClassVar, Union
@@ -108,7 +109,14 @@ class _OpCounter:
 
     def report(self, ok: bool, check: str) -> "VerifyReport":
         """The verdict with the counts so far; `check` names the failed one."""
-        return VerifyReport(ok, None if ok else check, (self.squares, self.products))
+        return _verdict(ok, None if ok else check, self.squares, self.products)
+
+
+@functools.cache
+def _verdict(valid: bool, failed_check: str | None, squares: int, products: int) -> VerifyReport:
+    # One shared report per outcome: VerifyReport is frozen, and the counts
+    # in the key are the ones the counter holds, so each stays exact.
+    return VerifyReport(valid, failed_check, (squares, products))
 
 
 _OUT_OF_RANGE = VerifyReport(False, "component range")

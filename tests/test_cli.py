@@ -371,6 +371,16 @@ def test_selfcheck_deterministic_with_seed(capsys):
     assert "all checks passed" in first
 
 
+def test_selfcheck_fails_on_a_lying_verifier(monkeypatch, capsys):
+    monkeypatch.setattr(cli.schemes, "verify", lambda pub, sig: cli.schemes.VerifyReport(True))
+    assert main(["selfcheck", "--seed", "7"]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    failed = [line for line in lines if line.startswith("FAIL ")]
+    assert len(failed) == len(cli._SCHEME_CHECKS) * 2  # every scheme check, under both redundancies
+    assert all("verifier disagrees with brute force" in line for line in failed)
+    assert lines[-1] == f"selfcheck: {len(failed)} check(s) FAILED"
+
+
 def test_all_zero_signature_is_invalid(keyfiles, tmp_path, capsys):
     _, pub = keyfiles
     sig = tmp_path / "zero.sig"

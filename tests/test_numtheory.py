@@ -186,6 +186,15 @@ class TestIdempotents:
         assert crt_combine(1, 2, 7, 11) == 57
         assert crt_combine(3, 4, 7, 11) == 59
 
+    def test_a_ring_of_other_primes_is_refused(self):
+        # lifted with the idempotents of other primes, the "roots" of 4 mod 77 would not square to 4
+        for ring in (crt_idempotents(13, 17), crt_idempotents(11, 7)):
+            for call in (lambda: sqrt_mod_pq(4, 7, 11, ring), lambda: canonical_sqrt_mod_pq(4, 7, 11, ring),
+                         lambda: crt_combine(1, 2, 7, 11, ring), lambda: crt_padding(2, 3, 5, 7, 11, ring),
+                         lambda: sqrt_of_unity_nontrivial(7, 11, ring)):
+                with pytest.raises(ValueError):
+                    call()
+
     def test_a_ring_builds_its_root_constants_on_the_first_root(self, monkeypatch):
         made = {"jacobi": [], "least_nonresidue": []}
         for name, calls in made.items():  # numtheory's own calls go through its module globals

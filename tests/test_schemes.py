@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from rabinsig.blind import BlindSignature, verify_blind_signature
 from rabinsig.errors import SignatureFormatError, UnsignableMessageError
 from rabinsig.hashing import IDENTITY, QUADRATIC, DigestRef, RedundancySpec, digest_int
 from rabinsig.keygen import KeyPair, build_padding_set, gen_keypair, gen_prime
@@ -614,6 +615,56 @@ class TestSignatureFiles:
         assert parse_signature(good.replace("message = 3", "message = 0")).m == 0
 
 
+class TestFailedVerdictCounts:
+    """Each failing branch reports the squares and products it spent before failing.
+
+    Verdicts are shared between verifications with the same outcome, so a
+    failure must not carry the counts of a pass or of another branch.
+    """
+
+    CASES = (  # (key fixture, signature, failed check, (squares, products))
+        ("toy_key", ClassicSignature(5, 59, 9), "signature equation", (1, 1)),
+        ("general_toy_key", GeneralSignature(5, 3, 14), "signature equation", (1, 1)),
+        ("general_toy_key", GeneralSignature(5, 4, 13), "membership", (0, 0)),
+        ("rw_toy_key", RWSignature(5, 76, 2, 7), "verification equation", (1, 1)),
+        ("rw_toy_key", RWSignature(5, 1, 2, 6), "verification equation", (1, 1)),
+        ("toy_key", Variant1Signature(3, 59, 67, 5), "T equation", (1, 1)),
+        ("toy_key", Variant1Signature(4, 59, 67, 4), "S equation", (2, 2)),  # T**2 = (U+1)*S still holds
+        ("toy_key", Variant2Signature(3, 10, 9), "verification equation", (7, 3)),
+        ("toy_key", ClassicSignature(5, 0, 8), "component range", (0, 0)),
+        ("general_toy_key", GeneralSignature(5, 3, 77), "component range", (0, 0)),
+        ("toy_key", Variant1Signature(3, 59, 67, 0), "component range", (0, 0)),
+        ("toy_key", Variant2Signature(77, 10, 8), "component range", (0, 0)),
+        ("rw_toy_key", RWSignature(5, 76, 2, 0), "component range", (0, 0)),
+    )
+    HONEST = {  # a valid signature of each type under the same keys, and its counts
+        ClassicSignature: ("toy_key", ClassicSignature(5, 59, 8), (1, 1)),
+        GeneralSignature: ("general_toy_key", GeneralSignature(5, 3, 13), (1, 1)),
+        RWSignature: ("rw_toy_key", RWSignature(5, 76, 2, 6), (1, 1)),
+        Variant1Signature: ("toy_key", Variant1Signature(3, 59, 67, 4), (2, 2)),
+        Variant2Signature: ("toy_key", Variant2Signature(3, 10, 8), (7, 3)),
+    }
+
+    @pytest.mark.parametrize("key_fixture,sig,check,counts", CASES)
+    def test_failing_branch(self, key_fixture, sig, check, counts, request):
+        honest_fixture, honest, honest_counts = self.HONEST[type(sig)]
+        honest_pub = request.getfixturevalue(honest_fixture).public()
+        pub = request.getfixturevalue(key_fixture).public()
+        for _ in range(2):  # a failure after a pass, and a pass after a failure
+            report = verify(pub, sig)
+            assert (report.valid, report.failed_check, report.op_counts) == (False, check, counts)
+            passed = verify(honest_pub, honest)
+            assert (passed.valid, passed.failed_check, passed.op_counts) == (True, None, honest_counts)
+
+    def test_blind_signature(self):
+        report = verify_blind_signature(BlindSignature(3, 10, 9), 77)
+        assert (report.valid, report.failed_check, report.op_counts) == (False, "verification equation", (7, 3))
+        report = verify_blind_signature(BlindSignature(3, 0, 8), 77)
+        assert (report.valid, report.failed_check, report.op_counts) == (False, "component range", (0, 0))
+        report = verify_blind_signature(BlindSignature(3, 10, 8), 77)
+        assert (report.valid, report.failed_check, report.op_counts) == (True, None, (7, 3))
+
+
 class TestExhaustiveAgreement:
     """Every signable message on the toy ring, against the defining equations."""
 
@@ -639,3 +690,11 @@ class TestExhaustiveAgreement:
         report = verify(key.public(), sign(key, m, scheme, rng=rng))
         assert report.valid
         assert report.op_counts == expected
+
+    def test_a_lying_verifier_is_caught(self, monkeypatch, rng):
+        from rabinsig.oracle import check_scheme_exhaustive
+
+        monkeypatch.setattr(schemes, "verify", lambda pub, sig: schemes.VerifyReport(True))
+        report = check_scheme_exhaustive("classic", RING77, IDENTITY, rng)
+        assert not report.ok
+        assert report.failures and all("verifier disagrees with brute force" in f for f in report.failures)
