@@ -93,7 +93,7 @@ def naive_blind_sign(key: KeyPair, disguised: int, rng=None) -> int:
     Only accepts residues (blinded squares always are).  Handing out
     uniformly random roots is exactly what the blinding attack needs.
     """
-    roots = sqrt_mod_pq(disguised, key.p, key.q, key.idem)
+    roots = sqrt_mod_pq(disguised, key.idem)
     return (rng or SYSTEM_RNG).choice(roots).value
 
 
@@ -126,4 +126,4 @@ def _deterministic_padding(key: KeyPair, h: int, r: int) -> int:
 def _recover_root(key: KeyPair, disguised: int) -> int:
     """The signer's root S: the canonical root of disguised times its unity-root padding."""
     padding = _deterministic_padding(key, disguised, 1)
-    return canonical_sqrt_mod_pq(disguised * padding % key.n, key.p, key.q, key.idem)
+    return canonical_sqrt_mod_pq(disguised * padding % key.n, key.idem)

@@ -23,7 +23,7 @@ from .errors import KeyFormatError, NonResidueError, RabinError, SignatureFormat
 from .forgery import apply_scaling, forge_classic, rsa_blinding_attack
 from .hashing import IDENTITY, QUADRATIC, DigestRef, RedundancySpec, apply_redundancy, digest_int
 from .keygen import KeyPair, dump_private, dump_public, gen_keypair, parse_key
-from .numtheory import jacobi, mod_inv, random_unit, sqrt_mod_pq
+from .numtheory import crt_idempotents, jacobi, mod_inv, random_unit, sqrt_mod_pq
 
 
 class UsageError(Exception):
@@ -294,12 +294,13 @@ _SCHEME_CHECKS = (
 def _numtheory_failures(ring: oracle.SmallRing) -> list[str]:
     failures = []
     residues = oracle.qr_set(ring)
+    idem = crt_idempotents(ring.p, ring.q)
     for a in oracle.units(ring):
         predicted = jacobi(a, ring.p) == 1 and jacobi(a, ring.q) == 1
         if predicted != (a in residues):
             failures.append(f"a={a}: residue classification disagrees with brute force")
         if predicted:
-            mine = tuple(r.value for r in sqrt_mod_pq(a, ring.p, ring.q))
+            mine = tuple(r.value for r in sqrt_mod_pq(a, idem))
             if mine != oracle.all_roots(a, ring):
                 failures.append(f"a={a}: root set disagrees with brute force")
     return failures

@@ -32,7 +32,10 @@ class RedundancySpec:
         if self.tag == "digest":
             if not self.digest_name:
                 raise ValueError("digest redundancy needs a digest name")
-            if hashlib.new(self.digest_name).digest_size == 0:  # raises on unsupported digests
+            digest = hashlib.new(self.digest_name)  # raises on unsupported digests
+            if digest.name != self.digest_name:  # one spelling per digest, so one token per spec
+                raise ValueError(f"digest {self.digest_name!r} is spelled {digest.name!r}")
+            if digest.digest_size == 0:
                 raise ValueError(f"digest {self.digest_name!r} has no fixed output length")
         elif self.digest_name is not None:
             raise ValueError("digest name is only meaningful for digest redundancy")
@@ -51,6 +54,7 @@ class RedundancySpec:
 
     @classmethod
     def from_token(cls, token: str) -> "RedundancySpec":
+        """The spec a token names; a bare 'digest' names DEFAULT_DIGEST, though its token is 'digest:sha256'."""
         if token == "digest":
             return cls("digest", DEFAULT_DIGEST)
         if token.startswith("digest:"):

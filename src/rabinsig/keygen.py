@@ -179,14 +179,13 @@ def _sample_with_jacobi(p: int, target: int, rng) -> int:
             return a
 
 
-def compose_padding_set(a1, a2, b1, b2, rs, p, q, psi1, psi2):
-    """Form the four products r**2 * (a*psi1 + b*psi2) with their class labels."""
-    idem = _KeyRoots(p, q, psi1, psi2)
+def compose_padding_set(a1, a2, b1, b2, rs, idem: _KeyRoots):
+    """Form the four products r**2 * (a*psi1 + b*psi2) over the ring idem, with their class labels."""
     elements, classes = [], []
     for (a, b), r in zip(((a1, b1), (a1, b2), (a2, b1), (a2, b2)), rs):
-        u = crt_padding(a, b, r, p, q, idem)
+        u = crt_padding(a, b, r, idem)
         elements.append(u)
-        classes.append((jacobi(u, p), jacobi(u, q)))
+        classes.append((jacobi(u, idem.p), jacobi(u, idem.q)))
     return tuple(elements), tuple(classes)
 
 
@@ -199,7 +198,8 @@ def build_padding_set(p: int, q: int, psi1: int, psi2: int, rng=None) -> Padding
     64 failed rounds.
     """
     rng = rng or SYSTEM_RNG
-    n = p * q
+    idem = _KeyRoots(p, q, psi1, psi2)
+    n = idem.n
     for _ in range(64):
         a1 = _sample_with_jacobi(p, 1, rng)
         a2 = _sample_with_jacobi(p, -1, rng)
@@ -211,7 +211,7 @@ def build_padding_set(p: int, q: int, psi1: int, psi2: int, rng=None) -> Padding
                 r = random_unit(n, rng)
                 if r not in rs:
                     rs.append(r)
-            elements, classes = compose_padding_set(a1, a2, b1, b2, rs, p, q, psi1, psi2)
+            elements, classes = compose_padding_set(a1, a2, b1, b2, rs, idem)
             if not _padding_flaws(elements, classes, n):
                 order = list(range(4))
                 rng.shuffle(order)  # publication order must not hint at the classes
@@ -232,12 +232,11 @@ class PublicKey:
 
 @dataclass(frozen=True)
 class KeyPair:
+    """A private key: its primes, with N, psi1 and psi2 read from their ring (idem)."""
+
     kind: str
     p: int
     q: int
-    n: int
-    psi1: int
-    psi2: int
     redundancy: RedundancySpec
     padding: PaddingSet | None = None
     # Proofs of p and q (numtheory._proven), or None for primes of unknown
@@ -248,11 +247,23 @@ class KeyPair:
 
     @functools.cached_property
     def idem(self) -> _KeyRoots:
-        """The key's ring: psi1 and psi2, and the root constants of p and q on their first use.
+        """The key's ring: N, psi1 and psi2, and the root constants of p and q on their first use.
 
         Not a field, so it stays out of ==, hash, repr, key files and public().
         """
-        return _KeyRoots(self.p, self.q, self.psi1, self.psi2)
+        return crt_idempotents(self.p, self.q)
+
+    @functools.cached_property
+    def n(self) -> int:
+        return self.idem.n
+
+    @property
+    def psi1(self) -> int:
+        return self.idem.psi1
+
+    @property
+    def psi2(self) -> int:
+        return self.idem.psi2
 
     @property
     def is_blum(self) -> bool:
@@ -297,14 +308,13 @@ class KeyPair:
             raise ValueError("rw keys need primes congruent to 3 and 7 mod 8")
         if padding is not None and kind != "general":
             raise ValueError("only general keys carry a padding set")
-        idem = crt_idempotents(p, q)
         if padding is not None:  # the classes are computed here, never taken on trust
             classes = tuple((jacobi(u, p), jacobi(u, q)) for u in padding.elements)
             flaws = _padding_flaws(padding.elements, classes, p * q)
             if flaws:
                 raise ValueError(f"unsafe padding set: {flaws[0]}")
             padding = PaddingSet(padding.elements, classes)
-        return cls(kind, p, q, p * q, idem.psi1, idem.psi2, redundancy, padding, p_proof, q_proof)
+        return cls(kind, p, q, redundancy, padding, p_proof, q_proof)
 
 
 def gen_keypair(kind: str, bits: int, redundancy=IDENTITY, rng=None) -> KeyPair:
@@ -322,11 +332,11 @@ def gen_keypair(kind: str, bits: int, redundancy=IDENTITY, rng=None) -> KeyPair:
     q = gen_prime(bits, q_constraint, rng)
     while q == p:
         q = gen_prime(bits, q_constraint, rng)
-    idem = crt_idempotents(p, q)
     padding = None
     if kind == "general":
+        idem = crt_idempotents(p, q)
         padding = build_padding_set(p, q, idem.psi1, idem.psi2, rng)
-    return KeyPair(kind, int(p), int(q), p * q, idem.psi1, idem.psi2, redundancy, padding, p.chain, q.chain)
+    return KeyPair(kind, int(p), int(q), redundancy, padding, p.chain, q.chain)
 
 
 # ---------------------------------------------------------------------------
@@ -416,10 +426,13 @@ def parse_key(text: str, path_hint: str = "key file") -> KeyPair | PublicKey:
     kind = fields.pop("kind", None)
     if kind not in KINDS:
         raise KeyFormatError(f"unknown or missing kind in {path_hint}")
+    token = fields.pop("hash", "")
     try:
-        redundancy = RedundancySpec.from_token(fields.pop("hash", ""))
+        redundancy = RedundancySpec.from_token(token)
     except ValueError as exc:
         raise KeyFormatError(f"bad hash field in {path_hint}: {exc}") from None
+    if token != redundancy.token:  # one encoding per key file: no 'digest' shorthand
+        raise KeyFormatError(f"hash field is not the one token {redundancy.token!r} in {path_hint}")
     n = _int_field(fields, "N", KeyFormatError, path_hint)
     if n <= 1 or n % 2 == 0 or math.isqrt(n) ** 2 == n:
         raise KeyFormatError(f"N is not an odd non-square above 1 in {path_hint}")

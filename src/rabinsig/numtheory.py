@@ -5,15 +5,15 @@ the CRT lift and the padding built on it, and square-root extraction mod p
 and mod p*q.  Each of these facts is stated here once.  Everything here is
 a pure function of its arguments and never mutates key material.
 
-The one ring object, _KeyRoots, holds p, q, psi1 and psi2, and the
-constants a root needs, each computed on its first use.  Per prime they are
-the root exponent, a non-residue z, z**((d+1)/2) and z**d for
+The one ring object, _KeyRoots, holds p, q, n = p*q, psi1 and psi2, and
+the constants a root needs, each computed on its first use.  Per prime they
+are the root exponent, a non-residue z, z**((d+1)/2) and z**d for
 Tonelli-Shanks, and 2**(-(p+1)/4) for the rw signer; per padding element,
 its root over its class (_KeyRoots.unit_roots).  crt_idempotents returns a
-ring, and every CRT and root function takes one as `idem`; given None it
-builds one for that call.  KeyPair.idem keeps its key's ring.  Each
-constant is fixed by its prime and written once, so a concurrent first use
-just computes it twice.  Every one of them reveals p (a root x of u gives
+ring, and the ring is the only modulus argument of every CRT and root
+function (`idem`).  KeyPair.idem keeps its key's ring.  Each constant is
+fixed by its prime and written once, so a concurrent first use just
+computes it twice.  Every one of them reveals p (a root x of u gives
 gcd(x**2 - u, n) = p), so they stay as private as psi1 and psi2.
 """
 
@@ -163,7 +163,7 @@ def _proven(n: int, chain) -> bool:
 
 
 class _KeyRoots:
-    """The ring Z_pq of two distinct odd primes: its CRT idempotents and root constants.
+    """The ring Z_n, n = p*q, of two distinct odd primes: its CRT idempotents and root constants.
 
     psi1 is 1 mod p and 0 mod q; psi2 is 0 mod p and 1 mod q.  They satisfy
     psi1 + psi2 = 1, psi1 * psi2 = 0 and psi_i**2 = psi_i, all mod p*q.  The
@@ -172,7 +172,7 @@ class _KeyRoots:
     """
 
     def __init__(self, p: int, q: int, psi1: int, psi2: int):
-        self.p, self.q, self.psi1, self.psi2 = p, q, psi1, psi2
+        self.p, self.q, self.n, self.psi1, self.psi2 = p, q, p * q, psi1, psi2
         self._unit_roots: dict[int, tuple[int, int]] = {}
 
     @cached_property
@@ -202,27 +202,17 @@ def crt_idempotents(p: int, q: int) -> _KeyRoots:
     return _KeyRoots(p, q, psi1, (1 - psi1) % (p * q))
 
 
-def _ring_of(p: int, q: int, idem: _KeyRoots | None) -> _KeyRoots:
-    """idem, or the ring of p and q when it is None; ValueError for a ring of other primes."""
-    if idem is None:
-        return crt_idempotents(p, q)
-    if idem.p != p or idem.q != q:
-        raise ValueError("the ring's primes are not p and q")
-    return idem
-
-
-def crt_combine(rp: int, rq: int, p: int, q: int, idem: _KeyRoots | None = None) -> int:
+def crt_combine(rp: int, rq: int, idem: _KeyRoots) -> int:
     """Lift the residue pair (rp mod p, rq mod q) to Z_pq: rp*psi1 + rq*psi2."""
-    idem = _ring_of(p, q, idem)
-    return (rp * idem.psi1 + rq * idem.psi2) % (p * q)
+    return (rp * idem.psi1 + rq * idem.psi2) % idem.n
 
 
-def crt_padding(a: int, b: int, r: int, p: int, q: int, idem: _KeyRoots | None = None) -> int:
+def crt_padding(a: int, b: int, r: int, idem: _KeyRoots) -> int:
     """The padding value r**2 * (a*psi1 + b*psi2) mod p*q.
 
     It is in the Jacobi class of a mod p and of b mod q, whatever the unit r.
     """
-    return r * r * crt_combine(a, b, p, q, idem) % (p * q)
+    return r * r * crt_combine(a, b, idem) % idem.n
 
 
 def least_nonresidue(p: int) -> int:
@@ -345,18 +335,16 @@ class Root(NamedTuple):
     jacobi_q: int
 
 
-def _prime_roots(a: int, p: int, q: int, idem: _KeyRoots | None) -> tuple[_KeyRoots, int, int]:
-    # The ring and one root of a per prime; the checks and errors shared by
-    # sqrt_mod_pq and canonical_sqrt_mod_pq.
-    k = _ring_of(p, q, idem)
-    n = p * q
-    a %= n
-    if math.gcd(a, n) != 1:
+def _prime_roots(a: int, idem: _KeyRoots) -> tuple[int, int]:
+    # One root of a per prime; the checks and errors shared by sqrt_mod_pq
+    # and canonical_sqrt_mod_pq.
+    a %= idem.n
+    if math.gcd(a, idem.n) != 1:
         raise FactorLeakError("input shares a factor with the modulus")
-    (jp, sp), (jq, sq) = _class_root(a, k.at_p), _class_root(a, k.at_q)
+    (jp, sp), (jq, sq) = _class_root(a, idem.at_p), _class_root(a, idem.at_q)
     if jp == -1 or jq == -1:
         raise NonResidueError("value is not a quadratic residue modulo both primes")
-    return k, sp, sq
+    return sp, sq
 
 
 def _root_classes(s: int, p: int) -> tuple[int, int]:
@@ -369,7 +357,7 @@ def _root_classes(s: int, p: int) -> tuple[int, int]:
     return c, c
 
 
-def sqrt_mod_pq(a: int, p: int, q: int, idem: _KeyRoots | None = None) -> tuple[Root, ...]:
+def sqrt_mod_pq(a: int, idem: _KeyRoots) -> tuple[Root, ...]:
     """All four square roots of a unit a modulo n = p*q, sorted by value.
 
     The result is closed under negation mod n and each root carries its
@@ -377,41 +365,42 @@ def sqrt_mod_pq(a: int, p: int, q: int, idem: _KeyRoots | None = None) -> tuple[
     degenerate, factorisation-revealing input) and NonResidueError when a
     is not a residue modulo both primes.
     """
-    k, sp, sq = _prime_roots(a, p, q, idem)
+    sp, sq = _prime_roots(a, idem)
+    p, q = idem.p, idem.q
     return tuple(sorted(
-        Root(crt_combine(rp, rq, p, q, k), jp, jq)
+        Root(crt_combine(rp, rq, idem), jp, jq)
         for rp, jp in zip((sp, p - sp), _root_classes(sp, p))
         for rq, jq in zip((sq, q - sq), _root_classes(sq, q))
     ))
 
 
-def canonical_sqrt_mod_pq(a: int, p: int, q: int, idem: _KeyRoots | None = None) -> int:
+def canonical_sqrt_mod_pq(a: int, idem: _KeyRoots) -> int:
     """The canonical root: the smallest of the four square roots mod p*q.
 
     Raises exactly as sqrt_mod_pq does, but labels no classes.
     """
-    k, sp, sq = _prime_roots(a, p, q, idem)
-    return _canonical_lift(sp, sq, p, q, k)
+    sp, sq = _prime_roots(a, idem)
+    return _canonical_lift(sp, sq, idem)
 
 
-def _canonical_lift(rp: int, rq: int, p: int, q: int, idem: _KeyRoots) -> int:
+def _canonical_lift(rp: int, rq: int, idem: _KeyRoots) -> int:
     """The least of the four values that are +-rp mod p and +-rq mod q.
 
     Two CRT lifts, v from (rp, rq) and w from (rp, -rq), give the four as
     v, n-v, w and n-w.  For roots rp, rq of a mod p and q this is a's
     canonical root.
     """
-    n = p * q
-    v = crt_combine(rp, rq, p, q, idem)
-    w = crt_combine(rp, q - rq, p, q, idem)
+    n = idem.n
+    v = crt_combine(rp, rq, idem)
+    w = crt_combine(rp, idem.q - rq, idem)
     return min(v, n - v, w, n - w)
 
 
-def sqrt_of_unity_nontrivial(p: int, q: int, idem: _KeyRoots | None = None) -> tuple[int, int]:
+def sqrt_of_unity_nontrivial(idem: _KeyRoots) -> tuple[int, int]:
     """The two square roots of 1 mod p*q other than 1 and n-1.
 
     Both equal psi1 - psi2 up to sign.  Adding 1 to either gives a multiple
     of one prime factor, so neither may ever appear as a padding value.
     """
-    v = crt_combine(1, -1, p, q, idem)
-    return v, p * q - v
+    v = crt_combine(1, -1, idem)
+    return v, idem.n - v

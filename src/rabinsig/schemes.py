@@ -167,7 +167,7 @@ def _class_padding(key: KeyPair, hp: int, hq: int, r: int) -> int:
     r*xp and r*xq of _class_roots.
     """
     k = key.idem
-    return crt_padding(1 if hp == 1 else k.at_p.z, 1 if hq == 1 else k.at_q.z, r, key.p, key.q, k)
+    return crt_padding(1 if hp == 1 else k.at_p.z, 1 if hq == 1 else k.at_q.z, r, k)
 
 
 # ---------------------------------------------------------------------------
@@ -180,7 +180,7 @@ def classic_sign(key: KeyPair, m: Message, rng=None) -> ClassicSignature:
     hp, xp, hq, xq = _class_roots(key, h)
     r = random_unit(key.n, rng)
     p, q = key.p, key.q
-    root = _canonical_lift(r * xp % p, r * xq % q, p, q, key.idem)
+    root = _canonical_lift(r * xp % p, r * xq % q, key.idem)
     return ClassicSignature(m, _class_padding(key, hp, hq, r), root)
 
 
@@ -211,14 +211,14 @@ def general_sign(key: KeyPair, m: Message) -> GeneralSignature:
         raise ValueError("padding set does not cover the class of the message") from None
     p, q, k = key.p, key.q, key.idem
     up, uq = k.unit_roots(u)
-    return GeneralSignature(m, u, _canonical_lift(xp * up % p, xq * uq % q, p, q, k))
+    return GeneralSignature(m, u, _canonical_lift(xp * up % p, xq * uq % q, k))
 
 
 def general_verify(pub: PublicKey | KeyPair, sig: GeneralSignature) -> VerifyReport:
     if not (_in_range(pub.n, sig.u, sig.S) and _message_in_range(pub, sig.m)):
         return _OUT_OF_RANGE
     if pub.padding is None or sig.u not in pub.padding.elements:
-        return VerifyReport(False, "membership")
+        return _verdict(False, "membership", 0, 0)
     h = apply_redundancy(pub.redundancy, sig.m, pub.n)
     ops = _OpCounter()
     return ops.report(ops.sq(sig.S, pub.n) == ops.mul(h, sig.u, pub.n), "signature equation")
@@ -241,7 +241,7 @@ def variant1_sign(key: KeyPair, m: Message, rng=None) -> Variant1Signature:
     rng = rng or SYSTEM_RNG
     p, q, k = key.p, key.q, key.idem
     hp, xp, hq, xq = _class_roots(key, h)
-    forbidden = sqrt_of_unity_nontrivial(p, q, k)
+    forbidden = sqrt_of_unity_nontrivial(k)
     for _ in range(64):
         r = random_unit(key.n, rng)
         padding = _class_padding(key, hp, hq, r)
@@ -253,7 +253,7 @@ def variant1_sign(key: KeyPair, m: Message, rng=None) -> Variant1Signature:
         raise FactorLeakError("padding value adjacent to a multiple of a prime factor")
     sp, tp = _binding_root(r * xp % p, padding + 1, k.at_p)
     sq, tq = _binding_root(r * xq % q, padding + 1, k.at_q)
-    return Variant1Signature(m, padding, crt_combine(sp, sq, p, q, k), _canonical_lift(tp, tq, p, q, k))
+    return Variant1Signature(m, padding, crt_combine(sp, sq, k), _canonical_lift(tp, tq, k))
 
 
 def _binding_root(s: int, v: int, c) -> tuple[int, int]:
@@ -284,7 +284,7 @@ def variant2_sign(key: KeyPair, m: Message, rng=None) -> Variant2Signature:
     h = _hash_for_signing(key, m)
     # the hidden padding U = f1*psi1 + f2*psi2 is a root of unity, and S the canonical root of h*U
     _, xp, _, xq = _class_roots(key, h)
-    root = _canonical_lift(xp, xq, key.p, key.q, key.idem)
+    root = _canonical_lift(xp, xq, key.idem)
     r = random_unit(key.n, rng)
     return Variant2Signature(m, r * root % key.n, pow(r, 3, key.n))
 
@@ -332,7 +332,7 @@ def rw_sign(key: KeyPair, m: Message) -> RWSignature:
     else:
         e, f = hp * (1 if p % 8 == 7 else -1), 2
         yp, yq = yp * k.at_p.half_root % p, yq * k.at_q.half_root % q
-    return RWSignature(m, e % key.n, f, _canonical_lift(yp, yq, p, q, k))
+    return RWSignature(m, e % key.n, f, _canonical_lift(yp, yq, k))
 
 
 def rw_verify(pub: PublicKey | KeyPair, sig: RWSignature) -> VerifyReport:

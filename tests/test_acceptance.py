@@ -65,17 +65,17 @@ def test_criterion_2_exhaustive_oracle_equivalence():
 
     assert qr_set(ring15) == {1, 4}
     for ring in (ring15, ring77):
-        residues = qr_set(ring)
+        residues, idem = qr_set(ring), crt_idempotents(ring.p, ring.q)
         for a in units(ring):
             predicted = jacobi(a, ring.p) == 1 and jacobi(a, ring.q) == 1
             assert predicted == (a in residues)
             if predicted:
                 brute = all_roots(a, ring)
                 assert len(brute) == 4
-                assert tuple(r.value for r in sqrt_mod_pq(a, ring.p, ring.q)) == brute
+                assert tuple(r.value for r in sqrt_mod_pq(a, idem)) == brute
 
     assert unity_roots(ring77) == (1, 34, 43, 76)
-    assert set(sqrt_of_unity_nontrivial(7, 11)) == {34, 43}
+    assert set(sqrt_of_unity_nontrivial(crt_idempotents(7, 11))) == {34, 43}
 
     # padding-class uniqueness: every unit pairs with exactly one multiplier
     rng = _rng(2)

@@ -437,6 +437,24 @@ def test_keygen_too_few_bits_exits_2(tmp_path):
     assert not (tmp_path / "k").exists()
 
 
+def test_keygen_digest_in_another_spelling_exits_2(tmp_path):
+    assert main(["keygen", "--kind", "blum", "--bits", "32", "--hash", "digest:SHA256",
+                 "--out", str(tmp_path / "k")]) == 2
+
+
+@pytest.mark.parametrize("token", ["digest", "digest:SHA256", "digest:SHA-256"])
+def test_key_file_hash_in_another_encoding_exits_3(tmp_path, token):
+    priv, pub, sig = tmp_path / "k", tmp_path / "k.pub", tmp_path / "m.sig"
+    assert main(["keygen", "--kind", "blum", "--bits", "32", "--hash", "digest", "--out", str(priv), "--seed", "3"]) == 0
+    assert main(["sign", "--key", str(priv), "--scheme", "variant2", "--message", "5",
+                 "--out", str(sig), "--seed", "1"]) == 0
+    assert main(["verify", "--pub", str(pub), "--sig", str(sig)]) == 0
+    text = pub.read_text()
+    assert "\nhash = digest:sha256\n" in text  # the shorthand is written as its one token
+    pub.write_text(text.replace("hash = digest:sha256", f"hash = {token}"))
+    assert main(["verify", "--pub", str(pub), "--sig", str(sig)]) == 3
+
+
 def test_keygen_variable_length_digest_exits_2(tmp_path):
     assert main(["keygen", "--kind", "blum", "--bits", "32", "--hash", "digest:shake_128",
                  "--out", str(tmp_path / "k")]) == 2

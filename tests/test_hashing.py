@@ -71,6 +71,16 @@ def test_bad_specs_rejected():
         RedundancySpec("identity", "sha256")
 
 
+@pytest.mark.parametrize("name", ["SHA256", "SHA-256", "SHA3-256", "sha512-256"])
+def test_a_digest_has_one_spelling(name):
+    # hashlib takes each of these for a digest it names otherwise, so one spec would have two tokens
+    assert hashlib.new(name).name != name
+    with pytest.raises(ValueError, match="spelled"):
+        RedundancySpec("digest", name)
+    with pytest.raises(ValueError):
+        RedundancySpec.from_token(f"digest:{name}")
+
+
 @pytest.mark.parametrize("name", ["shake_128", "shake_256"])
 def test_variable_length_digests_rejected(name):
     # their digest() needs a length, so they could not hash a message

@@ -79,6 +79,21 @@ class TestGenKeypair:
         assert key.psi1 % key.q == 0
         assert key.psi2 % key.p == 0
 
+    def test_n_and_the_idempotents_come_from_the_primes(self):
+        key, ring = KeyPair("blum", 7, 11, IDENTITY), crt_idempotents(7, 11)
+        assert (key.n, key.psi1, key.psi2) == (77, ring.psi1, ring.psi2)
+
+    def test_n_and_the_idempotents_are_neither_given_nor_set(self):
+        # only the primes are stated, so N and psi cannot disagree with them
+        assert [f.name for f in dataclasses.fields(KeyPair)] == [
+            "kind", "p", "q", "redundancy", "padding", "p_proof", "q_proof"]
+        key = KeyPair("blum", 7, 11, IDENTITY)
+        for name in ("n", "psi1", "psi2"):
+            with pytest.raises(TypeError):
+                KeyPair("blum", 7, 11, IDENTITY, **{name: getattr(key, name)})
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(key, name, 1)
+
     def test_fresh_primes_are_not_recertified(self, rng, monkeypatch):
         # gen_prime certifies its own primes; only key material without a
         # proof goes through is_probable_prime again
@@ -168,7 +183,7 @@ def test_every_key_from_primes_accepts_survives_its_key_file(key):
 class TestPaddingSet:
     def test_composition_oracle_values(self):
         # a1=2, a2=3 split the classes mod 7; b1=3, b2=2 split them mod 11
-        elements, classes = compose_padding_set(2, 3, 3, 2, (1, 1, 1, 1), 7, 11, 22, 56)
+        elements, classes = compose_padding_set(2, 3, 3, 2, (1, 1, 1, 1), crt_idempotents(7, 11))
         assert elements == (58, 2, 3, 24)
         assert classes == ((1, 1), (1, -1), (-1, 1), (-1, -1))
 
@@ -250,6 +265,14 @@ class TestKeyFiles:
         ):
             with pytest.raises(KeyFormatError):
                 parse_key(bad)
+
+    @pytest.mark.parametrize("token", ["digest", "digest:SHA256", "digest:SHA-256"])
+    def test_hash_field_has_one_encoding(self, token):
+        # each names sha256, whose one token is digest:sha256
+        text = dump_public(KeyPair.from_primes("blum", 7, 11, RedundancySpec("digest", "sha256")))
+        assert "\nhash = digest:sha256\n" in text
+        with pytest.raises(KeyFormatError, match="hash"):
+            parse_key(text.replace("hash = digest:sha256", f"hash = {token}"))
 
     @pytest.mark.parametrize("n", [0, 1, -77, 78, 81])
     def test_degenerate_public_modulus_rejected(self, toy_key, n):

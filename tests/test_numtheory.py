@@ -183,17 +183,8 @@ class TestIdempotents:
             assert idem.psi2 ** 2 % n == idem.psi2
 
     def test_crt_combine(self):
-        assert crt_combine(1, 2, 7, 11) == 57
-        assert crt_combine(3, 4, 7, 11) == 59
-
-    def test_a_ring_of_other_primes_is_refused(self):
-        # lifted with the idempotents of other primes, the "roots" of 4 mod 77 would not square to 4
-        for ring in (crt_idempotents(13, 17), crt_idempotents(11, 7)):
-            for call in (lambda: sqrt_mod_pq(4, 7, 11, ring), lambda: canonical_sqrt_mod_pq(4, 7, 11, ring),
-                         lambda: crt_combine(1, 2, 7, 11, ring), lambda: crt_padding(2, 3, 5, 7, 11, ring),
-                         lambda: sqrt_of_unity_nontrivial(7, 11, ring)):
-                with pytest.raises(ValueError):
-                    call()
+        assert crt_combine(1, 2, crt_idempotents(7, 11)) == 57
+        assert crt_combine(3, 4, crt_idempotents(7, 11)) == 59
 
     def test_a_ring_builds_its_root_constants_on_the_first_root(self, monkeypatch):
         made = {"jacobi": [], "least_nonresidue": []}
@@ -202,10 +193,10 @@ class TestIdempotents:
             monkeypatch.setattr(numtheory, name, lambda *a, real=real, calls=calls: calls.append(a) or real(*a))
         p, q = 13, 17  # both 1 mod 4, so each prime's constants need its least non-residue
         ring = crt_idempotents(p, q)
-        crt_combine(3, 5, p, q, ring), crt_padding(2, 3, 5, p, q, ring), sqrt_of_unity_nontrivial(p, q, ring)
+        crt_combine(3, 5, ring), crt_padding(2, 3, 5, ring), sqrt_of_unity_nontrivial(ring)
         assert made == {"jacobi": [], "least_nonresidue": []}
-        sqrt_mod_pq(4, p, q, ring)
-        sqrt_mod_pq(9, p, q, ring)
+        sqrt_mod_pq(4, ring)
+        sqrt_mod_pq(9, ring)
         assert sorted(made["least_nonresidue"]) == [(p,), (q,)]
 
 
@@ -227,9 +218,9 @@ class TestSqrtModPrime:
         assert _class_root(3, _PrimeRoots(7))[0] == -1
         assert _class_root(2, _PrimeRoots(13))[0] == -1
         with pytest.raises(NonResidueError):
-            sqrt_mod_pq(3, 7, 11)
+            sqrt_mod_pq(3, crt_idempotents(7, 11))
         with pytest.raises(NonResidueError):
-            sqrt_mod_pq(2, 13, 17)  # 2 is a residue mod 17, not mod 13
+            sqrt_mod_pq(2, crt_idempotents(13, 17))  # 2 is a residue mod 17, not mod 13
 
     @pytest.mark.parametrize("p", ODD_PRIMES)
     def test_exhaustive_against_brute_force(self, p):
@@ -244,20 +235,20 @@ class TestSqrtModPrime:
 
 class TestSqrtModPq:
     def test_four_roots_of_4_mod_77(self):
-        assert tuple(r.value for r in sqrt_mod_pq(4, 7, 11)) == (2, 9, 68, 75)
+        assert tuple(r.value for r in sqrt_mod_pq(4, crt_idempotents(7, 11))) == (2, 9, 68, 75)
 
     def test_four_roots_of_unity_mod_77(self):
-        assert tuple(r.value for r in sqrt_mod_pq(1, 7, 11)) == (1, 34, 43, 76)
+        assert tuple(r.value for r in sqrt_mod_pq(1, crt_idempotents(7, 11))) == (1, 34, 43, 76)
 
     def test_contains_trivial_roots_of_unity(self, rng):
         for p, q in ((7, 11), (11, 19), (13, 17)):
-            values = [r.value for r in sqrt_mod_pq(1, p, q)]
+            values = [r.value for r in sqrt_mod_pq(1, crt_idempotents(p, q))]
             assert 1 in values and p * q - 1 in values
 
     def test_closed_under_negation_with_distinct_labels(self):
-        ring = SmallRing(7, 11)
+        ring, ring77 = SmallRing(7, 11), crt_idempotents(7, 11)
         for a in sorted(qr_set(ring)):
-            roots = sqrt_mod_pq(a, 7, 11)
+            roots = sqrt_mod_pq(a, ring77)
             values = {r.value for r in roots}
             assert len(values) == 4
             assert values == {77 - v for v in values}
@@ -266,16 +257,16 @@ class TestSqrtModPq:
             assert values == set(all_roots(a, ring))
 
     def test_canonical_root_is_smallest(self):
-        assert canonical_sqrt_mod_pq(4, 7, 11) == 2
-        assert canonical_sqrt_mod_pq(15, 7, 11) == 13
+        assert canonical_sqrt_mod_pq(4, crt_idempotents(7, 11)) == 2
+        assert canonical_sqrt_mod_pq(15, crt_idempotents(7, 11)) == 13
 
     def test_nonresidue_rejected(self):
         with pytest.raises(NonResidueError):
-            sqrt_mod_pq(3, 7, 11)  # 3 is a non-residue mod 7
+            sqrt_mod_pq(3, crt_idempotents(7, 11))  # 3 is a non-residue mod 7
 
     def test_shared_factor_is_a_leak_without_disclosing_it(self):
         with pytest.raises(FactorLeakError) as excinfo:
-            sqrt_mod_pq(7, 7, 11)
+            sqrt_mod_pq(7, crt_idempotents(7, 11))
         assert not any(ch.isdigit() for ch in str(excinfo.value))
 
 
@@ -305,34 +296,34 @@ class TestCompositeModuli:
 
     def test_roots_modulo_a_square_raise(self):
         with pytest.raises(ValueError):
-            sqrt_mod_pq(4, 9, 5)
+            sqrt_mod_pq(4, crt_idempotents(9, 5))
         with pytest.raises(ValueError):
-            canonical_sqrt_mod_pq(16, 25, 7)
+            canonical_sqrt_mod_pq(16, crt_idempotents(25, 7))
 
     def test_tonelli_shanks_order_loop_is_bounded(self):
         # 65 = 5*13 is 1 mod 4 with (3/65) = -1, and no power 4**(2**i) is 1 mod 65
         assert least_nonresidue(65) == 3
         with pytest.raises(ValueError):
-            sqrt_mod_pq(4, 65, 3)
+            sqrt_mod_pq(4, crt_idempotents(65, 3))
         with pytest.raises(ValueError):
-            canonical_sqrt_mod_pq(4, 3, 65)
+            canonical_sqrt_mod_pq(4, crt_idempotents(3, 65))
 
     def test_three_mod_four_composite_raises(self):
         # 4**((15+1)/4) = 1 mod 15 squares to neither 4 nor -4
         with pytest.raises(ValueError):
-            sqrt_mod_pq(4, 15, 7)
+            sqrt_mod_pq(4, crt_idempotents(15, 7))
 
 
 class TestSqrtOfUnity:
     def test_toy_values(self):
-        assert sqrt_of_unity_nontrivial(7, 11) == (43, 34)
+        assert sqrt_of_unity_nontrivial(crt_idempotents(7, 11)) == (43, 34)
 
     def test_squares_to_one_and_leaks_a_factor(self, rng):
         primes = [p for p in range(3, 500) if is_probable_prime(p)]
         for _ in range(50):
             p, q = rng.sample(primes, 2)
             n = p * q
-            for v in sqrt_of_unity_nontrivial(p, q):
+            for v in sqrt_of_unity_nontrivial(crt_idempotents(p, q)):
                 assert v * v % n == 1
                 assert v not in (1, n - 1)
                 assert math.gcd(v + 1, n) in (p, q)

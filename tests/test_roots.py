@@ -4,7 +4,7 @@ The root extraction takes a different path for each class of prime: the
 exponent shortcut for 3 mod 4, and Tonelli-Shanks for 5 mod 8 (one step of
 two-adic correction) and for 1 mod 8 (several).  A key keeps the constants
 of both paths after their first use; roots taken with them must equal roots
-taken with constants built for the one call.  The signers read the class of
+taken with a fresh ring's constants.  The signers read the class of
 H(m) from the same exponentiation; their paddings and roots must equal those
 of the Jacobi-symbol path that the blind signer still takes.
 """
@@ -59,8 +59,9 @@ def _square_of_a_unit(x: int, n: int) -> int:
 @given(prime_pairs, st.integers(1, 1 << 200))
 def test_canonical_root_is_the_least_of_the_four(pq, x):
     p, q = pq
-    a = _square_of_a_unit(x, p * q)
-    assert canonical_sqrt_mod_pq(a, p, q) == min(r.value for r in sqrt_mod_pq(a, p, q))
+    ring = crt_idempotents(p, q)
+    a = _square_of_a_unit(x, ring.n)
+    assert canonical_sqrt_mod_pq(a, ring) == min(r.value for r in sqrt_mod_pq(a, ring))
 
 
 @given(prime_pairs, st.integers(1, 1 << 200))
@@ -68,7 +69,7 @@ def test_each_root_carries_its_jacobi_class(pq, x):
     p, q = pq
     n = p * q
     a = _square_of_a_unit(x, n)
-    roots = sqrt_mod_pq(a, p, q)
+    roots = sqrt_mod_pq(a, crt_idempotents(p, q))
     assert len({r.value for r in roots}) == 4
     for r in roots:
         assert r.value * r.value % n == a
@@ -82,23 +83,22 @@ def test_a_residue_modulo_one_prime_only_is_refused(pq, x, swap):
     if swap:
         p, q = q, p
     z = next(z for z in range(2, q) if sympy.jacobi_symbol(z, q) == -1)
-    a = crt_combine(_square_of_a_unit(x, p), z, p, q)  # residue mod p, non-residue mod q
+    ring = crt_idempotents(p, q)
+    a = crt_combine(_square_of_a_unit(x, p), z, ring)  # residue mod p, non-residue mod q
     with pytest.raises(NonResidueError):
-        sqrt_mod_pq(a, p, q)
+        sqrt_mod_pq(a, ring)
     with pytest.raises(NonResidueError):
-        canonical_sqrt_mod_pq(a, p, q)
+        canonical_sqrt_mod_pq(a, ring)
 
 
 @given(prime_pairs, st.lists(st.integers(1, 1 << 200), min_size=2, max_size=4))
 def test_roots_with_the_key_constants_equal_roots_built_per_call(pq, xs):
     p, q = pq
     key = KeyPair.from_primes("general", p, q)
-    ring = crt_idempotents(p, q)
-    for x in xs:  # the first value may leave z**d in the key's and the ring's constants for the next
+    for x in xs:  # the first value may leave z**d in the key's constants for the next
         a = _square_of_a_unit(x, key.n)
-        assert sqrt_mod_pq(a, p, q, key.idem) == sqrt_mod_pq(a, p, q) == sqrt_mod_pq(a, p, q, ring)
-        assert canonical_sqrt_mod_pq(a, p, q, key.idem) == canonical_sqrt_mod_pq(a, p, q) == \
-            canonical_sqrt_mod_pq(a, p, q, ring)
+        assert sqrt_mod_pq(a, key.idem) == sqrt_mod_pq(a, crt_idempotents(p, q))
+        assert canonical_sqrt_mod_pq(a, key.idem) == canonical_sqrt_mod_pq(a, crt_idempotents(p, q))
 
 
 one_mod_four_primes = st.builds(_prime_in_class, st.integers(3, 1 << 80), st.sampled_from(((5, 8), (1, 8))))
@@ -154,31 +154,31 @@ def test_classic_and_general_match_the_jacobi_path(pq, m, seed):
     sig = sign(key, h, "classic", rng=random.Random(seed))
     padding = _deterministic_padding(key, h, random_unit(key.n, random.Random(seed)))
     assert sig.U == padding
-    assert sig.S == canonical_sqrt_mod_pq(h * padding, p, q)
+    assert sig.S == canonical_sqrt_mod_pq(h * padding, idem)
     sig = sign(key, h, "general")
     assert (jacobi(sig.u, p), jacobi(sig.u, q)) == (jacobi(h, p), jacobi(h, q))
-    assert sig.S == canonical_sqrt_mod_pq(h * sig.u, p, q)
+    assert sig.S == canonical_sqrt_mod_pq(h * sig.u, idem)
 
 
 @given(blum_pairs, messages, seeds)
 def test_blum_signers_match_the_jacobi_path(pq, m, seed):
     p, q = pq
-    key = KeyPair.from_primes("blum", p, q)
+    key, ring = KeyPair.from_primes("blum", p, q), crt_idempotents(p, q)
     n = key.n
     h = _unit_message(m, key)
     sig = sign(key, h, "variant2", rng=random.Random(seed))
     r = random_unit(n, random.Random(seed))
-    root = canonical_sqrt_mod_pq(h * _deterministic_padding(key, h, 1), p, q)
+    root = canonical_sqrt_mod_pq(h * _deterministic_padding(key, h, 1), ring)
     assert (sig.F, sig.R3) == (r * root % n, pow(r, 3, n))
 
     sig = sign(key, h, "variant1", rng=random.Random(seed))
-    rng, forbidden = random.Random(seed), sqrt_of_unity_nontrivial(p, q)
+    rng, forbidden = random.Random(seed), sqrt_of_unity_nontrivial(ring)
     padding = next(u for u in (_deterministic_padding(key, h, random_unit(n, rng)) for _ in range(64))
                    if u not in forbidden)
     assert sig.U == padding
     target = (jacobi(padding + 1, p), jacobi(padding + 1, q))
-    assert sig.S == next(r.value for r in sqrt_mod_pq(h * padding, p, q) if (r.jacobi_p, r.jacobi_q) == target)
-    assert sig.T == canonical_sqrt_mod_pq((padding + 1) * sig.S, p, q)
+    assert sig.S == next(r.value for r in sqrt_mod_pq(h * padding, ring) if (r.jacobi_p, r.jacobi_q) == target)
+    assert sig.T == canonical_sqrt_mod_pq((padding + 1) * sig.S, ring)
 
 
 @given(rw_pairs, messages)
@@ -189,7 +189,7 @@ def test_rw_matches_the_jacobi_path(pq, m):
     sig = sign(key, h, "rw")
     target = h * mod_inv(sig.e * sig.f % key.n, key.n) % key.n
     assert (jacobi(target, p), jacobi(target, q)) == (1, 1)  # so (e, f) is the one pair that fits
-    assert sig.S == canonical_sqrt_mod_pq(target, p, q)
+    assert sig.S == canonical_sqrt_mod_pq(target, crt_idempotents(p, q))
 
 
 odd_moduli = st.integers(0, 1 << 120).map(lambda k: 2 * k + 1)
