@@ -93,8 +93,7 @@ def naive_blind_sign(key: KeyPair, disguised: int, rng=None) -> int:
     Only accepts residues (blinded squares always are).  Handing out
     uniformly random roots is exactly what the blinding attack needs.
     """
-    roots = sqrt_mod_pq(disguised, key.idem)
-    return (rng or SYSTEM_RNG).choice(roots).value
+    return (rng or SYSTEM_RNG).choice(sqrt_mod_pq(disguised, key.idem))
 
 
 def run_blind_session(key: KeyPair, m: Message, rng=None, r: int | None = None) -> BlindSession:

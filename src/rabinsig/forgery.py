@@ -24,25 +24,25 @@ from .schemes import SCHEMES, ClassicSignature, Signature
 
 @dataclass(frozen=True)
 class ForgeryTransform:
-    """Scaling exponents: message power n0, per-component powers, verifier degrees.
+    """Scaling exponents: message power n0 and per-component powers n1, n2, ...
 
-    Scaling a valid tuple by (lam**n0, lam**n1, ...) multiplies the i-th
-    verifier component by lam**t_i, so equalities with zero right-hand
-    side survive for every unit lam.
+    Scaling a valid tuple by (lam**n0, lam**n1, ...) multiplies both sides
+    of the i-th verifier equation by one power lam**t_i: t = 2 for classic,
+    general and rw, (2, 4) for variant1's two equations, and 12 for variant2
+    and the blind signature.  So the equalities survive for every unit lam.
     """
 
     message_power: int
     component_powers: tuple[int, ...]
-    verifier_degrees: tuple[int, ...]
 
 
 TRANSFORMS = {
-    "classic": ForgeryTransform(2, (0, 1), (2,)),
-    "general": ForgeryTransform(2, (0, 1), (2,)),
-    "variant1": ForgeryTransform(4, (0, 2, 1), (2, 4)),
-    "variant2": ForgeryTransform(2, (1, 0), (12,)),
-    "rw": ForgeryTransform(2, (0, 0, 1), (2,)),
-    "blind": ForgeryTransform(2, (1, 0), (12,)),
+    "classic": ForgeryTransform(2, (0, 1)),
+    "general": ForgeryTransform(2, (0, 1)),
+    "variant1": ForgeryTransform(4, (0, 2, 1)),
+    "variant2": ForgeryTransform(2, (1, 0)),
+    "rw": ForgeryTransform(2, (0, 0, 1)),
+    "blind": ForgeryTransform(2, (1, 0)),
 }
 
 

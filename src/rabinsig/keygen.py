@@ -30,15 +30,26 @@ from .numtheory import (
 
 KINDS = ("general", "blum", "rw")
 
-_CONSTRAINTS = {
-    "none": (1, 2),
-    "3mod4": (3, 4),
-    "3mod8": (3, 8),
-    "7mod8": (7, 8),
-}
+_CONSTRAINTS = {"none": (1, 2), "3mod4": (3, 4), "3mod8": (3, 8), "7mod8": (7, 8)}
 
 # Congruence constraints of the two primes of each key kind.
 _KIND_CONSTRAINTS = {"general": ("none", "none"), "blum": ("3mod4", "3mod4"), "rw": ("3mod8", "7mod8")}
+
+
+def _kind_classes(kind: str) -> tuple[int, set[int], int, str]:
+    """m, a kind's prime residues mod m (in either order), the class of N mod m, and that in words."""
+    (rp, m), (rq, _) = (_CONSTRAINTS[c] for c in _KIND_CONSTRAINTS[kind])
+    return m, {rp, rq}, rp * rq % m, f"primes congruent to {' and '.join(map(str, sorted({rp, rq})))} mod {m}"
+
+
+_KIND_CLASSES = {kind: _kind_classes(kind) for kind in KINDS}
+
+
+def _fits_kind(p: int, q: int, kind: str) -> bool:
+    """Whether the primes p and q meet the congruences of a `kind` key."""
+    m, residues, _, _ = _KIND_CLASSES[kind]
+    return {p % m, q % m} == residues
+
 
 # Padding multipliers a, b only matter through their residue classes, so
 # small values are enough and keep generation cheap.
@@ -265,14 +276,6 @@ class KeyPair:
     def psi2(self) -> int:
         return self.idem.psi2
 
-    @property
-    def is_blum(self) -> bool:
-        return self.p % 4 == 3 and self.q % 4 == 3
-
-    @property
-    def is_rw(self) -> bool:
-        return {self.p % 8, self.q % 8} == {3, 7}
-
     def public(self) -> PublicKey:
         padding = None
         if self.padding is not None:
@@ -302,10 +305,8 @@ class KeyPair:
             # looked up on the module, so a substitute for the prime test reaches this call
             elif not numtheory.is_probable_prime(prime, rng):
                 raise ValueError("factor failed the primality test")
-        if kind == "blum" and (p % 4 != 3 or q % 4 != 3):
-            raise ValueError("blum keys need both primes congruent to 3 mod 4")
-        if kind == "rw" and {p % 8, q % 8} != {3, 7}:
-            raise ValueError("rw keys need primes congruent to 3 and 7 mod 8")
+        if not _fits_kind(p, q, kind):
+            raise ValueError(f"{kind} keys need {_KIND_CLASSES[kind][3]}")
         if padding is not None and kind != "general":
             raise ValueError("only general keys carry a padding set")
         if padding is not None:  # the classes are computed here, never taken on trust
@@ -436,9 +437,9 @@ def parse_key(text: str, path_hint: str = "key file") -> KeyPair | PublicKey:
     n = _int_field(fields, "N", KeyFormatError, path_hint)
     if n <= 1 or n % 2 == 0 or math.isqrt(n) ** 2 == n:
         raise KeyFormatError(f"N is not an odd non-square above 1 in {path_hint}")
-    (rp, m), (rq, _) = (_CONSTRAINTS[c] for c in _KIND_CONSTRAINTS[kind])  # N = rp*rq mod m, as its primes force
-    if n % m != rp * rq % m:
-        raise KeyFormatError(f"N is not {rp * rq % m} mod {m}, as a {kind} key's is, in {path_hint}")
+    m, _, n_class, _ = _KIND_CLASSES[kind]
+    if n % m != n_class:
+        raise KeyFormatError(f"N is not {n_class} mod {m}, as a {kind} key's is, in {path_hint}")
 
     padding = None
     if kind == "general" and any(f"u{i}" in fields for i in range(1, 5)):  # all four or none

@@ -3,7 +3,10 @@
 Jacobi symbols, modular inverses, least non-residues, CRT idempotents,
 the CRT lift and the padding built on it, and square-root extraction mod p
 and mod p*q.  Each of these facts is stated here once.  Everything here is
-a pure function of its arguments and never mutates key material.
+a pure function of its arguments and never mutates key material.  The four
+roots mod p*q are stated once too: two CRT lifts v and w of one root per
+prime give them as v, n-v, w and n-w (_four_lifts); the canonical root is
+their least, and sqrt_mod_pq returns all four, sorted.
 
 The one ring object, _KeyRoots, holds p, q, n = p*q, psi1 and psi2, and
 the constants a root needs, each computed on its first use.  Per prime they
@@ -20,7 +23,6 @@ gcd(x**2 - u, n) = p), so they stay as private as psi1 and psi2.
 import math
 import random
 from functools import cached_property
-from typing import NamedTuple
 
 from .errors import FactorLeakError, NonResidueError
 
@@ -240,10 +242,8 @@ class _PrimeRoots:
     signer, are computed on the first call that needs them.
     """
 
-    __slots__ = ("p", "exp", "s", "d", "z", "_z_powers", "_half_root")
-
     def __init__(self, p: int):
-        self.p, self._z_powers, self._half_root = p, None, None
+        self.p = p
         self.s = ((p - 1) & (1 - p)).bit_length() - 1  # the lowest set bit of p - 1
         self.d = (p - 1) >> self.s
         if p % 4 == 3:
@@ -251,21 +251,17 @@ class _PrimeRoots:
         else:
             self.exp, self.z = (self.d - 1) // 2, least_nonresidue(p)
 
-    @property
+    @cached_property
     def z_powers(self) -> tuple[int, int]:
         """z**((d+1)/2) and z**d, from one modexp, for p = 1 mod 4."""
-        if self._z_powers is None:
-            y = pow(self.z, self.exp, self.p)
-            zh = y * self.z % self.p
-            self._z_powers = zh, zh * y % self.p
-        return self._z_powers
+        y = pow(self.z, self.exp, self.p)
+        zh = y * self.z % self.p
+        return zh, zh * y % self.p
 
-    @property
+    @cached_property
     def half_root(self) -> int:
         """2**(-(p+1)/4) for p = 3 mod 4, a square root of (2/p)/2."""
-        if self._half_root is None:
-            self._half_root = pow(2, -self.exp, self.p)
-        return self._half_root
+        return pow(2, -self.exp, self.p)
 
     def root_over_class(self, u: int) -> int:
         """A root of u, or of u/z when u is a non-residue."""
@@ -327,14 +323,6 @@ def _class_root(a: int, c: _PrimeRoots) -> tuple[int, int]:
     return symbol, x
 
 
-class Root(NamedTuple):
-    """A square root mod p*q with its Jacobi class ((value/p), (value/q))."""
-
-    value: int
-    jacobi_p: int
-    jacobi_q: int
-
-
 def _prime_roots(a: int, idem: _KeyRoots) -> tuple[int, int]:
     # One root of a per prime; the checks and errors shared by sqrt_mod_pq
     # and canonical_sqrt_mod_pq.
@@ -347,53 +335,38 @@ def _prime_roots(a: int, idem: _KeyRoots) -> tuple[int, int]:
     return sp, sq
 
 
-def _root_classes(s: int, p: int) -> tuple[int, int]:
-    # Jacobi classes mod p of a root s and of p - s.  For p = 3 mod 4
-    # s is a residue and (-1/p) = -1; for p = 1 mod 4, (-1/p) = 1 and both
-    # share the class of s.
-    if p % 4 == 3:
-        return 1, -1
-    c = jacobi(s, p)
-    return c, c
+def _four_lifts(rp: int, rq: int, idem: _KeyRoots) -> tuple[int, int, int, int]:
+    """The four values that are +-rp mod p and +-rq mod q.
 
-
-def sqrt_mod_pq(a: int, idem: _KeyRoots) -> tuple[Root, ...]:
-    """All four square roots of a unit a modulo n = p*q, sorted by value.
-
-    The result is closed under negation mod n and each root carries its
-    Jacobi class.  Raises FactorLeakError when gcd(a, n) > 1 (treated as a
-    degenerate, factorisation-revealing input) and NonResidueError when a
-    is not a residue modulo both primes.
+    Two CRT lifts, v from (rp, rq) and w from (rp, -rq), give them as
+    v, n-v, w and n-w.  For roots rp, rq of a mod p and q they are the four
+    square roots of a mod n.
     """
-    sp, sq = _prime_roots(a, idem)
-    p, q = idem.p, idem.q
-    return tuple(sorted(
-        Root(crt_combine(rp, rq, idem), jp, jq)
-        for rp, jp in zip((sp, p - sp), _root_classes(sp, p))
-        for rq, jq in zip((sq, q - sq), _root_classes(sq, q))
-    ))
+    n = idem.n
+    v = crt_combine(rp, rq, idem)
+    w = crt_combine(rp, idem.q - rq, idem)
+    return v, n - v, w, n - w
+
+
+def sqrt_mod_pq(a: int, idem: _KeyRoots) -> tuple[int, int, int, int]:
+    """All four square roots of a unit a modulo n = p*q, sorted: _four_lifts of its prime roots.
+
+    Raises FactorLeakError when gcd(a, n) > 1 (treated as a degenerate,
+    factorisation-revealing input) and NonResidueError when a is not a
+    residue modulo both primes.
+    """
+    return tuple(sorted(_four_lifts(*_prime_roots(a, idem), idem)))
 
 
 def canonical_sqrt_mod_pq(a: int, idem: _KeyRoots) -> int:
-    """The canonical root: the smallest of the four square roots mod p*q.
-
-    Raises exactly as sqrt_mod_pq does, but labels no classes.
-    """
+    """The canonical root: the least of the four square roots mod p*q.  Raises as sqrt_mod_pq does."""
     sp, sq = _prime_roots(a, idem)
     return _canonical_lift(sp, sq, idem)
 
 
 def _canonical_lift(rp: int, rq: int, idem: _KeyRoots) -> int:
-    """The least of the four values that are +-rp mod p and +-rq mod q.
-
-    Two CRT lifts, v from (rp, rq) and w from (rp, -rq), give the four as
-    v, n-v, w and n-w.  For roots rp, rq of a mod p and q this is a's
-    canonical root.
-    """
-    n = idem.n
-    v = crt_combine(rp, rq, idem)
-    w = crt_combine(rp, idem.q - rq, idem)
-    return min(v, n - v, w, n - w)
+    # The least of _four_lifts: for roots rp, rq of a mod p and q, a's canonical root.
+    return min(_four_lifts(rp, rq, idem))
 
 
 def sqrt_of_unity_nontrivial(idem: _KeyRoots) -> tuple[int, int]:

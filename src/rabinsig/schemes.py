@@ -24,7 +24,7 @@ from typing import Callable, ClassVar, Union
 
 from .errors import FactorLeakError, SignatureFormatError, UnsignableMessageError
 from .hashing import DigestRef, Message, apply_redundancy, digest_int
-from .keygen import KeyPair, PublicKey, _int_field, _parse_record
+from .keygen import _KIND_CLASSES, KeyPair, PublicKey, _fits_kind, _int_field, _parse_record
 from .numtheory import (
     SYSTEM_RNG,
     _canonical_lift,
@@ -358,11 +358,10 @@ class Scheme:
     """
 
     sig_type: type
-    key_kind: str  # the key kind the oracle builds to check this scheme
+    key_kind: str  # the key kind the oracle builds, whose congruences a signing key must meet
     sign: Callable  # (key, m, rng=None) -> signature
     verify: Callable  # (pub, sig) -> VerifyReport
-    key_ok: Callable[[KeyPair], bool] = lambda key: True
-    key_needs: str = ""  # what key_ok demands, for the error message
+    needs_padding: bool = False  # and a private padding set (general)
 
     @property
     def tag(self) -> str:
@@ -372,24 +371,25 @@ class Scheme:
     def components(self) -> tuple[str, ...]:
         return tuple(f.name for f in dataclasses.fields(self.sig_type)[1:])
 
+    def key_ok(self, key: KeyPair) -> bool:
+        return _fits_kind(key.p, key.q, self.key_kind) and (
+            not self.needs_padding or (key.padding is not None and key.padding.classes is not None))
+
     def check_key(self, key: KeyPair):
         """Raise ValueError unless the key meets this scheme's requirement."""
         if not self.key_ok(key):
-            raise ValueError(f"the {self.tag} scheme needs a key with {self.key_needs}")
+            needs = "a private padding set" if self.needs_padding else _KIND_CLASSES[self.key_kind][3]
+            raise ValueError(f"the {self.tag} scheme needs a key with {needs}")
 
-
-_BLUM_KEY = {"key_ok": lambda key: key.is_blum, "key_needs": "both primes congruent to 3 mod 4"}
 
 # The lambdas look general_sign and rw_sign up when called, so rebinding the
 # module attribute also reaches the calls made through sign().
 SCHEMES: dict[str, Scheme] = {s.tag: s for s in (
     Scheme(ClassicSignature, "general", classic_sign, classic_verify),
-    Scheme(GeneralSignature, "general", lambda key, m, rng=None: general_sign(key, m), general_verify,
-           lambda key: key.padding is not None and key.padding.classes is not None, "a private padding set"),
-    Scheme(Variant1Signature, "blum", variant1_sign, variant1_verify, **_BLUM_KEY),
-    Scheme(Variant2Signature, "blum", variant2_sign, variant2_verify, **_BLUM_KEY),
-    Scheme(RWSignature, "rw", lambda key, m, rng=None: rw_sign(key, m), rw_verify,
-           lambda key: key.is_rw, "primes congruent to 3 and 7 mod 8"),
+    Scheme(GeneralSignature, "general", lambda key, m, rng=None: general_sign(key, m), general_verify, True),
+    Scheme(Variant1Signature, "blum", variant1_sign, variant1_verify),
+    Scheme(Variant2Signature, "blum", variant2_sign, variant2_verify),
+    Scheme(RWSignature, "rw", lambda key, m, rng=None: rw_sign(key, m), rw_verify),
 )}
 
 SCHEME_TAGS = tuple(SCHEMES)

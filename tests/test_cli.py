@@ -16,7 +16,7 @@ from rabinsig.keygen import (
     gen_keypair,
     parse_key,
 )
-from rabinsig.numtheory import crt_idempotents
+from rabinsig.numtheory import SYSTEM_RNG, crt_idempotents
 from rabinsig.schemes import dump_signature, parse_signature, sign, verify
 
 from conftest import SeqRng, general_key_with_unchecked_padding
@@ -34,7 +34,7 @@ def test_keygen_writes_both_files(keyfiles):
     key = parse_key(priv.read_text())
     public = parse_key(pub.read_text())
     assert key.public() == public
-    assert key.is_blum
+    assert key.kind == "blum" and key.p % 4 == key.q % 4 == 3
 
 
 @pytest.mark.skipif(os.name != "posix", reason="os.chmod sets POSIX permission bits only on POSIX")
@@ -167,6 +167,10 @@ def test_bad_flags_exit_2():
     assert main(["keygen", "--kind", "pyramid", "--out", "x"]) == 2
     assert main(["sign"]) == 2
     assert main(["no-such-command"]) == 2
+
+
+def test_unseeded_commands_draw_from_the_one_system_rng():
+    assert cli._rng(None) is SYSTEM_RNG
 
 
 def test_scheme_key_mismatch_exits_2(tmp_path, capsys):

@@ -65,7 +65,7 @@ class TestGenKeypair:
     def test_rw(self, rng):
         key = gen_keypair("rw", 32, QUADRATIC, rng)
         assert {key.p % 8, key.q % 8} == {3, 7}
-        assert key.is_rw and key.is_blum
+        assert SCHEMES["rw"].key_ok(key) and SCHEMES["variant2"].key_ok(key)  # its primes are 3 mod 4 too
         assert key.redundancy == QUADRATIC
 
     def test_general_has_valid_padding(self, rng):
@@ -135,6 +135,18 @@ class TestGenKeypair:
             KeyPair.from_primes("rw", 7, 23)  # both 7 mod 8
         with pytest.raises(ValueError):
             KeyPair.from_primes("nonsense", 7, 11)
+
+    def test_kind_table_states_each_kinds_congruences(self):
+        # the one table behind from_primes, parse_key and Scheme.check_key, against the congruences in words
+        odd_primes = (3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47)
+        for p in odd_primes:
+            for q in odd_primes:
+                assert keygen._fits_kind(p, q, "general")
+                assert keygen._fits_kind(p, q, "blum") == (p % 4 == 3 and q % 4 == 3)
+                assert keygen._fits_kind(p, q, "rw") == ({p % 8, q % 8} == {3, 7})
+                for kind in KINDS:
+                    m, _, n_class, _ = keygen._KIND_CLASSES[kind]
+                    assert not keygen._fits_kind(p, q, kind) or p * q % m == n_class
 
     @pytest.mark.parametrize("kind,p,q", [("blum", 7, 11), ("rw", 11, 7)])
     def test_only_general_keys_take_a_padding_set(self, kind, p, q):

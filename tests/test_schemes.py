@@ -262,7 +262,7 @@ class TestRW:
 
     def test_rw_key_required(self, rng):
         key = gen_keypair("blum", 16, IDENTITY, rng)
-        if not key.is_rw:
+        if not schemes.SCHEMES["rw"].key_ok(key):
             with pytest.raises(ValueError):
                 rw_sign(key, 5)
 
