@@ -62,16 +62,17 @@ _SIEVE_PRIMES = _sieve_primes(1 << 14)[1:]
 
 
 class ProvenPrime(int):
-    """A prime with the chain that proves it (numtheory._proven); empty below 2**64.
+    """A prime with the chain of (f, b) steps that proves it (numtheory._proven); empty below 2**64.
 
-    The chain is as secret as the prime: its first element f divides p - 1
+    The chain is as secret as the prime.  Its first factor f divides p - 1
     and exceeds sqrt(p), so it gives p mod 2f > N**(1/4), from which
-    Coppersmith's method factors N.
+    Coppersmith's method factors N; its first witness b has b**f = 1 mod p,
+    so gcd(b**f - 1 mod N, N) = p.
     """
 
-    chain: tuple[int, ...]
+    chain: tuple[tuple[int, int], ...]
 
-    def __new__(cls, value: int, chain: tuple[int, ...]):
+    def __new__(cls, value: int, chain: tuple[tuple[int, int], ...]):
         self = super().__new__(cls, value)
         self.chain = chain
         return self
@@ -87,8 +88,9 @@ def gen_prime(bits: int, constraint: str = "none", rng=None) -> int:
     tests candidates with the exact _exact_prime.  Above, a prime is built as in
     Maurer's generator (J. Cryptology 8, 1995; HAC Alg. 4.62): a proven prime
     f of bits/2 + 2 bits, then a search over candidates p = 2*R*f + 1, each
-    tested by Pocklington's criterion with base 2, which for f*f > p proves
-    a prime in the same exponentiation that rejects a composite.
+    tested by Pocklington's criterion with the witness b = 2**((p-1)/f),
+    which for f*f > p proves a prime in the same exponentiation that rejects
+    a composite.  The prime keeps each step's (f, b) as its proof.
     """
     if bits < 8:
         raise ValueError("need at least 8 bits per prime factor")
@@ -99,17 +101,23 @@ def gen_prime(bits: int, constraint: str = "none", rng=None) -> int:
 def _proven_prime(bits: int, residue: int, step: int, rng) -> ProvenPrime:
     # gen_prime for the class residue mod step (step is 2, 4 or 8).
     if bits <= 64:
-        return ProvenPrime(_search(bits, residue, step, _exact_prime, rng), ())
+        return ProvenPrime(_search(bits, residue, step, _exact_prime, rng)[0], ())
     f = _proven_prime(bits // 2 + 2, 1, 2, rng)  # f*f >= 2**(bits+1) > p
     # p = 1 + 2*f*R with p = residue mod step: R*f = (residue-1)/2 mod step/2
     half = step // 2
     t = (residue - 1) // 2 * pow(f, -1, half) % half
-    p = _search(bits, 1 + 2 * f * t, 2 * f * half, lambda n: _pocklington(n, f), rng)
-    return ProvenPrime(p, (int(f), *f.chain))
+    p, b = _search(bits, 1 + 2 * f * t, 2 * f * half, lambda n: _base_2_witness(n, f), rng)
+    return ProvenPrime(p, ((int(f), b), *f.chain))
 
 
-def _search(bits: int, residue: int, modulus: int, is_prime, rng) -> int:
-    """The first `bits`-bit n = residue mod modulus passing is_prime, by incremental search.
+def _base_2_witness(n: int, f: int) -> int:
+    # b = 2**((n-1)/f) mod n when it proves n prime by _pocklington, and 0 when not.
+    b = pow(2, (n - 1) // f, n)
+    return b if _pocklington(n, f, b) else 0
+
+
+def _search(bits: int, residue: int, modulus: int, witness, rng) -> tuple[int, int]:
+    """The first `bits`-bit n = residue mod modulus with a true witness(n), and that witness.
 
     HAC section 4.4.1: a random start in the class, then its next 2*bits
     members, of which those with an odd prime factor below bits**2/16 (at
@@ -135,8 +143,8 @@ def _search(bits: int, residue: int, modulus: int, is_prime, rng) -> int:
                 alive[i::s] = bytes((count - 1 - i) // s + 1)
         for i in compress(range(count), alive):
             cand = start + modulus * i
-            if is_prime(cand):
-                return cand
+            if w := witness(cand):
+                return cand, w
 
 
 @dataclass(frozen=True)
@@ -250,11 +258,11 @@ class KeyPair:
     q: int
     redundancy: RedundancySpec
     padding: PaddingSet | None = None
-    # Proofs of p and q (numtheory._proven), or None for primes of unknown
-    # origin.  A proof is as secret as its prime (see ProvenPrime), so like
-    # idem it stays out of ==, hash, repr and public().
-    p_proof: tuple[int, ...] | None = field(default=None, compare=False, repr=False)
-    q_proof: tuple[int, ...] | None = field(default=None, compare=False, repr=False)
+    # Proofs of p and q, (f, b) steps (numtheory._proven), or None for primes
+    # of unknown origin.  A proof is as secret as its prime (see ProvenPrime),
+    # so like idem it stays out of ==, hash, repr and public().
+    p_proof: tuple[tuple[int, int], ...] | None = field(default=None, compare=False, repr=False)
+    q_proof: tuple[tuple[int, int], ...] | None = field(default=None, compare=False, repr=False)
 
     @functools.cached_property
     def idem(self) -> _KeyRoots:
@@ -301,7 +309,7 @@ class KeyPair:
         for prime, proof in ((p, p_proof), (q, q_proof)):
             if proof is not None:
                 if not numtheory._proven(prime, proof):
-                    raise ValueError("a factor's proof of primality does not check")
+                    raise ValueError(f"a factor's proof of primality does not check as {_PROOF_FORM}")
             # looked up on the module, so a substitute for the prime test reaches this call
             elif not numtheory.is_probable_prime(prime, rng):
                 raise ValueError("factor failed the primality test")
@@ -342,10 +350,12 @@ def gen_keypair(kind: str, bits: int, redundancy=IDENTITY, rng=None) -> KeyPair:
 
 # ---------------------------------------------------------------------------
 # Key file format: line-oriented text, "name = decimal-value" per line.  A
-# private file may add p_proof and q_proof, each chain's elements in decimal
-# separated by single spaces; a prime below 2**64 has none.
+# private file may add p_proof and q_proof, each chain's steps in decimal
+# separated by single spaces, f1 b1 f2 b2 ...; a prime below 2**64 has none.
 
 KEY_MAGIC = "rabin-key v1"
+
+_PROOF_FORM = "pairs 'f1 b1 f2 b2 ...' of a factor and its witness"
 
 
 def dump_public(pub: PublicKey | KeyPair) -> str:
@@ -361,7 +371,7 @@ def dump_private(key: KeyPair) -> str:
     lines += [f"p = {key.p}", f"q = {key.q}", f"psi1 = {key.psi1}", f"psi2 = {key.psi2}"]
     for name, proof in (("p_proof", key.p_proof), ("q_proof", key.q_proof)):
         if proof:
-            lines.append(f"{name} = {' '.join(map(str, proof))}")
+            lines.append(f"{name} = {' '.join(str(x) for step in proof for x in step)}")
     return "\n".join(lines) + "\n"
 
 
@@ -407,14 +417,17 @@ def _to_int(raw: str, name: str, error: type, path_hint: str) -> int:
         raise error(f"field {name!r} is too long in {path_hint}") from None
 
 
-def _proof_field(fields: dict[str, str], name: str, path_hint: str) -> tuple[int, ...] | None:
-    """Pop an optional proof: canonical decimals separated by single spaces."""
+def _proof_field(fields: dict[str, str], name: str, path_hint: str) -> tuple[tuple[int, int], ...] | None:
+    """Pop an optional proof: canonical decimals separated by single spaces, read as (f, b) steps."""
     raw = fields.pop(name, None)
     if raw is None:
         return None
     if not _DECIMALS.fullmatch(raw):
         raise KeyFormatError(f"field {name!r} is not canonical decimals separated by single spaces in {path_hint}")
-    return tuple(_to_int(part, name, KeyFormatError, path_hint) for part in raw.split(" "))
+    values = [_to_int(part, name, KeyFormatError, path_hint) for part in raw.split(" ")]
+    if len(values) % 2:
+        raise KeyFormatError(f"field {name!r} is not {_PROOF_FORM} in {path_hint}")
+    return tuple(zip(values[::2], values[1::2]))
 
 
 def parse_key(text: str, path_hint: str = "key file") -> KeyPair | PublicKey:

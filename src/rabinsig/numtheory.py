@@ -136,29 +136,28 @@ def _miller_rabin(n: int, bases) -> bool:
     return True
 
 
-def _pocklington(n: int, f: int) -> bool:
-    """Pocklington's criterion with base 2, for a prime f dividing n - 1 with f*f > n.
+def _pocklington(n: int, f: int, b: int) -> bool:
+    """Pocklington's criterion with witness b, for a prime f dividing n - 1 with f*f > n.
 
-    With b = 2**((n-1)/f) mod n, n is prime when b**f = 1 and gcd(b - 1, n) = 1
-    (Pocklington's theorem, HAC section 4.3.3): every prime factor r of n then
-    has f | r - 1, so r > sqrt(n).  For a composite n the first condition is the Fermat test, and
-    a prime n fails the second only when 2 has order dividing (n-1)/f.
+    n is prime when 0 < b < n, b**f = 1 and gcd(b - 1, n) = 1 (Pocklington's
+    theorem, HAC section 4.3.3): for every prime r dividing n, b**f is 1 mod r
+    and b is not, so b has order f mod r, f | r - 1 and r > f > sqrt(n).  Any
+    such b will do, and the check costs one exponentiation by f, half n's size.
     """
-    b = pow(2, (n - 1) // f, n)
-    return pow(b, f, n) == 1 and math.gcd(b - 1, n) == 1
+    return 0 < b < n and pow(b, f, n) == 1 and math.gcd(b - 1, n) == 1
 
 
-def _proven(n: int, chain) -> bool:
-    """Whether `chain` proves n prime.
+def _proven(n: int, steps) -> bool:
+    """Whether `steps` prove n prime.
 
-    The chain is f1, f2, ..., fk: each element proves the one before it
-    (n first) by _pocklington, every element but the last is at least 2**64,
-    and the last is below it, where _exact_prime decides.  A prime below 2**64
-    takes the empty chain.  Maurer (J. Cryptology 8, 1995) and FIPS 186-4
-    Appendix C.10 build primes with such chains.
+    The steps are (f1, b1), ..., (fk, bk): each fi with its witness bi proves
+    the number before it (n first) by _pocklington, every fi but the last is
+    at least 2**64, and the last is below it, where _exact_prime decides.  A
+    prime below 2**64 takes no step.  Maurer (J. Cryptology 8, 1995) and FIPS
+    186-4 Appendix C.10 build primes with such chains.
     """
-    for f in chain:
-        if n < _EXACT_LIMIT or n % 2 == 0 or f * f <= n or (n - 1) % f or not _pocklington(n, f):
+    for f, b in steps:
+        if n < _EXACT_LIMIT or n % 2 == 0 or f * f <= n or (n - 1) % f or not _pocklington(n, f, b):
             return False
         n = f
     return n < _EXACT_LIMIT and _exact_prime(n)

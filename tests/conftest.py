@@ -1,11 +1,12 @@
 import dataclasses
+import functools
 import random
 
 import pytest
 
 from rabinsig.hashing import IDENTITY, QUADRATIC
-from rabinsig.keygen import KeyPair, PaddingSet
-from rabinsig.numtheory import jacobi
+from rabinsig.keygen import KeyPair, PaddingSet, ProvenPrime, gen_prime
+from rabinsig.numtheory import is_probable_prime, jacobi
 
 # Padding set for the n=77 fixture, composed with multipliers a=(2,3), b=(3,2)
 # and all r_i = 1.  With equal r_i the pairwise-difference safety check fails
@@ -22,6 +23,21 @@ def general_key_with_unchecked_padding(p: int, q: int, elements, redundancy=IDEN
     classes = tuple((jacobi(u, p), jacobi(u, q)) for u in elements)
     return dataclasses.replace(KeyPair.from_primes("general", p, q, redundancy),
                                padding=PaddingSet(tuple(elements), classes))
+
+
+@functools.cache
+def composite_with_a_proven_factor() -> tuple[int, ProvenPrime]:
+    """A composite n = 3 mod 4 above 2**64 and a proven prime f with f | n - 1 and f*f > n.
+
+    Pocklington's theorem says that no witness proves n by f.  A Miller-Rabin
+    round that fails proves n composite, so n needs no outside primality test.
+    """
+    rng = random.Random(9)
+    f = gen_prime(100, "none", rng)
+    n = next(n for n in range((1 << 140) // (2 * f) * 2 * f + 1, 1 << 141, 2 * f)
+             if n % 4 == 3 and not is_probable_prime(n, rng))
+    assert (n - 1) % f == 0 and f * f > n > 1 << 64
+    return n, f
 
 
 class NoRandomness:

@@ -1,3 +1,4 @@
+import dataclasses
 import os
 import random
 import stat
@@ -487,7 +488,8 @@ def test_hardened_blind_signer_on_a_non_blum_key_exits_2(tmp_path):
 
 
 def test_proofs_never_leave_the_private_file(tmp_path, capsys):
-    # a proof's first element f gives p mod 2f > N**(1/4), enough to factor N
+    # a proof's first factor f gives p mod 2f > N**(1/4), enough to factor N, and its
+    # first witness b gives gcd(b**f - 1 mod N, N) = p
     outputs = []
 
     def run(*argv, code=0):
@@ -500,8 +502,8 @@ def test_proofs_never_leave_the_private_file(tmp_path, capsys):
         path = str(tmp_path / f"{kind}.key")
         run("keygen", "--kind", kind, "--bits", "128", "--hash", tag, "--seed", seed, "--out", path)
         keys[kind] = (path, parse_key(Path(path).read_text()))
-    secrets = {str(f) for _, key in keys.values() for f in key.p_proof + key.q_proof}
-    assert len(secrets) == 12
+    secrets = {str(x) for _, key in keys.values() for step in key.p_proof + key.q_proof for x in step}
+    assert len(secrets) == 24  # two (factor, witness) steps per prime
 
     for kind, scheme in (("general", "classic"), ("general", "general"), ("blum", "variant1"),
                          ("blum", "variant2"), ("rw", "rw")):
@@ -520,13 +522,17 @@ def test_proofs_never_leave_the_private_file(tmp_path, capsys):
         "--sig", str(tmp_path / "classic.sig"), "--target", "99")
     run("attack", "--kind", "scale", "--pub", blum + ".pub", "--sig", str(tmp_path / "variant2.sig"),
         "--factor", "3")
+    (f, b), *_ = key.p_proof
     tampered = tmp_path / "tampered.key"
-    tampered.write_text(dump_private(key).replace(f"p_proof = {key.p_proof[0]}", f"p_proof = {key.p_proof[0] + 2}"))
-    run("sign", "--key", str(tampered), "--scheme", "variant2", "--message", "5", "--out", str(tmp_path / "t.sig"),
-        code=3)
+    for old, new in ((f"p_proof = {f} ", f"p_proof = {f + 2} "), (f"p_proof = {f} {b} ", f"p_proof = {f} {b + 2} ")):
+        tampered.write_text(dump_private(key).replace(old, new))
+        run("sign", "--key", str(tampered), "--scheme", "variant2", "--message", "5", "--out", str(tmp_path / "t.sig"),
+            code=3)
 
     for _, key in keys.values():
         outputs += [dump_public(key), dump_public(key.public()), repr(key.public()), repr(key)]
+        assert key == dataclasses.replace(key, p_proof=None, q_proof=None)  # proofs take no part in ==
+        assert hash(key) == hash(dataclasses.replace(key, p_proof=None, q_proof=None))  # nor in hash
     leaked = [s for s in secrets for text in outputs if s in text]
     assert not leaked
 

@@ -3,6 +3,7 @@ import dataclasses
 import functools
 import pickle
 import random
+import re
 
 import pytest
 from hypothesis import HealthCheck, given, reject, settings
@@ -29,7 +30,7 @@ from rabinsig.numtheory import _EXACT_BASES, _proven, crt_idempotents, jacobi
 from rabinsig.oracle import SmallRing, qr_set, units
 from rabinsig.schemes import SCHEMES, sign
 
-from conftest import ORACLE_PADDING, NoRandomness, general_key_with_unchecked_padding
+from conftest import ORACLE_PADDING, NoRandomness, composite_with_a_proven_factor, general_key_with_unchecked_padding
 
 
 class TestGenPrime:
@@ -389,14 +390,21 @@ def test_every_chain_element_is_prime(kind, bits, seed):
     sympy = pytest.importorskip("sympy")
     key = gen_keypair(kind, bits, IDENTITY, random.Random(seed))
     for prime, proof in ((key.p, key.p_proof), (key.q, key.q_proof)):
-        assert proof[0].bit_length() == bits // 2 + 2
-        assert all(f >= 1 << 64 for f in proof[:-1]) and proof[-1] < 1 << 64
-        assert all(sympy.isprime(f) for f in proof)
+        factors = [f for f, _ in proof]
+        assert factors[0].bit_length() == bits // 2 + 2
+        assert all(f >= 1 << 64 for f in factors[:-1]) and factors[-1] < 1 << 64
+        assert all(sympy.isprime(f) for f in factors)
+        # each witness is the base-2 one that the search computed for its candidate
+        assert [b for _, b in proof] == [pow(2, (m - 1) // f, m) for m, f in zip((prime, *factors), factors)]
         assert _proven(prime, proof)
 
 
-def _spaced(chain):
-    return " ".join(map(str, chain))
+def _flat(steps):
+    return tuple(x for step in steps for x in step)
+
+
+def _spaced(values):
+    return " ".join(map(str, values))
 
 
 def _plus(i, delta):
@@ -411,12 +419,18 @@ def _drop(i):
     return lambda c: _spaced(c[:i] + c[i + 1:])
 
 
+def _drop_step(i):
+    return lambda c: _spaced(c[:2 * i] + c[2 * i + 2:])
+
+
+# Each takes a chain's elements f1 b1 f2 b2 f3 b3 f4 b4 and leaves an even count.
 TAMPERS = {
-    **{f"element{i}{delta:+d}": _plus(i, delta) for i in range(4) for delta in (2, -2)},
-    **{f"swap{i}{i + 1}": _swap(i) for i in range(3)},
-    **{f"drop{i}": _drop(i) for i in range(4)},
-    "append-3": lambda c: _spaced(c + (3,)),
-    "append-last": lambda c: _spaced(c + c[-1:]),
+    **{f"element{i}{delta:+d}": _plus(i, delta) for i in range(8) for delta in (2, -2)},
+    **{f"swap{i}{i + 1}": _swap(i) for i in range(7)},
+    **{f"drop-step{i + 1}": _drop_step(i) for i in range(4)},
+    "append-3-2": lambda c: _spaced(c + (3, 2)),
+    "append-last": lambda c: _spaced(c + c[-2:]),
+    "factors-only": lambda c: _spaced(c[::2]),
 }
 # the file format refuses these before any arithmetic
 NON_CANONICAL_PROOFS = {
@@ -427,6 +441,13 @@ NON_CANONICAL_PROOFS = {
     "leading-zero": lambda c: "0" + _spaced(c),
     "sign": lambda c: "+" + _spaced(c),
 }
+# an odd count of elements is no list of (factor, witness) steps
+ODD_PROOFS = {
+    **{f"drop{i}": _drop(i) for i in range(8)},
+    "append-3": lambda c: _spaced(c + (3,)),
+    "factors-only-of-an-odd-chain": lambda c: _spaced(c[:5:2]),
+}
+PAIR_FORM = re.escape("pairs 'f1 b1 f2 b2 ...' of a factor and its witness")
 
 
 def _refused_everywhere(text, tmp_path, monkeypatch, match="proof of primality does not check"):
@@ -441,15 +462,17 @@ def _refused_everywhere(text, tmp_path, monkeypatch, match="proof of primality d
 
 
 @pytest.mark.parametrize("field", ["p_proof", "q_proof"])
-@pytest.mark.parametrize("tamper", [*TAMPERS, *NON_CANONICAL_PROOFS])
+@pytest.mark.parametrize("tamper", [*TAMPERS, *NON_CANONICAL_PROOFS, *ODD_PROOFS])
 def test_tampered_proof_is_refused(tamper, field, tmp_path, monkeypatch):
     key = proven_key()
-    chain = getattr(key, field)
+    chain = _flat(getattr(key, field))
     text = dump_private(key)
     line = f"{field} = {_spaced(chain)}\n"
-    assert line in text and len(chain) == 4
+    assert line in text and len(chain) == 8
     if tamper in TAMPERS:
-        bad, match = TAMPERS[tamper](chain), "proof of primality does not check"
+        bad, match = TAMPERS[tamper](chain), "proof of primality does not check as " + PAIR_FORM
+    elif tamper in ODD_PROOFS:
+        bad, match = ODD_PROOFS[tamper](chain), f"field '{field}' is not {PAIR_FORM}"
     else:
         bad, match = NON_CANONICAL_PROOFS[tamper](chain), "not canonical decimals separated by single spaces"
     _refused_everywhere(text.replace(line, f"{field} = {bad}\n"), tmp_path, monkeypatch, match)
@@ -457,16 +480,13 @@ def test_tampered_proof_is_refused(tamper, field, tmp_path, monkeypatch):
 
 def test_proof_of_a_composite_is_refused(tmp_path, monkeypatch):
     # f is a proven prime with f | n - 1 and f*f > n, but n is composite
-    sympy = pytest.importorskip("sympy")
-    rng = random.Random(9)
-    f, q = gen_prime(100, "none", rng), gen_prime(100, "3mod4", rng)
-    n = next(n for n in range((1 << 140) // (2 * f) * 2 * f + 1, 1 << 141, 2 * f)
-             if n % 4 == 3 and not sympy.isprime(n))
-    assert (n - 1) % f == 0 and f * f > n and n > 1 << 64
+    n, f = composite_with_a_proven_factor()
+    q = gen_prime(100, "3mod4", random.Random(9))
     idem = crt_idempotents(n, q)
+    b = pow(2, (n - 1) // f, n)
     text = (f"rabin-key v1\nkind = blum\nhash = identity\nN = {n * q}\np = {n}\nq = {q}\n"
             f"psi1 = {idem.psi1}\npsi2 = {idem.psi2}\n"
-            f"p_proof = {_spaced((f, *f.chain))}\nq_proof = {_spaced(q.chain)}\n")
+            f"p_proof = {_spaced(_flat(((f, b), *f.chain)))}\nq_proof = {_spaced(_flat(q.chain))}\n")
     _refused_everywhere(text, tmp_path, monkeypatch)
 
 
@@ -487,6 +507,26 @@ def test_loading_a_proven_key_takes_no_random_round(monkeypatch):
     parsed = parse_key(text)
     assert parsed == key and (parsed.p_proof, parsed.q_proof) == (key.p_proof, key.q_proof)
     assert bases and set(bases) <= set(_EXACT_BASES)  # only the chains' last elements, below 2**64
+
+
+def test_loading_a_proven_key_takes_one_exponentiation_per_step(monkeypatch):
+    # b**f mod m for each step (f, b) of m is every modexp modulo a number above 2**64,
+    # so no 2**((m-1)/f) is computed
+    key = proven_key()
+    text = dump_private(key)
+    powers = []
+
+    def recorded(base, exp, mod=None):
+        if mod is not None and mod >= 1 << 64 and exp > 0:
+            powers.append((exp, mod))
+        return pow(base, exp, mod)
+
+    for module in (numtheory, keygen):
+        monkeypatch.setattr(module, "pow", recorded, raising=False)
+    assert parse_key(text) == key
+    steps = [(f, m) for prime, proof in ((key.p, key.p_proof), (key.q, key.q_proof))
+             for m, (f, _) in zip((prime, *(f for f, _ in proof)), proof)]
+    assert powers == steps and len(steps) == 8
 
 
 def test_a_key_file_without_proofs_still_loads_with_40_rounds_per_prime(monkeypatch):

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import random
 import signal
@@ -8,7 +9,8 @@ from hypothesis import strategies as st
 
 from rabinsig.errors import FactorLeakError, NonResidueError
 from rabinsig import keygen, numtheory
-from rabinsig.keygen import KeyPair, gen_prime
+from rabinsig.hashing import IDENTITY
+from rabinsig.keygen import KeyPair, dump_private, gen_keypair, gen_prime, parse_key
 from rabinsig.numtheory import (
     _EXACT_BASES,
     _class_root,
@@ -30,7 +32,7 @@ from rabinsig.numtheory import (
 )
 from rabinsig.oracle import SmallRing, all_roots, qr_set, units
 
-from conftest import NoRandomness
+from conftest import NoRandomness, composite_with_a_proven_factor
 
 ODD_PRIMES = (3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 
@@ -131,32 +133,74 @@ class TestExactPrime:
             assert not is_probable_prime(PSI_12, random.Random(seed))
 
 
+def _squared_witnesses(n, steps):
+    # each step's witness squared modulo the number that the step proves
+    squared = []
+    for f, b in steps:
+        squared.append((f, b * b % n))
+        n = f
+    return tuple(squared)
+
+
 class TestProven:
     def test_a_factor_below_the_square_root_proves_nothing(self):
         # the Carmichael number (6k+1)(12k+1)(18k+1) passes both conditions with f = 101 | n - 1,
         # but 101**2 < n, so a prime factor of n need not exceed sqrt(n)
         k = 1051410
         n = (6 * k + 1) * (12 * k + 1) * (18 * k + 1)
-        assert n > 1 << 64 and (n - 1) % 101 == 0 and _pocklington(n, 101)
-        assert not _proven(n, (101,))
+        b = pow(2, (n - 1) // 101, n)
+        assert n > 1 << 64 and (n - 1) % 101 == 0 and _pocklington(n, 101, b)
+        assert not _proven(n, ((101, b),))
 
     def test_a_factor_of_the_order_of_2_proves_nothing(self):
         # n = 2298041 * 9361973132609 divides 2**73 - 1, so for the prime f = 8138064073, with
-        # f | n - 1 and f*f > n, b = 2**((n-1)/f) is 1 and passes b**f = 1; only gcd(b - 1, n) = 1 fails
+        # f | n - 1 and f*f > n, the base-2 witness 2**((n-1)/f) is 1: b**f = 1, and only
+        # gcd(b - 1, n) = 1 fails
         n, f = 2298041 * 9361973132609, 8138064073
         assert (2**73 - 1) % n == 0 and (n - 1) % f == 0 and f * f > n > 1 << 64 and _exact_prime(f)
-        assert pow(2, (n - 1) // f, n) == 1
-        assert not _pocklington(n, f) and not _proven(n, (f,))
+        b = pow(2, (n - 1) // f, n)
+        assert b == 1 and pow(b, f, n) == 1 and math.gcd(b - 1, n) == n
+        assert not _pocklington(n, f, b) and not _proven(n, ((f, b),))
 
     def test_a_chain_ends_at_its_first_element_below_2_to_64(self):
-        # (f, g) is a valid proof of n, but only (f,) is its one encoding
+        # ((f, b),) is a valid proof of n, but only it is n's one encoding
         rng = random.Random(3)
         g = gen_prime(20, "none", rng)
-        f = keygen._search(36, 1, 2 * g, lambda m: _pocklington(m, g), rng)
-        n = keygen._search(66, 1, 2 * f, lambda m: _pocklington(m, f), rng)
-        assert _proven(n, (f,)) and _proven(f, ())
-        assert not _proven(n, (f, g)) and not _proven(f, (g,))
+        f, c = keygen._search(36, 1, 2 * g, lambda m: keygen._base_2_witness(m, g), rng)
+        n, b = keygen._search(66, 1, 2 * f, lambda m: keygen._base_2_witness(m, f), rng)
+        assert _proven(n, ((f, b),)) and _proven(f, ())
+        assert not _proven(n, ((f, b), (g, c))) and not _proven(f, ((g, c),))
         assert not _proven(n, ())  # above 2**64 a prime needs a chain
+
+    def test_a_key_file_with_squared_witnesses_loads(self):
+        # b**2 also has order f, so it proves the step as well as b does: the loader checks
+        # the witness in the file and does not compare it with the base-2 one
+        key = gen_keypair("blum", 256, IDENTITY, random.Random(5))
+        steps = _squared_witnesses(key.p, key.p_proof), _squared_witnesses(key.q, key.q_proof)
+        assert all(b != c for (_, b), (_, c) in zip(steps[0] + steps[1], key.p_proof + key.q_proof))
+        parsed = parse_key(dump_private(dataclasses.replace(key, p_proof=steps[0], q_proof=steps[1])))
+        assert (parsed.p_proof, parsed.q_proof) == steps
+        assert parsed == key and hash(parsed) == hash(key)  # witnesses take no part in either
+
+    @pytest.mark.parametrize("witness", ["0", "1", "n-1", "n", "b+n"])
+    def test_a_witness_of_order_1_or_2_or_out_of_range_is_refused(self, witness):
+        p = gen_prime(200, "none", random.Random(4))
+        n, ((f, b), *rest) = int(p), p.chain
+        bad = {"0": 0, "1": 1, "n-1": n - 1, "n": n, "b+n": b + n}[witness]
+        assert _proven(n, p.chain)
+        assert not _pocklington(n, f, bad) and not _proven(n, ((f, bad), *rest))
+
+    def test_a_composite_is_refused_under_its_base_2_witness(self):
+        n, f = composite_with_a_proven_factor()
+        b = pow(2, (n - 1) // f, n)
+        assert not _pocklington(n, f, b) and not _proven(n, ((f, b), *f.chain))
+
+    @given(st.integers(0, 1 << 150))
+    def test_a_composite_is_refused_under_any_witness(self, h):
+        # h itself, and h**((n-1)/f), which has order dividing f wherever h**(n-1) = 1
+        n, f = composite_with_a_proven_factor()
+        for b in (h, pow(h, (n - 1) // f, n)):
+            assert not _pocklington(n, f, b) and not _proven(n, ((f, b), *f.chain))
 
 
 class TestIdempotents:
