@@ -7,7 +7,7 @@ bare random root is also provided as the target of the blinding attack.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .errors import FactorLeakError, UnsignableMessageError
 from .hashing import Message
@@ -28,11 +28,7 @@ class BlindSignature:
 
 @dataclass
 class BlindSession:
-    """One full author/signer exchange, kept for demos and inspection.
-
-    The transcript records the exchanged values in protocol order:
-    disguise, then blind-sign, then unblind.
-    """
+    """One full author/signer exchange, kept for demos and inspection."""
 
     m: Message
     r: int
@@ -40,7 +36,6 @@ class BlindSession:
     disguised: int
     blind_sig: BlindSignature
     published: Variant2Signature
-    transcript: list[tuple[str, dict]] = field(default_factory=list)
 
 
 def disguise(m: Message, r: int, pub: PublicKey | KeyPair) -> int:
@@ -103,14 +98,11 @@ def run_blind_session(key: KeyPair, m: Message, rng=None, r: int | None = None) 
     if r is None:
         r = random_unit(key.n, rng)
     disguised = disguise(m, r, pub)
-    transcript = [("disguise", {"disguised": disguised})]
     bsig = blind_sign(key, disguised, rng)
-    transcript.append(("blind-sign", {"F": bsig.F, "R3": bsig.R3}))
     published = unblind(bsig, r, m, pub)
-    transcript.append(("unblind", {"F": published.F, "R3": published.R3}))
     # the signer's nonce is recoverable here only because we play both roles
     signer_r = bsig.F * mod_inv(_recover_root(key, disguised), key.n) % key.n
-    return BlindSession(m, r, signer_r, disguised, bsig, published, transcript)
+    return BlindSession(m, r, signer_r, disguised, bsig, published)
 
 
 # The blind signer still finds the class with Jacobi symbols and takes the

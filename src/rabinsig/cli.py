@@ -22,7 +22,7 @@ from .blind import blind_sign, disguise, naive_blind_sign, run_blind_session
 from .errors import KeyFormatError, NonResidueError, RabinError, SignatureFormatError
 from .forgery import apply_scaling, forge_classic, rsa_blinding_attack
 from .hashing import IDENTITY, QUADRATIC, DigestRef, RedundancySpec, apply_redundancy, digest_int
-from .keygen import KINDS, KeyPair, dump_private, dump_public, gen_keypair, parse_key
+from .keygen import KINDS, KeyPair, _dump_record, dump_private, dump_public, gen_keypair, parse_key
 from .numtheory import SYSTEM_RNG, crt_idempotents, jacobi, mod_inv, random_unit, sqrt_mod_pq
 
 
@@ -158,17 +158,11 @@ def cmd_blind_demo(args):
 
     session = run_blind_session(key, args.message, rng)
     report = schemes.verify(key.public(), session.published)
-    print("rabin-blind-demo v1")
-    print(f"N = {key.n}")
-    print(f"hash = {key.redundancy.token}")
-    print(f"message = {session.m}")
-    print(f"blinding = {session.r}")
-    print(f"disguised = {session.disguised}")
-    print(f"blind-F = {session.blind_sig.F}")
-    print(f"blind-R3 = {session.blind_sig.R3}")
-    print(f"signed-F = {session.published.F}")
-    print(f"signed-R3 = {session.published.R3}")
-    print(f"verification = {'VALID' if report.valid else 'INVALID'}")
+    print(_dump_record("rabin-blind-demo v1", {
+        "N": key.n, "hash": key.redundancy.token, "message": session.m, "blinding": session.r,
+        "disguised": session.disguised, "blind-F": session.blind_sig.F, "blind-R3": session.blind_sig.R3,
+        "signed-F": session.published.F, "signed-R3": session.published.R3,
+        "verification": "VALID" if report.valid else "INVALID"}), end="")
     print(_ops_line(report))
     return 0 if report.valid else 1
 
@@ -179,11 +173,8 @@ def _naive_blind_demo(key, m, rng):
     while r == 1:  # a blinder of 1 would hand the signer the message itself
         r = random_unit(key.n, rng)
     disguised = disguise(m, r, pub)
-    print("rabin-blind-demo v1 (naive)")
-    print(f"N = {key.n}")
-    print(f"message = {m}")
-    print(f"blinding = {r}")
-    print(f"disguised = {disguised}")
+    print(_dump_record("rabin-blind-demo v1 (naive)",
+                       {"N": key.n, "message": m, "blinding": r, "disguised": disguised}), end="")
     try:
         root = naive_blind_sign(key, disguised, rng)
     except NonResidueError:
@@ -222,13 +213,7 @@ def _attack_classic(args):
     if not isinstance(sig, schemes.ClassicSignature):
         raise UsageError("the substitution forgery targets classic signatures")
     forged = forge_classic(sig, args.target, pub.n)
-    report = schemes.classic_verify(pub, forged)
-    print(f"forged: message = {forged.m}, U = {forged.U}, S = {forged.S}")
-    _print_report(report)
-    if args.out:
-        Path(args.out).write_text(schemes.dump_signature(forged, pub))
-        print(f"wrote forged signature to {args.out}")
-    return 0 if report.valid else 1
+    return _report_forgery(args, pub, forged, f"forged: message = {forged.m}, U = {forged.U}, S = {forged.S}", "forged")
 
 
 def _attack_scale(args):
@@ -242,12 +227,17 @@ def _attack_scale(args):
         # a non-unit's scaled components share a factor with N; a square root of 1 keeps the message
         raise UsageError("attack --kind scale needs a --factor that is a unit mod N whose square is not 1")
     forged = apply_scaling(sig, factor, pub.n)
+    return _report_forgery(args, pub, forged, f"scaled {sig.scheme} signature by {factor}: message = {forged.m}", "scaled")
+
+
+def _report_forgery(args, pub, forged, headline, adjective):
+    """Verify a forged signature, print the headline and the verdict, and write it to --out if given."""
     report = schemes.verify(pub, forged)
-    print(f"scaled {sig.scheme} signature by {factor}: message = {forged.m}")
+    print(headline)
     _print_report(report)
     if args.out:
         Path(args.out).write_text(schemes.dump_signature(forged, pub))
-        print(f"wrote scaled signature to {args.out}")
+        print(f"wrote {adjective} signature to {args.out}")
     return 0 if report.valid else 1
 
 

@@ -14,12 +14,12 @@ Two families:
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Callable
 
 from .blind import BlindSignature
 from .numtheory import SYSTEM_RNG, mod_inv, random_unit
-from .schemes import SCHEMES, ClassicSignature, Signature
+from .schemes import ClassicSignature, Signature
 
 
 @dataclass(frozen=True)
@@ -47,19 +47,13 @@ TRANSFORMS = {
 
 
 def apply_scaling(sig: Signature | BlindSignature, lam: int, n: int):
-    """Scale every component of sig by the registered power of lam (mod n)."""
-    if isinstance(sig, BlindSignature):
-        tf = TRANSFORMS["blind"]
-        disguised = sig.disguised * pow(lam, tf.message_power, n) % n
-        f_val = sig.F * pow(lam, tf.component_powers[0], n) % n
-        return BlindSignature(disguised, f_val, sig.R3)
-    tf = TRANSFORMS[sig.scheme]
-    if not isinstance(sig.m, int):
+    """Scale the message (a blind signature's disguised value) and each component by its power of lam, mod n."""
+    tf = TRANSFORMS["blind" if isinstance(sig, BlindSignature) else sig.scheme]
+    values = [getattr(sig, f.name) for f in fields(sig)]
+    if not isinstance(values[0], int):
         raise TypeError("scaling forgeries only apply to integer messages")
-    m = sig.m * pow(lam, tf.message_power, n) % n
-    components = [getattr(sig, name) * pow(lam, power, n) % n
-                  for name, power in zip(SCHEMES[sig.scheme].components, tf.component_powers)]
-    return type(sig)(m, *components)
+    powers = (tf.message_power, *tf.component_powers)
+    return type(sig)(*(x * pow(lam, power, n) % n for x, power in zip(values, powers)))
 
 
 def forge_classic(sig: ClassicSignature, m_target: int, n: int) -> ClassicSignature:

@@ -308,7 +308,7 @@ class KeyPair:
             raise ValueError("prime factors must be odd and at least 3")
         for prime, proof in ((p, p_proof), (q, q_proof)):
             if proof is not None:
-                if not numtheory._proven(prime, proof):
+                if not all(isinstance(s, tuple) and len(s) == 2 for s in proof) or not numtheory._proven(prime, proof):
                     raise ValueError(f"a factor's proof of primality does not check as {_PROOF_FORM}")
             # looked up on the module, so a substitute for the prime test reaches this call
             elif not numtheory.is_probable_prime(prime, rng):
@@ -349,85 +349,88 @@ def gen_keypair(kind: str, bits: int, redundancy=IDENTITY, rng=None) -> KeyPair:
 
 
 # ---------------------------------------------------------------------------
-# Key file format: line-oriented text, "name = decimal-value" per line.  A
-# private file may add p_proof and q_proof, each chain's steps in decimal
-# separated by single spaces, f1 b1 f2 b2 ...; a prime below 2**64 has none.
+# Key and signature files share one record format: a magic line, then one
+# "name = value" line per field, every integer in canonical decimal.  _Record
+# reads no other form, so each value has one encoding; only the final line
+# break may be left out.  A private key file may add p_proof and q_proof, each
+# chain's steps in decimal separated by single spaces, f1 b1 f2 b2 ...; a
+# prime below 2**64 has none.
 
 KEY_MAGIC = "rabin-key v1"
 
 _PROOF_FORM = "pairs 'f1 b1 f2 b2 ...' of a factor and its witness"
-
-
-def dump_public(pub: PublicKey | KeyPair) -> str:
-    lines = [KEY_MAGIC, f"kind = {pub.kind}", f"hash = {pub.redundancy.token}", f"N = {pub.n}"]
-    if pub.padding is not None:
-        for i, u in enumerate(pub.padding.elements, start=1):
-            lines.append(f"u{i} = {u}")
-    return "\n".join(lines) + "\n"
-
-
-def dump_private(key: KeyPair) -> str:
-    lines = dump_public(key).splitlines()
-    lines += [f"p = {key.p}", f"q = {key.q}", f"psi1 = {key.psi1}", f"psi2 = {key.psi2}"]
-    for name, proof in (("p_proof", key.p_proof), ("q_proof", key.q_proof)):
-        if proof:
-            lines.append(f"{name} = {' '.join(str(x) for step in proof for x in step)}")
-    return "\n".join(lines) + "\n"
-
-
-# Both text formats, keys and signatures: a magic line, then "name = value"
-# lines, every integer in canonical decimal so each file has one encoding.
 _DECIMAL = re.compile(r"0|[1-9][0-9]*")
 _DECIMALS = re.compile(rf"(?:{_DECIMAL.pattern})(?: (?:{_DECIMAL.pattern}))*")
 
 
-def _parse_record(text: str, magic: str, error: type, path_hint: str) -> dict[str, str]:
-    lines = text.splitlines()
-    if not lines or lines[0] != magic:
-        raise error(f"{path_hint} does not start with {magic!r}")
-    fields: dict[str, str] = {}
-    for line in lines[1:]:
-        if not line.strip():
-            continue
-        name, sep, value = line.partition("=")
-        if not sep:
-            raise error(f"malformed line {line!r} in {path_hint}")
-        name, value = name.strip(), value.strip()
-        if name in fields:
-            raise error(f"duplicate field {name!r} in {path_hint}")
-        fields[name] = value
+def _public_fields(pub: PublicKey | KeyPair) -> dict:
+    fields = {"kind": pub.kind, "hash": pub.redundancy.token, "N": pub.n}
+    if pub.padding is not None:
+        fields.update((f"u{i}", u) for i, u in enumerate(pub.padding.elements, start=1))
     return fields
 
 
-def _int_field(fields: dict[str, str], name: str, error: type, path_hint: str) -> int:
-    """Pop a field that must hold ASCII digits with no leading zero, or `0`."""
-    try:
-        raw = fields.pop(name)
-    except KeyError:
-        raise error(f"missing field {name!r} in {path_hint}") from None
-    if not _DECIMAL.fullmatch(raw):
-        raise error(f"field {name!r} is not a canonical decimal integer in {path_hint}")
-    return _to_int(raw, name, error, path_hint)
+def dump_public(pub: PublicKey | KeyPair) -> str:
+    return _dump_record(KEY_MAGIC, _public_fields(pub))
 
 
-def _to_int(raw: str, name: str, error: type, path_hint: str) -> int:
-    try:
-        return int(raw)
-    except ValueError:  # more digits than int() converts
-        raise error(f"field {name!r} is too long in {path_hint}") from None
+def dump_private(key: KeyPair) -> str:
+    fields = _public_fields(key) | {"p": key.p, "q": key.q, "psi1": key.psi1, "psi2": key.psi2}
+    for name, proof in (("p_proof", key.p_proof), ("q_proof", key.q_proof)):
+        if proof:
+            fields[name] = " ".join(str(x) for step in proof for x in step)
+    return _dump_record(KEY_MAGIC, fields)
 
 
-def _proof_field(fields: dict[str, str], name: str, path_hint: str) -> tuple[tuple[int, int], ...] | None:
-    """Pop an optional proof: canonical decimals separated by single spaces, read as (f, b) steps."""
-    raw = fields.pop(name, None)
-    if raw is None:
-        return None
-    if not _DECIMALS.fullmatch(raw):
-        raise KeyFormatError(f"field {name!r} is not canonical decimals separated by single spaces in {path_hint}")
-    values = [_to_int(part, name, KeyFormatError, path_hint) for part in raw.split(" ")]
-    if len(values) % 2:
-        raise KeyFormatError(f"field {name!r} is not {_PROOF_FORM} in {path_hint}")
-    return tuple(zip(values[::2], values[1::2]))
+def _dump_record(magic: str, fields: dict) -> str:
+    """The record of `fields`: the magic line, then one "name = value" line per field."""
+    return "".join([f"{magic}\n", *(f"{name} = {value}\n" for name, value in fields.items())])
+
+
+class _Record(dict):
+    """A record's fields by name, each taken out once by its reader; done() refuses the rest."""
+
+    def __init__(self, text: str, magic: str, error: type, path_hint: str):
+        self.error, self.path_hint = error, path_hint
+        lines = text.removesuffix("\n").split("\n")
+        if lines[0] != magic:
+            raise error(f"{path_hint} does not start with {magic!r}")
+        for line in lines[1:]:
+            name, sep, value = line.partition(" = ")
+            if not sep:
+                raise error(f"malformed line {line!r} in {path_hint}")
+            if name in self:
+                raise error(f"duplicate field {name!r} in {path_hint}")
+            self[name] = value
+
+    def integer(self, name: str) -> int:
+        """Take a field that must hold ASCII digits with no leading zero, or `0`."""
+        if name not in self:
+            raise self.error(f"missing field {name!r} in {self.path_hint}")
+        return self._decimals(name, _DECIMAL, "a canonical decimal integer")[0]
+
+    def proof(self, name: str) -> tuple[tuple[int, int], ...] | None:
+        """Take an optional proof: canonical decimals separated by single spaces, read as (f, b) steps."""
+        if name not in self:
+            return None
+        values = self._decimals(name, _DECIMALS, "canonical decimals separated by single spaces")
+        if len(values) % 2:
+            raise self.error(f"field {name!r} is not {_PROOF_FORM} in {self.path_hint}")
+        return tuple(zip(values[::2], values[1::2]))
+
+    def _decimals(self, name: str, form: re.Pattern, in_words: str) -> list[int]:
+        raw = self.pop(name)
+        if not form.fullmatch(raw):
+            raise self.error(f"field {name!r} is not {in_words} in {self.path_hint}")
+        try:
+            return [int(part) for part in raw.split(" ")]
+        except ValueError:  # more digits than int() converts
+            raise self.error(f"field {name!r} is too long in {self.path_hint}") from None
+
+    def done(self):
+        """Refuse the fields that no reader took."""
+        if self:
+            raise self.error(f"unexpected fields {sorted(self)} in {self.path_hint}")
 
 
 def parse_key(text: str, path_hint: str = "key file") -> KeyPair | PublicKey:
@@ -436,18 +439,18 @@ def parse_key(text: str, path_hint: str = "key file") -> KeyPair | PublicKey:
     Private files carry p, q, psi1, psi2 and may carry p_proof and q_proof,
     which KeyPair.from_primes checks in place of the 40-round test.
     """
-    fields = _parse_record(text, KEY_MAGIC, KeyFormatError, path_hint)
-    kind = fields.pop("kind", None)
+    record = _Record(text, KEY_MAGIC, KeyFormatError, path_hint)
+    kind = record.pop("kind", None)
     if kind not in KINDS:
         raise KeyFormatError(f"unknown or missing kind in {path_hint}")
-    token = fields.pop("hash", "")
+    token = record.pop("hash", "")
     try:
         redundancy = RedundancySpec.from_token(token)
     except ValueError as exc:
         raise KeyFormatError(f"bad hash field in {path_hint}: {exc}") from None
     if token != redundancy.token:  # one encoding per key file: no 'digest' shorthand
         raise KeyFormatError(f"hash field is not the one token {redundancy.token!r} in {path_hint}")
-    n = _int_field(fields, "N", KeyFormatError, path_hint)
+    n = record.integer("N")
     if n <= 1 or n % 2 == 0 or math.isqrt(n) ** 2 == n:
         raise KeyFormatError(f"N is not an odd non-square above 1 in {path_hint}")
     m, _, n_class, _ = _KIND_CLASSES[kind]
@@ -455,22 +458,19 @@ def parse_key(text: str, path_hint: str = "key file") -> KeyPair | PublicKey:
         raise KeyFormatError(f"N is not {n_class} mod {m}, as a {kind} key's is, in {path_hint}")
 
     padding = None
-    if kind == "general" and any(f"u{i}" in fields for i in range(1, 5)):  # all four or none
-        elements = tuple(_int_field(fields, f"u{i}", KeyFormatError, path_hint) for i in range(1, 5))
+    if kind == "general" and any(f"u{i}" in record for i in range(1, 5)):  # all four or none
+        elements = tuple(record.integer(f"u{i}") for i in range(1, 5))
         if len(set(elements)) != 4 or any(u >= n or math.gcd(u, n) != 1 for u in elements):
             raise KeyFormatError(f"padding elements are not four distinct units below N in {path_hint}")
         padding = PaddingSet(elements)
 
-    if "p" not in fields:
-        if fields:
-            raise KeyFormatError(f"unexpected fields {sorted(fields)} in {path_hint}")
+    if "p" not in record:
+        record.done()
         return PublicKey(kind, n, redundancy, padding)
 
-    p, q, psi1, psi2 = (_int_field(fields, name, KeyFormatError, path_hint)
-                        for name in ("p", "q", "psi1", "psi2"))
-    p_proof, q_proof = (_proof_field(fields, name, path_hint) for name in ("p_proof", "q_proof"))
-    if fields:
-        raise KeyFormatError(f"unexpected fields {sorted(fields)} in {path_hint}")
+    p, q, psi1, psi2 = (record.integer(name) for name in ("p", "q", "psi1", "psi2"))
+    p_proof, q_proof = record.proof("p_proof"), record.proof("q_proof")
+    record.done()
     if p * q != n:
         raise KeyFormatError(f"N does not equal p*q in {path_hint}")
     try:  # from_primes also runs the padding set's safety checks

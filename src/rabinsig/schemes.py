@@ -20,11 +20,11 @@ import dataclasses
 import functools
 import math
 from dataclasses import dataclass
-from typing import Callable, ClassVar, Union
+from typing import ClassVar, Union
 
 from .errors import FactorLeakError, SignatureFormatError, UnsignableMessageError
 from .hashing import DigestRef, Message, apply_redundancy, digest_int
-from .keygen import _KIND_CLASSES, KeyPair, PublicKey, _fits_kind, _int_field, _parse_record
+from .keygen import _KIND_CLASSES, KeyPair, PublicKey, _dump_record, _fits_kind, _Record
 from .numtheory import (
     SYSTEM_RNG,
     _canonical_lift,
@@ -196,7 +196,7 @@ def classic_verify(pub: PublicKey | KeyPair, sig: ClassicSignature) -> VerifyRep
 # general (four-multiplier padding set)
 
 
-def general_sign(key: KeyPair, m: Message) -> GeneralSignature:
+def general_sign(key: KeyPair, m: Message, rng=None) -> GeneralSignature:
     """Sign with the unique padding-set element in the Jacobi class of H(m).
 
     With f the class representative of both h and u mod p (1 or z), the
@@ -315,7 +315,7 @@ def variant2_verify(pub: PublicKey | KeyPair, sig: Variant2Signature) -> VerifyR
 # rw (two-multiplier correction, primes 3 and 7 mod 8)
 
 
-def rw_sign(key: KeyPair, m: Message) -> RWSignature:
+def rw_sign(key: KeyPair, m: Message, rng=None) -> RWSignature:
     """Sign as [m, e, f, S]: the unique (e, f) makes H(m)/(e*f) a residue; e is 1 or N-1."""
     SCHEMES["rw"].check_key(key)
     h = _hash_for_signing(key, m)
@@ -351,16 +351,15 @@ def rw_verify(pub: PublicKey | KeyPair, sig: RWSignature) -> VerifyReport:
 
 @dataclass(frozen=True)
 class Scheme:
-    """One scheme: its signature type, signer, verifier and key requirement.
+    """One scheme: its signature type and key requirement.
 
     The tag is `sig_type.scheme` and the components are the fields of
-    `sig_type` after the message.
+    `sig_type` after the message.  Its signer is this module's
+    `<tag>_sign(key, m, rng=None)` and its verifier `<tag>_verify(pub, sig)`.
     """
 
     sig_type: type
     key_kind: str  # the key kind the oracle builds, whose congruences a signing key must meet
-    sign: Callable  # (key, m, rng=None) -> signature
-    verify: Callable  # (pub, sig) -> VerifyReport
     needs_padding: bool = False  # and a private padding set (general)
 
     @property
@@ -382,33 +381,28 @@ class Scheme:
             raise ValueError(f"the {self.tag} scheme needs a key with {needs}")
 
 
-# The lambdas look general_sign and rw_sign up when called, so rebinding the
-# module attribute also reaches the calls made through sign().
 SCHEMES: dict[str, Scheme] = {s.tag: s for s in (
-    Scheme(ClassicSignature, "general", classic_sign, classic_verify),
-    Scheme(GeneralSignature, "general", lambda key, m, rng=None: general_sign(key, m), general_verify, True),
-    Scheme(Variant1Signature, "blum", variant1_sign, variant1_verify),
-    Scheme(Variant2Signature, "blum", variant2_sign, variant2_verify),
-    Scheme(RWSignature, "rw", lambda key, m, rng=None: rw_sign(key, m), rw_verify),
+    Scheme(ClassicSignature, "general"),
+    Scheme(GeneralSignature, "general", needs_padding=True),
+    Scheme(Variant1Signature, "blum"),
+    Scheme(Variant2Signature, "blum"),
+    Scheme(RWSignature, "rw"),
 )}
 
 SCHEME_TAGS = tuple(SCHEMES)
 
-# sign() and verify() dispatch through these module-level dicts rather than
-# through SCHEMES, because instrumentation that swaps a function (perfbench's
-# tracer, a test's monkeypatch) rebinds module attributes and module-level dict
-# values and cannot reach into Scheme objects.  _VERIFIERS stays keyed by
-# signature class, the key that verify() and its callers index it by.
-_SIGNERS = {tag: s.sign for tag, s in SCHEMES.items()}
-_VERIFIERS = {s.sig_type: s.verify for s in SCHEMES.values()}
+# sign() looks `<tag>_sign` up in this module's namespace when it runs, and
+# verify() indexes _VERIFIERS, a module-level dict of the `<tag>_verify`
+# functions keyed by signature class.  Instrumentation that swaps a function
+# (perfbench's tracer, a test's monkeypatch) rebinds module attributes and
+# module-level dict values, so the swapped function is the one called.
+_VERIFIERS = {s.sig_type: globals()[f"{tag}_verify"] for tag, s in SCHEMES.items()}
 
 
 def sign(key: KeyPair, m: Message, scheme: str, rng=None) -> Signature:
-    try:
-        signer = _SIGNERS[scheme]
-    except KeyError:
-        raise ValueError(f"unknown scheme {scheme!r}") from None
-    return signer(key, m, rng=rng)
+    if scheme not in SCHEMES:
+        raise ValueError(f"unknown scheme {scheme!r}")
+    return globals()[f"{scheme}_sign"](key, m, rng=rng)
 
 
 def verify(pub: PublicKey | KeyPair, sig: Signature) -> VerifyReport:
@@ -423,37 +417,29 @@ SIG_MAGIC = "rabin-sig v1"
 
 
 def dump_signature(sig: Signature, pub: PublicKey | KeyPair) -> str:
-    lines = [SIG_MAGIC, f"scheme = {sig.scheme}"]
     m = sig.m
+    fields = {"scheme": sig.scheme}
     if isinstance(m, int):
-        lines.append(f"message = {m}")
-    elif isinstance(m, DigestRef):
-        lines.append(f"message-digest = {m.digest_int}")
-    else:  # raw bytes: store by digest reference
-        lines.append(f"message-digest = {digest_int(pub.redundancy, m)}")
-    lines += [f"{name} = {getattr(sig, name)}" for name in SCHEMES[sig.scheme].components]
-    return "\n".join(lines) + "\n"
+        fields["message"] = m
+    else:  # raw bytes are stored by their digest reference
+        fields["message-digest"] = m.digest_int if isinstance(m, DigestRef) else digest_int(pub.redundancy, m)
+    fields.update((name, getattr(sig, name)) for name in SCHEMES[sig.scheme].components)
+    return _dump_record(SIG_MAGIC, fields)
 
 
 def parse_signature(text: str, path_hint: str = "signature file") -> Signature:
-    fields = _parse_record(text, SIG_MAGIC, SignatureFormatError, path_hint)
-    scheme = SCHEMES.get(fields.pop("scheme", None))
+    record = _Record(text, SIG_MAGIC, SignatureFormatError, path_hint)
+    scheme = SCHEMES.get(record.pop("scheme", None))
     if scheme is None:
         raise SignatureFormatError(f"unknown or missing scheme in {path_hint}")
-
-    def take_int(name):
-        return _int_field(fields, name, SignatureFormatError, path_hint)
-
-    if "message" in fields and "message-digest" in fields:
+    if "message" in record and "message-digest" in record:
         raise SignatureFormatError(f"both message and message-digest present in {path_hint}")
-    if "message" in fields:
-        m: Message = take_int("message")
-    elif "message-digest" in fields:
-        m = DigestRef(take_int("message-digest"))
+    if "message" in record:
+        m: Message = record.integer("message")
+    elif "message-digest" in record:
+        m = DigestRef(record.integer("message-digest"))
     else:
         raise SignatureFormatError(f"missing message in {path_hint}")
-
-    components = [take_int(name) for name in scheme.components]
-    if fields:
-        raise SignatureFormatError(f"unexpected fields {sorted(fields)} in {path_hint}")
+    components = [record.integer(name) for name in scheme.components]
+    record.done()
     return scheme.sig_type(m, *components)

@@ -8,6 +8,7 @@ import pytest
 
 from rabinsig import cli
 from rabinsig.cli import _naive_blind_demo, main
+from rabinsig.errors import KeyFormatError, SignatureFormatError
 from rabinsig.hashing import IDENTITY
 from rabinsig.keygen import (
     KeyPair,
@@ -146,6 +147,32 @@ def test_negative_signature_value_exits_3(keyfiles, tmp_path, field):
     assert main(["sign", "--key", str(priv), "--scheme", "variant2", "--message", "5",
                  "--out", str(sig), "--seed", "1"]) == 0
     sig.write_text(sig.read_text().replace(f"\n{field} = ", f"\n{field} = -"))
+    assert main(["verify", "--pub", str(pub), "--sig", str(sig)]) == 3
+
+
+# The writers put one "name = value" line per field, with single spaces around "=".
+LINE_VARIANTS = {
+    "no-spaces": lambda line: line.replace(" = ", "="),
+    "leading-space": lambda line: " " + line,
+    "trailing-space": lambda line: line + " ",
+    "blank-line-after": lambda line: line + "\n",
+}
+
+
+@pytest.mark.parametrize("variant", LINE_VARIANTS)
+@pytest.mark.parametrize("field", ["kind", "N", "scheme", "F"])
+def test_only_the_written_line_form_is_read(keyfiles, tmp_path, field, variant):
+    priv, pub = keyfiles
+    sig = tmp_path / "m.sig"
+    assert main(["sign", "--key", str(priv), "--scheme", "variant2", "--message", "5",
+                 "--out", str(sig), "--seed", "1"]) == 0
+    path, parse, error = ((pub, parse_key, KeyFormatError) if field in ("kind", "N")
+                          else (sig, parse_signature, SignatureFormatError))
+    text = path.read_text()
+    line = next(line for line in text.splitlines() if line.startswith(f"{field} = "))
+    path.write_text(text.replace(f"{line}\n", f"{LINE_VARIANTS[variant](line)}\n"))
+    with pytest.raises(error):
+        parse(path.read_text())
     assert main(["verify", "--pub", str(pub), "--sig", str(sig)]) == 3
 
 

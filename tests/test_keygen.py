@@ -478,6 +478,17 @@ def test_tampered_proof_is_refused(tamper, field, tmp_path, monkeypatch):
     _refused_everywhere(text.replace(line, f"{field} = {bad}\n"), tmp_path, monkeypatch, match)
 
 
+def test_from_primes_refuses_a_proof_that_is_not_f_b_steps():
+    # parse_key always builds (f, b) pairs; a caller of from_primes may hand it any shape
+    rng = random.Random(16)
+    p, q = gen_prime(100, "3mod4", rng), gen_prime(100, "3mod4", rng)
+    (f, b), = p.chain
+    for proof in (_flat(p.chain), ((f,),), ((f, b, 1),)):
+        with pytest.raises(ValueError, match="proof of primality does not check as " + PAIR_FORM):
+            KeyPair.from_primes("blum", p, q, p_proof=proof, q_proof=q.chain)
+    assert KeyPair.from_primes("blum", p, q, p_proof=p.chain, q_proof=q.chain).p_proof == p.chain
+
+
 def test_proof_of_a_composite_is_refused(tmp_path, monkeypatch):
     # f is a proven prime with f | n - 1 and f*f > n, but n is composite
     n, f = composite_with_a_proven_factor()

@@ -563,6 +563,30 @@ class TestRoundTrip:
         assert verify(key.public(), sig).valid
 
 
+class TestDispatch:
+    """sign() finds `<tag>_sign` by name when it runs, and verify() reads _VERIFIERS, so a swapped function runs."""
+
+    def test_sign_calls_the_module_s_signer(self, rw_toy_key, monkeypatch):
+        calls, rng = [], random.Random(1)
+
+        def signer(key, m, rng=None):
+            calls.append((key, m, rng))
+            return "signed"
+
+        monkeypatch.setattr(schemes, "rw_sign", signer)
+        assert sign(rw_toy_key, 5, "rw", rng=rng) == "signed"
+        assert calls == [(rw_toy_key, 5, rng)]
+
+    def test_verify_calls_the_table_s_verifier(self, rw_toy_key, monkeypatch):
+        sig, report = rw_sign(rw_toy_key, 5), schemes.VerifyReport(False, "stand-in")
+        monkeypatch.setitem(schemes._VERIFIERS, RWSignature, lambda pub, s: report)
+        assert verify(rw_toy_key.public(), sig) is report
+
+    def test_unknown_scheme(self, toy_key):
+        with pytest.raises(ValueError, match="unknown scheme 'nope'"):
+            sign(toy_key, 5, "nope")
+
+
 class TestSignatureFiles:
     @pytest.mark.parametrize("scheme,kind", SCHEMES_AND_KINDS)
     def test_round_trip_is_byte_exact(self, scheme, kind, rng):
