@@ -91,12 +91,10 @@ def naive_blind_sign(key: KeyPair, disguised: int, rng=None) -> int:
     return (rng or SYSTEM_RNG).choice(sqrt_mod_pq(disguised, key.idem))
 
 
-def run_blind_session(key: KeyPair, m: Message, rng=None, r: int | None = None) -> BlindSession:
+def run_blind_session(key: KeyPair, m: Message, rng=None) -> BlindSession:
     """Drive one complete disguise / blind-sign / unblind exchange."""
-    rng = rng or SYSTEM_RNG
     pub = key.public()
-    if r is None:
-        r = random_unit(key.n, rng)
+    r = random_unit(key.n, rng)
     disguised = disguise(m, r, pub)
     bsig = blind_sign(key, disguised, rng)
     published = unblind(bsig, r, m, pub)

@@ -199,13 +199,16 @@ def _sample_with_jacobi(p: int, target: int, rng) -> int:
 
 
 def compose_padding_set(a1, a2, b1, b2, rs, idem: _KeyRoots):
-    """Form the four products r**2 * (a*psi1 + b*psi2) over the ring idem, with their class labels."""
-    elements, classes = [], []
-    for (a, b), r in zip(((a1, b1), (a1, b2), (a2, b1), (a2, b2)), rs):
-        u = crt_padding(a, b, r, idem)
-        elements.append(u)
-        classes.append((jacobi(u, idem.p), jacobi(u, idem.q)))
-    return tuple(elements), tuple(classes)
+    """Form the four products r**2 * (a*psi1 + b*psi2) over the ring idem, with their class labels.
+
+    Such a product is r**2 * a mod p and r**2 * b mod q, so for units r its
+    class is that of (a mod p, b mod q).  The callers draw a1 and b1 as
+    residues and a2 and b2 as non-residues, so the labels are constant and
+    no Jacobi symbol is computed.
+    """
+    pairs = ((a1, b1), (a1, b2), (a2, b1), (a2, b2))
+    elements = tuple(crt_padding(a, b, r, idem) for (a, b), r in zip(pairs, rs))
+    return elements, ((1, 1), (1, -1), (-1, 1), (-1, -1))
 
 
 def build_padding_set(p: int, q: int, psi1: int, psi2: int, rng=None) -> PaddingSet:
@@ -291,8 +294,7 @@ class KeyPair:
         return PublicKey(self.kind, self.n, self.redundancy, padding)
 
     @classmethod
-    def from_primes(cls, kind, p, q, redundancy=IDENTITY, padding=None, rng=None,
-                    p_proof=None, q_proof=None) -> "KeyPair":
+    def from_primes(cls, kind, p, q, redundancy=IDENTITY, padding=None, p_proof=None, q_proof=None) -> "KeyPair":
         """A key on primes of unknown origin, certified here.
 
         A prime given with a proof is certified by numtheory._proven alone, and
@@ -311,7 +313,7 @@ class KeyPair:
                 if not all(isinstance(s, tuple) and len(s) == 2 for s in proof) or not numtheory._proven(prime, proof):
                     raise ValueError(f"a factor's proof of primality does not check as {_PROOF_FORM}")
             # looked up on the module, so a substitute for the prime test reaches this call
-            elif not numtheory.is_probable_prime(prime, rng):
+            elif not numtheory.is_probable_prime(prime):
                 raise ValueError("factor failed the primality test")
         if not _fits_kind(p, q, kind):
             raise ValueError(f"{kind} keys need {_KIND_CLASSES[kind][3]}")

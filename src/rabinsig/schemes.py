@@ -25,15 +25,7 @@ from typing import ClassVar, Union
 from .errors import FactorLeakError, SignatureFormatError, UnsignableMessageError
 from .hashing import DigestRef, Message, apply_redundancy, digest_int
 from .keygen import _KIND_CLASSES, KeyPair, PublicKey, _dump_record, _fits_kind, _Record
-from .numtheory import (
-    SYSTEM_RNG,
-    _canonical_lift,
-    _class_root,
-    crt_combine,
-    crt_padding,
-    random_unit,
-    sqrt_of_unity_nontrivial,
-)
+from .numtheory import _canonical_lift, _class_root, crt_combine, crt_padding, random_unit
 
 
 @dataclass(frozen=True)
@@ -231,26 +223,25 @@ def general_verify(pub: PublicKey | KeyPair, sig: GeneralSignature) -> VerifyRep
 def variant1_sign(key: KeyPair, m: Message, rng=None) -> Variant1Signature:
     """Sign as [m, U, S, T] with T**2 = (U+1)*S and S**2 = H(m)*U.
 
-    U is re-drawn when it lands on a nontrivial square root of unity
-    (publishing one would reveal the factorisation).  S is the unique root
-    of H(m)*U whose Jacobi class matches U+1, which makes (U+1)*S a
-    residue; T is its canonical root.
+    One rule picks U: it is re-drawn, at most 64 times, until U+1 is a unit,
+    since a published U with gcd(U+1, N) > 1 reveals a factor; after 64 bad
+    draws the signer raises FactorLeakError.  The rule covers the nontrivial
+    square roots of unity: each is 1 mod one prime and -1 mod the other, so
+    its U+1 is a multiple of the second prime.  S is the unique root of
+    H(m)*U whose Jacobi class matches U+1, which makes (U+1)*S a residue; T
+    is its canonical root.
     """
     SCHEMES["variant1"].check_key(key)
     h = _hash_for_signing(key, m)
-    rng = rng or SYSTEM_RNG
     p, q, k = key.p, key.q, key.idem
     hp, xp, hq, xq = _class_roots(key, h)
-    forbidden = sqrt_of_unity_nontrivial(k)
     for _ in range(64):
         r = random_unit(key.n, rng)
         padding = _class_padding(key, hp, hq, r)
-        if padding not in forbidden:
+        if math.gcd(padding + 1, key.n) == 1:
             break
     else:
-        raise RuntimeError("could not draw an acceptable padding value")
-    if math.gcd(padding + 1, key.n) != 1:
-        raise FactorLeakError("padding value adjacent to a multiple of a prime factor")
+        raise FactorLeakError("could not draw a padding value U with U+1 a unit")
     sp, tp = _binding_root(r * xp % p, padding + 1, k.at_p)
     sq, tq = _binding_root(r * xq % q, padding + 1, k.at_q)
     return Variant1Signature(m, padding, crt_combine(sp, sq, k), _canonical_lift(tp, tq, k))

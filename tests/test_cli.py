@@ -176,6 +176,20 @@ def test_only_the_written_line_form_is_read(keyfiles, tmp_path, field, variant):
     assert main(["verify", "--pub", str(pub), "--sig", str(sig)]) == 3
 
 
+@pytest.mark.parametrize("line_end", ["\r\n", "\r"])
+@pytest.mark.parametrize("which", ["pub", "sig"])
+def test_files_are_read_as_bytes_so_cr_line_ends_are_refused(keyfiles, tmp_path, which, line_end):
+    # text mode would read either line end as "\n" and load the copy
+    priv, pub = keyfiles
+    sig = tmp_path / "m.sig"
+    assert main(["sign", "--key", str(priv), "--scheme", "variant2", "--message", "5",
+                 "--out", str(sig), "--seed", "1"]) == 0
+    assert b"\r" not in pub.read_bytes() + sig.read_bytes()
+    path = {"pub": pub, "sig": sig}[which]
+    path.write_bytes(path.read_bytes().replace(b"\n", line_end.encode()))
+    assert main(["verify", "--pub", str(pub), "--sig", str(sig)]) == 3
+
+
 def test_composite_factor_key_exits_3(tmp_path):
     # 15 is 3 mod 4, so only the primality test can reject this blum key
     p, q = 15, 7
@@ -433,10 +447,11 @@ def digest_ref_sig(keyfiles, tmp_path):
 
 
 def test_digest_reference_under_a_non_digest_key_is_invalid(keyfiles, digest_ref_sig, capsys):
+    # the verifier's message rule gives the one verdict, before any operation
     _, pub = keyfiles
     capsys.readouterr()
     assert main(["verify", "--pub", str(pub), "--sig", str(digest_ref_sig)]) == 1
-    assert capsys.readouterr().out.startswith("INVALID (")
+    assert capsys.readouterr().out == "INVALID (component range)\nops: 0 squares, 0 products\n"
 
 
 def test_scaling_a_digest_reference_exits_2(keyfiles, digest_ref_sig):

@@ -200,6 +200,14 @@ class TestPaddingSet:
         assert elements == (58, 2, 3, 24)
         assert classes == ((1, 1), (1, -1), (-1, 1), (-1, -1))
 
+    def test_composition_computes_no_jacobi_symbol(self, monkeypatch):
+        # the labels follow from the classes of a1, a2, b1, b2, so none is computed
+        calls = []
+        monkeypatch.setattr(keygen, "jacobi", lambda a, n: calls.append((a, n)) or jacobi(a, n))
+        _, classes = compose_padding_set(2, 3, 3, 2, (1, 2, 3, 4), crt_idempotents(7, 11))
+        assert classes == ((1, 1), (1, -1), (-1, 1), (-1, -1))
+        assert calls == []
+
     def test_oracle_set_fails_the_difference_check(self):
         # equal r_i leave same-row differences divisible by a prime factor
         flaws = padding_set_flaws(ORACLE_PADDING.elements, 7, 11)

@@ -1,5 +1,7 @@
 import pytest
 
+from rabinsig import schemes
+from rabinsig.errors import FactorLeakError
 from rabinsig.hashing import IDENTITY, QUADRATIC
 from rabinsig.oracle import (
     SMALL_RING_LIMIT,
@@ -79,6 +81,16 @@ class TestExhaustiveChecks:
         report = check_scheme_exhaustive(scheme, SmallRing(7, 11), QUADRATIC, rng)
         assert report.ok
         assert report.skipped > 0  # m = -1 and friends are unsignable
+
+    def test_a_signer_raising_factor_leak_is_a_failure(self, monkeypatch, rng):
+        def leaky(key, m, rng=None):
+            raise FactorLeakError("no padding value found")
+
+        monkeypatch.setattr(schemes, "variant1_sign", leaky)
+        report = check_scheme_exhaustive("variant1", SmallRing(7, 11), IDENTITY, rng)
+        assert not report.ok and report.signed == 0
+        assert report.failures[:2] == ["m=1: signing kept failing", "m=2: signing kept failing"]
+        assert len(report.failures) == 60  # one per signable message
 
     def test_rw_needs_matching_primes(self, rng):
         with pytest.raises(ValueError):

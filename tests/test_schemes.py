@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rabinsig.blind import BlindSignature, verify_blind_signature
-from rabinsig.errors import SignatureFormatError, UnsignableMessageError
+from rabinsig.errors import FactorLeakError, SignatureFormatError, UnsignableMessageError
 from rabinsig.hashing import IDENTITY, QUADRATIC, DigestRef, RedundancySpec, digest_int
 from rabinsig.keygen import KeyPair, build_padding_set, gen_keypair, gen_prime
 from rabinsig import numtheory, schemes
@@ -144,6 +144,18 @@ class TestVariant1:
         sig = variant1_sign(toy_key, 2, rng=SeqRng(1, 2))
         assert sig.U not in (43, 34)
         assert variant1_verify(toy_key.public(), sig).valid
+
+    def test_padding_next_to_a_factor_multiple_resampled(self, toy_key):
+        # m=2 with R=10 gives U = 65, and U+1 = 66 = 6*11 shares a factor with N;
+        # the rule that re-draws the unity roots (U+1 a unit) re-draws it too
+        sig = variant1_sign(toy_key, 2, rng=SeqRng(10, 2))
+        assert sig == Variant1Signature(2, 18, 6, 24)
+        assert variant1_verify(toy_key.public(), sig).valid
+
+    def test_64_bad_draws_raise_factor_leak(self, toy_key):
+        # SeqRng holds exactly 64 values, so a 65th draw would fail the test another way
+        with pytest.raises(FactorLeakError):
+            variant1_sign(toy_key, 2, rng=SeqRng(*[10] * 64))
 
     def test_blum_key_required(self):
         key = KeyPair.from_primes("general", 13, 17, IDENTITY)
