@@ -51,6 +51,10 @@ def _fits_kind(p: int, q: int, kind: str) -> bool:
     return {p % m, q % m} == residues
 
 
+# The most bits a key's prime may have.  gen_keypair, KeyPair.from_primes and
+# parse_key refuse more, so that loading an untrusted key file is bounded work.
+MAX_PRIME_BITS = 4096
+
 # Padding multipliers a, b only matter through their residue classes, so
 # small values are enough and keep generation cheap.
 _MULTIPLIER_BOUND = 1 << 16
@@ -65,9 +69,9 @@ class ProvenPrime(int):
     """A prime with the chain of (f, b) steps that proves it (numtheory._proven); empty below 2**64.
 
     The chain is as secret as the prime.  Its first factor f divides p - 1
-    and exceeds sqrt(p), so it gives p mod 2f > N**(1/4), from which
-    Coppersmith's method factors N; its first witness b has b**f = 1 mod p,
-    so gcd(b**f - 1 mod N, N) = p.
+    and has a third of p's bits, so it gives p mod 2f, about N**(1/6): less
+    than the N**(1/4) from which Coppersmith's method factors N, but its
+    first witness b has b**f = 1 mod p, so gcd(b**f - 1 mod N, N) = p.
     """
 
     chain: tuple[tuple[int, int], ...]
@@ -87,10 +91,11 @@ def gen_prime(bits: int, constraint: str = "none", rng=None) -> int:
     Returns a ProvenPrime, which carries its proof.  Below 2**64 the search
     tests candidates with the exact _exact_prime.  Above, a prime is built as in
     Maurer's generator (J. Cryptology 8, 1995; HAC Alg. 4.62): a proven prime
-    f of bits/2 + 2 bits, then a search over candidates p = 2*R*f + 1, each
-    tested by Pocklington's criterion with the witness b = 2**((p-1)/f),
-    which for f*f > p proves a prime in the same exponentiation that rejects
-    a composite.  The prime keeps each step's (f, b) as its proof.
+    f of ceil(bits/3) bits, then a search over candidates p = 2*R*f + 1, each
+    tested with the witness b = 2**((p-1)/f) by numtheory._pocklington, whose
+    size and square test proves p prime once (2f)**3 >= p.  A 512-bit prime
+    thus takes two steps, through f of 171 and 57 bits.  The prime keeps each
+    step's (f, b) as its proof.
     """
     if bits < 8:
         raise ValueError("need at least 8 bits per prime factor")
@@ -102,7 +107,7 @@ def _proven_prime(bits: int, residue: int, step: int, rng) -> ProvenPrime:
     # gen_prime for the class residue mod step (step is 2, 4 or 8).
     if bits <= 64:
         return ProvenPrime(_search(bits, residue, step, _exact_prime, rng)[0], ())
-    f = _proven_prime(bits // 2 + 2, 1, 2, rng)  # f*f >= 2**(bits+1) > p
+    f = _proven_prime(-(-bits // 3), 1, 2, rng)  # (2f)**3 >= 2**(3*ceil(bits/3)) > p
     # p = 1 + 2*f*R with p = residue mod step: R*f = (residue-1)/2 mod step/2
     half = step // 2
     t = (residue - 1) // 2 * pow(f, -1, half) % half
@@ -298,9 +303,9 @@ class KeyPair:
         """A key on primes of unknown origin, certified here.
 
         A prime given with a proof is certified by numtheory._proven alone, and
-        one without by is_probable_prime.  Raises ValueError unless p and q pass
-        and meet the kind's congruences, and unless a padding set is on a general
-        key and passes padding_set_flaws.
+        one without by is_probable_prime.  Raises ValueError unless p and q have
+        at most MAX_PRIME_BITS bits, pass and meet the kind's congruences, and
+        unless a padding set is on a general key and passes padding_set_flaws.
         """
         if kind not in KINDS:
             raise ValueError(f"unknown key kind {kind!r}")
@@ -308,6 +313,8 @@ class KeyPair:
             raise ValueError("prime factors must be distinct")
         if p < 3 or q < 3 or p % 2 == 0 or q % 2 == 0:
             raise ValueError("prime factors must be odd and at least 3")
+        if max(p, q).bit_length() > MAX_PRIME_BITS:
+            raise ValueError(f"prime factors have at most {MAX_PRIME_BITS} bits")
         for prime, proof in ((p, p_proof), (q, q_proof)):
             if proof is not None:
                 if not all(isinstance(s, tuple) and len(s) == 2 for s in proof) or not numtheory._proven(prime, proof):
@@ -333,10 +340,13 @@ def gen_keypair(kind: str, bits: int, redundancy=IDENTITY, rng=None) -> KeyPair:
 
     The primes come straight from gen_prime, so the key is built without the
     re-certification that KeyPair.from_primes gives untrusted primes, and
-    keeps their proofs for its key file.
+    keeps their proofs for its key file.  Raises ValueError for more than
+    MAX_PRIME_BITS bits.
     """
     if kind not in KINDS:
         raise ValueError(f"unknown key kind {kind!r}")
+    if bits > MAX_PRIME_BITS:
+        raise ValueError(f"at most {MAX_PRIME_BITS} bits per prime factor")
     rng = rng or SYSTEM_RNG
     p_constraint, q_constraint = _KIND_CONSTRAINTS[kind]
     p = gen_prime(bits, p_constraint, rng)
@@ -439,7 +449,8 @@ def parse_key(text: str, path_hint: str = "key file") -> KeyPair | PublicKey:
     """Parse a public or private key file.
 
     Private files carry p, q, psi1, psi2 and may carry p_proof and q_proof,
-    which KeyPair.from_primes checks in place of the 40-round test.
+    which KeyPair.from_primes checks in place of the 40-round test.  An N
+    above 2*MAX_PRIME_BITS bits is refused before any arithmetic on it.
     """
     record = _Record(text, KEY_MAGIC, KeyFormatError, path_hint)
     kind = record.pop("kind", None)
@@ -453,6 +464,8 @@ def parse_key(text: str, path_hint: str = "key file") -> KeyPair | PublicKey:
     if token != redundancy.token:  # one encoding per key file: no 'digest' shorthand
         raise KeyFormatError(f"hash field is not the one token {redundancy.token!r} in {path_hint}")
     n = record.integer("N")
+    if n.bit_length() > 2 * MAX_PRIME_BITS:  # before any arithmetic on n
+        raise KeyFormatError(f"N has more than {2 * MAX_PRIME_BITS} bits in {path_hint}")
     if n <= 1 or n % 2 == 0 or math.isqrt(n) ** 2 == n:
         raise KeyFormatError(f"N is not an odd non-square above 1 in {path_hint}")
     m, _, n_class, _ = _KIND_CLASSES[kind]

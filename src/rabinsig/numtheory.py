@@ -137,14 +137,33 @@ def _miller_rabin(n: int, bases) -> bool:
 
 
 def _pocklington(n: int, f: int, b: int) -> bool:
-    """Pocklington's criterion with witness b, for a prime f dividing n - 1 with f*f > n.
+    """Whether the odd prime f and its witness b prove n prime: one step of a chain.
 
-    n is prime when 0 < b < n, b**f = 1 and gcd(b - 1, n) = 1 (Pocklington's
-    theorem, HAC section 4.3.3): for every prime r dividing n, b**f is 1 mod r
-    and b is not, so b has order f mod r, f | r - 1 and r > f > sqrt(n).  Any
-    such b will do, and the check costs one exponentiation by f, half n's size.
+    When 0 < b < n, b**f = 1 and gcd(b - 1, n) = 1, b has order f modulo
+    every prime r dividing n, so f | r - 1 (Pocklington's theorem, HAC
+    section 4.3.3), r = 1 mod 2f as r and f are odd, and _bls_test decides n.
+    The witness costs one exponentiation by f, a third of n's size.
     """
-    return 0 < b < n and pow(b, f, n) == 1 and math.gcd(b - 1, n) == 1
+    return _bls_test(n, f) and 0 < b < n and pow(b, f, n) == 1 and math.gcd(b - 1, n) == 1
+
+
+def _bls_test(n: int, f: int) -> bool:
+    """The size and square test: whether n is prime, given that its prime factors are all 1 mod F = 2f.
+
+    Brillhart, Lehmer and Selfridge (Math. Comp. 29, 1975, Thm 5; Crandall
+    and Pomerance, "Prime Numbers", Thm 4.1.5): with n = 1 mod F and
+    F**3 >= n, write (n - 1)/F = c2*F + c1 with 0 <= c1 < F.  Then n is prime
+    exactly when c2 = 0 or c1**2 - 4*c2 is not a perfect square: a composite
+    n is (a*F + 1)(b*F + 1) with a + b < F, as three such factors exceed F**3,
+    so c2 = a*b, c1 = a + b and c1**2 - 4*c2 = (a - b)**2.  A step with
+    f*f > n, as key files of earlier versions hold, has c2 = 0.
+    """
+    F = 2 * f
+    if F**3 < n or n % F != 1:  # F**3 < n also refuses every f <= 0
+        return False
+    c2, c1 = divmod((n - 1) // F, F)
+    d = c1 * c1 - 4 * c2
+    return c2 == 0 or d < 0 or math.isqrt(d) ** 2 != d
 
 
 def _proven(n: int, steps) -> bool:
@@ -157,7 +176,7 @@ def _proven(n: int, steps) -> bool:
     186-4 Appendix C.10 build primes with such chains.
     """
     for f, b in steps:
-        if n < _EXACT_LIMIT or n % 2 == 0 or f * f <= n or (n - 1) % f or not _pocklington(n, f, b):
+        if n < _EXACT_LIMIT or not _pocklington(n, f, b):
             return False
         n = f
     return n < _EXACT_LIMIT and _exact_prime(n)

@@ -11,6 +11,7 @@ from rabinsig.cli import _naive_blind_demo, main
 from rabinsig.errors import KeyFormatError, SignatureFormatError
 from rabinsig.hashing import IDENTITY
 from rabinsig.keygen import (
+    MAX_PRIME_BITS,
     KeyPair,
     build_padding_set,
     dump_private,
@@ -484,6 +485,12 @@ def test_keygen_too_few_bits_exits_2(tmp_path):
     assert not (tmp_path / "k").exists()
 
 
+def test_keygen_above_the_ceiling_exits_2(tmp_path, capsys):
+    assert main(["keygen", "--kind", "blum", "--bits", str(MAX_PRIME_BITS + 1), "--out", str(tmp_path / "k")]) == 2
+    assert f"at most {MAX_PRIME_BITS} bits" in capsys.readouterr().err
+    assert not (tmp_path / "k").exists()
+
+
 def test_keygen_digest_in_another_spelling_exits_2(tmp_path):
     assert main(["keygen", "--kind", "blum", "--bits", "32", "--hash", "digest:SHA256",
                  "--out", str(tmp_path / "k")]) == 2
@@ -530,8 +537,8 @@ def test_hardened_blind_signer_on_a_non_blum_key_exits_2(tmp_path):
 
 
 def test_proofs_never_leave_the_private_file(tmp_path, capsys):
-    # a proof's first factor f gives p mod 2f > N**(1/4), enough to factor N, and its
-    # first witness b gives gcd(b**f - 1 mod N, N) = p
+    # a proof's first witness b gives gcd(b**f - 1 mod N, N) = p, and its first factor f gives
+    # p mod 2f, about N**(1/6)
     outputs = []
 
     def run(*argv, code=0):
@@ -542,7 +549,7 @@ def test_proofs_never_leave_the_private_file(tmp_path, capsys):
     keys = {}
     for kind, tag, seed in (("general", "identity", "17"), ("blum", "identity", "18"), ("rw", "quadratic", "19")):
         path = str(tmp_path / f"{kind}.key")
-        run("keygen", "--kind", kind, "--bits", "128", "--hash", tag, "--seed", seed, "--out", path)
+        run("keygen", "--kind", kind, "--bits", "256", "--hash", tag, "--seed", seed, "--out", path)
         keys[kind] = (path, parse_key(Path(path).read_text()))
     secrets = {str(x) for _, key in keys.values() for step in key.p_proof + key.q_proof for x in step}
     assert len(secrets) == 24  # two (factor, witness) steps per prime

@@ -4,6 +4,8 @@ import functools
 import pickle
 import random
 import re
+import time
+from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, given, reject, settings
@@ -15,6 +17,7 @@ from rabinsig.hashing import IDENTITY, QUADRATIC, RedundancySpec
 from rabinsig import keygen, numtheory
 from rabinsig.keygen import (
     KINDS,
+    MAX_PRIME_BITS,
     KeyPair,
     PaddingSet,
     build_padding_set,
@@ -28,7 +31,7 @@ from rabinsig.keygen import (
 )
 from rabinsig.numtheory import _EXACT_BASES, _proven, crt_idempotents, jacobi
 from rabinsig.oracle import SmallRing, qr_set, units
-from rabinsig.schemes import SCHEMES, sign
+from rabinsig.schemes import SCHEMES, sign, verify
 
 from conftest import ORACLE_PADDING, NoRandomness, composite_with_a_proven_factor, general_key_with_unchecked_padding
 
@@ -382,8 +385,13 @@ class TestKeyFiles:
 
 @functools.cache
 def proven_key() -> KeyPair:
-    """A general key on 512-bit primes, whose chains have four elements each."""
+    """A general key on 512-bit primes, whose chains have two steps each, (f1, b1) and (f2, b2)."""
     return gen_keypair("general", 512, IDENTITY, random.Random("proven"))
+
+
+# A blum key on 512-bit primes written by the last version with square-root chains:
+# four steps per prime, with factors of 258, 131, 67 and 35 bits.
+SQRT_CHAIN_KEY = Path(__file__).parent / "data" / "blum512-sqrt-chains.key"
 
 
 def _refuse_prime_test(n, rng=None):
@@ -399,7 +407,7 @@ def test_every_chain_element_is_prime(kind, bits, seed):
     key = gen_keypair(kind, bits, IDENTITY, random.Random(seed))
     for prime, proof in ((key.p, key.p_proof), (key.q, key.q_proof)):
         factors = [f for f, _ in proof]
-        assert factors[0].bit_length() == bits // 2 + 2
+        assert factors[0].bit_length() == -(-bits // 3)
         assert all(f >= 1 << 64 for f in factors[:-1]) and factors[-1] < 1 << 64
         assert all(sympy.isprime(f) for f in factors)
         # each witness is the base-2 one that the search computed for its candidate
@@ -431,15 +439,29 @@ def _drop_step(i):
     return lambda c: _spaced(c[:2 * i] + c[2 * i + 2:])
 
 
-# Each takes a chain's elements f1 b1 f2 b2 f3 b3 f4 b4 and leaves an even count.
-TAMPERS = {
-    **{f"element{i}{delta:+d}": _plus(i, delta) for i in range(8) for delta in (2, -2)},
-    **{f"swap{i}{i + 1}": _swap(i) for i in range(7)},
-    **{f"drop-step{i + 1}": _drop_step(i) for i in range(4)},
-    "append-3-2": lambda c: _spaced(c + (3, 2)),
-    "append-last": lambda c: _spaced(c + c[-2:]),
-    "factors-only": lambda c: _spaced(c[::2]),
-}
+def _tampers(length):
+    """Edits of a chain of `length` elements f1 b1 f2 b2 ... that leave an even count."""
+    return {
+        **{f"element{i}{delta:+d}": _plus(i, delta) for i in range(length) for delta in (2, -2)},
+        **{f"swap{i}{i + 1}": _swap(i) for i in range(length - 1)},
+        **{f"drop-step{i + 1}": _drop_step(i) for i in range(length // 2)},
+        "append-3-2": lambda c: _spaced(c + (3, 2)),
+        "append-last": lambda c: _spaced(c + c[-2:]),
+        "factors-only": lambda c: _spaced(c[::2]),
+    }
+
+
+def _odd_proofs(length):
+    """Edits of a chain of `length` elements that leave an odd count: no list of (factor, witness) steps."""
+    return {
+        **{f"drop{i}": _drop(i) for i in range(length)},
+        "append-3": lambda c: _spaced(c + (3,)),
+        "factors-only-of-an-odd-chain": lambda c: _spaced(c[:length - 3:2]),
+    }
+
+
+# the elements of a 512-bit prime's chain, f1 b1 f2 b2, and of SQRT_CHAIN_KEY's, f1 b1 ... f4 b4
+CHAIN_LENGTH, SQRT_CHAIN_LENGTH = 4, 8
 # the file format refuses these before any arithmetic
 NON_CANONICAL_PROOFS = {
     "empty-chain": lambda c: "",
@@ -448,12 +470,6 @@ NON_CANONICAL_PROOFS = {
     "comma": lambda c: ",".join(map(str, c)),
     "leading-zero": lambda c: "0" + _spaced(c),
     "sign": lambda c: "+" + _spaced(c),
-}
-# an odd count of elements is no list of (factor, witness) steps
-ODD_PROOFS = {
-    **{f"drop{i}": _drop(i) for i in range(8)},
-    "append-3": lambda c: _spaced(c + (3,)),
-    "factors-only-of-an-odd-chain": lambda c: _spaced(c[:5:2]),
 }
 PAIR_FORM = re.escape("pairs 'f1 b1 f2 b2 ...' of a factor and its witness")
 
@@ -469,21 +485,45 @@ def _refused_everywhere(text, tmp_path, monkeypatch, match="proof of primality d
                  "--out", str(tmp_path / "tampered.sig")]) == 3
 
 
-@pytest.mark.parametrize("field", ["p_proof", "q_proof"])
-@pytest.mark.parametrize("tamper", [*TAMPERS, *NON_CANONICAL_PROOFS, *ODD_PROOFS])
-def test_tampered_proof_is_refused(tamper, field, tmp_path, monkeypatch):
-    key = proven_key()
+def _tampered_file_is_refused(text, key, length, tamper, field, tmp_path, monkeypatch):
     chain = _flat(getattr(key, field))
-    text = dump_private(key)
     line = f"{field} = {_spaced(chain)}\n"
-    assert line in text and len(chain) == 8
-    if tamper in TAMPERS:
-        bad, match = TAMPERS[tamper](chain), "proof of primality does not check as " + PAIR_FORM
-    elif tamper in ODD_PROOFS:
-        bad, match = ODD_PROOFS[tamper](chain), f"field '{field}' is not {PAIR_FORM}"
+    assert line in text and len(chain) == length
+    tampers, odd_proofs = _tampers(length), _odd_proofs(length)
+    if tamper in tampers:
+        bad, match = tampers[tamper](chain), "proof of primality does not check as " + PAIR_FORM
+    elif tamper in odd_proofs:
+        bad, match = odd_proofs[tamper](chain), f"field '{field}' is not {PAIR_FORM}"
     else:
         bad, match = NON_CANONICAL_PROOFS[tamper](chain), "not canonical decimals separated by single spaces"
     _refused_everywhere(text.replace(line, f"{field} = {bad}\n"), tmp_path, monkeypatch, match)
+
+
+@pytest.mark.parametrize("field", ["p_proof", "q_proof"])
+@pytest.mark.parametrize("tamper", [*_tampers(SQRT_CHAIN_LENGTH), *NON_CANONICAL_PROOFS, *_odd_proofs(SQRT_CHAIN_LENGTH)])
+def test_tampered_proof_is_refused(tamper, field, tmp_path, monkeypatch):
+    # on the four-step square-root chains of a file from an earlier version
+    text = SQRT_CHAIN_KEY.read_text()
+    _tampered_file_is_refused(text, parse_key(text), SQRT_CHAIN_LENGTH, tamper, field, tmp_path, monkeypatch)
+
+
+@pytest.mark.parametrize("field", ["p_proof", "q_proof"])
+@pytest.mark.parametrize("tamper", [*_tampers(CHAIN_LENGTH), *NON_CANONICAL_PROOFS, *_odd_proofs(CHAIN_LENGTH)])
+def test_tampered_cube_root_proof_is_refused(tamper, field, tmp_path, monkeypatch):
+    key = proven_key()
+    _tampered_file_is_refused(dump_private(key), key, CHAIN_LENGTH, tamper, field, tmp_path, monkeypatch)
+
+
+def test_a_key_file_with_square_root_chains_loads_and_signs():
+    # every step of such a chain has f*f > n, the case c2 = 0 of the size and square test
+    text = SQRT_CHAIN_KEY.read_text()
+    key = parse_key(text)
+    assert [[f.bit_length() for f, _ in proof] for proof in (key.p_proof, key.q_proof)] == [[258, 131, 67, 35]] * 2
+    assert dump_private(key) == text
+    pub = parse_key(SQRT_CHAIN_KEY.with_name(SQRT_CHAIN_KEY.name + ".pub").read_text())
+    assert pub == key.public()
+    sig = sign(key, 12345, "variant2", rng=random.Random(7))
+    assert verify(pub, sig).valid
 
 
 def test_from_primes_refuses_a_proof_that_is_not_f_b_steps():
@@ -507,6 +547,35 @@ def test_proof_of_a_composite_is_refused(tmp_path, monkeypatch):
             f"psi1 = {idem.psi1}\npsi2 = {idem.psi2}\n"
             f"p_proof = {_spaced(_flat(((f, b), *f.chain)))}\nq_proof = {_spaced(_flat(q.chain))}\n")
     _refused_everywhere(text, tmp_path, monkeypatch)
+
+
+# 3 mod 4 and one bit above the ceiling; never tested for primality, since the ceiling comes first
+ABOVE_THE_CEILING = (1 << MAX_PRIME_BITS) + 3
+
+
+@pytest.mark.parametrize("p,q,match", [
+    # N of 2*MAX_PRIME_BITS + 1 bits: refused before any arithmetic on N
+    (ABOVE_THE_CEILING, ABOVE_THE_CEILING + 4, f"N has more than {2 * MAX_PRIME_BITS} bits"),
+    # N fits, and from_primes refuses the larger factor before any primality test
+    (ABOVE_THE_CEILING, (1 << (MAX_PRIME_BITS - 2)) + 3, f"prime factors have at most {MAX_PRIME_BITS} bits"),
+])
+def test_a_key_file_above_the_ceiling_is_refused_at_once(p, q, match, tmp_path, monkeypatch):
+    def no_rounds(n, bases):
+        raise AssertionError("a Miller-Rabin round ran")
+
+    monkeypatch.setattr(numtheory, "_miller_rabin", no_rounds)
+    text = f"rabin-key v1\nkind = blum\nhash = identity\nN = {p * q}\np = {p}\nq = {q}\npsi1 = 1\npsi2 = 1\n"
+    start = time.perf_counter()
+    _refused_everywhere(text, tmp_path, monkeypatch, match)
+    assert time.perf_counter() - start < 1  # 80 rounds at this size would take seconds
+    with pytest.raises(ValueError, match=f"at most {MAX_PRIME_BITS} bits"):
+        KeyPair.from_primes("blum", p, q)
+
+
+def test_gen_keypair_refuses_more_bits_than_the_ceiling(monkeypatch):
+    monkeypatch.setattr(keygen, "gen_prime", lambda *args: pytest.fail("gen_prime called"))
+    with pytest.raises(ValueError, match=f"at most {MAX_PRIME_BITS} bits per prime factor"):
+        gen_keypair("blum", MAX_PRIME_BITS + 1, IDENTITY, NoRandomness())
 
 
 def test_loading_a_proven_key_takes_no_random_round(monkeypatch):
@@ -545,7 +614,7 @@ def test_loading_a_proven_key_takes_one_exponentiation_per_step(monkeypatch):
     assert parse_key(text) == key
     steps = [(f, m) for prime, proof in ((key.p, key.p_proof), (key.q, key.q_proof))
              for m, (f, _) in zip((prime, *(f for f, _ in proof)), proof)]
-    assert powers == steps and len(steps) == 8
+    assert powers == steps and len(steps) == 4
 
 
 def test_a_key_file_without_proofs_still_loads_with_40_rounds_per_prime(monkeypatch):

@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import math
 import random
 import signal
@@ -13,12 +14,14 @@ from rabinsig.hashing import IDENTITY
 from rabinsig.keygen import KeyPair, dump_private, gen_keypair, gen_prime, parse_key
 from rabinsig.numtheory import (
     _EXACT_BASES,
+    _bls_test,
     _class_root,
     _exact_prime,
     _miller_rabin,
     _pocklington,
     _PrimeRoots,
     _proven,
+    _sieve_primes,
     canonical_sqrt_mod_pq,
     crt_combine,
     crt_idempotents,
@@ -142,15 +145,72 @@ def _squared_witnesses(n, steps):
     return tuple(squared)
 
 
+def _witness_of_order(f, r, t):
+    # a unit of order f modulo both primes r and t, both 1 mod f: x**((r-1)/f) for the least x
+    # with that power not 1, lifted by CRT
+    br, bt = (next(y for x in range(2, m) if (y := pow(x, (m - 1) // f, m)) != 1) for m in (r, t))
+    return crt_combine(br, bt, crt_idempotents(r, t))
+
+
 class TestProven:
-    def test_a_factor_below_the_square_root_proves_nothing(self):
-        # the Carmichael number (6k+1)(12k+1)(18k+1) passes both conditions with f = 101 | n - 1,
-        # but 101**2 < n, so a prime factor of n need not exceed sqrt(n)
+    def test_a_factor_below_the_cube_root_proves_nothing(self):
+        # the Carmichael number (6k+1)(12k+1)(18k+1) passes both witness conditions with
+        # f = 101 | n - 1, but (2*101)**3 < n, so n may have three prime factors that are 1 mod 202
         k = 1051410
         n = (6 * k + 1) * (12 * k + 1) * (18 * k + 1)
         b = pow(2, (n - 1) // 101, n)
-        assert n > 1 << 64 and (n - 1) % 101 == 0 and _pocklington(n, 101, b)
-        assert not _proven(n, ((101, b),))
+        assert n > 1 << 64 and (n - 1) % 202 == 0 and pow(b, 101, n) == 1 and math.gcd(b - 1, n) == 1
+        assert 202**3 < n and not _bls_test(n, 101)
+        assert not _pocklington(n, 101, b) and not _proven(n, ((101, b),))
+
+    def test_the_size_and_square_test_decides_every_small_case(self):
+        # for each odd prime f < 200 and F = 2f: every n = 1 mod F up to F**3 whose prime factors
+        # are all 1 mod F, which are such primes and products of two of them
+        sympy = pytest.importorskip("sympy")
+        checked = composites = 0
+        for f in _sieve_primes(200)[1:]:
+            F, top = 2 * f, (2 * f) ** 3
+            alive = bytearray([1]) * (F * F)  # n = k*F + 1 for 0 < k < F*F
+            alive[0] = 0
+            for r in _sieve_primes(math.isqrt(top) + 1)[1:]:
+                if r != f:
+                    k = -pow(F, -1, r) % r  # the first k*F + 1 divisible by r
+                    k += r if k * F + 1 == r else 0  # r itself stays
+                    alive[k::r] = bytes(len(range(k, F * F, r)))
+            primes = [k * F + 1 for k in range(F * F) if alive[k]]
+            products = [r * t for i, r in enumerate(itertools.takewhile(lambda r: r * r <= top, primes))
+                        for t in itertools.takewhile(lambda t: r * t <= top, primes[i:])]
+            for n in primes + products:
+                assert _bls_test(n, f) == sympy.isprime(n), (n, f)
+            checked += len(primes) + len(products)
+            composites += len(products)
+        assert checked > 280_000 and composites > 1500
+
+    def test_a_composite_with_two_factors_is_refused_by_the_square_test_alone(self):
+        # n = (15F + 1)(35F + 1) with n**(1/3) < F < n**(1/2), and a witness of order f modulo
+        # both primes: every other condition holds, and c1**2 - 4*c2 = (35 - 15)**2
+        f = 2147483659
+        F = 2 * f
+        r, t = 15 * F + 1, 35 * F + 1
+        n, b = r * t, _witness_of_order(f, r, t)
+        assert _exact_prime(f) and _exact_prime(r) and _exact_prime(t)
+        assert n > 1 << 64 and F**2 < n <= F**3 and n % F == 1
+        assert 0 < b < n and pow(b, f, n) == 1 and math.gcd(b - 1, n) == 1
+        c2, c1 = divmod((n - 1) // F, F)
+        assert (c2, c1) == (15 * 35, 15 + 35) and c1 * c1 - 4 * c2 == 20**2
+        assert not _bls_test(n, f) and not _pocklington(n, f, b) and not _proven(n, ((f, b),))
+
+    def test_a_composite_just_above_the_cube_is_refused_by_the_size_test_alone(self):
+        # F**3 + 1 = (F + 1)(F**2 - F + 1): both factors are 1 mod F and prime, and its digits
+        # c2 = F, c1 = 0 pass the square test (c1**2 - 4*c2 < 0), so only F**3 >= n refuses it
+        f = 2097629
+        F = 2 * f
+        r, t = F + 1, F * F - F + 1
+        n, b = F**3 + 1, _witness_of_order(f, r, t)
+        assert _exact_prime(f) and _exact_prime(r) and _exact_prime(t) and n == r * t > 1 << 64
+        assert n % F == 1 and 0 < b < n and pow(b, f, n) == 1 and math.gcd(b - 1, n) == 1
+        assert divmod((n - 1) // F, F) == (F, 0)
+        assert not _bls_test(n, f) and not _pocklington(n, f, b) and not _proven(n, ((f, b),))
 
     def test_a_factor_of_the_order_of_2_proves_nothing(self):
         # n = 2298041 * 9361973132609 divides 2**73 - 1, so for the prime f = 8138064073, with
