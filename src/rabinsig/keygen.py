@@ -10,7 +10,7 @@ Key kinds:
 import functools
 import math
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import compress
 
 from . import numtheory
@@ -169,9 +169,9 @@ def padding_set_flaws(elements, p: int, q: int) -> list[str]:
     """Safety checks a padding set must pass before publication.
 
     Returns human-readable descriptions of every violated condition:
-    elements must be units, must not be square roots of unity, must cover
-    all four Jacobi classes, and no pairwise difference may share a factor
-    with the modulus.
+    elements must be units in 1..N-1, must not be square roots of unity,
+    must cover all four Jacobi classes, and no pairwise difference may share
+    a factor with the modulus.
     """
     return _padding_flaws(elements, [(jacobi(u, p), jacobi(u, q)) for u in elements], p * q)
 
@@ -183,8 +183,8 @@ def _padding_flaws(elements, classes, n: int) -> list[str]:
         return [f"a padding set has four elements, not {len(elements)}"]
     flaws = []
     for u in elements:
-        if math.gcd(u, n) != 1:
-            flaws.append(f"element {u} is not a unit")
+        if not 0 < u < n or math.gcd(u, n) != 1:  # 1..N-1: one encoding per element, as in a key file
+            flaws.append(f"element {u} is not a unit in 1..N-1")
         elif u * u % n == 1:
             flaws.append(f"element {u} is a square root of unity")
     if len({c for c in classes if 0 not in c}) != 4:
@@ -259,18 +259,17 @@ class PublicKey:
 
 @dataclass(frozen=True)
 class KeyPair:
-    """A private key: its primes, with N, psi1 and psi2 read from their ring (idem)."""
+    """A private key: its primes, with N, psi1 and psi2 read from their ring (idem).
+
+    A proven p or q is a ProvenPrime, whose chain is as secret as the prime:
+    it acts as its int, so like idem the chain stays out of ==, hash, repr and public().
+    """
 
     kind: str
     p: int
     q: int
     redundancy: RedundancySpec
     padding: PaddingSet | None = None
-    # Proofs of p and q, (f, b) steps (numtheory._proven), or None for primes
-    # of unknown origin.  A proof is as secret as its prime (see ProvenPrime),
-    # so like idem it stays out of ==, hash, repr and public().
-    p_proof: tuple[tuple[int, int], ...] | None = field(default=None, compare=False, repr=False)
-    q_proof: tuple[tuple[int, int], ...] | None = field(default=None, compare=False, repr=False)
 
     @functools.cached_property
     def idem(self) -> _KeyRoots:
@@ -299,11 +298,11 @@ class KeyPair:
         return PublicKey(self.kind, self.n, self.redundancy, padding)
 
     @classmethod
-    def from_primes(cls, kind, p, q, redundancy=IDENTITY, padding=None, p_proof=None, q_proof=None) -> "KeyPair":
+    def from_primes(cls, kind, p, q, redundancy=IDENTITY, padding=None) -> "KeyPair":
         """A key on primes of unknown origin, certified here.
 
-        A prime given with a proof is certified by numtheory._proven alone, and
-        one without by is_probable_prime.  Raises ValueError unless p and q have
+        A ProvenPrime is certified by numtheory._proven on its chain alone, and
+        any other int by is_probable_prime.  Raises ValueError unless p and q have
         at most MAX_PRIME_BITS bits, pass and meet the kind's congruences, and
         unless a padding set is on a general key and passes padding_set_flaws.
         """
@@ -315,9 +314,9 @@ class KeyPair:
             raise ValueError("prime factors must be odd and at least 3")
         if max(p, q).bit_length() > MAX_PRIME_BITS:
             raise ValueError(f"prime factors have at most {MAX_PRIME_BITS} bits")
-        for prime, proof in ((p, p_proof), (q, q_proof)):
-            if proof is not None:
-                if not all(isinstance(s, tuple) and len(s) == 2 for s in proof) or not numtheory._proven(prime, proof):
+        for prime in (p, q):
+            if (chain := getattr(prime, "chain", None)) is not None:
+                if not all(isinstance(s, tuple) and len(s) == 2 for s in chain) or not numtheory._proven(prime, chain):
                     raise ValueError(f"a factor's proof of primality does not check as {_PROOF_FORM}")
             # looked up on the module, so a substitute for the prime test reaches this call
             elif not numtheory.is_probable_prime(prime):
@@ -332,7 +331,7 @@ class KeyPair:
             if flaws:
                 raise ValueError(f"unsafe padding set: {flaws[0]}")
             padding = PaddingSet(padding.elements, classes)
-        return cls(kind, p, q, redundancy, padding, p_proof, q_proof)
+        return cls(kind, p, q, redundancy, padding)
 
 
 def gen_keypair(kind: str, bits: int, redundancy=IDENTITY, rng=None) -> KeyPair:
@@ -340,7 +339,7 @@ def gen_keypair(kind: str, bits: int, redundancy=IDENTITY, rng=None) -> KeyPair:
 
     The primes come straight from gen_prime, so the key is built without the
     re-certification that KeyPair.from_primes gives untrusted primes, and
-    keeps their proofs for its key file.  Raises ValueError for more than
+    they keep their proofs for its key file.  Raises ValueError for more than
     MAX_PRIME_BITS bits.
     """
     if kind not in KINDS:
@@ -357,7 +356,7 @@ def gen_keypair(kind: str, bits: int, redundancy=IDENTITY, rng=None) -> KeyPair:
     if kind == "general":
         idem = crt_idempotents(p, q)
         padding = build_padding_set(p, q, idem.psi1, idem.psi2, rng)
-    return KeyPair(kind, int(p), int(q), redundancy, padding, p.chain, q.chain)
+    return KeyPair(kind, p, q, redundancy, padding)
 
 
 # ---------------------------------------------------------------------------
@@ -388,9 +387,9 @@ def dump_public(pub: PublicKey | KeyPair) -> str:
 
 def dump_private(key: KeyPair) -> str:
     fields = _public_fields(key) | {"p": key.p, "q": key.q, "psi1": key.psi1, "psi2": key.psi2}
-    for name, proof in (("p_proof", key.p_proof), ("q_proof", key.q_proof)):
-        if proof:
-            fields[name] = " ".join(str(x) for step in proof for x in step)
+    for name, prime in (("p_proof", key.p), ("q_proof", key.q)):
+        if chain := getattr(prime, "chain", ()):
+            fields[name] = " ".join(str(x) for step in chain for x in step)
     return _dump_record(KEY_MAGIC, fields)
 
 
@@ -421,14 +420,14 @@ class _Record(dict):
             raise self.error(f"missing field {name!r} in {self.path_hint}")
         return self._decimals(name, _DECIMAL, "a canonical decimal integer")[0]
 
-    def proof(self, name: str) -> tuple[tuple[int, int], ...] | None:
-        """Take an optional proof: canonical decimals separated by single spaces, read as (f, b) steps."""
+    def proven(self, prime: int, name: str) -> int:
+        """Take the optional proof `name` of prime, in canonical decimals f1 b1 f2 b2 ..., as a ProvenPrime."""
         if name not in self:
-            return None
+            return prime
         values = self._decimals(name, _DECIMALS, "canonical decimals separated by single spaces")
         if len(values) % 2:
             raise self.error(f"field {name!r} is not {_PROOF_FORM} in {self.path_hint}")
-        return tuple(zip(values[::2], values[1::2]))
+        return ProvenPrime(prime, tuple(zip(values[::2], values[1::2])))
 
     def _decimals(self, name: str, form: re.Pattern, in_words: str) -> list[int]:
         raw = self.pop(name)
@@ -484,12 +483,12 @@ def parse_key(text: str, path_hint: str = "key file") -> KeyPair | PublicKey:
         return PublicKey(kind, n, redundancy, padding)
 
     p, q, psi1, psi2 = (record.integer(name) for name in ("p", "q", "psi1", "psi2"))
-    p_proof, q_proof = record.proof("p_proof"), record.proof("q_proof")
+    p, q = record.proven(p, "p_proof"), record.proven(q, "q_proof")
     record.done()
     if p * q != n:
         raise KeyFormatError(f"N does not equal p*q in {path_hint}")
     try:  # from_primes also runs the padding set's safety checks
-        key = KeyPair.from_primes(kind, p, q, redundancy, padding, p_proof=p_proof, q_proof=q_proof)
+        key = KeyPair.from_primes(kind, p, q, redundancy, padding)
     except ValueError as exc:
         raise KeyFormatError(f"invalid key material in {path_hint}: {exc}") from None
     if (key.psi1, key.psi2) != (psi1, psi2):

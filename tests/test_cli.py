@@ -202,6 +202,17 @@ def test_composite_factor_key_exits_3(tmp_path):
                  "--out", str(tmp_path / "x.sig")]) == 3
 
 
+def test_private_key_whose_n_is_not_p_times_q_exits_3(keyfiles, tmp_path, capsys):
+    # N + 4 is still an odd non-square 1 mod 4, as a blum key's N is, so only the N = p*q check refuses it
+    priv, _ = keyfiles
+    text = priv.read_text()
+    n = parse_key(text).n
+    priv.write_text(text.replace(f"\nN = {n}\n", f"\nN = {n + 4}\n"))
+    assert main(["sign", "--key", str(priv), "--scheme", "variant2", "--message", "5",
+                 "--out", str(tmp_path / "x.sig")]) == 3
+    assert "N does not equal p*q" in capsys.readouterr().err
+
+
 def test_missing_file_exits_3(tmp_path):
     assert main(["verify", "--pub", str(tmp_path / "none.pub"), "--sig", str(tmp_path / "none.sig")]) == 3
 
@@ -281,6 +292,17 @@ def test_digest_sign_with_message_file(tmp_path, capsys):
                  "--message-file", str(other)]) == 1
 
 
+def test_verify_message_file_under_a_non_digest_key_exits_2(keyfiles, tmp_path, capsys):
+    priv, pub = keyfiles
+    sig, payload = tmp_path / "m.sig", tmp_path / "payload.bin"
+    payload.write_bytes(b"byte-stream message")
+    assert main(["sign", "--key", str(priv), "--scheme", "variant2", "--message", "5",
+                 "--out", str(sig), "--seed", "1"]) == 0
+    capsys.readouterr()
+    assert main(["verify", "--pub", str(pub), "--sig", str(sig), "--message-file", str(payload)]) == 2
+    assert "--message-file needs a key with digest redundancy" in capsys.readouterr().err
+
+
 def test_blind_demo(keyfiles, capsys):
     priv, _ = keyfiles
     assert main(["blind-demo", "--key", str(priv), "--message", "42", "--seed", "9"]) == 0
@@ -298,6 +320,14 @@ def test_naive_blind_demo_on_a_square(keyfiles, capsys):
     out = capsys.readouterr().out
     assert "unblinded-root" in out
     assert "warning" in out
+
+
+def test_naive_blind_demo_on_a_non_residue_is_refused(tmp_path, capsys):
+    # 3 is a non-residue mod 7, so every disguised r**2 * 3 is one too and the naive signer refuses it
+    priv = tmp_path / "toy.key"
+    priv.write_text(dump_private(KeyPair.from_primes("blum", 7, 11, IDENTITY)))
+    assert main(["blind-demo", "--key", str(priv), "--naive", "--message", "3", "--seed", "4"]) == 1
+    assert "signer-refused = 1" in capsys.readouterr().out
 
 
 def test_naive_blind_demo_redraws_a_unit_blinder_of_one(capsys):
@@ -551,7 +581,7 @@ def test_proofs_never_leave_the_private_file(tmp_path, capsys):
         path = str(tmp_path / f"{kind}.key")
         run("keygen", "--kind", kind, "--bits", "256", "--hash", tag, "--seed", seed, "--out", path)
         keys[kind] = (path, parse_key(Path(path).read_text()))
-    secrets = {str(x) for _, key in keys.values() for step in key.p_proof + key.q_proof for x in step}
+    secrets = {str(x) for _, key in keys.values() for step in key.p.chain + key.q.chain for x in step}
     assert len(secrets) == 24  # two (factor, witness) steps per prime
 
     for kind, scheme in (("general", "classic"), ("general", "general"), ("blum", "variant1"),
@@ -571,7 +601,7 @@ def test_proofs_never_leave_the_private_file(tmp_path, capsys):
         "--sig", str(tmp_path / "classic.sig"), "--target", "99")
     run("attack", "--kind", "scale", "--pub", blum + ".pub", "--sig", str(tmp_path / "variant2.sig"),
         "--factor", "3")
-    (f, b), *_ = key.p_proof
+    (f, b), *_ = key.p.chain
     tampered = tmp_path / "tampered.key"
     for old, new in ((f"p_proof = {f} ", f"p_proof = {f + 2} "), (f"p_proof = {f} {b} ", f"p_proof = {f} {b + 2} ")):
         tampered.write_text(dump_private(key).replace(old, new))
@@ -580,8 +610,9 @@ def test_proofs_never_leave_the_private_file(tmp_path, capsys):
 
     for _, key in keys.values():
         outputs += [dump_public(key), dump_public(key.public()), repr(key.public()), repr(key)]
-        assert key == dataclasses.replace(key, p_proof=None, q_proof=None)  # proofs take no part in ==
-        assert hash(key) == hash(dataclasses.replace(key, p_proof=None, q_proof=None))  # nor in hash
+        plain = dataclasses.replace(key, p=int(key.p), q=int(key.q))
+        assert key == plain  # proofs take no part in ==
+        assert hash(key) == hash(plain)  # nor in hash
     leaked = [s for s in secrets for text in outputs if s in text]
     assert not leaked
 

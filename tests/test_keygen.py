@@ -20,6 +20,7 @@ from rabinsig.keygen import (
     MAX_PRIME_BITS,
     KeyPair,
     PaddingSet,
+    ProvenPrime,
     build_padding_set,
     compose_padding_set,
     dump_private,
@@ -89,8 +90,7 @@ class TestGenKeypair:
 
     def test_n_and_the_idempotents_are_neither_given_nor_set(self):
         # only the primes are stated, so N and psi cannot disagree with them
-        assert [f.name for f in dataclasses.fields(KeyPair)] == [
-            "kind", "p", "q", "redundancy", "padding", "p_proof", "q_proof"]
+        assert [f.name for f in dataclasses.fields(KeyPair)] == ["kind", "p", "q", "redundancy", "padding"]
         key = KeyPair("blum", 7, 11, IDENTITY)
         for name in ("n", "psi1", "psi2"):
             with pytest.raises(TypeError):
@@ -175,13 +175,16 @@ def accepted_keys(draw):
     padding = draw(st.sampled_from((None, "built", "drawn")))
     if padding == "built":
         idem = crt_idempotents(p, q)
-        padding = build_padding_set(p, q, idem.psi1, idem.psi2, rng)
+        elements = list(build_padding_set(p, q, idem.psi1, idem.psi2, rng).elements)
     elif padding == "drawn":
-        padding = PaddingSet(tuple(draw(st.lists(st.integers(1, p * q - 1), min_size=4, max_size=4))))
-    proofs = draw(st.sampled_from(((p.chain, q.chain), (p.chain, None), (None, None))))
+        elements = draw(st.lists(st.integers(1, p * q - 1), min_size=4, max_size=4))
+    if padding is not None:
+        # one element may be moved out of [1, N-1] by N: no key file holds it, so from_primes must refuse it
+        elements[draw(st.integers(0, 3))] += p * q * draw(st.sampled_from((0, -1, 1)))
+        padding = PaddingSet(tuple(elements))
+    p, q = draw(st.sampled_from(((p, q), (p, int(q)), (int(p), int(q)))))  # each with its proof, or without
     try:
-        return KeyPair.from_primes(kind, int(p), int(q), draw(st.sampled_from(REDUNDANCIES)), padding,
-                                   p_proof=proofs[0], q_proof=proofs[1])
+        return KeyPair.from_primes(kind, p, q, draw(st.sampled_from(REDUNDANCIES)), padding)
     except ValueError:
         reject()
 
@@ -219,6 +222,24 @@ class TestPaddingSet:
     def test_unity_root_detected(self):
         flaws = padding_set_flaws((1, 2, 3, 24), 7, 11)
         assert any("unity" in f for f in flaws)
+
+    @pytest.mark.parametrize("elements,flaw", [
+        ((7, 2, 3, 24), "element 7 is not a unit in 1..N-1"),
+        # the safe set (12, 53, 6, 65) that build_padding_set(7, 11, ..., random.Random(5)) returns,
+        # its first element moved by N: the general signer would emit signatures outside [0, N)
+        ((12 + 77, 53, 6, 65), "element 89 is not a unit in 1..N-1"),
+        ((12 - 77, 53, 6, 65), "element -65 is not a unit in 1..N-1"),
+    ])
+    def test_element_flaws_detected(self, elements, flaw):
+        assert padding_set_flaws(elements, 7, 11)[0] == flaw  # the one from_primes reports
+        with pytest.raises(ValueError, match=re.escape(f"unsafe padding set: {flaw}")):
+            KeyPair.from_primes("general", 7, 11, IDENTITY, PaddingSet(elements))
+
+    def test_a_modulus_with_no_safe_set_is_refused(self):
+        # mod 3 each Jacobi class has one residue, so two elements of a class differ by a multiple of 3
+        idem = crt_idempotents(3, 7)
+        with pytest.raises(RuntimeError, match="could not build a safe padding set"):
+            build_padding_set(3, 7, idem.psi1, idem.psi2, random.Random(3))
 
     def test_class_coverage_detected(self):
         flaws = padding_set_flaws((2, 2 * 4 % 77, 2 * 9 % 77, 24), 7, 11)
@@ -405,7 +426,8 @@ def _refuse_prime_test(n, rng=None):
 def test_every_chain_element_is_prime(kind, bits, seed):
     sympy = pytest.importorskip("sympy")
     key = gen_keypair(kind, bits, IDENTITY, random.Random(seed))
-    for prime, proof in ((key.p, key.p_proof), (key.q, key.q_proof)):
+    for prime in (key.p, key.q):
+        proof = prime.chain
         factors = [f for f, _ in proof]
         assert factors[0].bit_length() == -(-bits // 3)
         assert all(f >= 1 << 64 for f in factors[:-1]) and factors[-1] < 1 << 64
@@ -486,7 +508,7 @@ def _refused_everywhere(text, tmp_path, monkeypatch, match="proof of primality d
 
 
 def _tampered_file_is_refused(text, key, length, tamper, field, tmp_path, monkeypatch):
-    chain = _flat(getattr(key, field))
+    chain = _flat(getattr(key, field.removesuffix("_proof")).chain)
     line = f"{field} = {_spaced(chain)}\n"
     assert line in text and len(chain) == length
     tampers, odd_proofs = _tampers(length), _odd_proofs(length)
@@ -518,7 +540,7 @@ def test_a_key_file_with_square_root_chains_loads_and_signs():
     # every step of such a chain has f*f > n, the case c2 = 0 of the size and square test
     text = SQRT_CHAIN_KEY.read_text()
     key = parse_key(text)
-    assert [[f.bit_length() for f, _ in proof] for proof in (key.p_proof, key.q_proof)] == [[258, 131, 67, 35]] * 2
+    assert [[f.bit_length() for f, _ in prime.chain] for prime in (key.p, key.q)] == [[258, 131, 67, 35]] * 2
     assert dump_private(key) == text
     pub = parse_key(SQRT_CHAIN_KEY.with_name(SQRT_CHAIN_KEY.name + ".pub").read_text())
     assert pub == key.public()
@@ -533,8 +555,25 @@ def test_from_primes_refuses_a_proof_that_is_not_f_b_steps():
     (f, b), = p.chain
     for proof in (_flat(p.chain), ((f,),), ((f, b, 1),)):
         with pytest.raises(ValueError, match="proof of primality does not check as " + PAIR_FORM):
-            KeyPair.from_primes("blum", p, q, p_proof=proof, q_proof=q.chain)
-    assert KeyPair.from_primes("blum", p, q, p_proof=p.chain, q_proof=q.chain).p_proof == p.chain
+            KeyPair.from_primes("blum", ProvenPrime(p, proof), q)
+    assert KeyPair.from_primes("blum", p, q).p.chain == p.chain
+
+
+def test_from_primes_certifies_a_proven_prime_by_its_chain(monkeypatch):
+    # gen_prime's output carries its chain, so from_primes runs no Miller-Rabin round on it
+    key = proven_key()
+    monkeypatch.setattr(numtheory, "is_probable_prime", _refuse_prime_test)
+    rebuilt = KeyPair.from_primes("general", key.p, key.q, IDENTITY, key.padding)
+    assert rebuilt == key and dump_private(rebuilt) == dump_private(key)
+
+
+def test_copies_of_a_proven_key_keep_its_chains():
+    key = proven_key()
+    text = dump_private(key)
+    for clone in (copy.deepcopy(key), pickle.loads(pickle.dumps(key))):
+        assert clone == key and dump_private(clone) == text
+    recast = dataclasses.replace(key, redundancy=QUADRATIC)
+    assert dump_private(recast) == text.replace("\nhash = identity\n", "\nhash = quadratic\n")
 
 
 def test_proof_of_a_composite_is_refused(tmp_path, monkeypatch):
@@ -593,7 +632,7 @@ def test_loading_a_proven_key_takes_no_random_round(monkeypatch):
     monkeypatch.setattr(numtheory, "_miller_rabin", recorded)
     monkeypatch.setattr(numtheory, "SYSTEM_RNG", NoRandomness())
     parsed = parse_key(text)
-    assert parsed == key and (parsed.p_proof, parsed.q_proof) == (key.p_proof, key.q_proof)
+    assert parsed == key and (parsed.p.chain, parsed.q.chain) == (key.p.chain, key.q.chain)
     assert bases and set(bases) <= set(_EXACT_BASES)  # only the chains' last elements, below 2**64
 
 
@@ -612,8 +651,8 @@ def test_loading_a_proven_key_takes_one_exponentiation_per_step(monkeypatch):
     for module in (numtheory, keygen):
         monkeypatch.setattr(module, "pow", recorded, raising=False)
     assert parse_key(text) == key
-    steps = [(f, m) for prime, proof in ((key.p, key.p_proof), (key.q, key.q_proof))
-             for m, (f, _) in zip((prime, *(f for f, _ in proof)), proof)]
+    steps = [(f, m) for prime in (key.p, key.q)
+             for m, (f, _) in zip((prime, *(f for f, _ in prime.chain)), prime.chain)]
     assert powers == steps and len(steps) == 4
 
 
@@ -635,6 +674,6 @@ def test_a_key_file_without_proofs_still_loads_with_40_rounds_per_prime(monkeypa
     monkeypatch.setattr(numtheory, "is_probable_prime", counted)
     monkeypatch.setattr(numtheory, "_miller_rabin", recorded)
     parsed = parse_key(text)
-    assert parsed == key and (parsed.p_proof, parsed.q_proof) == (None, None)
+    assert parsed == key and not any(isinstance(prime, ProvenPrime) for prime in (parsed.p, parsed.q))
     assert dump_private(parsed) == text
     assert calls == [key.p, key.q] and rounds == [40, 40]

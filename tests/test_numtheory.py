@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from rabinsig.errors import FactorLeakError, NonResidueError
 from rabinsig import keygen, numtheory
 from rabinsig.hashing import IDENTITY
-from rabinsig.keygen import KeyPair, dump_private, gen_keypair, gen_prime, parse_key
+from rabinsig.keygen import KeyPair, ProvenPrime, dump_private, gen_keypair, gen_prime, parse_key
 from rabinsig.numtheory import (
     _EXACT_BASES,
     _bls_test,
@@ -236,10 +236,11 @@ class TestProven:
         # b**2 also has order f, so it proves the step as well as b does: the loader checks
         # the witness in the file and does not compare it with the base-2 one
         key = gen_keypair("blum", 256, IDENTITY, random.Random(5))
-        steps = _squared_witnesses(key.p, key.p_proof), _squared_witnesses(key.q, key.q_proof)
-        assert all(b != c for (_, b), (_, c) in zip(steps[0] + steps[1], key.p_proof + key.q_proof))
-        parsed = parse_key(dump_private(dataclasses.replace(key, p_proof=steps[0], q_proof=steps[1])))
-        assert (parsed.p_proof, parsed.q_proof) == steps
+        steps = _squared_witnesses(key.p, key.p.chain), _squared_witnesses(key.q, key.q.chain)
+        assert all(b != c for (_, b), (_, c) in zip(steps[0] + steps[1], key.p.chain + key.q.chain))
+        squared = dataclasses.replace(key, p=ProvenPrime(key.p, steps[0]), q=ProvenPrime(key.q, steps[1]))
+        parsed = parse_key(dump_private(squared))
+        assert (parsed.p.chain, parsed.q.chain) == steps
         assert parsed == key and hash(parsed) == hash(key)  # witnesses take no part in either
 
     @pytest.mark.parametrize("witness", ["0", "1", "n-1", "n", "b+n"])
@@ -272,6 +273,8 @@ class TestIdempotents:
     def test_equal_primes_rejected(self):
         with pytest.raises(ValueError):
             crt_idempotents(7, 7)
+        with pytest.raises(ValueError, match="prime factors must be coprime"):
+            crt_idempotents(3, 9)
 
     def test_identities_on_random_pairs(self, rng):
         primes = [p for p in range(3, 2000) if is_probable_prime(p)]
