@@ -107,12 +107,7 @@ def run_blind_session(key: KeyPair, m: Message, rng=None) -> BlindSession:
 # root with canonical_sqrt_mod_pq, twice per session (ROADMAP item 1): the
 # benchmark pins those two canonical roots per session, so this path changes
 # together with the benchmark, when signer_R goes.
-def _deterministic_padding(key: KeyPair, h: int, r: int) -> int:
-    """The signers' padding r**2 * (f1*psi1 + f2*psi2), from the Jacobi symbols of h."""
-    return _class_padding(key, jacobi(h, key.p), jacobi(h, key.q), r)
-
-
 def _recover_root(key: KeyPair, disguised: int) -> int:
     """The signer's root S: the canonical root of disguised times its unity-root padding."""
-    padding = _deterministic_padding(key, disguised, 1)
+    padding = _class_padding(key, jacobi(disguised, key.p), jacobi(disguised, key.q), 1)
     return canonical_sqrt_mod_pq(disguised * padding % key.n, key.idem)

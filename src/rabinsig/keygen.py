@@ -222,10 +222,13 @@ def build_padding_set(p: int, q: int, psi1: int, psi2: int, rng=None) -> Padding
     Draws class representatives a1, a2 (residue / non-residue mod p) and
     b1, b2 (mod q), then four distinct random units r_i; the r_i are
     re-drawn until every safety check passes, with fresh multipliers after
-    64 failed rounds.
+    64 failed rounds.  Raises ValueError unless psi1 and psi2 are the
+    idempotents of p and q that crt_idempotents gives.
     """
     rng = rng or SYSTEM_RNG
-    idem = _KeyRoots(p, q, psi1, psi2)
+    idem = crt_idempotents(p, q)
+    if (psi1, psi2) != (idem.psi1, idem.psi2):
+        raise ValueError("psi1 and psi2 are not the idempotents of p and q")
     n = idem.n
     for _ in range(64):
         a1 = _sample_with_jacobi(p, 1, rng)
@@ -316,8 +319,10 @@ class KeyPair:
             raise ValueError(f"prime factors have at most {MAX_PRIME_BITS} bits")
         for prime in (p, q):
             if (chain := getattr(prime, "chain", None)) is not None:
-                if not all(isinstance(s, tuple) and len(s) == 2 for s in chain) or not numtheory._proven(prime, chain):
+                if not all(isinstance(s, tuple) and len(s) == 2 for s in chain):
                     raise ValueError(f"a factor's proof of primality does not check as {_PROOF_FORM}")
+                if not numtheory._proven(prime, chain):
+                    raise ValueError("a factor's proof of primality does not prove the factor prime")
             # looked up on the module, so a substitute for the prime test reaches this call
             elif not numtheory.is_probable_prime(prime):
                 raise ValueError("factor failed the primality test")

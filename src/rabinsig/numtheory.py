@@ -3,20 +3,21 @@
 Jacobi symbols, modular inverses, least non-residues, CRT idempotents,
 the CRT lift and the padding built on it, and square-root extraction mod p
 and mod p*q.  Each of these facts is stated here once.  Everything here is
-a pure function of its arguments and never mutates key material.  The four
-roots mod p*q are stated once too: two CRT lifts v and w of one root per
-prime give them as v, n-v, w and n-w (_four_lifts); the canonical root is
-their least, and sqrt_mod_pq returns all four, sorted.
+a pure function of its arguments and never mutates key material.  Roots
+are stated once too: _class_roots, the one root pair, takes one _class_root
+per prime for sqrt_mod_pq and every signer; _four_lifts forms the four
+roots mod p*q, v, n-v, w and n-w, from two CRT lifts; and sqrt_mod_pq, the
+one checked root, returns them sorted, the canonical root first.
 
 The one ring object, _KeyRoots, holds p, q, n = p*q, psi1 and psi2, and
 the constants a root needs, each computed on its first use.  Per prime they
 are the root exponent, a non-residue z, z**((d+1)/2) and z**d for
 Tonelli-Shanks, and 2**(-(p+1)/4) for the rw signer; per padding element,
-its root over its class (_KeyRoots.unit_roots).  crt_idempotents returns a
-ring, and the ring is the only modulus argument of every CRT and root
-function (`idem`).  KeyPair.idem keeps its key's ring.  Each constant is
-fixed by its prime and written once, so a concurrent first use just
-computes it twice.  Every one of them reveals p (a root x of u gives
+its root over its class (_KeyRoots.unit_roots).  crt_idempotents is the one
+ring constructor, and the ring is the only modulus argument of every CRT
+and root function (`idem`).  KeyPair.idem keeps its key's ring.  Each
+constant is fixed by its prime and written once, so a concurrent first use
+just computes it twice.  Every one of them reveals p (a root x of u gives
 gcd(x**2 - u, n) = p), so they stay as private as psi1 and psi2.
 """
 
@@ -341,16 +342,14 @@ def _class_root(a: int, c: _PrimeRoots) -> tuple[int, int]:
     return symbol, x
 
 
-def _prime_roots(a: int, idem: _KeyRoots) -> tuple[int, int]:
-    # One root of a per prime; the checks and errors shared by sqrt_mod_pq
-    # and canonical_sqrt_mod_pq.
-    a %= idem.n
-    if math.gcd(a, idem.n) != 1:
-        raise FactorLeakError("input shares a factor with the modulus")
-    (jp, sp), (jq, sq) = _class_root(a, idem.at_p), _class_root(a, idem.at_q)
-    if jp == -1 or jq == -1:
-        raise NonResidueError("value is not a quadratic residue modulo both primes")
-    return sp, sq
+def _class_roots(a: int, idem: _KeyRoots) -> tuple[int, int, int, int]:
+    """((a/p), xp, (a/q), xq), one modexp per prime (_class_root).
+
+    xp**2 is a mod p where a is a residue and a*z otherwise, z being the
+    ring's non-residue: -1 for a 3-mod-4 prime, the least non-residue for a
+    1-mod-4 prime.  Likewise xq mod q.
+    """
+    return _class_root(a, idem.at_p) + _class_root(a, idem.at_q)
 
 
 def _four_lifts(rp: int, rq: int, idem: _KeyRoots) -> tuple[int, int, int, int]:
@@ -373,13 +372,18 @@ def sqrt_mod_pq(a: int, idem: _KeyRoots) -> tuple[int, int, int, int]:
     factorisation-revealing input) and NonResidueError when a is not a
     residue modulo both primes.
     """
-    return tuple(sorted(_four_lifts(*_prime_roots(a, idem), idem)))
+    a %= idem.n
+    if math.gcd(a, idem.n) != 1:
+        raise FactorLeakError("input shares a factor with the modulus")
+    jp, sp, jq, sq = _class_roots(a, idem)
+    if jp == -1 or jq == -1:
+        raise NonResidueError("value is not a quadratic residue modulo both primes")
+    return tuple(sorted(_four_lifts(sp, sq, idem)))
 
 
 def canonical_sqrt_mod_pq(a: int, idem: _KeyRoots) -> int:
     """The canonical root: the least of the four square roots mod p*q.  Raises as sqrt_mod_pq does."""
-    sp, sq = _prime_roots(a, idem)
-    return _canonical_lift(sp, sq, idem)
+    return sqrt_mod_pq(a, idem)[0]
 
 
 def _canonical_lift(rp: int, rq: int, idem: _KeyRoots) -> int:
@@ -388,10 +392,9 @@ def _canonical_lift(rp: int, rq: int, idem: _KeyRoots) -> int:
 
 
 def sqrt_of_unity_nontrivial(idem: _KeyRoots) -> tuple[int, int]:
-    """The two square roots of 1 mod p*q other than 1 and n-1.
+    """The two square roots of 1 mod p*q other than 1 and n-1: the second pair of _four_lifts(1, 1).
 
     Both equal psi1 - psi2 up to sign.  Adding 1 to either gives a multiple
     of one prime factor, so neither may ever appear as a padding value.
     """
-    v = crt_combine(1, -1, idem)
-    return v, idem.n - v
+    return _four_lifts(1, 1, idem)[2:]

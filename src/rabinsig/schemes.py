@@ -25,7 +25,7 @@ from typing import ClassVar, Union
 from .errors import FactorLeakError, SignatureFormatError, UnsignableMessageError
 from .hashing import DigestRef, Message, apply_redundancy, digest_int
 from .keygen import _KIND_CLASSES, KeyPair, PublicKey, _dump_record, _fits_kind, _Record
-from .numtheory import _canonical_lift, _class_root, crt_combine, crt_padding, random_unit
+from .numtheory import _canonical_lift, _class_root, _class_roots, crt_combine, crt_padding, random_unit
 
 
 @dataclass(frozen=True)
@@ -140,17 +140,6 @@ def _hash_for_signing(key: PublicKey | KeyPair, m: Message) -> int:
     return h
 
 
-def _class_roots(key: KeyPair, h: int) -> tuple[int, int, int, int]:
-    """((h/p), xp, (h/q), xq), one modexp per prime (numtheory._class_root).
-
-    xp**2 is h mod p where h is a residue and h*z otherwise, z being the
-    key's non-residue: -1 for a 3-mod-4 prime, the least non-residue for a
-    1-mod-4 prime.  Likewise xq mod q.
-    """
-    k = key.idem
-    return _class_root(h, k.at_p) + _class_root(h, k.at_q)
-
-
 def _class_padding(key: KeyPair, hp: int, hq: int, r: int) -> int:
     """Padding value r**2 * (f1*psi1 + f2*psi2) for h of class (hp, hq).
 
@@ -169,7 +158,7 @@ def _class_padding(key: KeyPair, hp: int, hq: int, r: int) -> int:
 def classic_sign(key: KeyPair, m: Message, rng=None) -> ClassicSignature:
     """Sign with a random padding value U making H(m)*U a residue."""
     h = _hash_for_signing(key, m)
-    hp, xp, hq, xq = _class_roots(key, h)
+    hp, xp, hq, xq = _class_roots(h, key.idem)
     r = random_unit(key.n, rng)
     p, q = key.p, key.q
     root = _canonical_lift(r * xp % p, r * xq % q, key.idem)
@@ -196,7 +185,7 @@ def general_sign(key: KeyPair, m: Message, rng=None) -> GeneralSignature:
     """
     SCHEMES["general"].check_key(key)
     h = _hash_for_signing(key, m)
-    hp, xp, hq, xq = _class_roots(key, h)
+    hp, xp, hq, xq = _class_roots(h, key.idem)
     try:
         u = key.padding.elements[key.padding.classes.index((hp, hq))]
     except ValueError:
@@ -234,7 +223,7 @@ def variant1_sign(key: KeyPair, m: Message, rng=None) -> Variant1Signature:
     SCHEMES["variant1"].check_key(key)
     h = _hash_for_signing(key, m)
     p, q, k = key.p, key.q, key.idem
-    hp, xp, hq, xq = _class_roots(key, h)
+    hp, xp, hq, xq = _class_roots(h, k)
     for _ in range(64):
         r = random_unit(key.n, rng)
         padding = _class_padding(key, hp, hq, r)
@@ -274,7 +263,7 @@ def variant2_sign(key: KeyPair, m: Message, rng=None) -> Variant2Signature:
     SCHEMES["variant2"].check_key(key)
     h = _hash_for_signing(key, m)
     # the hidden padding U = f1*psi1 + f2*psi2 is a root of unity, and S the canonical root of h*U
-    _, xp, _, xq = _class_roots(key, h)
+    _, xp, _, xq = _class_roots(h, key.idem)
     root = _canonical_lift(xp, xq, key.idem)
     r = random_unit(key.n, rng)
     return Variant2Signature(m, r * root % key.n, pow(r, 3, key.n))
@@ -317,7 +306,7 @@ def rw_sign(key: KeyPair, m: Message, rng=None) -> RWSignature:
     # they differ, f = 2 and e = (h/p)*(2/p), and S = y * 2**(-(p+1)/4)
     # mod each prime, since that constant squares to (2/p)/2.
     p, q, k = key.p, key.q, key.idem
-    hp, yp, hq, yq = _class_roots(key, h)
+    hp, yp, hq, yq = _class_roots(h, k)
     if hp == hq:
         e, f = hp, 1
     else:

@@ -1,4 +1,6 @@
+import dataclasses
 import math
+import random
 
 import pytest
 
@@ -11,8 +13,9 @@ from rabinsig.forgery import (
     forge_classic,
     rsa_blinding_attack,
 )
-from rabinsig.hashing import IDENTITY, QUADRATIC
+from rabinsig.hashing import IDENTITY, QUADRATIC, RedundancySpec, apply_redundancy
 from rabinsig.keygen import gen_keypair
+from rabinsig.numtheory import mod_inv
 from rabinsig.schemes import (
     ClassicSignature,
     GeneralSignature,
@@ -185,6 +188,45 @@ class TestBlindingAttack:
 
         with pytest.raises(NonResidueError):
             rsa_blinding_attack(refusing, 4, 77, rng)
+
+
+# ROADMAP item 9: X = F**3/R3 = S**3 is public, and a valid variant2 signature has
+# X**4 = H**6, so w = X**2/H**3 squares to 1.  When (H/N) = -1, w is not +-1 and
+# gcd(w - 1, N) is a prime.  Likewise each hardened blind answer gives F**3/(R3*d) = S*u,
+# a root of d*u for the signer's unity-root padding u, which is 1 when d is a square.
+# Both tests fail until item 9's mitigation lands; strict, so a fix shows up as XPASS.
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 9: a variant2 signature with (H/N) = -1 reveals a factor")
+def test_no_variant2_signature_reveals_a_factor():
+    rng = random.Random(21)
+    key = gen_keypair("blum", 128, IDENTITY, rng)
+    n = key.n
+    leaks = {}
+    for redundancy in (IDENTITY, RedundancySpec("digest", "sha256")):
+        key = dataclasses.replace(key, redundancy=redundancy)
+        leaks[redundancy.token] = 0
+        for m in range(2, 42):
+            sig = sign(key, m, "variant2", rng=rng)
+            assert verify(key.public(), sig).valid
+            x = pow(sig.F, 3, n) * mod_inv(sig.R3, n) % n
+            w = x * x * mod_inv(pow(apply_redundancy(redundancy, m, n), 3, n), n) % n
+            leaks[redundancy.token] += math.gcd(w - 1, n) in (key.p, key.q)
+    assert leaks == {"identity": 0, "digest:sha256": 0}
+
+
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 9: F**3/(R3*d) from a hardened blind answer is a root of +-d")
+def test_hardened_answers_give_the_blinding_attack_no_root():
+    rng = random.Random(21)
+    key = gen_keypair("blum", 128, IDENTITY, rng)
+    n = key.n
+    x = rng.randrange(2, n)
+    c = x * x % n
+
+    def cube_oracle(d):
+        answer = blind_sign(key, d, rng)
+        return pow(answer.F, 3, n) * mod_inv(answer.R3 * d, n) % n
+
+    outcomes = [rsa_blinding_attack(cube_oracle, c, n, rng, trials=1, known_root=x).kind for _ in range(40)]
+    assert outcomes.count("failed") == 40
 
 
 class _FixedBlinder:

@@ -241,6 +241,17 @@ class TestPaddingSet:
         with pytest.raises(RuntimeError, match="could not build a safe padding set"):
             build_padding_set(3, 7, idem.psi1, idem.psi2, random.Random(3))
 
+    def test_idempotents_of_another_ring_are_refused(self):
+        # over psi1 = psi2 = 1 the set's class labels were wrong: a general key on it signed
+        # messages 2..59 all invalidly, and gcd(S**2 - m*u, N) was a prime for 21 of them
+        rng = random.Random(5)
+        p, q = gen_prime(64, "none", rng), gen_prime(64, "none", rng)
+        with pytest.raises(ValueError, match="psi1 and psi2 are not the idempotents of p and q"):
+            build_padding_set(p, q, 1, 1, rng)
+        idem = crt_idempotents(p, q)
+        with pytest.raises(ValueError, match="not the idempotents"):
+            build_padding_set(p, q, idem.psi2, idem.psi1, rng)
+
     def test_class_coverage_detected(self):
         flaws = padding_set_flaws((2, 2 * 4 % 77, 2 * 9 % 77, 24), 7, 11)
         assert any("classes" in f for f in flaws)
@@ -494,9 +505,11 @@ NON_CANONICAL_PROOFS = {
     "sign": lambda c: "+" + _spaced(c),
 }
 PAIR_FORM = re.escape("pairs 'f1 b1 f2 b2 ...' of a factor and its witness")
+# a chain in pair form whose steps do not prove the factor gets its own message
+FAILED_PROOF = "proof of primality does not prove the factor prime"
 
 
-def _refused_everywhere(text, tmp_path, monkeypatch, match="proof of primality does not check"):
+def _refused_everywhere(text, tmp_path, monkeypatch, match=FAILED_PROOF):
     """parse_key refuses the file and `rabinsig sign` exits 3, without is_probable_prime."""
     monkeypatch.setattr(numtheory, "is_probable_prime", _refuse_prime_test)
     with pytest.raises(KeyFormatError, match=match):
@@ -513,7 +526,7 @@ def _tampered_file_is_refused(text, key, length, tamper, field, tmp_path, monkey
     assert line in text and len(chain) == length
     tampers, odd_proofs = _tampers(length), _odd_proofs(length)
     if tamper in tampers:
-        bad, match = tampers[tamper](chain), "proof of primality does not check as " + PAIR_FORM
+        bad, match = tampers[tamper](chain), FAILED_PROOF
     elif tamper in odd_proofs:
         bad, match = odd_proofs[tamper](chain), f"field '{field}' is not {PAIR_FORM}"
     else:
@@ -557,6 +570,17 @@ def test_from_primes_refuses_a_proof_that_is_not_f_b_steps():
         with pytest.raises(ValueError, match="proof of primality does not check as " + PAIR_FORM):
             KeyPair.from_primes("blum", ProvenPrime(p, proof), q)
     assert KeyPair.from_primes("blum", p, q).p.chain == p.chain
+
+
+def test_a_failed_proof_is_not_reported_as_a_malformed_one():
+    # a well-formed 128-bit chain, one step (f, b), whose witness is raised by 2
+    text = dump_private(gen_keypair("blum", 128, IDENTITY, random.Random(11)))
+    (f, b), = parse_key(text).p.chain
+    tampered = text.replace(f"p_proof = {f} {b}\n", f"p_proof = {f} {b + 2}\n")
+    assert tampered != text
+    with pytest.raises(KeyFormatError) as refused:
+        parse_key(tampered)
+    assert FAILED_PROOF in str(refused.value) and "pairs 'f1 b1" not in str(refused.value)
 
 
 def test_from_primes_certifies_a_proven_prime_by_its_chain(monkeypatch):

@@ -16,7 +16,6 @@ import pytest
 from hypothesis import assume, given
 from hypothesis import strategies as st
 
-from rabinsig.blind import _deterministic_padding
 from rabinsig.errors import NonResidueError
 from rabinsig.hashing import IDENTITY
 from rabinsig.keygen import KeyPair, build_padding_set
@@ -32,7 +31,7 @@ from rabinsig.numtheory import (
     sqrt_mod_pq,
     sqrt_of_unity_nontrivial,
 )
-from rabinsig.schemes import sign
+from rabinsig.schemes import _class_padding, sign
 
 sympy = pytest.importorskip("sympy")
 
@@ -144,6 +143,11 @@ def _unit_message(m: int, key: KeyPair) -> int:
     return h
 
 
+def _jacobi_padding(key: KeyPair, h: int, r: int) -> int:
+    # the padding r**2 * (f1*psi1 + f2*psi2) from the Jacobi symbols of h, as the blind signer forms it
+    return _class_padding(key, jacobi(h, key.p), jacobi(h, key.q), r)
+
+
 @given(signer_pairs, messages, seeds)
 def test_classic_and_general_match_the_jacobi_path(pq, m, seed):
     p, q = pq
@@ -151,7 +155,7 @@ def test_classic_and_general_match_the_jacobi_path(pq, m, seed):
     key = KeyPair.from_primes("general", p, q, IDENTITY, build_padding_set(p, q, idem.psi1, idem.psi2, random.Random(seed)))
     h = _unit_message(m, key)
     sig = sign(key, h, "classic", rng=random.Random(seed))
-    padding = _deterministic_padding(key, h, random_unit(key.n, random.Random(seed)))
+    padding = _jacobi_padding(key, h, random_unit(key.n, random.Random(seed)))
     assert sig.U == padding
     assert sig.S == canonical_sqrt_mod_pq(h * padding, idem)
     sig = sign(key, h, "general")
@@ -167,12 +171,12 @@ def test_blum_signers_match_the_jacobi_path(pq, m, seed):
     h = _unit_message(m, key)
     sig = sign(key, h, "variant2", rng=random.Random(seed))
     r = random_unit(n, random.Random(seed))
-    root = canonical_sqrt_mod_pq(h * _deterministic_padding(key, h, 1), ring)
+    root = canonical_sqrt_mod_pq(h * _jacobi_padding(key, h, 1), ring)
     assert (sig.F, sig.R3) == (r * root % n, pow(r, 3, n))
 
     sig = sign(key, h, "variant1", rng=random.Random(seed))
     rng, forbidden = random.Random(seed), sqrt_of_unity_nontrivial(ring)
-    padding = next(u for u in (_deterministic_padding(key, h, random_unit(n, rng)) for _ in range(64))
+    padding = next(u for u in (_jacobi_padding(key, h, random_unit(n, rng)) for _ in range(64))
                    if u not in forbidden)
     assert sig.U == padding
     target = (jacobi(padding + 1, p), jacobi(padding + 1, q))
