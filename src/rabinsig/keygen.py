@@ -203,52 +203,43 @@ def _sample_with_jacobi(p: int, target: int, rng) -> int:
             return a
 
 
-def compose_padding_set(a1, a2, b1, b2, rs, idem: _KeyRoots):
-    """Form the four products r**2 * (a*psi1 + b*psi2) over the ring idem, with their class labels.
-
-    Such a product is r**2 * a mod p and r**2 * b mod q, so for units r its
-    class is that of (a mod p, b mod q).  The callers draw a1 and b1 as
-    residues and a2 and b2 as non-residues, so the labels are constant and
-    no Jacobi symbol is computed.
-    """
-    pairs = ((a1, b1), (a1, b2), (a2, b1), (a2, b2))
-    elements = tuple(crt_padding(a, b, r, idem) for (a, b), r in zip(pairs, rs))
-    return elements, ((1, 1), (1, -1), (-1, 1), (-1, -1))
-
-
 def build_padding_set(p: int, q: int, psi1: int, psi2: int, rng=None) -> PaddingSet:
     """Build a safe padding set by rejection sampling.
 
     Draws class representatives a1, a2 (residue / non-residue mod p) and
-    b1, b2 (mod q), then four distinct random units r_i; the r_i are
-    re-drawn until every safety check passes, with fresh multipliers after
-    64 failed rounds.  Raises ValueError unless psi1 and psi2 are the
-    idempotents of p and q that crt_idempotents gives.
+    b1, b2 (mod q) once, then four distinct random units r_i, re-drawn until
+    every safety check passes, for at most 4096 rounds.  The element
+    r**2 * (a*psi1 + b*psi2) is r**2 * a mod p and r**2 * b mod q, so its
+    class is that of (a, b) and no Jacobi symbol is computed for it.  New
+    multipliers would reach no set that new r_i cannot, since a class is
+    {r**2 * c : r a unit} for any c in it.  Raises ValueError unless psi1
+    and psi2 are the idempotents of p and q that crt_idempotents gives.
     """
     rng = rng or SYSTEM_RNG
     idem = crt_idempotents(p, q)
     if (psi1, psi2) != (idem.psi1, idem.psi2):
         raise ValueError("psi1 and psi2 are not the idempotents of p and q")
     n = idem.n
-    for _ in range(64):
-        a1 = _sample_with_jacobi(p, 1, rng)
-        a2 = _sample_with_jacobi(p, -1, rng)
-        b1 = _sample_with_jacobi(q, 1, rng)
-        b2 = _sample_with_jacobi(q, -1, rng)
-        for _ in range(64):
-            rs: list[int] = []
-            while len(rs) < 4:
-                r = random_unit(n, rng)
-                if r not in rs:
-                    rs.append(r)
-            elements, classes = compose_padding_set(a1, a2, b1, b2, rs, idem)
-            if not _padding_flaws(elements, classes, n):
-                order = list(range(4))
-                rng.shuffle(order)  # publication order must not hint at the classes
-                return PaddingSet(
-                    tuple(elements[i] for i in order),
-                    tuple(classes[i] for i in order),
-                )
+    a1 = _sample_with_jacobi(p, 1, rng)
+    a2 = _sample_with_jacobi(p, -1, rng)
+    b1 = _sample_with_jacobi(q, 1, rng)
+    b2 = _sample_with_jacobi(q, -1, rng)
+    pairs = ((a1, b1), (a1, b2), (a2, b1), (a2, b2))
+    classes = ((1, 1), (1, -1), (-1, 1), (-1, -1))
+    for _ in range(4096):
+        rs: list[int] = []
+        while len(rs) < 4:  # with r_1 = r_4, u1/u4 is a1/a2 mod p and b1/b2 mod q: 2**32 guesses find p
+            r = random_unit(n, rng)
+            if r not in rs:
+                rs.append(r)
+        elements = tuple(crt_padding(a, b, r, idem) for (a, b), r in zip(pairs, rs))
+        if not _padding_flaws(elements, classes, n):
+            order = list(range(4))
+            rng.shuffle(order)  # publication order must not hint at the classes
+            return PaddingSet(
+                tuple(elements[i] for i in order),
+                tuple(classes[i] for i in order),
+            )
     raise RuntimeError("could not build a safe padding set for this modulus")
 
 

@@ -140,7 +140,7 @@ def check_scheme_exhaustive(
     n = ring.n
     idem = crt_idempotents(ring.p, ring.q)
     padding = None
-    if kind == "general":
+    if descriptor.needs_padding:
         padding = build_padding_set(ring.p, ring.q, idem.psi1, idem.psi2, rng)
     key = KeyPair.from_primes(kind, ring.p, ring.q, redundancy, padding)
     pub = key.public()

@@ -22,7 +22,6 @@ from rabinsig.keygen import (
     PaddingSet,
     ProvenPrime,
     build_padding_set,
-    compose_padding_set,
     dump_private,
     dump_public,
     gen_keypair,
@@ -30,7 +29,7 @@ from rabinsig.keygen import (
     padding_set_flaws,
     parse_key,
 )
-from rabinsig.numtheory import _EXACT_BASES, _proven, crt_idempotents, jacobi
+from rabinsig.numtheory import _EXACT_BASES, _proven, crt_idempotents, crt_padding, jacobi
 from rabinsig.oracle import SmallRing, qr_set, units
 from rabinsig.schemes import SCHEMES, sign, verify
 
@@ -202,17 +201,32 @@ def test_every_key_from_primes_accepts_survives_its_key_file(key):
 class TestPaddingSet:
     def test_composition_oracle_values(self):
         # a1=2, a2=3 split the classes mod 7; b1=3, b2=2 split them mod 11
-        elements, classes = compose_padding_set(2, 3, 3, 2, (1, 1, 1, 1), crt_idempotents(7, 11))
+        idem = crt_idempotents(7, 11)
+        elements = tuple(crt_padding(a, b, 1, idem) for a in (2, 3) for b in (3, 2))
         assert elements == (58, 2, 3, 24)
-        assert classes == ((1, 1), (1, -1), (-1, 1), (-1, -1))
+        assert [(jacobi(u, 7), jacobi(u, 11)) for u in elements] == [(1, 1), (1, -1), (-1, 1), (-1, -1)]
 
     def test_composition_computes_no_jacobi_symbol(self, monkeypatch):
-        # the labels follow from the classes of a1, a2, b1, b2, so none is computed
+        # the labels follow from the classes of a1, a2, b1, b2, so jacobi only tests multiplier draws
         calls = []
         monkeypatch.setattr(keygen, "jacobi", lambda a, n: calls.append((a, n)) or jacobi(a, n))
-        _, classes = compose_padding_set(2, 3, 3, 2, (1, 2, 3, 4), crt_idempotents(7, 11))
-        assert classes == ((1, 1), (1, -1), (-1, 1), (-1, -1))
-        assert calls == []
+        rng = random.Random(5)
+        p, q = gen_prime(64, "none", rng), gen_prime(64, "none", rng)
+        idem = crt_idempotents(p, q)
+        build_padding_set(p, q, idem.psi1, idem.psi2, rng)
+        assert calls and all(a < keygen._MULTIPLIER_BOUND for a, _ in calls)
+
+    def test_multipliers_are_drawn_once(self, monkeypatch):
+        # a class is {r**2 * c} for any c in it, so only the r_i are redrawn, even through all 4096 failed rounds
+        draws, rounds = [], []
+        sample, flaws = keygen._sample_with_jacobi, keygen._padding_flaws
+        monkeypatch.setattr(keygen, "_sample_with_jacobi", lambda p, t, rng: draws.append(p) or sample(p, t, rng))
+        monkeypatch.setattr(keygen, "_padding_flaws", lambda *args: rounds.append(1) or flaws(*args))
+        idem = crt_idempotents(3, 7)
+        with pytest.raises(RuntimeError, match="could not build a safe padding set"):
+            build_padding_set(3, 7, idem.psi1, idem.psi2, random.Random(3))
+        assert draws == [3, 3, 7, 7]
+        assert len(rounds) == 4096
 
     def test_oracle_set_fails_the_difference_check(self):
         # equal r_i leave same-row differences divisible by a prime factor

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from rabinsig.blind import BlindSignature, verify_blind_signature
 from rabinsig.errors import FactorLeakError, SignatureFormatError, UnsignableMessageError
 from rabinsig.hashing import IDENTITY, QUADRATIC, DigestRef, RedundancySpec, digest_int
-from rabinsig.keygen import KeyPair, build_padding_set, gen_keypair, gen_prime
+from rabinsig.keygen import KeyPair, PaddingSet, build_padding_set, gen_keypair, gen_prime
 from rabinsig import numtheory, schemes
 from rabinsig.numtheory import canonical_sqrt_mod_pq, jacobi, mod_inv
 from rabinsig.oracle import SmallRing, all_roots, brute_valid, qr_set
@@ -35,7 +35,7 @@ from rabinsig.schemes import (
     verify,
 )
 
-from conftest import SeqRng
+from conftest import ORACLE_PADDING, SeqRng
 
 RING77 = SmallRing(7, 11)
 QR77 = qr_set(RING77)
@@ -104,12 +104,19 @@ class TestGeneral:
         assert report.op_counts == (1, 1)
 
     def test_needs_a_padding_set(self, toy_key, general_toy_key):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="needs a key with a private padding set"):
             general_sign(toy_key, 5)
         # the published set carries no classes to select by
         public_only = dataclasses.replace(general_toy_key, padding=general_toy_key.public().padding)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="needs a key with a private padding set"):
             general_sign(public_only, 5)
+
+    def test_a_set_whose_labels_miss_the_class_is_refused(self):
+        # built directly, the key keeps labels that from_primes would recompute: all four claim (1, 1)
+        key = KeyPair("general", 7, 11, IDENTITY, PaddingSet(ORACLE_PADDING.elements, ((1, 1),) * 4))
+        assert sign(key, 4, "general").u == 58  # a residue is in the one labelled class
+        with pytest.raises(ValueError, match="^padding set does not cover the class of the message$"):
+            sign(key, 5, "general")  # (5/7) = -1
 
 
 class TestVariant1:
