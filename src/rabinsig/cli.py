@@ -20,7 +20,7 @@ from pathlib import Path
 from . import oracle, schemes
 from .blind import blind_sign, disguise, naive_blind_sign, run_blind_session
 from .errors import KeyFormatError, NonResidueError, RabinError, SignatureFormatError
-from .forgery import apply_scaling, forge_classic, rsa_blinding_attack
+from .forgery import apply_scaling, cube_oracle, forge_classic, rsa_blinding_attack, variant2_factor
 from .hashing import IDENTITY, QUADRATIC, DigestRef, RedundancySpec, apply_redundancy, digest_int
 from .keygen import KINDS, KeyPair, _dump_record, dump_private, dump_public, gen_keypair, parse_key
 from .numtheory import SYSTEM_RNG, crt_idempotents, jacobi, mod_inv, random_unit, sqrt_mod_pq
@@ -195,6 +195,8 @@ def cmd_attack(args):
         return _attack_classic(args)
     if args.kind == "scale":
         return _attack_scale(args)
+    if args.kind == "variant2-factor":
+        return _attack_variant2_factor(args)
     return _attack_blinding(args)
 
 
@@ -239,19 +241,37 @@ def _report_forgery(args, pub, forged, headline, adjective):
     return 0 if report.valid else 1
 
 
+def _attack_variant2_factor(args):
+    _require(args, ("pub", "sig"))
+    pub = _load_key(args.pub)
+    sig = _load_signature(args.sig)
+    if not isinstance(sig, schemes.Variant2Signature):
+        raise UsageError("attack --kind variant2-factor needs a variant2 signature")
+    factor = variant2_factor(pub, sig)
+    if factor is None:
+        print("outcome = failed")
+        return 1
+    print(f"factor = {factor}")
+    return 0
+
+
 def _attack_blinding(args):
     _require(args, ("key", "ciphertext"))
     if args.trials < 1:
-        raise UsageError("attack --kind blinding needs --trials of at least 1")
+        raise UsageError(f"attack --kind {args.kind} needs --trials of at least 1")
     key = _load_private_key(args.key, "the blinding attack drives a local signing oracle; pass a private key")
     rng = _rng(args.seed)
-    if args.hardened:
+    cubed = args.kind == "blinding-cube"
+    if cubed or args.hardened:
         _check_key("variant2", key)  # the hardened signer signs as variant2
-        oracle_fn = lambda d: blind_sign(key, d, rng).F
+    if cubed:
+        label, oracle_fn = "hardened, read as F^3/(R3*d)", cube_oracle(key, rng)
+    elif args.hardened:
+        label, oracle_fn = "hardened", lambda d: blind_sign(key, d, rng).F
     else:
-        oracle_fn = lambda d: naive_blind_sign(key, d, rng)
+        label, oracle_fn = "naive", lambda d: naive_blind_sign(key, d, rng)
     outcome = rsa_blinding_attack(oracle_fn, args.ciphertext, key.n, rng, trials=args.trials)
-    print(f"oracle = {'hardened' if args.hardened else 'naive'}")
+    print(f"oracle = {label}")
     print(f"trials = {outcome.trials}")
     print(f"outcome = {outcome.kind}")
     if outcome.kind == "decrypted":
@@ -358,13 +378,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int)
 
     p = sub.add_parser("attack", help="run a forgery or oracle attack")
-    p.add_argument("--kind", choices=("classic-forge", "scale", "blinding"), required=True)
-    p.add_argument("--pub", help="public key file (classic-forge, scale)")
-    p.add_argument("--sig", help="signature file (classic-forge, scale)")
+    p.add_argument("--kind", choices=("classic-forge", "scale", "variant2-factor", "blinding", "blinding-cube"),
+                   required=True)
+    p.add_argument("--pub", help="public key file (classic-forge, scale, variant2-factor)")
+    p.add_argument("--sig", help="signature file (classic-forge, scale, variant2-factor)")
     p.add_argument("--target", type=int, help="message to forge (classic-forge)")
     p.add_argument("--factor", type=int, help="scaling factor (scale)")
-    p.add_argument("--key", help="private key driving the signing oracle (blinding)")
-    p.add_argument("--ciphertext", type=int, help="square of the unknown plaintext (blinding)")
+    p.add_argument("--key", help="private key driving the signing oracle (blinding, blinding-cube)")
+    p.add_argument("--ciphertext", type=int, help="square of the unknown plaintext (blinding, blinding-cube)")
     p.add_argument("--trials", type=int, default=40)
     p.add_argument("--hardened", action="store_true", help="attack the hardened blind signer")
     p.add_argument("--out", help="write the forged signature here")

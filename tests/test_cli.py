@@ -19,7 +19,7 @@ from rabinsig.keygen import (
     gen_keypair,
     parse_key,
 )
-from rabinsig.numtheory import SYSTEM_RNG, crt_idempotents
+from rabinsig.numtheory import SYSTEM_RNG, crt_idempotents, jacobi
 from rabinsig.schemes import dump_signature, parse_signature, sign, verify
 
 from conftest import SeqRng, general_key_with_unchecked_padding
@@ -438,6 +438,74 @@ def test_attack_missing_flags_exit_2(keyfiles):
     priv, pub = keyfiles
     assert main(["attack", "--kind", "classic-forge", "--pub", str(pub)]) == 2
     assert main(["attack", "--kind", "blinding", "--key", str(priv)]) == 2
+    assert main(["attack", "--kind", "variant2-factor", "--pub", str(pub)]) == 2
+    assert main(["attack", "--kind", "blinding-cube", "--key", str(priv)]) == 2
+
+
+def _signed_with_symbol(priv, tmp_path, symbol):
+    """A variant2 signature file on the first message m >= 2 with Jacobi symbol (m/N) = symbol."""
+    key = parse_key(priv.read_text())
+    m = next(m for m in range(2, key.n) if jacobi(m, key.n) == symbol)
+    sig = tmp_path / f"jacobi{symbol}.sig"
+    assert main(["sign", "--key", str(priv), "--scheme", "variant2", "--message", str(m),
+                 "--out", str(sig), "--seed", "7"]) == 0
+    return key, sig
+
+
+def test_attack_variant2_factor_reads_a_factor_off_a_minus_one_signature(keyfiles, tmp_path, capsys):
+    priv, pub = keyfiles
+    key, sig = _signed_with_symbol(priv, tmp_path, -1)
+    capsys.readouterr()
+    assert main(["attack", "--kind", "variant2-factor", "--pub", str(pub), "--sig", str(sig)]) == 0
+    assert capsys.readouterr().out in (f"factor = {key.p}\n", f"factor = {key.q}\n")
+
+
+def test_attack_variant2_factor_finds_none_on_a_plus_one_signature(keyfiles, tmp_path, capsys):
+    priv, pub = keyfiles
+    _, sig = _signed_with_symbol(priv, tmp_path, 1)
+    capsys.readouterr()
+    assert main(["attack", "--kind", "variant2-factor", "--pub", str(pub), "--sig", str(sig)]) == 1
+    assert capsys.readouterr().out == "outcome = failed\n"
+
+
+def test_attack_variant2_factor_refuses_other_schemes(keyfiles, tmp_path, capsys):
+    priv, pub = keyfiles
+    sig = tmp_path / "v1.sig"
+    assert main(["sign", "--key", str(priv), "--scheme", "variant1", "--message", "5",
+                 "--out", str(sig), "--seed", "7"]) == 0
+    capsys.readouterr()
+    assert main(["attack", "--kind", "variant2-factor", "--pub", str(pub), "--sig", str(sig)]) == 2
+    assert capsys.readouterr().err == "error: attack --kind variant2-factor needs a variant2 signature\n"
+
+
+def test_attack_blinding_cube_recovers_a_root_from_the_hardened_signer(keyfiles, capsys):
+    priv, _ = keyfiles
+    key = parse_key(priv.read_text())
+    x = 123457
+    capsys.readouterr()
+    assert main(["attack", "--kind", "blinding-cube", "--key", str(priv), "--ciphertext", str(x * x % key.n),
+                 "--trials", "16", "--seed", "31"]) == 0
+    out = capsys.readouterr().out
+    assert out.startswith("oracle = hardened, read as F^3/(R3*d)\n")
+    assert f"factor = {key.p}\n" in out or f"factor = {key.q}\n" in out or "root = " in out
+
+
+def test_attack_blinding_cube_fails_on_a_non_square(keyfiles, capsys):
+    # a ciphertext with Jacobi symbol -1 has no root, and each answer is a root of d*u, u not 1
+    priv, _ = keyfiles
+    key = parse_key(priv.read_text())
+    c = next(c for c in range(2, key.n) if jacobi(c, key.n) == -1)
+    capsys.readouterr()
+    assert main(["attack", "--kind", "blinding-cube", "--key", str(priv), "--ciphertext", str(c),
+                 "--trials", "8", "--seed", "31"]) == 1
+    assert "outcome = failed" in capsys.readouterr().out
+
+
+def test_attack_blinding_cube_needs_a_blum_key(tmp_path, capsys):
+    priv = tmp_path / "general.key"
+    assert main(["keygen", "--kind", "general", "--bits", "48", "--out", str(priv), "--seed", "11"]) == 0
+    capsys.readouterr()
+    assert main(["attack", "--kind", "blinding-cube", "--key", str(priv), "--ciphertext", "4", "--seed", "1"]) == 2
 
 
 def test_selfcheck_deterministic_with_seed(capsys):

@@ -126,7 +126,7 @@ def cases(draw, corpus):
         key_bytes, sig_bytes = draw(st.sampled_from(((key_bytes + b"\xff", sig_bytes),
                                                      (key_bytes, b"\xfe" + sig_bytes))))
     number = draw(st.one_of(st.integers(-3, 4 * n), st.sampled_from((0, 1, n - 1, n))))
-    command = draw(st.sampled_from(("verify", "sign", "classic-forge", "scale")))
+    command = draw(st.sampled_from(("verify", "sign", "classic-forge", "scale", "variant2-factor")))
     scheme = draw(st.sampled_from(SCHEME_TAGS))
     return key_bytes, sig_bytes, command, scheme, number
 
@@ -138,6 +138,8 @@ def _argv(command, scheme, number, key, sig, out):
         return ["sign", "--key", key, "--scheme", scheme, "--message", str(number), "--out", out, "--seed", "1"]
     if command == "classic-forge":
         return ["attack", "--kind", "classic-forge", "--pub", key, "--sig", sig, "--target", str(number)]
+    if command == "variant2-factor":
+        return ["attack", "--kind", "variant2-factor", "--pub", key, "--sig", sig]
     return ["attack", "--kind", "scale", "--pub", key, "--sig", sig, "--factor", str(number)]
 
 

@@ -3,19 +3,24 @@ import math
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from rabinsig.blind import BlindSignature, blind_sign, naive_blind_sign, verify_blind_signature
+from rabinsig import forgery
+from rabinsig.blind import BlindSignature, blind_sign, naive_blind_sign, run_blind_session, verify_blind_signature
 from rabinsig.errors import FactorLeakError, NonResidueError
 from rabinsig.forgery import (
     TRANSFORMS,
     AttackOutcome,
     apply_scaling,
+    cube_oracle,
     forge_classic,
     rsa_blinding_attack,
+    variant2_factor,
 )
-from rabinsig.hashing import IDENTITY, QUADRATIC, RedundancySpec, apply_redundancy
+from rabinsig.hashing import IDENTITY, QUADRATIC, DigestRef, RedundancySpec, apply_redundancy
 from rabinsig.keygen import gen_keypair
-from rabinsig.numtheory import mod_inv
+from rabinsig.numtheory import jacobi, mod_inv, random_unit
 from rabinsig.schemes import (
     ClassicSignature,
     GeneralSignature,
@@ -188,6 +193,139 @@ class TestBlindingAttack:
 
         with pytest.raises(NonResidueError):
             rsa_blinding_attack(refusing, 4, 77, rng)
+
+
+def _inverting_attack(oracle, c, n, rng, trials=1, known_root=None):
+    """rsa_blinding_attack as it was written first: each trial divides the answer by r."""
+    c %= n
+    first = None
+    trial = 0
+    for trial in range(1, trials + 1):
+        r = random_unit(n, rng)
+        answer = oracle(r * r * c % n)
+        y = answer * mod_inv(r, n) % n
+        if y * y % n != c:
+            continue
+        if known_root is not None:
+            x = known_root % n
+            if y == x or y == n - x:
+                return AttackOutcome("decrypted", y, trial)
+            return AttackOutcome("factored", math.gcd((y - x) % n, n), trial)
+        if first is None:
+            first = y
+        elif y != first and y != n - first:
+            return AttackOutcome("factored", math.gcd((y - first) % n, n), trial)
+    if first is not None:
+        return AttackOutcome("decrypted", first, trial)
+    return AttackOutcome("failed", None, trial)
+
+
+def _scripted_oracle(n, script):
+    """An oracle answering its i-th query as script[i] says: a true root, any value, or a root moved by k*n."""
+    calls = iter(script)
+
+    def oracle(d):
+        mode, i, k = next(calls)
+        roots = [y for y in range(n) if y * y % n == d]
+        y = roots[i % len(roots)] if roots and mode != "any" else i
+        return {"root": y, "any": y, "unreduced": y + k * n, "negative": y - k * n}[mode]
+
+    return oracle
+
+
+@st.composite
+def _attack_cases(draw):
+    n = draw(st.sampled_from((77, 221, 437, 3 * 11 * 17)))
+    trials = draw(st.integers(1, 4))
+    x = draw(st.integers(-n, 3 * n))
+    c = draw(st.one_of(st.just(x * x), st.integers(-n, 3 * n)))
+    known_root = draw(st.one_of(st.none(), st.just(x), st.sampled_from((0, n, 2 * n, n + 1)), st.integers(0, 3 * n)))
+    script = draw(st.lists(st.tuples(st.sampled_from(("root", "any", "unreduced", "negative")),
+                                     st.integers(0, 10 * n), st.integers(1, 3)),
+                           min_size=trials, max_size=trials))
+    return n, trials, c, known_root, script, draw(st.integers(0, 2**32))
+
+
+@settings(max_examples=400, deadline=None)
+@given(case=_attack_cases())
+def test_blinding_attack_matches_the_inverting_form(case):
+    # each trial tests answer against x*r instead of answer/r against x: same outcome, same draws
+    n, trials, c, known_root, script, seed = case
+    expected = _inverting_attack(_scripted_oracle(n, script), c, n, random.Random(seed), trials, known_root)
+    got = rsa_blinding_attack(_scripted_oracle(n, script), c, n, random.Random(seed), trials, known_root)
+    assert got == expected
+
+
+def test_known_root_trials_invert_nothing(monkeypatch):
+    rng = random.Random(23)
+    key = gen_keypair("blum", 128, IDENTITY, rng)
+    n = key.n
+    x = rng.randrange(2, n)
+    c = x * x % n
+
+    def no_inverse(a, modulus):
+        raise AssertionError("a known-root trial computed an inverse")
+
+    monkeypatch.setattr(forgery, "mod_inv", no_inverse)
+    for _ in range(40):
+        outcome = rsa_blinding_attack(lambda d: naive_blind_sign(key, d, rng), c, n, rng, known_root=x)
+        assert outcome in (AttackOutcome("decrypted", x, 1), AttackOutcome("decrypted", n - x, 1),
+                           AttackOutcome("factored", key.p, 1), AttackOutcome("factored", key.q, 1))
+        outcome = rsa_blinding_attack(lambda d: blind_sign(key, d, rng).F, c, n, rng, known_root=x)
+        assert outcome == AttackOutcome("failed", None, 1)
+
+
+@pytest.fixture(scope="module")
+def leaky_key():
+    return gen_keypair("blum", 128, IDENTITY, random.Random(21))
+
+
+class TestVariant2Factor:
+    """ROADMAP item 9 through the package's own code: these pass until a mitigation lands."""
+
+    @pytest.mark.parametrize("redundancy,leaks", [(IDENTITY, 19), (QUADRATIC, 20),
+                                                  (RedundancySpec("digest", "sha256"), 20)])
+    def test_exactly_the_signatures_with_jacobi_minus_one_give_a_factor(self, leaky_key, redundancy, leaks):
+        rng = random.Random(22)
+        key = dataclasses.replace(leaky_key, redundancy=redundancy)
+        found = 0
+        for m in range(2, 42):
+            sig = sign(key, m, "variant2", rng=rng)
+            factor = variant2_factor(key.public(), sig)
+            assert (factor is not None) == (jacobi(apply_redundancy(redundancy, m, key.n), key.n) == -1)
+            assert factor in (None, key.p, key.q)
+            found += factor is not None
+        assert found == leaks
+
+    def test_exactly_the_blind_answers_with_jacobi_minus_one_give_a_factor(self, leaky_key):
+        rng = random.Random(24)
+        pub = leaky_key.public()
+        for _ in range(40):
+            d = random_unit(leaky_key.n, rng)
+            factor = variant2_factor(pub, blind_sign(leaky_key, d, rng))
+            assert (factor is not None) == (jacobi(d, leaky_key.n) == -1)
+            assert factor in (None, leaky_key.p, leaky_key.q)
+
+    def test_a_published_blind_signature_leaks_like_any_other(self, leaky_key):
+        rng = random.Random(25)
+        for m in range(2, 22):
+            session = run_blind_session(leaky_key, m, rng)
+            factor = variant2_factor(leaky_key.public(), session.published)
+            assert (factor is not None) == (jacobi(m, leaky_key.n) == -1)
+
+    def test_a_message_outside_the_key_rule_gives_none(self, leaky_key):
+        sig = sign(leaky_key, 3, "variant2", rng=random.Random(26))
+        assert variant2_factor(leaky_key.public(), dataclasses.replace(sig, m=DigestRef(3))) is None
+
+    def test_the_cube_oracle_hands_the_blinding_attack_a_root_every_trial(self, leaky_key):
+        rng = random.Random(27)
+        n = leaky_key.n
+        x = rng.randrange(2, n)
+        oracle = cube_oracle(leaky_key, rng)
+        for _ in range(40):
+            outcome = rsa_blinding_attack(oracle, x * x, n, rng, known_root=x)
+            assert outcome.kind != "failed"
+            assert outcome.value in (x, n - x, leaky_key.p, leaky_key.q)
 
 
 # ROADMAP item 9: X = F**3/R3 = S**3 is public, and a valid variant2 signature has
