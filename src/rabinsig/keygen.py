@@ -55,6 +55,12 @@ def _fits_kind(p: int, q: int, kind: str) -> bool:
 # parse_key refuse more, so that loading an untrusted key file is bounded work.
 MAX_PRIME_BITS = 4096
 
+# The most bits of a prime that comes without a proof: from_primes refuses a
+# larger one before its 40 Miller-Rabin rounds.  A key file without proofs took
+# 0.4 s to load at 1024 bits and 16 s at MAX_PRIME_BITS (CPython 3.11, x86-64);
+# a proof costs a few modexps at any size.
+MAX_UNPROVEN_BITS = 1024
+
 # Padding multipliers a, b only matter through their residue classes, so
 # small values are enough and keep generation cheap.
 _MULTIPLIER_BOUND = 1 << 16
@@ -181,19 +187,30 @@ def _padding_flaws(elements, classes, n: int) -> list[str]:
     # a class with a 0 in it belongs to a non-unit.
     if len(elements) != 4:
         return [f"a padding set has four elements, not {len(elements)}"]
+    # a gcd per element or per pair runs only to name what a product's gcd (_coprime) found
+    units = _coprime(elements, n)
     flaws = []
     for u in elements:
-        if not 0 < u < n or math.gcd(u, n) != 1:  # 1..N-1: one encoding per element, as in a key file
+        if not 0 < u < n or not units and math.gcd(u, n) != 1:  # 1..N-1: one encoding per element, as in a key file
             flaws.append(f"element {u} is not a unit in 1..N-1")
         elif u * u % n == 1:
             flaws.append(f"element {u} is a square root of unity")
     if len({c for c in classes if 0 not in c}) != 4:
         flaws.append("elements do not cover all four Jacobi classes")
-    for i in range(4):
-        for j in range(i + 1, 4):
+    pairs = [(i, j) for i in range(4) for j in range(i + 1, 4)]
+    if not _coprime([elements[i] - elements[j] for i, j in pairs], n):
+        for i, j in pairs:
             if math.gcd(elements[i] - elements[j], n) != 1:
                 flaws.append(f"difference of elements {i} and {j} shares a factor with the modulus")
     return flaws
+
+
+def _coprime(values, n: int) -> bool:
+    """Whether every value is a unit mod n: a prime divides their product exactly when it divides one of them."""
+    product = 1
+    for v in values:
+        product = product * v % n
+    return math.gcd(product, n) == 1
 
 
 def _sample_with_jacobi(p: int, target: int, rng) -> int:
@@ -297,8 +314,9 @@ class KeyPair:
 
         A ProvenPrime is certified by numtheory._proven on its chain alone, and
         any other int by is_probable_prime.  Raises ValueError unless p and q have
-        at most MAX_PRIME_BITS bits, pass and meet the kind's congruences, and
-        unless a padding set is on a general key and passes padding_set_flaws.
+        at most MAX_PRIME_BITS bits, and MAX_UNPROVEN_BITS without a chain, pass and
+        meet the kind's congruences, and unless a padding set is on a general key
+        and passes padding_set_flaws.
         """
         if kind not in KINDS:
             raise ValueError(f"unknown key kind {kind!r}")
@@ -308,6 +326,8 @@ class KeyPair:
             raise ValueError("prime factors must be odd and at least 3")
         if max(p, q).bit_length() > MAX_PRIME_BITS:
             raise ValueError(f"prime factors have at most {MAX_PRIME_BITS} bits")
+        if any(getattr(prime, "chain", None) is None and prime.bit_length() > MAX_UNPROVEN_BITS for prime in (p, q)):
+            raise ValueError(f"a factor above {MAX_UNPROVEN_BITS} bits needs a proof of primality")
         for prime in (p, q):
             if (chain := getattr(prime, "chain", None)) is not None:
                 if not all(isinstance(s, tuple) and len(s) == 2 for s in chain):
@@ -470,7 +490,7 @@ def parse_key(text: str, path_hint: str = "key file") -> KeyPair | PublicKey:
     padding = None
     if kind == "general" and any(f"u{i}" in record for i in range(1, 5)):  # all four or none
         elements = tuple(record.integer(f"u{i}") for i in range(1, 5))
-        if len(set(elements)) != 4 or any(u >= n or math.gcd(u, n) != 1 for u in elements):
+        if len(set(elements)) != 4 or max(elements) >= n or not _coprime(elements, n):
             raise KeyFormatError(f"padding elements are not four distinct units below N in {path_hint}")
         padding = PaddingSet(elements)
 
@@ -487,6 +507,8 @@ def parse_key(text: str, path_hint: str = "key file") -> KeyPair | PublicKey:
         key = KeyPair.from_primes(kind, p, q, redundancy, padding)
     except ValueError as exc:
         raise KeyFormatError(f"invalid key material in {path_hint}: {exc}") from None
-    if (key.psi1, key.psi2) != (psi1, psi2):
+    # psi1 by its definition, the one value in 0..N-1 that is 1 mod p and 0 mod q: no inverse
+    # is taken, and key.idem is built on the key's first root, as for any key
+    if not (psi1 < n and psi1 % p == 1 and psi1 % q == 0 and psi2 == (1 - psi1) % n):
         raise KeyFormatError(f"idempotents do not match the prime factors in {path_hint}")
     return key

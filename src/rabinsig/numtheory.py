@@ -42,11 +42,12 @@ MILLER_RABIN_ROUNDS = 40
 # _proven ends at its first element under it.
 _EXACT_LIMIT = 1 << 64
 
-# psi12 = 318665857834031151167461 is the least composite that is a strong
-# probable prime to all twelve prime bases 2..37 (Sorenson and Webster,
-# "Strong pseudoprimes to twelve prime bases", Math. Comp. 86, 2017).
-# It exceeds 2**64, so these bases decide every n below 2**64.
+# _exact_prime divides by the primes 2..37, then tests to the seven bases of
+# J. Sinclair (2011), each reduced mod n and skipped when 0.  They are exact
+# below 2**64, as checked against Feitsma's list of the base-2 strong
+# pseudoprimes below 2**64 and recorded at miller-rabin.appspot.com.
 _EXACT_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+_SINCLAIR_BASES = (2, 325, 9375, 28178, 450775, 9780504, 1795265022)
 
 
 def _sieve_primes(limit: int) -> tuple[int, ...]:
@@ -111,13 +112,13 @@ def is_probable_prime(n: int, rng=None) -> bool:
 
 
 def _exact_prime(n: int) -> bool:
-    """Whether n is prime, decided exactly for every n below 2**64 by the bases _EXACT_BASES."""
+    """Whether n is prime, decided exactly for every n below 2**64 by _EXACT_BASES and _SINCLAIR_BASES."""
     if n < 2:
         return False
     for a in _EXACT_BASES:
         if n % a == 0:
             return n == a
-    return _miller_rabin(n, _EXACT_BASES)
+    return _miller_rabin(n, [a % n for a in _SINCLAIR_BASES if a % n])
 
 
 def _miller_rabin(n: int, bases) -> bool:

@@ -1,6 +1,7 @@
 import copy
 import dataclasses
 import functools
+import math
 import pickle
 import random
 import re
@@ -18,6 +19,7 @@ from rabinsig import keygen, numtheory
 from rabinsig.keygen import (
     KINDS,
     MAX_PRIME_BITS,
+    MAX_UNPROVEN_BITS,
     KeyPair,
     PaddingSet,
     ProvenPrime,
@@ -29,7 +31,7 @@ from rabinsig.keygen import (
     padding_set_flaws,
     parse_key,
 )
-from rabinsig.numtheory import _EXACT_BASES, _proven, crt_idempotents, crt_padding, jacobi
+from rabinsig.numtheory import _SINCLAIR_BASES, _proven, crt_idempotents, crt_padding, jacobi
 from rabinsig.oracle import SmallRing, qr_set, units
 from rabinsig.schemes import SCHEMES, sign, verify
 
@@ -292,6 +294,39 @@ class TestPaddingSet:
         ps = build_padding_set(7, 11, idem.psi1, idem.psi2, rng)
         for z in units(ring):
             assert sum(1 for u in ps.elements if u * z % 77 in residues) == 1
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_padding_flaws_match_the_per_pair_reference(self, data):
+        # the product gcds report the same flaws, in the same order, as one gcd per element and per pair
+        p, q = data.draw(st.sampled_from([(7, 11), (13, 17), (19, 23)]))
+        n = p * q
+        idem = crt_idempotents(p, q)
+        special = [0, 1, n - 1, n, n + 1, -1, p, q, 2 * q, *numtheory.sqrt_of_unity_nontrivial(idem)]
+        elements = data.draw(st.lists(st.one_of(st.integers(-n, 2 * n), st.sampled_from(special)),
+                                      min_size=4, max_size=4))
+        for _ in range(data.draw(st.integers(0, 2))):  # a difference that shares a factor with N
+            i, j = data.draw(st.permutations(range(4)))[:2]
+            elements[j] = elements[i] + data.draw(st.sampled_from([p, q])) * data.draw(st.integers(-3, 3))
+        classes = tuple((jacobi(u, p), jacobi(u, q)) for u in elements)
+        assert keygen._padding_flaws(elements, classes, n) == _per_pair_padding_flaws(elements, classes, n)
+
+
+def _per_pair_padding_flaws(elements, classes, n):
+    # keygen._padding_flaws as one gcd per element and one per pair of elements
+    flaws = []
+    for u in elements:
+        if not 0 < u < n or math.gcd(u, n) != 1:
+            flaws.append(f"element {u} is not a unit in 1..N-1")
+        elif u * u % n == 1:
+            flaws.append(f"element {u} is a square root of unity")
+    if len({c for c in classes if 0 not in c}) != 4:
+        flaws.append("elements do not cover all four Jacobi classes")
+    for i in range(4):
+        for j in range(i + 1, 4):
+            if math.gcd(elements[i] - elements[j], n) != 1:
+                flaws.append(f"difference of elements {i} and {j} shares a factor with the modulus")
+    return flaws
 
 
 class TestKeyFiles:
@@ -671,7 +706,7 @@ def test_loading_a_proven_key_takes_no_random_round(monkeypatch):
     monkeypatch.setattr(numtheory, "SYSTEM_RNG", NoRandomness())
     parsed = parse_key(text)
     assert parsed == key and (parsed.p.chain, parsed.q.chain) == (key.p.chain, key.q.chain)
-    assert bases and set(bases) <= set(_EXACT_BASES)  # only the chains' last elements, below 2**64
+    assert bases and set(bases) <= set(_SINCLAIR_BASES)  # only the chains' last elements, below 2**64
 
 
 def test_loading_a_proven_key_takes_one_exponentiation_per_step(monkeypatch):
@@ -692,6 +727,32 @@ def test_loading_a_proven_key_takes_one_exponentiation_per_step(monkeypatch):
     steps = [(f, m) for prime in (key.p, key.q)
              for m, (f, _) in zip((prime, *(f for f, _ in prime.chain)), prime.chain)]
     assert powers == steps and len(steps) == 4
+
+
+def test_loading_a_private_key_takes_no_inverse(monkeypatch):
+    # psi1 and psi2 are checked by their definition, so the load takes no pow(x, -1, m) and builds
+    # no ring; its modexps modulo numbers above 2**64 are the chains' b**f, one per step
+    key = proven_key()
+    text = dump_private(key)
+    inverses, powers = [], []
+
+    def recorded(base, exp, mod=None):
+        if exp < 0:
+            inverses.append(mod)
+        elif mod is not None and mod >= 1 << 64:
+            powers.append((exp, mod))
+        return pow(base, exp, mod)
+
+    for module in (numtheory, keygen):
+        monkeypatch.setattr(module, "pow", recorded, raising=False)
+        monkeypatch.setattr(module, "crt_idempotents", lambda p, q: pytest.fail("crt_idempotents called"))
+    parsed = parse_key(text)
+    assert parsed == key and inverses == [] and "idem" not in vars(parsed)
+    steps = [(f, m) for prime in (key.p, key.q)
+             for m, (f, _) in zip((prime, *(f for f, _ in prime.chain)), prime.chain)]
+    assert powers == steps
+    monkeypatch.undo()
+    assert (parsed.psi1, parsed.psi2) == (key.psi1, key.psi2)  # the ring, built on first use
 
 
 def test_a_key_file_without_proofs_still_loads_with_40_rounds_per_prime(monkeypatch):
@@ -715,3 +776,35 @@ def test_a_key_file_without_proofs_still_loads_with_40_rounds_per_prime(monkeypa
     assert parsed == key and not any(isinstance(prime, ProvenPrime) for prime in (parsed.p, parsed.q))
     assert dump_private(parsed) == text
     assert calls == [key.p, key.q] and rounds == [40, 40]
+
+
+def test_a_proofless_factor_above_1024_bits_is_refused_before_any_round(tmp_path, monkeypatch):
+    # neither factor of the proof-less file gets a Miller-Rabin round, whichever order they come in
+    key = gen_keypair("blum", MAX_UNPROVEN_BITS + 8, IDENTITY, random.Random(1032))
+    text = "".join(line for line in dump_private(key).splitlines(keepends=True) if "_proof" not in line)
+    match = f"a factor above {MAX_UNPROVEN_BITS} bits needs a proof of primality"
+    _refused_everywhere(text, tmp_path, monkeypatch, match)
+    for p, q in ((int(key.p), int(key.q)), (7, int(key.q)), (key.p, int(key.q))):
+        with pytest.raises(ValueError, match=match):
+            KeyPair.from_primes("blum", p, q)
+    assert parse_key(dump_private(key)) == key  # with its proofs it loads
+
+
+def _with_idempotents(text, psi1, psi2):
+    lines = [line for line in text.splitlines(keepends=True) if not line.startswith(("psi1 = ", "psi2 = "))]
+    return "".join(lines) + f"psi1 = {psi1}\npsi2 = {psi2}\n"
+
+
+@pytest.mark.parametrize("edit", [
+    lambda psi1, psi2, n: (psi2, psi1),
+    lambda psi1, psi2, n: (psi1 + n, psi2),
+    lambda psi1, psi2, n: (psi1, psi2 + n),
+    lambda psi1, psi2, n: (psi1 + 1, psi2),
+    lambda psi1, psi2, n: (psi1 - 1, psi2),
+], ids=["swapped", "psi1+N", "psi2+N", "psi1+1", "psi1-1"])
+def test_idempotents_other_than_their_definition_are_refused(edit, tmp_path, monkeypatch):
+    key = gen_keypair("blum", 128, IDENTITY, random.Random(11))
+    text = dump_private(key)
+    assert parse_key(_with_idempotents(text, key.psi1, key.psi2)) == key  # the field order does not matter
+    _refused_everywhere(_with_idempotents(text, *edit(key.psi1, key.psi2, key.n)), tmp_path, monkeypatch,
+                        "idempotents do not match the prime factors")

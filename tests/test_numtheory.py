@@ -14,6 +14,7 @@ from rabinsig.hashing import IDENTITY
 from rabinsig.keygen import KeyPair, ProvenPrime, dump_private, gen_keypair, gen_prime, parse_key
 from rabinsig.numtheory import (
     _EXACT_BASES,
+    _SINCLAIR_BASES,
     _bls_test,
     _class_root,
     _exact_prime,
@@ -128,6 +129,22 @@ class TestExactPrime:
         assert _miller_rabin(n, bases)  # each fools the shorter list of bases
         assert not _exact_prime(n)
         assert not is_probable_prime(n, NoRandomness())
+
+    def test_agrees_with_sympy_on_every_n_below_2_to_16(self):
+        sympy = pytest.importorskip("sympy")
+        assert [n for n in range(1 << 16) if _exact_prime(n) != sympy.isprime(n)] == []
+
+    @pytest.mark.parametrize("n", [2047, 3277, 4033, 4681, 8321])
+    def test_base_2_strong_pseudoprimes_rejected(self, n):
+        # the least five composites that are strong probable primes to base 2
+        assert _miller_rabin(n, (2,)) and not _exact_prime(n)
+
+    def test_divisors_of_a_base_are_decided(self):
+        # a base that n divides is skipped: 73 and 193 divide 28178, and so does their product 14089
+        sympy = pytest.importorskip("sympy")
+        divisors = {d for a in _SINCLAIR_BASES for d in sympy.divisors(a) if d > 37}
+        assert {73, 193, 14089} <= divisors
+        assert [d for d in sorted(divisors) if _exact_prime(d) != sympy.isprime(d)] == []
 
     def test_psi_12_needs_the_random_rounds(self):
         # it fools all twelve bases, which is why the exact test stops at 2**64 < psi_12
