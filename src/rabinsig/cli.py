@@ -18,7 +18,7 @@ import sys
 from pathlib import Path
 
 from . import oracle, schemes
-from .blind import blind_sign, disguise, naive_blind_sign, run_blind_session
+from .blind import blind_sign, disguise, naive_blind_sign, unblind
 from .errors import KeyFormatError, NonResidueError, RabinError, SignatureFormatError
 from .forgery import apply_scaling, cube_oracle, forge_classic, rsa_blinding_attack, variant2_factor
 from .hashing import IDENTITY, QUADRATIC, DigestRef, RedundancySpec, apply_redundancy, digest_int
@@ -154,12 +154,17 @@ def cmd_blind_demo(args):
         return _naive_blind_demo(key, args.message, rng)
     _check_key("variant2", key)  # the hardened signer signs as variant2
 
-    session = run_blind_session(key, args.message, rng)
-    report = schemes.verify(key.public(), session.published)
+    # run_blind_session's steps, on the same draws, without the second root it takes for signer_R
+    pub = key.public()
+    r = random_unit(key.n, rng)
+    disguised = disguise(args.message, r, pub)
+    bsig = blind_sign(key, disguised, rng)
+    published = unblind(bsig, r, args.message, pub)
+    report = schemes.verify(pub, published)
     print(_dump_record("rabin-blind-demo v1", {
-        "N": key.n, "hash": key.redundancy.token, "message": session.m, "blinding": session.r,
-        "disguised": session.disguised, "blind-F": session.blind_sig.F, "blind-R3": session.blind_sig.R3,
-        "signed-F": session.published.F, "signed-R3": session.published.R3,
+        "N": key.n, "hash": key.redundancy.token, "message": args.message, "blinding": r,
+        "disguised": disguised, "blind-F": bsig.F, "blind-R3": bsig.R3,
+        "signed-F": published.F, "signed-R3": published.R3,
         "verification": "VALID" if report.valid else "INVALID"}), end="")
     print(_ops_line(report))
     return 0 if report.valid else 1

@@ -184,18 +184,20 @@ def padding_set_flaws(elements, p: int, q: int) -> list[str]:
 
 def _padding_flaws(elements, classes, n: int) -> list[str]:
     # padding_set_flaws for elements whose classes ((u/p), (u/q)) are known;
-    # a class with a 0 in it belongs to a non-unit.
+    # a class with a 0 in it belongs to a non-unit.  classes None is a public
+    # key's set, whose elements parse_key has found to be units below n: only
+    # the checks that need no factor of n run.
     if len(elements) != 4:
         return [f"a padding set has four elements, not {len(elements)}"]
     # a gcd per element or per pair runs only to name what a product's gcd (_coprime) found
-    units = _coprime(elements, n)
+    units = classes is None or _coprime(elements, n)
     flaws = []
     for u in elements:
         if not 0 < u < n or not units and math.gcd(u, n) != 1:  # 1..N-1: one encoding per element, as in a key file
             flaws.append(f"element {u} is not a unit in 1..N-1")
         elif u * u % n == 1:
             flaws.append(f"element {u} is a square root of unity")
-    if len({c for c in classes if 0 not in c}) != 4:
+    if classes is not None and len({c for c in classes if 0 not in c}) != 4:
         flaws.append("elements do not cover all four Jacobi classes")
     pairs = [(i, j) for i in range(4) for j in range(i + 1, 4)]
     if not _coprime([elements[i] - elements[j] for i, j in pairs], n):
@@ -465,7 +467,9 @@ def parse_key(text: str, path_hint: str = "key file") -> KeyPair | PublicKey:
 
     Private files carry p, q, psi1, psi2 and may carry p_proof and q_proof,
     which KeyPair.from_primes checks in place of the 40-round test.  An N
-    above 2*MAX_PRIME_BITS bits is refused before any arithmetic on it.
+    above 2*MAX_PRIME_BITS bits is refused before any arithmetic on it.  A
+    public file's padding set gets the checks that need no factor of N: no
+    element is a square root of unity, and no difference shares a factor with N.
     """
     record = _Record(text, KEY_MAGIC, KeyFormatError, path_hint)
     kind = record.pop("kind", None)
@@ -496,6 +500,8 @@ def parse_key(text: str, path_hint: str = "key file") -> KeyPair | PublicKey:
 
     if "p" not in record:
         record.done()
+        if padding is not None and (flaws := _padding_flaws(padding.elements, None, n)):
+            raise KeyFormatError(f"invalid key material in {path_hint}: unsafe padding set: {flaws[0]}")
         return PublicKey(kind, n, redundancy, padding)
 
     p, q, psi1, psi2 = (record.integer(name) for name in ("p", "q", "psi1", "psi2"))

@@ -2,11 +2,12 @@ import dataclasses
 import os
 import random
 import stat
+import sys
 from pathlib import Path
 
 import pytest
 
-from rabinsig import cli
+from rabinsig import blind, cli
 from rabinsig.cli import _naive_blind_demo, main
 from rabinsig.errors import KeyFormatError, SignatureFormatError
 from rabinsig.hashing import IDENTITY
@@ -213,6 +214,23 @@ def test_private_key_whose_n_is_not_p_times_q_exits_3(keyfiles, tmp_path, capsys
     assert "N does not equal p*q" in capsys.readouterr().err
 
 
+@pytest.mark.skipif(not getattr(sys, "get_int_max_str_digits", lambda: 0)(),
+                    reason="this interpreter's int() converts any number of digits")
+@pytest.mark.parametrize("which, field", [("pub", "N"), ("sig", "F")])
+def test_a_field_with_more_digits_than_int_converts_exits_3(keyfiles, tmp_path, capsys, which, field):
+    priv, pub = keyfiles
+    sig = tmp_path / "m.sig"
+    assert main(["sign", "--key", str(priv), "--scheme", "variant2", "--message", "5",
+                 "--out", str(sig), "--seed", "1"]) == 0
+    path = {"pub": pub, "sig": sig}[which]
+    digits = "1" + "0" * sys.get_int_max_str_digits()  # one digit more than the limit, in canonical form
+    path.write_text("".join(f"{field} = {digits}\n" if line.startswith(f"{field} = ") else line + "\n"
+                            for line in path.read_text().splitlines()))
+    capsys.readouterr()
+    assert main(["verify", "--pub", str(pub), "--sig", str(sig)]) == 3
+    assert f"field {field!r} is too long" in capsys.readouterr().err
+
+
 def test_missing_file_exits_3(tmp_path):
     assert main(["verify", "--pub", str(tmp_path / "none.pub"), "--sig", str(tmp_path / "none.sig")]) == 3
 
@@ -310,6 +328,21 @@ def test_blind_demo(keyfiles, capsys):
     for field in ("disguised =", "blind-F =", "signed-F =", "verification = VALID"):
         assert field in out
     assert "7 squares, 3 products" in out
+
+
+def test_blind_demo_takes_one_root(keyfiles, monkeypatch, capsys):
+    # one canonical root and its two Jacobi symbols in blind_sign, one inverse in unblind: no root for signer_R
+    priv, _ = keyfiles
+    calls = {}
+    for name in ("canonical_sqrt_mod_pq", "jacobi", "mod_inv"):
+        def counted(*args, _real=getattr(blind, name), _name=name):
+            calls[_name] = calls.get(_name, 0) + 1
+            return _real(*args)
+
+        monkeypatch.setattr(blind, name, counted)
+    assert main(["blind-demo", "--key", str(priv), "--message", "42", "--seed", "9"]) == 0
+    assert "verification = VALID" in capsys.readouterr().out
+    assert calls == {"canonical_sqrt_mod_pq": 1, "jacobi": 2, "mod_inv": 1}
 
 
 def test_naive_blind_demo_on_a_square(keyfiles, capsys):

@@ -3,8 +3,10 @@
 Each example starts from a real key file and a real signature file, edits
 their lines (real and junk field names; canonical, non-canonical, huge, 0,
 N-1 and N values; a line's own value plus a multiple of N; N moved to
-another odd class mod 8; lists of decimals for the primality proofs;
-dropped, repeated and added lines; a byte that is not UTF-8) and runs one
+another odd class mod 8; lists of decimals for the primality proofs; a
+general key's padding element set to a square root of 1 or to another
+element plus a prime factor of N; dropped, repeated and added lines; a byte
+that is not UTF-8) and runs one
 `verify`, `sign` or file-driven `attack` command through `cli.main`.
 Whatever the files hold, the command must end with an exit code from 0 to 3
 and raise nothing.  A signature file whose component or message is its own
@@ -24,6 +26,7 @@ from hypothesis import strategies as st
 from rabinsig.cli import main
 from rabinsig.hashing import IDENTITY, QUADRATIC, RedundancySpec
 from rabinsig.keygen import dump_private, dump_public, gen_keypair
+from rabinsig.numtheory import sqrt_of_unity_nontrivial
 from rabinsig.schemes import SCHEME_TAGS, dump_signature, sign
 
 FIELD_NAMES = ("kind", "hash", "N", "u1", "u2", "u3", "u4", "p", "q", "psi1", "psi2", "p_proof", "q_proof",
@@ -39,6 +42,7 @@ def corpus():
     """Small fixed keys, each dumped public and private, and one signature file per scheme; each with its N.
 
     The primes of the proven key exceed 2**64, so its private file carries p_proof and q_proof.
+    Last, by N, the values that make a padding set unsafe with no factor needed to see it.
     """
     rng = random.Random(20240501)
     keys = {
@@ -48,6 +52,9 @@ def corpus():
         "proven": gen_keypair("blum", 80, IDENTITY, rng),
     }
     key_texts = [(dump(key), key.n) for key in keys.values() for dump in (dump_public, dump_private)]
+    general = keys["general"]
+    unsafe = {general.n: (1, general.n - 1, *sqrt_of_unity_nontrivial(general.idem),
+                          *((u + general.p) % general.n for u in general.padding.elements))}
     sig_texts, signed = [], []
     for scheme, kind in (("classic", "general"), ("general", "general"), ("variant1", "blum"),
                          ("variant2", "blum"), ("rw", "rw"), ("variant2", "proven")):
@@ -55,7 +62,7 @@ def corpus():
         m = b"fuzz" if key.redundancy.tag == "digest" else 1234
         sig_texts.append((dump_signature(sign(key, m, scheme, rng=rng), key), key.n))
         signed.append((dump_public(key.public()), sig_texts[-1][0], key.n))
-    return key_texts, sig_texts, signed
+    return key_texts, sig_texts, signed, unsafe
 
 
 def _values(n):
@@ -69,10 +76,13 @@ def _values(n):
     )
 
 
-def _edits(n):
+def _edits(n, unsafe):
     index = st.integers(0, 20)
     name = st.sampled_from(FIELD_NAMES + JUNK_NAMES)
+    # a padding element set to a square root of 1, or to another element plus a factor of N
+    pad = st.tuples(st.just("pad"), st.integers(1, 4), st.sampled_from(unsafe)) if unsafe else st.nothing()
     return st.lists(st.one_of(
+        pad,
         st.tuples(st.just("set"), index, _values(n)),
         st.tuples(st.just("rename"), index, name),
         st.tuples(st.just("drop"), index),
@@ -107,21 +117,23 @@ def _apply(text, edits, n):
             lines[i] = _shift(lines[i], edit[2], n)
         elif op == "recast":  # N + 2k is in another odd class mod 8
             lines = [f"N = {n + 2 * edit[1]}" if line == f"N = {n}" else line for line in lines]
+        elif op == "pad":
+            lines = [f"u{edit[1]} = {edit[2]}" if line.startswith(f"u{edit[1]} = ") else line for line in lines]
     return "\n".join(lines) + "\n"
 
 
 @st.composite
-def _edited(draw, texts):
+def _edited(draw, texts, unsafe):
     text, n = draw(st.sampled_from(texts))
     # unedited about half the time, so that files reach the verifier and the signer
-    return _apply(text, draw(st.one_of(st.just(()), _edits(n))), n).encode(), n
+    return _apply(text, draw(st.one_of(st.just(()), _edits(n, unsafe.get(n, ())))), n).encode(), n
 
 
 @st.composite
 def cases(draw, corpus):
-    key_texts, sig_texts, _ = corpus
-    key_bytes, n = draw(_edited(key_texts))
-    sig_bytes, _ = draw(_edited(sig_texts))
+    key_texts, sig_texts, _, unsafe = corpus
+    key_bytes, n = draw(_edited(key_texts, unsafe))
+    sig_bytes, _ = draw(_edited(sig_texts, {}))
     if draw(st.integers(0, 9)) == 0:
         key_bytes, sig_bytes = draw(st.sampled_from(((key_bytes + b"\xff", sig_bytes),
                                                      (key_bytes, b"\xfe" + sig_bytes))))

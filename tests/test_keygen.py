@@ -329,6 +329,9 @@ def _per_pair_padding_flaws(elements, classes, n):
     return flaws
 
 
+N_FOUR_PRIMES = 7 * 11 * 13 * 17
+
+
 class TestKeyFiles:
     def test_public_round_trip_is_byte_exact(self, rng):
         key = gen_keypair("general", 32, IDENTITY, rng)
@@ -412,12 +415,30 @@ class TestKeyFiles:
         with pytest.raises(KeyFormatError):
             parse_key(text)
 
+    @pytest.mark.parametrize("n, elements, flaw", [
+        # N = 7*11*13*17: no factor is needed to see that N-1 and 1 square to 1
+        (N_FOUR_PRIMES, (N_FOUR_PRIMES - 1, 1, 4, 9), f"element {N_FOUR_PRIMES - 1} is a square root of unity"),
+        (77, (43, 2, 3, 5), "element 43 is a square root of unity"),  # 1 mod 7 and -1 mod 11
+        (77, (2, 9, 3, 5), "difference of elements 0 and 1 shares a factor with the modulus"),  # 9 - 2 = 7
+        (N_FOUR_PRIMES, (2, 4, 5, 24), "difference of elements 0 and 3 shares a factor with the modulus"),  # 22
+    ])
+    def test_public_padding_must_pass_the_checks_that_need_no_factor(self, n, elements, flaw, tmp_path):
+        text = f"rabin-key v1\nkind = general\nhash = identity\nN = {n}\n"
+        text += "".join(f"u{i} = {u}\n" for i, u in enumerate(elements, start=1))
+        with pytest.raises(KeyFormatError, match=re.escape(f"unsafe padding set: {flaw}")):
+            parse_key(text)
+        pub, sig = tmp_path / "unsafe.key.pub", tmp_path / "m.sig"
+        pub.write_text(text)
+        sig.write_text("rabin-sig v1\nscheme = classic\nmessage = 5\nU = 2\nS = 3\n")
+        assert main(["verify", "--pub", str(pub), "--sig", str(sig)]) == 3
+
     def test_private_padding_must_pass_the_safety_checks(self):
-        # four squares lie in one Jacobi class, so three classes are uncovered
-        key = general_key_with_unchecked_padding(7, 11, (4, 9, 16, 25))
+        # four squares lie in one Jacobi class, so three classes are uncovered; no two are
+        # equal mod 13 or mod 17 and none squares to 1, so the public file passes its checks
+        key = general_key_with_unchecked_padding(13, 17, (4, 9, 25, 49))
         with pytest.raises(KeyFormatError, match="unsafe padding set"):
             parse_key(dump_private(key))
-        assert parse_key(dump_public(key)).padding.elements == (4, 9, 16, 25)
+        assert parse_key(dump_public(key)).padding.elements == (4, 9, 25, 49)
 
     def test_private_general_key_classifies_each_element_once(self, monkeypatch):
         key = gen_keypair("general", 64, IDENTITY, random.Random(3))
@@ -682,6 +703,34 @@ def test_a_key_file_above_the_ceiling_is_refused_at_once(p, q, match, tmp_path, 
     assert time.perf_counter() - start < 1  # 80 rounds at this size would take seconds
     with pytest.raises(ValueError, match=f"at most {MAX_PRIME_BITS} bits"):
         KeyPair.from_primes("blum", p, q)
+
+
+def test_gen_keypair_refuses_an_unknown_kind(monkeypatch):
+    monkeypatch.setattr(keygen, "gen_prime", lambda *args: pytest.fail("gen_prime called"))
+    with pytest.raises(ValueError, match="unknown key kind 'williams'"):
+        gen_keypair("williams", 64, IDENTITY, NoRandomness())
+
+
+def test_gen_keypair_redraws_a_second_prime_equal_to_the_first(monkeypatch):
+    primes = [131, 131, 139]  # 8-bit primes, 3 mod 4
+    monkeypatch.setattr(keygen, "gen_prime", lambda bits, constraint, rng: primes.pop(0))
+    key = gen_keypair("blum", 8, IDENTITY, NoRandomness())
+    assert (key.p, key.q, primes) == (131, 139, [])
+
+
+def test_search_draws_again_when_the_class_moves_its_start_past_the_top():
+    # 2**16 - 1 moved up to 3 mod 8 is 65539, above every 16-bit number: that window is empty
+    class Draws:
+        def __init__(self):
+            self.values = [(1 << 15) - 1, 0]
+
+        def getrandbits(self, k):
+            assert k == 15
+            return self.values.pop(0)
+
+    rng = Draws()
+    assert keygen._search(16, 3, 8, lambda n: n if numtheory._exact_prime(n) else 0, rng) == (32771, 32771)
+    assert rng.values == []
 
 
 def test_gen_keypair_refuses_more_bits_than_the_ceiling(monkeypatch):

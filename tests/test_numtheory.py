@@ -116,10 +116,15 @@ class TestPrimality:
 PSI_12 = 318665857834031151167461  # least strong pseudoprime to the bases 2..37
 
 
+@pytest.fixture(scope="module")
+def sympy():
+    # imported once, outside any Hypothesis example, so the import does not count against its deadline
+    return pytest.importorskip("sympy")
+
+
 class TestExactPrime:
     @given(st.one_of(st.integers(0, (1 << 64) - 1), st.integers(0, 1 << 20)))
-    def test_agrees_with_sympy_below_2_to_64(self, n):
-        sympy = pytest.importorskip("sympy")
+    def test_agrees_with_sympy_below_2_to_64(self, sympy, n):
         assert _exact_prime(n) == sympy.isprime(n)
         assert is_probable_prime(n, NoRandomness()) == sympy.isprime(n)  # no random rounds below 2**64
 

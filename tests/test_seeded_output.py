@@ -100,6 +100,21 @@ def test_seeded_blind_sessions():
     assert _sha256("".join(out)) == "7b4cff2d8aef29b66c035098c93e8bf31bbe1c30ac44c4fb001c98c4ec24f79c"
 
 
+def test_seeded_blind_demo(tmp_path, capsys):
+    # the record `blind-demo --seed` prints, under each redundancy of the blum key
+    out = []
+    for redundancy in REDUNDANCIES:
+        key = _key("blum", redundancy)
+        path = tmp_path / f"blum-{redundancy.tag}.key"
+        path.write_text(dump_private(key))
+        rng = random.Random(f"blind-demo/{redundancy.token}")
+        for _ in range(2):
+            m, seed = rng.randrange(2, key.n), rng.randrange(1 << 30)
+            assert main(["blind-demo", "--key", str(path), "--message", str(m), "--seed", str(seed)]) == 0
+            out.append(capsys.readouterr().out)
+    assert _sha256("".join(out)) == "12c7d6cd8fccd7a1717f45ce1f32ef70c220d7dddafdd289284c26d976ccd570"
+
+
 def test_selfcheck_seed_7(capsys):
     assert main(["selfcheck", "--seed", "7"]) == 0
     assert _sha256(capsys.readouterr().out) == "10b48a54527880fc22a75599aab82e5abaf915bccbf004ec68dab9065c3b5d14"
