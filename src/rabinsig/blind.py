@@ -91,13 +91,18 @@ def naive_blind_sign(key: KeyPair, disguised: int, rng=None) -> int:
     return (rng or SYSTEM_RNG).choice(sqrt_mod_pq(disguised, key.idem))
 
 
-def run_blind_session(key: KeyPair, m: Message, rng=None) -> BlindSession:
-    """Drive one complete disguise / blind-sign / unblind exchange."""
+def _exchange(key: KeyPair, m: Message, rng=None) -> tuple[int, int, BlindSignature, Variant2Signature]:
+    # One disguise / blind-sign / unblind exchange: (r, disguised, bsig, published).
     pub = key.public()
     r = random_unit(key.n, rng)
     disguised = disguise(m, r, pub)
     bsig = blind_sign(key, disguised, rng)
-    published = unblind(bsig, r, m, pub)
+    return r, disguised, bsig, unblind(bsig, r, m, pub)
+
+
+def run_blind_session(key: KeyPair, m: Message, rng=None) -> BlindSession:
+    """Drive one complete disguise / blind-sign / unblind exchange."""
+    r, disguised, bsig, published = _exchange(key, m, rng)
     # the signer's nonce is recoverable here only because we play both roles
     signer_r = bsig.F * mod_inv(_recover_root(key, disguised), key.n) % key.n
     return BlindSession(m, r, signer_r, disguised, bsig, published)

@@ -18,7 +18,7 @@ import sys
 from pathlib import Path
 
 from . import oracle, schemes
-from .blind import blind_sign, disguise, naive_blind_sign, unblind
+from .blind import _exchange, blind_sign, disguise, naive_blind_sign
 from .errors import KeyFormatError, NonResidueError, RabinError, SignatureFormatError
 from .forgery import apply_scaling, cube_oracle, forge_classic, rsa_blinding_attack, variant2_factor
 from .hashing import IDENTITY, QUADRATIC, DigestRef, RedundancySpec, apply_redundancy, digest_int
@@ -154,13 +154,9 @@ def cmd_blind_demo(args):
         return _naive_blind_demo(key, args.message, rng)
     _check_key("variant2", key)  # the hardened signer signs as variant2
 
-    # run_blind_session's steps, on the same draws, without the second root it takes for signer_R
-    pub = key.public()
-    r = random_unit(key.n, rng)
-    disguised = disguise(args.message, r, pub)
-    bsig = blind_sign(key, disguised, rng)
-    published = unblind(bsig, r, args.message, pub)
-    report = schemes.verify(pub, published)
+    # run_blind_session's exchange, without the second root it takes for signer_R
+    r, disguised, bsig, published = _exchange(key, args.message, rng)
+    report = schemes.verify(key.public(), published)
     print(_dump_record("rabin-blind-demo v1", {
         "N": key.n, "hash": key.redundancy.token, "message": args.message, "blinding": r,
         "disguised": disguised, "blind-F": bsig.F, "blind-R3": bsig.R3,

@@ -11,14 +11,15 @@ one checked root, returns them sorted, the canonical root first.
 
 The one ring object, _KeyRoots, holds p, q, n = p*q, psi1 and psi2, and
 the constants a root needs, each computed on its first use.  Per prime they
-are the root exponent, a non-residue z, z**((d+1)/2) and z**d for
-Tonelli-Shanks, and 2**(-(p+1)/4) for the rw signer; per padding element,
-its root over its class (_KeyRoots.unit_roots).  crt_idempotents is the one
-ring constructor, and the ring is the only modulus argument of every CRT
-and root function (`idem`).  KeyPair.idem keeps its key's ring.  Each
-constant is fixed by its prime and written once, so a concurrent first use
-just computes it twice.  Every one of them reveals p (a root x of u gives
-gcd(x**2 - u, n) = p), so they stay as private as psi1 and psi2.
+are the root exponent, a non-residue z and its powers for Tonelli-Shanks,
+the one root algorithm, and 2**(-(p+1)/4) for the rw signer; per padding
+element, its root over its class (_KeyRoots.unit_roots).  crt_idempotents
+is the one ring constructor, and the ring is the only modulus argument of
+every CRT and root function (`idem`).  KeyPair.idem keeps its key's
+ring.  Each constant is fixed by its prime and written once, so a
+concurrent first use just computes it twice.  Every one of them reveals p
+(a root x of u gives gcd(x**2 - u, n) = p), so they stay as private as
+psi1 and psi2.
 """
 
 import math
@@ -254,11 +255,11 @@ def least_nonresidue(p: int) -> int:
 class _PrimeRoots:
     """What a square root modulo the odd prime p needs, computed once per prime.
 
-    exp is the exponent of the one modexp a root takes: (p+1)/4 for p = 3 mod 4,
-    and (d-1)/2 for p = 1 mod 4, where p - 1 = 2**s * d with d odd (Cohen, "A
-    Course in Computational Algebraic Number Theory", Alg. 1.5.1).  z is a
+    With p - 1 = 2**s * d and d odd, exp = (d-1)/2 is the exponent of the one
+    modexp a root takes, for every odd prime (Tonelli-Shanks; Cohen, "A Course
+    in Computational Algebraic Number Theory", Alg. 1.5.1).  z is a
     non-residue: -1 for p = 3 mod 4, the least one for p = 1 mod 4.  The
-    powers of z that Tonelli-Shanks needs, and 2**(-(p+1)/4) for the rw
+    powers of z that a non-residue needs, and 2**(-(p+1)/4) for the rw
     signer, are computed on the first call that needs them.
     """
 
@@ -266,14 +267,14 @@ class _PrimeRoots:
         self.p = p
         self.s = ((p - 1) & (1 - p)).bit_length() - 1  # the lowest set bit of p - 1
         self.d = (p - 1) >> self.s
-        if p % 4 == 3:
-            self.exp, self.z = (p + 1) // 4, -1
-        else:
-            self.exp, self.z = (self.d - 1) // 2, least_nonresidue(p)
+        self.exp = (self.d - 1) // 2
+        self.z = -1 if p % 4 == 3 else least_nonresidue(p)
 
     @cached_property
     def z_powers(self) -> tuple[int, int]:
-        """z**((d+1)/2) and z**d, from one modexp, for p = 1 mod 4."""
+        """zh and z**d, with zh**2 = z * z**d: z**((d+1)/2) from one modexp, or (1, -1) for z = -1."""
+        if self.z == -1:
+            return 1, self.p - 1
         y = pow(self.z, self.exp, self.p)
         zh = y * self.z % self.p
         return zh, zh * y % self.p
@@ -281,7 +282,7 @@ class _PrimeRoots:
     @cached_property
     def half_root(self) -> int:
         """2**(-(p+1)/4) for p = 3 mod 4, a square root of (2/p)/2."""
-        return pow(2, -self.exp, self.p)
+        return pow(2, -(self.exp + 1), self.p)
 
     def root_over_class(self, u: int) -> int:
         """A root of u, or of u/z when u is a non-residue."""
@@ -305,26 +306,20 @@ def _class_root(a: int, c: _PrimeRoots) -> tuple[int, int]:
     """The Legendre symbol (a/p) and a root x, from one modexp modulo p = c.p.
 
     x**2 = a for a residue and x**2 = a*z for a non-residue, z = c.z; a
-    multiple of p gives (0, 0).  For p = 3 mod 4, y = a**((p+1)/4) squares to
-    (a/p)*a (Bernstein, "RSA signatures and Rabin-Williams signatures: the
-    state of the art", 2008), and z = -1.  For p = 1 mod 4 this is
-    Tonelli-Shanks, whose first order step is Euler's criterion: t = a**d
-    needs all s squarings exactly when a**((p-1)/2) = -1, and the root is
-    then taken of a*z from z**((d+1)/2) and z**d.  Raises ValueError when
-    the arithmetic shows that p is not prime.
+    multiple of p gives (0, 0).  This is Tonelli-Shanks for every odd prime:
+    its first order step is Euler's criterion, t = a**d needs all s
+    squarings exactly when a**((p-1)/2) = -1, and the root is then taken of
+    a*z from c.z_powers.  For p = 3 mod 4, s = 1, z = -1 and the switch
+    multiplies by 1, so x = a**((p+1)/4), which squares to (a/p)*a
+    (Bernstein, "RSA signatures and Rabin-Williams signatures: the state of
+    the art", 2008).  Raises ValueError when the arithmetic shows that p is
+    not prime.
     """
     p = c.p
     a %= p
     if a == 0:
         return 0, 0
     y = pow(a, c.exp, p)
-    if c.z == -1:
-        y2 = y * y % p
-        if y2 == a:
-            return 1, y
-        if y2 == p - a:
-            return -1, y
-        raise ValueError("modulus is not prime")
     x = y * a % p  # a**((d+1)/2)
     t = x * y % p  # a**d
     symbol, i = 1, _two_order(t, p, c.s)

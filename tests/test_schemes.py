@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from rabinsig.blind import BlindSignature, verify_blind_signature
 from rabinsig.errors import FactorLeakError, SignatureFormatError, UnsignableMessageError
 from rabinsig.hashing import IDENTITY, QUADRATIC, DigestRef, RedundancySpec, digest_int
-from rabinsig.keygen import KeyPair, PaddingSet, build_padding_set, gen_keypair, gen_prime
+from rabinsig.keygen import KeyPair, PaddingSet, build_padding_set, dump_private, gen_keypair, gen_prime, parse_key
 from rabinsig import numtheory, schemes
 from rabinsig.numtheory import canonical_sqrt_mod_pq, jacobi, mod_inv
 from rabinsig.oracle import SmallRing, all_roots, brute_valid, qr_set
@@ -415,6 +415,36 @@ class TestJacobiBudget:
             assert verify(key, sign(key, rng.randrange(2, key.n), scheme, rng=rng)).valid
             assert sorted(modexps) == sorted([key.p, key.q] * (budget // 2))
         assert calls == []
+
+
+CLASSES = ((1, 1), (1, -1), (-1, 1), (-1, -1))
+
+
+class TestColdKeys:
+    """A key fresh from parse_key signs its first message at the signer's floor.
+
+    The constants of a 3-mod-4 prime (z = -1 and its powers) take no
+    exponentiation, so a blum or rw key's first signature, in every class
+    ((h/p), (h/q)), takes the same full-size modexps as any later one.
+    """
+
+    modexps = TestJacobiBudget.modexps  # counted as the budget counts them
+
+    @pytest.mark.parametrize("scheme,kind,per_prime,target", [
+        *(("variant2", "blum", 1, target) for target in CLASSES),
+        *(("variant1", "blum", 2, target) for target in CLASSES),
+        ("rw", "rw", 1, (1, 1)), ("rw", "rw", 1, (-1, -1)),
+        # classes that differ take f = 2, and 2**(-(p+1)/4) is one more modexp per prime
+        ("rw", "rw", 2, (1, -1)), ("rw", "rw", 2, (-1, 1)),
+    ])
+    def test_first_signature_takes_the_floor(self, modexps, rng, scheme, kind, per_prime, target):
+        key = TestJacobiBudget.KEYS[kind]
+        m = next(m for m in range(2, key.n) if (jacobi(m, key.p), jacobi(m, key.q)) == target)
+        cold = parse_key(dump_private(key))
+        modexps.clear()  # the proofs parse_key checks take modexps of their own
+        sig = sign(cold, m, scheme, rng=rng)
+        assert sorted(modexps) == sorted([key.p, key.q] * per_prime)
+        assert verify(key, sig).valid
 
 
 class TestZeroComponents:
