@@ -191,16 +191,6 @@ def _naive_blind_demo(key, m, rng):
     return 0 if ok else 1
 
 
-def cmd_attack(args):
-    if args.kind == "classic-forge":
-        return _attack_classic(args)
-    if args.kind == "scale":
-        return _attack_scale(args)
-    if args.kind == "variant2-factor":
-        return _attack_variant2_factor(args)
-    return _attack_blinding(args)
-
-
 def _require(args, names):
     missing = [f"--{n.replace('_', '-')}" for n in names if getattr(args, n) is None]
     if missing:
@@ -280,6 +270,14 @@ def _attack_blinding(args):
     elif outcome.kind == "factored":
         print(f"factor = {outcome.value}")
     return 0 if outcome.kind != "failed" else 1
+
+
+_ATTACKS = {"classic-forge": _attack_classic, "scale": _attack_scale, "variant2-factor": _attack_variant2_factor,
+            "blinding": _attack_blinding, "blinding-cube": _attack_blinding}
+
+
+def cmd_attack(args):
+    return _ATTACKS[args.kind](args)
 
 
 # ---------------------------------------------------------------------------
@@ -379,8 +377,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int)
 
     p = sub.add_parser("attack", help="run a forgery or oracle attack")
-    p.add_argument("--kind", choices=("classic-forge", "scale", "variant2-factor", "blinding", "blinding-cube"),
-                   required=True)
+    p.add_argument("--kind", choices=tuple(_ATTACKS), required=True)
     p.add_argument("--pub", help="public key file (classic-forge, scale, variant2-factor)")
     p.add_argument("--sig", help="signature file (classic-forge, scale, variant2-factor)")
     p.add_argument("--target", type=int, help="message to forge (classic-forge)")

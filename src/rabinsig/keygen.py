@@ -28,12 +28,12 @@ from .numtheory import (
     random_unit,
 )
 
-KINDS = ("general", "blum", "rw")
-
 _CONSTRAINTS = {"none": (1, 2), "3mod4": (3, 4), "3mod8": (3, 8), "7mod8": (7, 8)}
 
 # Congruence constraints of the two primes of each key kind.
 _KIND_CONSTRAINTS = {"general": ("none", "none"), "blum": ("3mod4", "3mod4"), "rw": ("3mod8", "7mod8")}
+
+KINDS = tuple(_KIND_CONSTRAINTS)
 
 
 def _kind_classes(kind: str) -> tuple[int, set[int], int, str]:
@@ -185,12 +185,11 @@ def padding_set_flaws(elements, p: int, q: int) -> list[str]:
 def _padding_flaws(elements, classes, n: int) -> list[str]:
     # padding_set_flaws for elements whose classes ((u/p), (u/q)) are known;
     # a class with a 0 in it belongs to a non-unit.  classes None is a public
-    # key's set, whose elements parse_key has found to be units below n: only
-    # the checks that need no factor of n run.
+    # key's set: only the checks that need no factor of n run.
     if len(elements) != 4:
         return [f"a padding set has four elements, not {len(elements)}"]
     # a gcd per element or per pair runs only to name what a product's gcd (_coprime) found
-    units = classes is None or _coprime(elements, n)
+    units = _coprime(elements, n)
     flaws = []
     for u in elements:
         if not 0 < u < n or not units and math.gcd(u, n) != 1:  # 1..N-1: one encoding per element, as in a key file
@@ -468,8 +467,9 @@ def parse_key(text: str, path_hint: str = "key file") -> KeyPair | PublicKey:
     Private files carry p, q, psi1, psi2 and may carry p_proof and q_proof,
     which KeyPair.from_primes checks in place of the 40-round test.  An N
     above 2*MAX_PRIME_BITS bits is refused before any arithmetic on it.  A
-    public file's padding set gets the checks that need no factor of N: no
-    element is a square root of unity, and no difference shares a factor with N.
+    public file's padding set gets the checks that need no factor of N: each
+    element is a unit below N and no square root of unity, and no difference
+    shares a factor with N.  A private file's gets every check, in from_primes.
     """
     record = _Record(text, KEY_MAGIC, KeyFormatError, path_hint)
     kind = record.pop("kind", None)
@@ -493,10 +493,7 @@ def parse_key(text: str, path_hint: str = "key file") -> KeyPair | PublicKey:
 
     padding = None
     if kind == "general" and any(f"u{i}" in record for i in range(1, 5)):  # all four or none
-        elements = tuple(record.integer(f"u{i}") for i in range(1, 5))
-        if len(set(elements)) != 4 or max(elements) >= n or not _coprime(elements, n):
-            raise KeyFormatError(f"padding elements are not four distinct units below N in {path_hint}")
-        padding = PaddingSet(elements)
+        padding = PaddingSet(tuple(record.integer(f"u{i}") for i in range(1, 5)))
 
     if "p" not in record:
         record.done()

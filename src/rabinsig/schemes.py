@@ -412,8 +412,6 @@ def parse_signature(text: str, path_hint: str = "signature file") -> Signature:
     scheme = SCHEMES.get(record.pop("scheme", None))
     if scheme is None:
         raise SignatureFormatError(f"unknown or missing scheme in {path_hint}")
-    if "message" in record and "message-digest" in record:
-        raise SignatureFormatError(f"both message and message-digest present in {path_hint}")
     if "message" in record:
         m: Message = record.integer("message")
     elif "message-digest" in record:

@@ -421,6 +421,11 @@ class TestKeyFiles:
         (77, (43, 2, 3, 5), "element 43 is a square root of unity"),  # 1 mod 7 and -1 mod 11
         (77, (2, 9, 3, 5), "difference of elements 0 and 1 shares a factor with the modulus"),  # 9 - 2 = 7
         (N_FOUR_PRIMES, (2, 4, 5, 24), "difference of elements 0 and 3 shares a factor with the modulus"),  # 22
+        # the first flaw found is the one named, as for a private file
+        (77, (0, 2, 3, 24), "element 0 is not a unit in 1..N-1"),
+        (77, (2, 3, 24, 79), "element 79 is not a unit in 1..N-1"),
+        (77, (2, 3, 24, 14), "element 14 is not a unit in 1..N-1"),
+        (77, (2, 2, 3, 24), "difference of elements 0 and 1 shares a factor with the modulus"),
     ])
     def test_public_padding_must_pass_the_checks_that_need_no_factor(self, n, elements, flaw, tmp_path):
         text = f"rabin-key v1\nkind = general\nhash = identity\nN = {n}\n"
@@ -431,6 +436,25 @@ class TestKeyFiles:
         pub.write_text(text)
         sig.write_text("rabin-sig v1\nscheme = classic\nmessage = 5\nU = 2\nS = 3\n")
         assert main(["verify", "--pub", str(pub), "--sig", str(sig)]) == 3
+
+    def test_private_padding_gets_the_public_message(self):
+        # the safe set (12, 53, 6, 65) that build_padding_set(7, 11, ..., random.Random(5)) returns
+        key = KeyPair.from_primes("general", 7, 11, IDENTITY, PaddingSet((12, 53, 6, 65)))
+        text = dump_private(key).replace("\nu1 = 12\n", "\nu1 = 14\n")
+        with pytest.raises(KeyFormatError, match=re.escape("unsafe padding set: element 14 is not a unit in 1..N-1")):
+            parse_key(text)
+
+    def test_each_padding_check_runs_once(self, monkeypatch):
+        # one product gcd for the elements and one for their differences, from a private file as from a public one
+        key = gen_keypair("general", 64, IDENTITY, random.Random(3))
+        calls, counts = [], []
+        real = keygen._coprime
+        monkeypatch.setattr(keygen, "_coprime", lambda values, n: calls.append(n) or real(values, n))
+        for text in (dump_private(key), dump_public(key)):
+            calls.clear()
+            parse_key(text)
+            counts.append(len(calls))
+        assert counts == [2, 2]
 
     def test_private_padding_must_pass_the_safety_checks(self):
         # four squares lie in one Jacobi class, so three classes are uncovered; no two are

@@ -310,12 +310,13 @@ class TestJacobiBudget:
     """Signing takes no Jacobi symbol, and only its half-size modexps.
 
     Each signer reads the class of H(m) from the root exponentiation itself
-    (numtheory._class_root): on a 3-mod-4 prime a**((p+1)/4) squares to
-    (a/p)*a, and on a 1-mod-4 prime Tonelli-Shanks sees Euler's criterion.
-    The only Jacobi symbols left are the least-non-residue search of a
-    1-mod-4 prime, made once when the key builds its constants; the other
-    constants (powers of z, 2**(-(p+1)/4), a root per padding element) take
-    one modexp each on first use.
+    (numtheory._class_root): one Tonelli-Shanks for every odd prime, which
+    sees Euler's criterion, and on a 3-mod-4 prime takes a**((p+1)/4), whose
+    square is (a/p)*a.  The only Jacobi symbols left are the least-non-residue
+    search of a 1-mod-4 prime, made once when the key builds its constants.
+    The other constants take one modexp each on first use: the powers of z
+    on a 1-mod-4 prime (for z = -1 on a 3-mod-4 prime they take none, as
+    TestColdKeys pins), 2**(-(p+1)/4), and a root per padding element.
     """
 
     KEYS = {kind: gen_keypair(kind, 64, IDENTITY, random.Random(f"budget/{kind}")) for kind in ("blum", "rw")}
