@@ -10,7 +10,7 @@ Key kinds:
 import functools
 import math
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import compress
 
 from . import numtheory
@@ -19,9 +19,12 @@ from .hashing import IDENTITY, RedundancySpec
 from .numtheory import (
     SYSTEM_RNG,
     _exact_prime,
+    _canonical_lift,
     _KeyRoots,
     _pocklington,
+    _PrimeRoots,
     _sieve_primes,
+    crt_combine,
     crt_idempotents,
     crt_padding,
     jacobi,
@@ -163,12 +166,20 @@ class PaddingSet:
     """Four public multipliers covering the four Jacobi classes.
 
     `classes` lists ((u/p), (u/q)) per element and is only populated on the
-    private side, where KeyPair.from_primes computes it; the published form
-    is the bare elements in a randomised order.
+    private side, where KeyPair.from_primes certifies it; the published form
+    is the bare elements in a randomised order.  `roots` holds, per element
+    u, a root w over its class: w**2 = u mod p where u is a residue and
+    w**2 * z = u where it is not, z the ring's non-residue, and likewise mod
+    q; a key file holds the least of w's four lifts mod N.
+    build_padding_set makes them, and key files of earlier versions lack
+    them.  A root is as secret as a chain (gcd(w**2 - u, N) = p for an
+    element that is a residue mod p only), so it stays out of ==, hash,
+    repr and the published form.
     """
 
     elements: tuple[int, int, int, int]
     classes: tuple[tuple[int, int], ...] | None = None
+    roots: tuple[int, ...] | None = field(default=None, repr=False, compare=False)
 
 
 def padding_set_flaws(elements, p: int, q: int) -> list[str]:
@@ -230,7 +241,9 @@ def build_padding_set(p: int, q: int, psi1: int, psi2: int, rng=None) -> Padding
     r**2 * (a*psi1 + b*psi2) is r**2 * a mod p and r**2 * b mod q, so its
     class is that of (a, b) and no Jacobi symbol is computed for it.  New
     multipliers would reach no set that new r_i cannot, since a class is
-    {r**2 * c : r a unit} for any c in it.  Raises ValueError unless psi1
+    {r**2 * c : r a unit} for any c in it.  The element's root over its
+    class is r times its multipliers' roots, so the four roots take one
+    root of each multiplier: two per prime.  Raises ValueError unless psi1
     and psi2 are the idempotents of p and q that crt_idempotents gives.
     """
     rng = rng or SYSTEM_RNG
@@ -254,9 +267,13 @@ def build_padding_set(p: int, q: int, psi1: int, psi2: int, rng=None) -> Padding
         if not _padding_flaws(elements, classes, n):
             order = list(range(4))
             rng.shuffle(order)  # publication order must not hint at the classes
+            root_a = {a: idem.at_p.root_over_class(a) for a in (a1, a2)}
+            root_b = {b: idem.at_q.root_over_class(b) for b in (b1, b2)}
+            roots = [crt_combine(r * root_a[a] % p, r * root_b[b] % q, idem) for (a, b), r in zip(pairs, rs)]
             return PaddingSet(
                 tuple(elements[i] for i in order),
                 tuple(classes[i] for i in order),
+                tuple(roots[i] for i in order),
             )
     raise RuntimeError("could not build a safe padding set for this modulus")
 
@@ -288,8 +305,13 @@ class KeyPair:
         """The key's ring: N, psi1 and psi2, and the root constants of p and q on their first use.
 
         Not a field, so it stays out of ==, hash, repr, key files and public().
+        A padding set's stored roots become its elements' unit roots here, so
+        that no signature takes them again.
         """
-        return crt_idempotents(self.p, self.q)
+        ring = crt_idempotents(self.p, self.q)
+        if self.padding is not None and self.padding.roots is not None:
+            ring.know_unit_roots(self.padding.elements, self.padding.roots)
+        return ring
 
     @functools.cached_property
     def n(self) -> int:
@@ -317,7 +339,11 @@ class KeyPair:
         any other int by is_probable_prime.  Raises ValueError unless p and q have
         at most MAX_PRIME_BITS bits, and MAX_UNPROVEN_BITS without a chain, pass and
         meet the kind's congruences, and unless a padding set is on a general key
-        and passes padding_set_flaws.
+        and passes padding_set_flaws.  The padding classes are certified here:
+        by squaring each element's root when the set has roots (one product
+        mod each prime, or two for a non-residue), which also refuses a root
+        that is no root of its element over a class, and by Jacobi symbols
+        when it has none.
         """
         if kind not in KINDS:
             raise ValueError(f"unknown key kind {kind!r}")
@@ -342,13 +368,41 @@ class KeyPair:
             raise ValueError(f"{kind} keys need {_KIND_CLASSES[kind][3]}")
         if padding is not None and kind != "general":
             raise ValueError("only general keys carry a padding set")
-        if padding is not None:  # the classes are computed here, never taken on trust
-            classes = tuple((jacobi(u, p), jacobi(u, q)) for u in padding.elements)
+        if padding is not None:  # the classes are certified here, never taken on trust
+            if padding.roots is None:
+                classes = tuple((jacobi(u, p), jacobi(u, q)) for u in padding.elements)
+            else:
+                classes = _root_classes(padding.elements, padding.roots, p, q)
             flaws = _padding_flaws(padding.elements, classes, p * q)
             if flaws:
                 raise ValueError(f"unsafe padding set: {flaws[0]}")
-            padding = PaddingSet(padding.elements, classes)
+            padding = PaddingSet(padding.elements, classes, padding.roots)
         return cls(kind, p, q, redundancy, padding)
+
+
+def _root_classes(elements, roots, p: int, q: int) -> tuple[tuple[int, int], ...]:
+    """((u/p), (u/q)) per element u, read off its root w by squaring.
+
+    w**2 = u mod a prime shows u a residue, and w**2 * z = u, z the prime's
+    non-residue, shows it a non-residue.  A non-unit gets the class (0, 0),
+    whatever its root, so that _padding_flaws names it as a Jacobi symbol
+    would.  Raises ValueError for any other root that shows neither, and for
+    a count of roots other than the elements'.
+    """
+    if len(roots) != len(elements):
+        raise ValueError(f"a padding set has a root per element, not {len(roots)} roots for {len(elements)}")
+
+    def symbol(i: int, prime: int, z: int) -> int:
+        u, square = elements[i] % prime, roots[i] * roots[i] % prime
+        if square == u:
+            return 1
+        if square * z % prime == u:
+            return -1
+        # the root is as secret as p, so the message names only its place
+        raise ValueError(f"the root of padding element {i + 1} is no root of it over a Jacobi class")
+
+    zp, zq = _PrimeRoots(p).z, _PrimeRoots(q).z  # a set that covers the four classes needs both
+    return tuple((symbol(i, p, zp), symbol(i, q, zq)) if u % p and u % q else (0, 0) for i, u in enumerate(elements))
 
 
 def gen_keypair(kind: str, bits: int, redundancy=IDENTITY, rng=None) -> KeyPair:
@@ -382,7 +436,8 @@ def gen_keypair(kind: str, bits: int, redundancy=IDENTITY, rng=None) -> KeyPair:
 # reads no other form, so each value has one encoding; only the final line
 # break may be left out.  A private key file may add p_proof and q_proof, each
 # chain's steps in decimal separated by single spaces, f1 b1 f2 b2 ...; a
-# prime below 2**64 has none.
+# prime below 2**64 has none.  A private general key file may add u1_root ..
+# u4_root, all four or none: each padding element's root over its class.
 
 KEY_MAGIC = "rabin-key v1"
 
@@ -404,6 +459,9 @@ def dump_public(pub: PublicKey | KeyPair) -> str:
 
 def dump_private(key: KeyPair) -> str:
     fields = _public_fields(key) | {"p": key.p, "q": key.q, "psi1": key.psi1, "psi2": key.psi2}
+    if key.padding is not None and key.padding.roots is not None:  # each the least of its lifts: one file per key
+        fields.update((f"u{i}_root", _canonical_lift(w % key.p, w % key.q, key.idem))
+                      for i, w in enumerate(key.padding.roots, start=1))
     for name, prime in (("p_proof", key.p), ("q_proof", key.q)):
         if chain := getattr(prime, "chain", ()):
             fields[name] = " ".join(str(x) for step in chain for x in step)
@@ -465,7 +523,10 @@ def parse_key(text: str, path_hint: str = "key file") -> KeyPair | PublicKey:
     """Parse a public or private key file.
 
     Private files carry p, q, psi1, psi2 and may carry p_proof and q_proof,
-    which KeyPair.from_primes checks in place of the 40-round test.  An N
+    which KeyPair.from_primes checks in place of the 40-round test, and a
+    general key's u1_root .. u4_root, by which it certifies the padding
+    classes in place of Jacobi symbols.  Each root must be the least of its
+    four lifts mod N, so that a key has one file.  An N
     above 2*MAX_PRIME_BITS bits is refused before any arithmetic on it.  A
     public file's padding set gets the checks that need no factor of N: each
     element is a unit below N and no square root of unity, and no difference
@@ -503,6 +564,8 @@ def parse_key(text: str, path_hint: str = "key file") -> KeyPair | PublicKey:
 
     p, q, psi1, psi2 = (record.integer(name) for name in ("p", "q", "psi1", "psi2"))
     p, q = record.proven(p, "p_proof"), record.proven(q, "q_proof")
+    if padding is not None and any(f"u{i}_root" in record for i in range(1, 5)):  # all four or none
+        padding = PaddingSet(padding.elements, roots=tuple(record.integer(f"u{i}_root") for i in range(1, 5)))
     record.done()
     if p * q != n:
         raise KeyFormatError(f"N does not equal p*q in {path_hint}")
@@ -514,4 +577,11 @@ def parse_key(text: str, path_hint: str = "key file") -> KeyPair | PublicKey:
     # is taken, and key.idem is built on the key's first root, as for any key
     if not (psi1 < n and psi1 % p == 1 and psi1 % q == 0 and psi2 == (1 - psi1) % n):
         raise KeyFormatError(f"idempotents do not match the prime factors in {path_hint}")
+    if padding is not None and padding.roots is not None:
+        # the four lifts of a root w are +-w and +-w*e, e = psi1 - psi2 being 1 mod p and -1 mod q
+        e = psi1 - psi2
+        for i, w in enumerate(padding.roots, start=1):
+            w_e = w * e % n
+            if w != min(w, n - w, w_e, n - w_e):
+                raise KeyFormatError(f"root of padding element {i} is not the least of its four lifts in {path_hint}")
     return key

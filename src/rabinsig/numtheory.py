@@ -13,7 +13,8 @@ The one ring object, _KeyRoots, holds p, q, n = p*q, psi1 and psi2, and
 the constants a root needs, each computed on its first use.  Per prime they
 are the root exponent, a non-residue z and its powers for Tonelli-Shanks,
 the one root algorithm, and 2**(-(p+1)/4) for the rw signer; per padding
-element, its root over its class (_KeyRoots.unit_roots).  crt_idempotents
+element, its root over its class (_KeyRoots.unit_roots), which a private
+key that stores it hands over instead (know_unit_roots).  crt_idempotents
 is the one ring constructor, and the ring is the only modulus argument of
 every CRT and root function (`idem`).  KeyPair.idem keeps its key's
 ring.  Each constant is fixed by its prime and written once, so a
@@ -212,6 +213,10 @@ class _KeyRoots:
         if roots is None:
             roots = self._unit_roots[u] = self.at_p.root_over_class(u), self.at_q.root_over_class(u)
         return roots
+
+    def know_unit_roots(self, elements, roots) -> None:
+        """Take unit_roots from a root mod n of each element over its class, as a private key holds them."""
+        self._unit_roots.update((u, (w % self.p, w % self.q)) for u, w in zip(elements, roots))
 
 
 def crt_idempotents(p: int, q: int) -> _KeyRoots:

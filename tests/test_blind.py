@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import random
 
 import pytest
 
@@ -13,7 +14,7 @@ from rabinsig.blind import (
     verify_blind_signature,
 )
 from rabinsig.errors import FactorLeakError, NonResidueError, UnsignableMessageError
-from rabinsig.hashing import QUADRATIC
+from rabinsig.hashing import IDENTITY, QUADRATIC, apply_redundancy
 from rabinsig.keygen import gen_keypair
 from rabinsig.oracle import SmallRing, all_roots
 from rabinsig.schemes import sign, variant2_verify
@@ -167,3 +168,21 @@ class TestSession:
         key = gen_keypair("blum", 48, QUADRATIC, rng)
         session = run_blind_session(key, 123456, rng)
         assert variant2_verify(key.public(), session.published).valid
+
+
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 12: F'*d = F*h links each published signature to its session")
+def test_no_published_signature_is_linked_to_its_session():
+    # the signer keeps its view (d, F) of every session; a published [m, F', R3'] with
+    # h = H(m) has F' = F/r**2 and d = r**2 * h, so F'*d = F*h names its session
+    rng = random.Random("linkable")
+    key = gen_keypair("blum", 128, IDENTITY, rng)
+    n = key.n
+    sessions = [run_blind_session(key, rng.randrange(2, n), rng) for _ in range(60)]
+    views = [(s.disguised, s.blind_sig.F) for s in sessions]
+    published = [s.published for s in sessions]
+    rng.shuffle(published)
+    singled_out = 0
+    for sig in published:
+        h = apply_redundancy(key.redundancy, sig.m, n)
+        singled_out += sum(sig.F * d % n == f * h % n for d, f in views) == 1
+    assert singled_out == 0

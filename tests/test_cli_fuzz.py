@@ -5,8 +5,9 @@ their lines (real and junk field names; canonical, non-canonical, huge, 0,
 N-1 and N values; a line's own value plus a multiple of N; N moved to
 another odd class mod 8; lists of decimals for the primality proofs; a
 general key's padding element set to a square root of 1 or to another
-element plus a prime factor of N; dropped, repeated and added lines; a byte
-that is not UTF-8) and runs one
+element plus a prime factor of N; a private general key's padding root
+dropped, repeated, swapped with another or with one digit changed; dropped,
+repeated and added lines; a byte that is not UTF-8) and runs one
 `verify`, `sign` or file-driven `attack` command through `cli.main`.
 Whatever the files hold, the command must end with an exit code from 0 to 3
 and raise nothing.  A signature file whose component or message is its own
@@ -15,6 +16,7 @@ value plus a multiple of N never verifies against its key.
 
 import io
 import random
+import re
 import tempfile
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
@@ -29,7 +31,8 @@ from rabinsig.keygen import dump_private, dump_public, gen_keypair
 from rabinsig.numtheory import sqrt_of_unity_nontrivial
 from rabinsig.schemes import SCHEME_TAGS, dump_signature, sign
 
-FIELD_NAMES = ("kind", "hash", "N", "u1", "u2", "u3", "u4", "p", "q", "psi1", "psi2", "p_proof", "q_proof",
+ROOT_NAMES = ("u1_root", "u2_root", "u3_root", "u4_root")
+FIELD_NAMES = ("kind", "hash", "N", "u1", "u2", "u3", "u4", "p", "q", "psi1", "psi2", "p_proof", "q_proof", *ROOT_NAMES,
                "scheme", "message", "message-digest", "U", "u", "S", "T", "F", "R3", "e", "f")
 JUNK_NAMES = ("", "x", "n", "N N", "u5", "psi3", "message_digest", "ل")
 WORDS = ("general", "blum", "rw", "identity", "quadratic", "digest", "digest:sha256",
@@ -90,7 +93,39 @@ def _edits(n, unsafe):
         st.tuples(st.just("add"), name, _values(n)),
         st.tuples(st.just("shift"), index, st.integers(1, 3)),
         st.tuples(st.just("recast"), st.integers(1, 3)),
+        _root_edits(),
     ), max_size=4)
+
+
+def _root_edits():
+    """An edit of padding root i: drop it, repeat it, swap its value with root j != i, or change one digit."""
+    return st.tuples(st.sampled_from(("root-drop", "root-repeat", "root-swap", "root-digit")), st.integers(1, 4),
+                     st.integers(1, 3), st.integers(0, 1 << 16), st.integers(1, 9))
+
+
+def _edit_root(lines, edit):
+    """`lines` after one of _root_edits; lines without that padding root are left as they are."""
+    op, i, offset, at, step = edit
+    j = (i + offset - 1) % 4 + 1
+    where = {line[:7]: k for k, line in enumerate(lines) if re.match(r"u[1-4]_root = ", line)}
+    if f"u{i}_root" not in where:
+        return lines
+    k = where[f"u{i}_root"]
+    name, _, value = lines[k].partition(" = ")
+    if op == "root-drop":
+        del lines[k]
+    elif op == "root-repeat":
+        lines.insert(k, lines[k])
+    elif op == "root-swap" and f"u{j}_root" in where:
+        other = where[f"u{j}_root"]
+        lines[k], lines[other] = f"{name} = {lines[other].partition(' = ')[2]}", f"u{j}_root = {value}"
+    elif op == "root-digit":  # the digit at `at` raised by `step` mod 10, never to a leading zero
+        at %= len(value)
+        digit = (int(value[at]) + step) % 10
+        if at == 0 and digit == 0 and len(value) > 1:
+            digit = int(value[0]) % 9 + 1
+        lines[k] = f"{name} = {value[:at]}{digit}{value[at + 1:]}"
+    return lines
 
 
 def _shift(line, k, n):
@@ -119,6 +154,8 @@ def _apply(text, edits, n):
             lines = [f"N = {n + 2 * edit[1]}" if line == f"N = {n}" else line for line in lines]
         elif op == "pad":
             lines = [f"u{edit[1]} = {edit[2]}" if line.startswith(f"u{edit[1]} = ") else line for line in lines]
+        elif op.startswith("root-"):
+            lines = _edit_root(lines, edit)
     return "\n".join(lines) + "\n"
 
 
@@ -187,3 +224,23 @@ def test_re_encoded_signature_file_never_verifies(corpus, data):
         with redirect_stdout(out), redirect_stderr(io.StringIO()):
             code = main(["verify", "--pub", str(key), "--sig", str(sig)])
     assert code == 1 and out.getvalue().startswith("INVALID (component range)"), lines[i]
+
+
+@settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(data=st.data())
+def test_an_edited_padding_root_exits_3(corpus, data):
+    # every edit of a root line leaves a file that no general key reads: three roots, a repeated
+    # field, or a root of the wrong element or of none (two roots swapped, or a digit changed)
+    key_texts = corpus[0]
+    text, n = next((text, n) for text, n in key_texts if "\nu1_root = " in text)
+    edit = data.draw(_root_edits())
+    edited = _apply(text, [edit], n)
+    assert edited != text
+    scheme = data.draw(st.sampled_from(("general", "classic")))
+    with tempfile.TemporaryDirectory() as tmp:
+        key, out = Path(tmp) / "fuzz.key", Path(tmp) / "out.sig"
+        key.write_text(edited)
+        err = io.StringIO()
+        with redirect_stdout(io.StringIO()), redirect_stderr(err):
+            code = main(["sign", "--key", str(key), "--scheme", scheme, "--message", "5", "--out", str(out)])
+    assert code == 3, (edit, err.getvalue())

@@ -367,6 +367,28 @@ def test_hardened_answers_give_the_blinding_attack_no_root():
     assert outcomes.count("failed") == 40
 
 
+# ROADMAP item 2: the root component of a general, variant1 or rw signature is one
+# of +-x, and both square alike, so N - x is a second valid signature on the same
+# message: a forgery under strong unforgeability (An, Dodis and Rabin, EUROCRYPT
+# 2002).  The half-range rule, x at most (N - 1)/2, refuses the upper one as
+# "component range" with no operation counted.  Strict, so the rule shows up as XPASS.
+HALF_RANGE = {"general": ("general", "S"), "variant1": ("blum", "T"), "rw": ("rw", "S")}
+
+
+@pytest.mark.parametrize("scheme", list(HALF_RANGE))
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 2: N - x of the root component verifies; no half-range rule")
+def test_the_upper_root_component_is_refused(scheme):
+    kind, component = HALF_RANGE[scheme]
+    rng = random.Random(f"half-range/{scheme}")
+    key = gen_keypair(kind, 128, RedundancySpec("digest", "sha256"), rng)
+    for _ in range(10):
+        sig = sign(key, rng.randbytes(16), scheme, rng=rng)
+        assert verify(key.public(), sig).valid
+        upper = dataclasses.replace(sig, **{component: key.n - getattr(sig, component)})
+        report = verify(key.public(), upper)
+        assert not report.valid and report.failed_check == "component range" and report.op_counts == (0, 0)
+
+
 class _FixedBlinder:
     """rng stub that always blinds with the same factor."""
 

@@ -173,16 +173,21 @@ def accepted_keys(draw):
     rng = random.Random(draw(st.integers(0, 1 << 32)))
     p_constraint, q_constraint = keygen._KIND_CONSTRAINTS[kind]
     p, q = gen_prime(bits, p_constraint, rng), gen_prime(bits, q_constraint, rng)
-    padding = draw(st.sampled_from((None, "built", "drawn")))
-    if padding == "built":
+    padding = draw(st.sampled_from((None, "built", "rooted", "drawn")))
+    roots = None
+    if padding in ("built", "rooted"):
         idem = crt_idempotents(p, q)
-        elements = list(build_padding_set(p, q, idem.psi1, idem.psi2, rng).elements)
+        built = build_padding_set(p, q, idem.psi1, idem.psi2, rng)
+        elements = list(built.elements)
+        if padding == "rooted":  # with its roots, each as any of its four lifts; the file holds the least
+            lifts = [numtheory._four_lifts(w % p, w % q, idem) for w in built.roots]
+            roots = tuple(four[draw(st.integers(0, 3))] for four in lifts)
     elif padding == "drawn":
         elements = draw(st.lists(st.integers(1, p * q - 1), min_size=4, max_size=4))
     if padding is not None:
         # one element may be moved out of [1, N-1] by N: no key file holds it, so from_primes must refuse it
         elements[draw(st.integers(0, 3))] += p * q * draw(st.sampled_from((0, -1, 1)))
-        padding = PaddingSet(tuple(elements))
+        padding = PaddingSet(tuple(elements), roots=roots)
     p, q = draw(st.sampled_from(((p, q), (p, int(q)), (int(p), int(q)))))  # each with its proof, or without
     try:
         return KeyPair.from_primes(kind, p, q, draw(st.sampled_from(REDUNDANCIES)), padding)
@@ -881,3 +886,155 @@ def test_idempotents_other_than_their_definition_are_refused(edit, tmp_path, mon
     assert parse_key(_with_idempotents(text, key.psi1, key.psi2)) == key  # the field order does not matter
     _refused_everywhere(_with_idempotents(text, *edit(key.psi1, key.psi2, key.n)), tmp_path, monkeypatch,
                         "idempotents do not match the prime factors")
+
+
+# ---------------------------------------------------------------------------
+# Roots of the padding elements, carried by private general keys
+
+ROOT_FIELDS = tuple(f"u{i}_root" for i in range(1, 5))
+
+
+@functools.cache
+def rooted_key() -> KeyPair:
+    """A general key on proven 80-bit primes, p = 1 mod 8 and q = 3 mod 4.
+
+    So its non-residue z is found by search mod p and is -1 mod q.
+    """
+    rng = random.Random("rooted")
+    p = q = 0
+    while p % 8 != 1:
+        p = gen_prime(80, "none", rng)
+    q = gen_prime(80, "3mod4", rng)
+    idem = crt_idempotents(p, q)
+    return KeyPair.from_primes("general", p, q, IDENTITY, build_padding_set(p, q, idem.psi1, idem.psi2, rng))
+
+
+def _without_roots(text: str) -> str:
+    return "".join(line for line in text.splitlines(keepends=True) if not line.startswith(ROOT_FIELDS))
+
+
+def _filed_roots(key: KeyPair) -> list[int]:
+    return [int(value) for value in re.findall(r"^u[1-4]_root = (\d+)$", dump_private(key), re.M)]
+
+
+def _with_root(text: str, i: int, value) -> str:
+    return re.sub(rf"^u{i}_root = \d+$", f"u{i}_root = {value}", text, flags=re.M)
+
+
+@pytest.mark.parametrize("ring", [(7, 11), (11, 19), (13, 17), None], ids=["77", "209", "221", "rooted_key"])
+def test_each_built_element_carries_its_root_over_its_class_and_the_file_its_least_lift(ring):
+    if ring is None:
+        key = rooted_key()
+    else:
+        idem = crt_idempotents(*ring)
+        key = KeyPair.from_primes("general", *ring, IDENTITY, build_padding_set(*ring, idem.psi1, idem.psi2,
+                                                                                 random.Random(ring[0])))
+    p, q, padding = key.p, key.q, key.padding
+    filed = _filed_roots(key)
+    idem = crt_idempotents(p, q)
+    for u, w, cls, least in zip(padding.elements, padding.roots, padding.classes, filed, strict=True):
+        for prime, symbol in zip((p, q), cls):
+            z = numtheory._PrimeRoots(prime).z
+            assert symbol == jacobi(u, prime)
+            assert w * w % prime == (u if symbol == 1 else u * pow(z, -1, prime)) % prime
+        assert least == min(numtheory._four_lifts(w % p, w % q, idem))
+
+
+def test_a_rooted_file_certifies_the_classes_with_no_jacobi_symbol(monkeypatch):
+    key = rooted_key()
+    text = dump_private(key)
+    assert [line.split(" = ")[0] for line in text.splitlines() if "_root" in line] == list(ROOT_FIELDS)
+    calls = []
+    real = keygen.jacobi
+    monkeypatch.setattr(keygen, "jacobi", lambda a, n: calls.append(n) or real(a, n))
+    parsed = parse_key(text)
+    assert parsed == key and parsed.padding.classes == key.padding.classes and dump_private(parsed) == text
+    assert calls == []
+    parse_key(_without_roots(text))
+    assert len(calls) == 8  # a file of an earlier version: one class ((u/p), (u/q)) per element
+
+
+def test_a_rootless_file_loads_signs_the_same_and_reads_back_the_same():
+    key = rooted_key()
+    text = _without_roots(dump_private(key))
+    parsed = parse_key(text)
+    assert parsed == key and parsed.padding.roots is None and dump_private(parsed) == text
+    for target in ((1, 1), (1, -1), (-1, 1), (-1, -1)):
+        m = next(m for m in range(2, key.n) if (jacobi(m, key.p), jacobi(m, key.q)) == target)
+        signed = sign(parsed, m, "general")
+        assert signed == sign(parse_key(dump_private(key)), m, "general") and verify(key.public(), signed).valid
+
+
+def _bad_roots():
+    key = rooted_key()
+    n, e = key.n, key.psi1 - key.psi2
+    w, other = _filed_roots(key)[:2]
+    wrong = "no root of it over a Jacobi class"
+    not_least = "root of padding element 1 is not the least of its four lifts"
+    return {
+        "digit": (str(w)[:-1] + str((int(str(w)[-1]) + 1) % 10), wrong),
+        "zero": (0, wrong),
+        "another-element-s": (other, wrong),
+        "minus": (n - w, not_least),
+        "other-lift": (w * e % n, not_least),
+        "minus-other-lift": (n - w * e % n, not_least),
+        "plus-n": (w + n, not_least),
+    }
+
+
+@pytest.mark.parametrize("edit", list(_bad_roots()))
+def test_a_root_that_fails_its_check_is_refused(edit, tmp_path, monkeypatch):
+    value, match = _bad_roots()[edit]
+    text = _with_root(dump_private(rooted_key()), 1, value)
+    assert text != dump_private(rooted_key())
+    _refused_everywhere(text, tmp_path, monkeypatch, match)
+
+
+def test_root_lines_come_four_or_none_and_on_a_private_general_key_only(tmp_path, monkeypatch):
+    key = rooted_key()
+    text = dump_private(key)
+    three = "".join(line for line in text.splitlines(keepends=True) if not line.startswith("u3_root = "))
+    _refused_everywhere(three, tmp_path, monkeypatch, "missing field 'u3_root'")
+    _refused_everywhere(text + "u1_root = 5\n", tmp_path, monkeypatch, "duplicate field 'u1_root'")
+    roots = "".join(line for line in text.splitlines(keepends=True) if line.startswith(ROOT_FIELDS))
+    with pytest.raises(KeyFormatError, match="unexpected fields"):
+        parse_key(dump_public(key) + roots)
+    with pytest.raises(KeyFormatError, match="unexpected fields"):
+        parse_key(dump_private(gen_keypair("blum", 64, IDENTITY, random.Random(1))) + roots)
+
+
+def test_a_swap_of_two_roots_is_refused():
+    text = dump_private(rooted_key())
+    first, second = _filed_roots(rooted_key())[:2]
+    swapped = _with_root(_with_root(text, 1, second), 2, first)
+    with pytest.raises(KeyFormatError, match="the root of padding element 1 is no root of it"):
+        parse_key(swapped)
+
+
+def test_a_non_unit_element_keeps_its_flaw_message_beside_its_root():
+    # the safe set (12, 53, 6, 65) that build_padding_set(7, 11, ..., random.Random(5)) returns, with its roots
+    idem = crt_idempotents(7, 11)
+    padding = build_padding_set(7, 11, idem.psi1, idem.psi2, random.Random(5))
+    assert padding.elements == (12, 53, 6, 65) and padding.roots is not None
+    text = dump_private(KeyPair.from_primes("general", 7, 11, IDENTITY, padding))
+    with pytest.raises(KeyFormatError, match=re.escape("unsafe padding set: element 14 is not a unit in 1..N-1")):
+        parse_key(text.replace("\nu1 = 12\n", "\nu1 = 14\n"))
+
+
+def test_from_primes_refuses_a_root_that_is_none_of_its_element_and_a_short_list():
+    key = rooted_key()
+    elements, roots = key.padding.elements, key.padding.roots
+    with pytest.raises(ValueError, match="the root of padding element 3 is no root of it"):
+        KeyPair.from_primes("general", key.p, key.q, IDENTITY, PaddingSet(elements, roots=(*roots[:2], 2, roots[3])))
+    with pytest.raises(ValueError, match="not 3 roots for 4"):
+        KeyPair.from_primes("general", key.p, key.q, IDENTITY, PaddingSet(elements, roots=roots[:3]))
+
+
+def test_padding_roots_stay_private():
+    key = rooted_key()
+    shown = repr(key) + dump_public(key) + repr(key.public())
+    assert not any(str(w) in shown for w in key.padding.roots)
+    assert key.public().padding.roots is None
+    # like a chain, the roots take no part in == or hash
+    bare = dataclasses.replace(key, padding=PaddingSet(key.padding.elements, key.padding.classes))
+    assert bare == key and hash(bare) == hash(key)

@@ -316,7 +316,9 @@ class TestJacobiBudget:
     search of a 1-mod-4 prime, made once when the key builds its constants.
     The other constants take one modexp each on first use: the powers of z
     on a 1-mod-4 prime (for z = -1 on a 3-mod-4 prime they take none, as
-    TestColdKeys pins), 2**(-(p+1)/4), and a root per padding element.
+    TestColdKeys pins), 2**(-(p+1)/4), and a root per padding element on a
+    key whose padding set holds no roots (a private key file's roots stand
+    in for them, as TestColdKeys pins too).
     """
 
     KEYS = {kind: gen_keypair(kind, 64, IDENTITY, random.Random(f"budget/{kind}")) for kind in ("blum", "rw")}
@@ -426,7 +428,11 @@ class TestColdKeys:
 
     The constants of a 3-mod-4 prime (z = -1 and its powers) take no
     exponentiation, so a blum or rw key's first signature, in every class
-    ((h/p), (h/q)), takes the same full-size modexps as any later one.
+    ((h/p), (h/q)), takes the same full-size modexps as any later one.  A
+    general key's file holds each padding element's root, so its first
+    general signature takes no root of the element either: one modexp per
+    prime in every class on 3-mod-4 primes, and two on 1-mod-4 primes, whose
+    Tonelli-Shanks steps build the powers of z on the first root.
     """
 
     modexps = TestJacobiBudget.modexps  # counted as the budget counts them
@@ -437,6 +443,8 @@ class TestColdKeys:
         ("rw", "rw", 1, (1, 1)), ("rw", "rw", 1, (-1, -1)),
         # classes that differ take f = 2, and 2**(-(p+1)/4) is one more modexp per prime
         ("rw", "rw", 2, (1, -1)), ("rw", "rw", 2, (-1, 1)),
+        *(("general", "general-3mod4", 1, target) for target in CLASSES),
+        *(("general", "general", 2, target) for target in CLASSES),
     ])
     def test_first_signature_takes_the_floor(self, modexps, rng, scheme, kind, per_prime, target):
         key = TestJacobiBudget.KEYS[kind]
