@@ -10,7 +10,7 @@ Key kinds:
 import functools
 import math
 import re
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass, field
 from itertools import compress
 
 from . import numtheory
@@ -232,7 +232,7 @@ def _sample_with_jacobi(p: int, target: int, rng) -> int:
             return a
 
 
-def build_padding_set(p: int, q: int, psi1: int, psi2: int, rng=None) -> PaddingSet:
+def build_padding_set(p: int, q: int, psi1: int, psi2: int, rng=None, ring=None) -> PaddingSet:
     """Build a safe padding set by rejection sampling.
 
     Draws class representatives a1, a2 (residue / non-residue mod p) and
@@ -243,11 +243,16 @@ def build_padding_set(p: int, q: int, psi1: int, psi2: int, rng=None) -> Padding
     multipliers would reach no set that new r_i cannot, since a class is
     {r**2 * c : r a unit} for any c in it.  The element's root over its
     class is r times its multipliers' roots, so the four roots take one
-    root of each multiplier: two per prime.  Raises ValueError unless psi1
-    and psi2 are the idempotents of p and q that crt_idempotents gives.
+    root of each multiplier: two per prime.  Those roots build the root
+    constants of p and q (z, and its powers for p = 1 mod 4) in the ring
+    of p and q, which a caller that keeps them passes as `ring`.  Raises
+    ValueError unless psi1 and psi2 are the idempotents of p and q that
+    crt_idempotents gives, and unless `ring` is a ring of p and q.
     """
     rng = rng or SYSTEM_RNG
-    idem = crt_idempotents(p, q)
+    idem = crt_idempotents(p, q) if ring is None else ring
+    if (idem.p, idem.q) != (p, q):
+        raise ValueError("ring is not the ring of p and q")
     if (psi1, psi2) != (idem.psi1, idem.psi2):
         raise ValueError("psi1 and psi2 are not the idempotents of p and q")
     n = idem.n
@@ -292,6 +297,9 @@ class KeyPair:
 
     A proven p or q is a ProvenPrime, whose chain is as secret as the prime:
     it acts as its int, so like idem the chain stays out of ==, hash, repr and public().
+    prime_roots, the root constants of p and q (numtheory._PrimeRoots) as
+    from_primes or gen_keypair built them, is no field either: __init__
+    takes it, and idem hands it to the key's ring.
     """
 
     kind: str
@@ -299,16 +307,23 @@ class KeyPair:
     q: int
     redundancy: RedundancySpec
     padding: PaddingSet | None = None
+    prime_roots: InitVar[tuple[_PrimeRoots, _PrimeRoots] | None] = None
+
+    def __post_init__(self, prime_roots):
+        object.__setattr__(self, "_prime_roots", prime_roots)
 
     @functools.cached_property
     def idem(self) -> _KeyRoots:
         """The key's ring: N, psi1 and psi2, and the root constants of p and q on their first use.
 
         Not a field, so it stays out of ==, hash, repr, key files and public().
-        A padding set's stored roots become its elements' unit roots here, so
-        that no signature takes them again.
+        The primes' root constants that the key was given, and a padding set's
+        stored roots as its elements' unit roots, are handed over here, so
+        that no signature computes them again.
         """
         ring = crt_idempotents(self.p, self.q)
+        if self._prime_roots is not None:
+            ring.know_prime_roots(*self._prime_roots)
         if self.padding is not None and self.padding.roots is not None:
             ring.know_unit_roots(self.padding.elements, self.padding.roots)
         return ring
@@ -343,7 +358,8 @@ class KeyPair:
         by squaring each element's root when the set has roots (one product
         mod each prime, or two for a non-residue), which also refuses a root
         that is no root of its element over a class, and by Jacobi symbols
-        when it has none.
+        when it has none.  The key keeps the primes' root constants that this
+        builds, each prime's non-residue z among them.
         """
         if kind not in KINDS:
             raise ValueError(f"unknown key kind {kind!r}")
@@ -368,19 +384,20 @@ class KeyPair:
             raise ValueError(f"{kind} keys need {_KIND_CLASSES[kind][3]}")
         if padding is not None and kind != "general":
             raise ValueError("only general keys carry a padding set")
+        at = _PrimeRoots(p), _PrimeRoots(q)  # only now, as a least non-residue search needs a prime
         if padding is not None:  # the classes are certified here, never taken on trust
             if padding.roots is None:
                 classes = tuple((jacobi(u, p), jacobi(u, q)) for u in padding.elements)
             else:
-                classes = _root_classes(padding.elements, padding.roots, p, q)
+                classes = _root_classes(padding.elements, padding.roots, *at)
             flaws = _padding_flaws(padding.elements, classes, p * q)
             if flaws:
                 raise ValueError(f"unsafe padding set: {flaws[0]}")
             padding = PaddingSet(padding.elements, classes, padding.roots)
-        return cls(kind, p, q, redundancy, padding)
+        return cls(kind, p, q, redundancy, padding, at)
 
 
-def _root_classes(elements, roots, p: int, q: int) -> tuple[tuple[int, int], ...]:
+def _root_classes(elements, roots, at_p: _PrimeRoots, at_q: _PrimeRoots) -> tuple[tuple[int, int], ...]:
     """((u/p), (u/q)) per element u, read off its root w by squaring.
 
     w**2 = u mod a prime shows u a residue, and w**2 * z = u, z the prime's
@@ -392,17 +409,18 @@ def _root_classes(elements, roots, p: int, q: int) -> tuple[tuple[int, int], ...
     if len(roots) != len(elements):
         raise ValueError(f"a padding set has a root per element, not {len(roots)} roots for {len(elements)}")
 
-    def symbol(i: int, prime: int, z: int) -> int:
+    def symbol(i: int, at: _PrimeRoots) -> int:
+        prime = at.p
         u, square = elements[i] % prime, roots[i] * roots[i] % prime
         if square == u:
             return 1
-        if square * z % prime == u:
+        if square * at.z % prime == u:
             return -1
         # the root is as secret as p, so the message names only its place
         raise ValueError(f"the root of padding element {i + 1} is no root of it over a Jacobi class")
 
-    zp, zq = _PrimeRoots(p).z, _PrimeRoots(q).z  # a set that covers the four classes needs both
-    return tuple((symbol(i, p, zp), symbol(i, q, zq)) if u % p and u % q else (0, 0) for i, u in enumerate(elements))
+    p, q = at_p.p, at_q.p
+    return tuple((symbol(i, at_p), symbol(i, at_q)) if u % p and u % q else (0, 0) for i, u in enumerate(elements))
 
 
 def gen_keypair(kind: str, bits: int, redundancy=IDENTITY, rng=None) -> KeyPair:
@@ -410,8 +428,9 @@ def gen_keypair(kind: str, bits: int, redundancy=IDENTITY, rng=None) -> KeyPair:
 
     The primes come straight from gen_prime, so the key is built without the
     re-certification that KeyPair.from_primes gives untrusted primes, and
-    they keep their proofs for its key file.  Raises ValueError for more than
-    MAX_PRIME_BITS bits.
+    they keep their proofs for its key file.  A general key keeps the root
+    constants of p and q that its padding set's roots built.  Raises
+    ValueError for more than MAX_PRIME_BITS bits.
     """
     if kind not in KINDS:
         raise ValueError(f"unknown key kind {kind!r}")
@@ -423,11 +442,11 @@ def gen_keypair(kind: str, bits: int, redundancy=IDENTITY, rng=None) -> KeyPair:
     q = gen_prime(bits, q_constraint, rng)
     while q == p:
         q = gen_prime(bits, q_constraint, rng)
-    padding = None
-    if kind == "general":
-        idem = crt_idempotents(p, q)
-        padding = build_padding_set(p, q, idem.psi1, idem.psi2, rng)
-    return KeyPair(kind, p, q, redundancy, padding)
+    if kind != "general":
+        return KeyPair(kind, p, q, redundancy)
+    idem = crt_idempotents(p, q)
+    padding = build_padding_set(p, q, idem.psi1, idem.psi2, rng, idem)
+    return KeyPair(kind, p, q, redundancy, padding, (idem.at_p, idem.at_q))
 
 
 # ---------------------------------------------------------------------------
@@ -437,13 +456,25 @@ def gen_keypair(kind: str, bits: int, redundancy=IDENTITY, rng=None) -> KeyPair:
 # break may be left out.  A private key file may add p_proof and q_proof, each
 # chain's steps in decimal separated by single spaces, f1 b1 f2 b2 ...; a
 # prime below 2**64 has none.  A private general key file may add u1_root ..
-# u4_root, all four or none: each padding element's root over its class.
+# u4_root, all four or none: each padding element's root over its class.  It
+# may add, per prime, the root constants that cost an exponentiation
+# (_prime_constants): p_zpow and q_zpow, and p_half_root and q_half_root.
 
 KEY_MAGIC = "rabin-key v1"
 
 _PROOF_FORM = "pairs 'f1 b1 f2 b2 ...' of a factor and its witness"
 _DECIMAL = re.compile(r"0|[1-9][0-9]*")
 _DECIMALS = re.compile(rf"(?:{_DECIMAL.pattern})(?: (?:{_DECIMAL.pattern}))*")
+
+
+def _prime_constants(kind: str, prime: int) -> tuple[str, ...]:
+    """The _PrimeRoots constants a private key file holds for a prime of a `kind` key.
+
+    zpow for a prime that is 1 mod 4, whose z is no -1, and half_root on an
+    rw key: each costs an exponentiation to compute and a few squarings to
+    certify (_PrimeRoots.know_zpow, know_half_root).
+    """
+    return ("zpow",) * (prime % 4 == 1) + ("half_root",) * (kind == "rw")
 
 
 def _public_fields(pub: PublicKey | KeyPair) -> dict:
@@ -462,6 +493,8 @@ def dump_private(key: KeyPair) -> str:
     if key.padding is not None and key.padding.roots is not None:  # each the least of its lifts: one file per key
         fields.update((f"u{i}_root", _canonical_lift(w % key.p, w % key.q, key.idem))
                       for i, w in enumerate(key.padding.roots, start=1))
+    for name, prime, at in (("p", key.p, key.idem.at_p), ("q", key.q, key.idem.at_q)):
+        fields.update((f"{name}_{c}", getattr(at, c)) for c in _prime_constants(key.kind, prime))
     for name, prime in (("p_proof", key.p), ("q_proof", key.q)):
         if chain := getattr(prime, "chain", ()):
             fields[name] = " ".join(str(x) for step in chain for x in step)
@@ -526,7 +559,9 @@ def parse_key(text: str, path_hint: str = "key file") -> KeyPair | PublicKey:
     which KeyPair.from_primes checks in place of the 40-round test, and a
     general key's u1_root .. u4_root, by which it certifies the padding
     classes in place of Jacobi symbols.  Each root must be the least of its
-    four lifts mod N, so that a key has one file.  An N
+    four lifts mod N, so that a key has one file.  Each of a prime's
+    _prime_constants may be there too, certified by a few squarings and
+    handed to the key's ring; an error names its field, never its value.  An N
     above 2*MAX_PRIME_BITS bits is refused before any arithmetic on it.  A
     public file's padding set gets the checks that need no factor of N: each
     element is a unit below N and no square root of unity, and no difference
@@ -566,6 +601,8 @@ def parse_key(text: str, path_hint: str = "key file") -> KeyPair | PublicKey:
     p, q = record.proven(p, "p_proof"), record.proven(q, "q_proof")
     if padding is not None and any(f"u{i}_root" in record for i in range(1, 5)):  # all four or none
         padding = PaddingSet(padding.elements, roots=tuple(record.integer(f"u{i}_root") for i in range(1, 5)))
+    constants = {(i, c): record.integer(f"{name}_{c}") for i, (name, prime) in enumerate((("p", p), ("q", q)))
+                 for c in _prime_constants(kind, prime) if f"{name}_{c}" in record}
     record.done()
     if p * q != n:
         raise KeyFormatError(f"N does not equal p*q in {path_hint}")
@@ -584,4 +621,7 @@ def parse_key(text: str, path_hint: str = "key file") -> KeyPair | PublicKey:
             w_e = w * e % n
             if w != min(w, n - w, w_e, n - w_e):
                 raise KeyFormatError(f"root of padding element {i} is not the least of its four lifts in {path_hint}")
+    for (i, c), value in constants.items():
+        if not getattr(key._prime_roots[i], f"know_{c}")(value):  # each reveals p: the message names only its field
+            raise KeyFormatError(f"field '{'pq'[i]}_{c}' fails its check in {path_hint}")
     return key

@@ -12,9 +12,11 @@ one checked root, returns them sorted, the canonical root first.
 The one ring object, _KeyRoots, holds p, q, n = p*q, psi1 and psi2, and
 the constants a root needs, each computed on its first use.  Per prime they
 are the root exponent, a non-residue z and its powers for Tonelli-Shanks,
-the one root algorithm, and 2**(-(p+1)/4) for the rw signer; per padding
-element, its root over its class (_KeyRoots.unit_roots), which a private
-key that stores it hands over instead (know_unit_roots).  crt_idempotents
+the one root algorithm, and 2**(-(p+1)/4) for the rw signer (_PrimeRoots);
+per padding element, its root over its class (_KeyRoots.unit_roots).  A
+private key that stores them hands them over instead (know_prime_roots,
+know_unit_roots), each prime constant certified by a few squarings
+(_PrimeRoots.know_zpow, know_half_root).  crt_idempotents
 is the one ring constructor, and the ring is the only modulus argument of
 every CRT and root function (`idem`).  KeyPair.idem keeps its key's
 ring.  Each constant is fixed by its prime and written once, so a
@@ -192,7 +194,8 @@ class _KeyRoots:
     psi1 is 1 mod p and 0 mod q; psi2 is 0 mod p and 1 mod q.  They satisfy
     psi1 + psi2 = 1, psi1 * psi2 = 0 and psi_i**2 = psi_i, all mod p*q.  The
     root constants of p and of q (at_p, at_q) are built on the first root
-    taken, so a ring that only lifts computes no Jacobi symbol.
+    taken, unless a key hands them over (know_prime_roots), so a ring that
+    only lifts computes no Jacobi symbol.
     """
 
     def __init__(self, p: int, q: int, psi1: int, psi2: int):
@@ -217,6 +220,12 @@ class _KeyRoots:
     def know_unit_roots(self, elements, roots) -> None:
         """Take unit_roots from a root mod n of each element over its class, as a private key holds them."""
         self._unit_roots.update((u, (w % self.p, w % self.q)) for u, w in zip(elements, roots))
+
+    def know_prime_roots(self, at_p: "_PrimeRoots", at_q: "_PrimeRoots") -> None:
+        """Take at_p and at_q as a private key holds them, with whatever constants they know."""
+        if (at_p.p, at_q.p) != (self.p, self.q):
+            raise ValueError("root constants of other primes")
+        self.at_p, self.at_q = at_p, at_q
 
 
 def crt_idempotents(p: int, q: int) -> _KeyRoots:
@@ -265,7 +274,8 @@ class _PrimeRoots:
     in Computational Algebraic Number Theory", Alg. 1.5.1).  z is a
     non-residue: -1 for p = 3 mod 4, the least one for p = 1 mod 4.  The
     powers of z that a non-residue needs, and 2**(-(p+1)/4) for the rw
-    signer, are computed on the first call that needs them.
+    signer, are computed on the first call that needs them, one modexp
+    each, unless a key file handed them over (know_zpow, know_half_root).
     """
 
     def __init__(self, p: int):
@@ -276,18 +286,55 @@ class _PrimeRoots:
         self.z = -1 if p % 4 == 3 else least_nonresidue(p)
 
     @cached_property
+    def zpow(self) -> int:
+        """z**exp for p = 1 mod 4, from one modexp: what z_powers needs."""
+        return pow(self.z, self.exp, self.p)
+
+    @cached_property
     def z_powers(self) -> tuple[int, int]:
-        """zh and z**d, with zh**2 = z * z**d: z**((d+1)/2) from one modexp, or (1, -1) for z = -1."""
+        """zh and z**d, with zh**2 = z * z**d: zpow times z and zpow**2 times z, or (1, -1) for z = -1."""
         if self.z == -1:
             return 1, self.p - 1
-        y = pow(self.z, self.exp, self.p)
-        zh = y * self.z % self.p
-        return zh, zh * y % self.p
+        zh = self.zpow * self.z % self.p
+        return zh, zh * self.zpow % self.p
 
     @cached_property
     def half_root(self) -> int:
-        """2**(-(p+1)/4) for p = 3 mod 4, a square root of (2/p)/2."""
-        return pow(2, -(self.exp + 1), self.p)
+        """2**(-(p+1)/4) for p = 3 mod 4, or p minus it, whichever is below p/2: a square root of (2/p)/2."""
+        c = pow(2, -(self.exp + 1), self.p)
+        return min(c, self.p - c)
+
+    def know_zpow(self, y: int) -> bool:
+        """Take zpow = y, as a key file holds it, if 0 < y < p and y**2 * z has order 2**s.
+
+        s - 1 squarings show that order, and it is all Tonelli-Shanks needs of
+        z**d = zpow**2 * z: its powers are the roots of unity of order 2**s,
+        and zh**2 = z * z**d holds for any y.  So a y that passes gives the
+        roots that z**exp gives, up to sign, and each signer that takes them
+        emits the canonical lift, which no sign changes.  Returns whether y passes.
+        """
+        p = self.p
+        if not 0 < y < p:
+            return False
+        zd = y * y * self.z % p
+        for _ in range(self.s - 1):
+            zd = zd * zd % p
+        if zd != p - 1:
+            return False
+        self.zpow = y
+        return True
+
+    def know_half_root(self, c: int) -> bool:
+        """Take half_root = c, as a key file holds it, if 0 < c < p/2 and 2 * c**2 = (2/p); returns whether c passes.
+
+        For p = 3 mod 4, where (2/p) is 1 for p = 7 mod 8 and -1 for p = 3 mod 8:
+        c is then the one value that half_root gives.
+        """
+        p = self.p
+        if not 0 < 2 * c < p or 2 * c * c % p != (1 if p % 8 == 7 else p - 1):
+            return False
+        self.half_root = c
+        return True
 
     def root_over_class(self, u: int) -> int:
         """A root of u, or of u/z when u is a non-residue."""

@@ -6,12 +6,16 @@ N-1 and N values; a line's own value plus a multiple of N; N moved to
 another odd class mod 8; lists of decimals for the primality proofs; a
 general key's padding element set to a square root of 1 or to another
 element plus a prime factor of N; a private general key's padding root
-dropped, repeated, swapped with another or with one digit changed; dropped,
+dropped, repeated, swapped with another or with one digit changed; a
+prime's root constant dropped, repeated or with one digit changed; dropped,
 repeated and added lines; a byte that is not UTF-8) and runs one
 `verify`, `sign` or file-driven `attack` command through `cli.main`.
 Whatever the files hold, the command must end with an exit code from 0 to 3
 and raise nothing.  A signature file whose component or message is its own
-value plus a multiple of N never verifies against its key.
+value plus a multiple of N never verifies against its key.  A key file
+without a root constant signs as the whole file does, and one with a root
+constant repeated or changed is refused, unless the changed constant still
+passes its check: then it signs as the whole file does.
 """
 
 import io
@@ -27,13 +31,14 @@ from hypothesis import strategies as st
 
 from rabinsig.cli import main
 from rabinsig.hashing import IDENTITY, QUADRATIC, RedundancySpec
-from rabinsig.keygen import dump_private, dump_public, gen_keypair
+from rabinsig.keygen import dump_private, dump_public, gen_keypair, parse_key
 from rabinsig.numtheory import sqrt_of_unity_nontrivial
 from rabinsig.schemes import SCHEME_TAGS, dump_signature, sign
 
 ROOT_NAMES = ("u1_root", "u2_root", "u3_root", "u4_root")
+CONSTANT_NAMES = ("p_zpow", "q_zpow", "p_half_root", "q_half_root")
 FIELD_NAMES = ("kind", "hash", "N", "u1", "u2", "u3", "u4", "p", "q", "psi1", "psi2", "p_proof", "q_proof", *ROOT_NAMES,
-               "scheme", "message", "message-digest", "U", "u", "S", "T", "F", "R3", "e", "f")
+               *CONSTANT_NAMES, "scheme", "message", "message-digest", "U", "u", "S", "T", "F", "R3", "e", "f")
 JUNK_NAMES = ("", "x", "n", "N N", "u5", "psi3", "message_digest", "ل")
 WORDS = ("general", "blum", "rw", "identity", "quadratic", "digest", "digest:sha256",
          "digest:shake_128", "digest:no-such-hash", *SCHEME_TAGS)
@@ -45,7 +50,9 @@ def corpus():
     """Small fixed keys, each dumped public and private, and one signature file per scheme; each with its N.
 
     The primes of the proven key exceed 2**64, so its private file carries p_proof and q_proof.
-    Last, by N, the values that make a padding set unsafe with no factor needed to see it.
+    The general key's primes are 1 mod 4, so its private file carries p_zpow and q_zpow, and
+    the rw key's carries p_half_root and q_half_root.  Last, by N, the values that make a
+    padding set unsafe with no factor needed to see it.
     """
     rng = random.Random(20240501)
     keys = {
@@ -94,6 +101,7 @@ def _edits(n, unsafe):
         st.tuples(st.just("shift"), index, st.integers(1, 3)),
         st.tuples(st.just("recast"), st.integers(1, 3)),
         _root_edits(),
+        _constant_edits(),
     ), max_size=4)
 
 
@@ -101,6 +109,28 @@ def _root_edits():
     """An edit of padding root i: drop it, repeat it, swap its value with root j != i, or change one digit."""
     return st.tuples(st.sampled_from(("root-drop", "root-repeat", "root-swap", "root-digit")), st.integers(1, 4),
                      st.integers(1, 3), st.integers(0, 1 << 16), st.integers(1, 9))
+
+
+def _constant_edits():
+    """An edit of a prime's root constant: drop it, repeat it, or change one digit."""
+    return st.tuples(st.sampled_from(("constant-drop", "constant-repeat", "constant-digit")),
+                     st.sampled_from(CONSTANT_NAMES), st.integers(0, 1 << 16), st.integers(1, 9))
+
+
+def _edit_line(lines, k, op, at, step):
+    """`lines` with line k dropped, repeated, or with the digit at `at` of its value raised by `step` mod 10."""
+    name, _, value = lines[k].partition(" = ")
+    if op == "drop":
+        del lines[k]
+    elif op == "repeat":
+        lines.insert(k, lines[k])
+    elif op == "digit":  # never to a leading zero
+        at %= len(value)
+        digit = (int(value[at]) + step) % 10
+        if at == 0 and digit == 0 and len(value) > 1:
+            digit = int(value[0]) % 9 + 1
+        lines[k] = f"{name} = {value[:at]}{digit}{value[at + 1:]}"
+    return lines
 
 
 def _edit_root(lines, edit):
@@ -111,21 +141,20 @@ def _edit_root(lines, edit):
     if f"u{i}_root" not in where:
         return lines
     k = where[f"u{i}_root"]
-    name, _, value = lines[k].partition(" = ")
-    if op == "root-drop":
-        del lines[k]
-    elif op == "root-repeat":
-        lines.insert(k, lines[k])
-    elif op == "root-swap" and f"u{j}_root" in where:
-        other = where[f"u{j}_root"]
-        lines[k], lines[other] = f"{name} = {lines[other].partition(' = ')[2]}", f"u{j}_root = {value}"
-    elif op == "root-digit":  # the digit at `at` raised by `step` mod 10, never to a leading zero
-        at %= len(value)
-        digit = (int(value[at]) + step) % 10
-        if at == 0 and digit == 0 and len(value) > 1:
-            digit = int(value[0]) % 9 + 1
-        lines[k] = f"{name} = {value[:at]}{digit}{value[at + 1:]}"
-    return lines
+    if op == "root-swap":
+        if f"u{j}_root" in where:
+            other = where[f"u{j}_root"]
+            lines[k], lines[other] = (f"u{i}_root = {lines[other].partition(' = ')[2]}",
+                                      f"u{j}_root = {lines[k].partition(' = ')[2]}")
+        return lines
+    return _edit_line(lines, k, op.removeprefix("root-"), at, step)
+
+
+def _edit_constant(lines, edit):
+    """`lines` after one of _constant_edits; lines without that constant are left as they are."""
+    op, name, at, step = edit
+    k = next((k for k, line in enumerate(lines) if line.startswith(f"{name} = ")), None)
+    return lines if k is None else _edit_line(lines, k, op.removeprefix("constant-"), at, step)
 
 
 def _shift(line, k, n):
@@ -156,6 +185,8 @@ def _apply(text, edits, n):
             lines = [f"u{edit[1]} = {edit[2]}" if line.startswith(f"u{edit[1]} = ") else line for line in lines]
         elif op.startswith("root-"):
             lines = _edit_root(lines, edit)
+        elif op.startswith("constant-"):
+            lines = _edit_constant(lines, edit)
     return "\n".join(lines) + "\n"
 
 
@@ -244,3 +275,49 @@ def test_an_edited_padding_root_exits_3(corpus, data):
         with redirect_stdout(io.StringIO()), redirect_stderr(err):
             code = main(["sign", "--key", str(key), "--scheme", scheme, "--message", "5", "--out", str(out)])
     assert code == 3, (edit, err.getvalue())
+
+
+def _signed_with(text, pub_text, scheme):
+    """`sign` with the key file `text`: its exit code, whether the signature verifies under pub_text, and the signature."""
+    with tempfile.TemporaryDirectory() as tmp:
+        key, pub, out = Path(tmp) / "fuzz.key", Path(tmp) / "fuzz.key.pub", Path(tmp) / "out.sig"
+        key.write_text(text)
+        pub.write_text(pub_text)
+        with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
+            code = main(["sign", "--key", str(key), "--scheme", scheme, "--message", "5", "--out", str(out),
+                         "--seed", "1"])
+            valid = code == 0 and main(["verify", "--pub", str(pub), "--sig", str(out)]) == 0
+        return code, valid, out.read_text() if code == 0 else None
+
+
+def _constant_key(corpus, name):
+    """The private file that holds the constant `name`, its N and public file, and the scheme that signs with it."""
+    text, n = next((text, n) for text, n in corpus[0] if f"\n{name} = " in text)
+    return text, n, dump_public(parse_key(text)), "general" if "\nkind = general\n" in text else "rw"
+
+
+@pytest.mark.parametrize("name", CONSTANT_NAMES)
+def test_a_key_file_without_a_root_constant_signs_the_same(corpus, name):
+    text, n, pub_text, scheme = _constant_key(corpus, name)
+    edited = _apply(text, [("constant-drop", name, 0, 1)], n)
+    assert edited != text
+    code, valid, sig = _signed_with(edited, pub_text, scheme)
+    assert code == 0 and valid and sig == _signed_with(text, pub_text, scheme)[2]
+
+
+@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(data=st.data())
+def test_an_edited_root_constant_exits_3_or_signs_the_same(corpus, data):
+    # a repeated field, or a changed digit: the half root is the one value below p/2 that passes, so
+    # any other is refused; z**exp has 2**s values that pass, and one that does signs as z**exp does
+    # (on the general key's 5-mod-8 prime they are +-y and +-(y - 1), one digit apart)
+    edit = data.draw(st.tuples(st.sampled_from(("constant-repeat", "constant-digit")), st.sampled_from(CONSTANT_NAMES),
+                               st.integers(0, 1 << 16), st.integers(1, 9)))
+    text, n, pub_text, scheme = _constant_key(corpus, edit[1])
+    edited = _apply(text, [edit], n)
+    assert edited != text
+    code, valid, sig = _signed_with(edited, pub_text, scheme)
+    if edit[0] == "constant-digit" and edit[1].endswith("_zpow") and code != 3:
+        assert code == 0 and valid and sig == _signed_with(text, pub_text, scheme)[2], edit
+    else:
+        assert code == 3, edit

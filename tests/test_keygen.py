@@ -273,6 +273,17 @@ class TestPaddingSet:
         with pytest.raises(ValueError, match="not the idempotents"):
             build_padding_set(p, q, idem.psi2, idem.psi1, rng)
 
+    def test_a_ring_of_other_primes_is_refused_and_the_given_ring_keeps_its_constants(self):
+        # gen_keypair passes its ring of p and q, whose root constants the multipliers' roots build
+        rng = random.Random(6)
+        p, q = gen_prime(64, "none", rng), gen_prime(64, "none", rng)
+        idem, other = crt_idempotents(p, q), crt_idempotents(q, p)
+        with pytest.raises(ValueError, match="ring is not the ring of p and q"):
+            build_padding_set(p, q, idem.psi1, idem.psi2, rng, other)
+        assert "at_p" not in vars(idem)
+        build_padding_set(p, q, idem.psi1, idem.psi2, rng, idem)
+        assert {"at_p", "at_q"} <= vars(idem).keys()
+
     def test_class_coverage_detected(self):
         flaws = padding_set_flaws((2, 2 * 4 % 77, 2 * 9 % 77, 24), 7, 11)
         assert any("classes" in f for f in flaws)
@@ -1038,3 +1049,177 @@ def test_padding_roots_stay_private():
     # like a chain, the roots take no part in == or hash
     bare = dataclasses.replace(key, padding=PaddingSet(key.padding.elements, key.padding.classes))
     assert bare == key and hash(bare) == hash(key)
+
+
+# ---------------------------------------------------------------------------
+# Root constants of the primes, carried by private general and rw keys
+
+CONSTANT_FIELDS = ("p_zpow", "q_zpow", "p_half_root", "q_half_root")
+
+
+@functools.cache
+def rw_key() -> KeyPair:
+    """An rw key on proven 80-bit primes."""
+    return gen_keypair("rw", 80, IDENTITY, random.Random("rw-constants"))
+
+
+def _constant_keys() -> dict[str, KeyPair]:
+    # each constant field of a key that holds it: rooted_key's p is 1 mod 8 and its q 3 mod 4
+    return {"p_zpow": rooted_key(), "p_half_root": rw_key(), "q_half_root": rw_key()}
+
+
+def _filed(text: str, field: str) -> int:
+    return int(re.search(rf"^{field} = (\d+)$", text, re.M)[1])
+
+
+def _with_constant(text: str, field: str, value) -> str:
+    return re.sub(rf"^{field} = \d+$", f"{field} = {value}", text, flags=re.M)
+
+
+def _without_constants(text: str) -> str:
+    return "".join(line for line in text.splitlines(keepends=True) if not line.startswith(CONSTANT_FIELDS))
+
+
+def _refused_naming_no_digit(text, match, tmp_path, monkeypatch, capsys):
+    """_refused_everywhere, where neither parse_key's message nor the command's holds a digit: a constant reveals p."""
+    capsys.readouterr()
+    _refused_everywhere(text, tmp_path, monkeypatch, match)
+    err = capsys.readouterr().err.replace(str(tmp_path / "tampered.key"), "")
+    with pytest.raises(KeyFormatError) as caught:
+        parse_key(text)
+    assert err and not re.search(r"\d", err + str(caught.value))
+
+
+def test_each_key_file_holds_the_constants_its_primes_need():
+    # z**exp for a 1-mod-4 prime, and 2**(-(p+1)/4), or p minus it, below p/2 on an rw key
+    key = rooted_key()
+    text = dump_private(key)
+    assert [line.split(" = ")[0] for line in text.splitlines() if line.startswith(CONSTANT_FIELDS)] == ["p_zpow"]
+    s = ((key.p - 1) & (1 - key.p)).bit_length() - 1
+    d = (key.p - 1) >> s
+    assert _filed(text, "p_zpow") == pow(numtheory.least_nonresidue(key.p), (d - 1) // 2, key.p)
+    rw = rw_key()
+    text = dump_private(rw)
+    for name, prime in (("p", rw.p), ("q", rw.q)):
+        c = _filed(text, f"{name}_half_root")
+        assert c in (pow(2, -(prime + 1) // 4, prime), prime - pow(2, -(prime + 1) // 4, prime)) and 2 * c < prime
+    assert not any(line.startswith(CONSTANT_FIELDS) for line in dump_private(gen_keypair("blum", 80, IDENTITY,
+                                                                                           random.Random(1))).splitlines())
+
+
+def _bad_constants(field: str) -> dict:
+    key = _constant_keys()[field]
+    value, prime = _filed(dump_private(key), field), getattr(key, field[0])
+    return {
+        "digit": str(value)[:-1] + str((int(str(value)[-1]) + 1) % 10),
+        "zero": 0,
+        "p-1": prime - 1,
+        "plus-p": value + prime,
+    }
+
+
+@pytest.mark.parametrize("edit", ["digit", "zero", "p-1", "plus-p"])
+@pytest.mark.parametrize("field", list(_constant_keys()))
+def test_a_constant_that_fails_its_check_is_refused(field, edit, tmp_path, monkeypatch, capsys):
+    text = dump_private(_constant_keys()[field])
+    edited = _with_constant(text, field, _bad_constants(field)[edit])
+    assert edited != text
+    _refused_naming_no_digit(edited, f"field '{field}' fails its check", tmp_path, monkeypatch, capsys)
+
+
+def test_constant_lines_stand_only_where_their_prime_needs_them(tmp_path, monkeypatch, capsys):
+    key, rw = rooted_key(), rw_key()
+    text = dump_private(key)
+    line = f"p_zpow = {_filed(text, 'p_zpow')}\n"
+    _refused_naming_no_digit(text + line, "duplicate field 'p_zpow'", tmp_path, monkeypatch, capsys)
+    # q is 3 mod 4, whose z = -1 needs no constant
+    _refused_naming_no_digit(text + line.replace("p_", "q_"), re.escape("unexpected fields ['q_zpow']"),
+                             tmp_path, monkeypatch, capsys)
+    half = "".join(line for line in dump_private(rw).splitlines(keepends=True) if "_half_root" in line)
+    _refused_naming_no_digit(text + half, "unexpected fields", tmp_path, monkeypatch, capsys)
+    blum = dump_private(gen_keypair("blum", 80, IDENTITY, random.Random(1)))
+    _refused_naming_no_digit(blum + half, "unexpected fields", tmp_path, monkeypatch, capsys)
+    for public in (dump_public(key) + line, dump_public(rw) + half):
+        _refused_naming_no_digit(public, "unexpected fields", tmp_path, monkeypatch, capsys)
+
+
+def test_an_earlier_file_loads_signs_the_same_and_gains_the_constants():
+    for key in (rooted_key(), rw_key()):
+        text = dump_private(key)
+        earlier = _without_constants(text)
+        assert earlier != text
+        parsed, full = parse_key(earlier), parse_key(text)
+        assert parsed == full == key and dump_private(parsed) == text
+        scheme = "general" if key.kind == "general" else "rw"
+        for target in ((1, 1), (1, -1), (-1, 1), (-1, -1)):
+            m = next(m for m in range(2, key.n) if (jacobi(m, key.p), jacobi(m, key.q)) == target)
+            signed = sign(parse_key(earlier), m, scheme)
+            assert signed == sign(parse_key(text), m, scheme) == sign(key, m, scheme)
+            assert verify(key.public(), signed).valid
+
+
+def _five_mod_8_key() -> KeyPair:
+    # the first 64-bit general key from gen_keypair whose p is 5 mod 8
+    return next(key for key in (gen_keypair("general", 64, IDENTITY, random.Random(f"5mod8/{i}"))
+                                for i in range(100)) if key.p % 8 == 5)
+
+
+def test_any_zpow_that_passes_signs_the_same():
+    # p - y squares as y does, so it passes, and so does y*i for i = z**d, a root of -1 when p = 5 mod 8;
+    # there z = 2 and y = +-1/(1 - i), so y*i is y - 1 or y + 1; each signs as y does, up to the sign of
+    # a root, which the canonical lift takes away
+    for key in (rooted_key(), _five_mod_8_key()):
+        text = dump_private(key)
+        y, p = _filed(text, "p_zpow"), key.p
+        others = [p - y]
+        if p % 8 == 5:
+            i = y * y * 2 % p
+            assert y * i % p in (y - 1, y + 1)
+            others.append(y * i % p)
+        for value in others:
+            edited = _with_constant(text, "p_zpow", value)
+            parsed = parse_key(edited)
+            assert parsed == key and dump_private(parsed) == edited
+            for m in range(2, 40):
+                if math.gcd(m, key.n) == 1:
+                    assert sign(parsed, m, "general") == sign(key, m, "general")
+
+
+def test_loading_the_constants_takes_no_exponentiation_and_builds_no_ring(monkeypatch):
+    keys = (rooted_key(), rw_key())
+    texts = [dump_private(key) for key in keys]
+    powers = []
+
+    def recorded(base, exp, mod=None):
+        if mod is not None and mod >= 1 << 64 and exp not in {f for key in keys for prime in (key.p, key.q)
+                                                             for f, _ in prime.chain}:
+            powers.append((exp, mod))
+        return pow(base, exp, mod)
+
+    for module in (numtheory, keygen):
+        monkeypatch.setattr(module, "pow", recorded, raising=False)
+        monkeypatch.setattr(module, "crt_idempotents", lambda p, q: pytest.fail("crt_idempotents called"))
+    parsed = [parse_key(text) for text in texts]
+    assert powers == [] and not any("idem" in vars(key) for key in parsed)
+    monkeypatch.undo()
+    assert parsed == list(keys)
+
+
+def test_prime_constants_stay_private():
+    for key in (rooted_key(), rw_key()):
+        text = dump_private(key)
+        parsed = parse_key(text)
+        values = [_filed(text, field) for field in CONSTANT_FIELDS if f"\n{field} = " in text]
+        shown = repr(parsed) + dump_public(parsed) + repr(parsed.public()) + dump_public(parsed.public())
+        assert values and not any(str(v) in shown for v in values)
+        # like a chain, the constants take no part in == or hash
+        bare = parse_key(_without_constants(text))
+        assert bare == parsed and hash(bare) == hash(parsed) and repr(bare) == repr(parsed)
+
+
+def test_a_key_refuses_the_root_constants_of_other_primes():
+    # prime_roots is handed to the key's ring as it is, so a pair for other primes must not reach a signer
+    for at in ((numtheory._PrimeRoots(11), numtheory._PrimeRoots(7)), (numtheory._PrimeRoots(7),) * 2):
+        with pytest.raises(ValueError, match="root constants of other primes"):
+            KeyPair("blum", 7, 11, IDENTITY, prime_roots=at).idem
+    assert KeyPair("blum", 7, 11, IDENTITY, prime_roots=(numtheory._PrimeRoots(7), numtheory._PrimeRoots(11))).n == 77

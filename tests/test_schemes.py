@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import math
 import random
 
@@ -314,11 +315,11 @@ class TestJacobiBudget:
     sees Euler's criterion, and on a 3-mod-4 prime takes a**((p+1)/4), whose
     square is (a/p)*a.  The only Jacobi symbols left are the least-non-residue
     search of a 1-mod-4 prime, made once when the key builds its constants.
-    The other constants take one modexp each on first use: the powers of z
-    on a 1-mod-4 prime (for z = -1 on a 3-mod-4 prime they take none, as
-    TestColdKeys pins), 2**(-(p+1)/4), and a root per padding element on a
-    key whose padding set holds no roots (a private key file's roots stand
-    in for them, as TestColdKeys pins too).
+    The other constants take one modexp each on first use, on a key that
+    was not handed them: the powers of z on a 1-mod-4 prime (for z = -1 on
+    a 3-mod-4 prime they take none), 2**(-(p+1)/4), and a root per padding
+    element.  A private key file holds each of them, and TestColdKeys pins
+    that its key's first signature takes none.
     """
 
     KEYS = {kind: gen_keypair(kind, 64, IDENTITY, random.Random(f"budget/{kind}")) for kind in ("blum", "rw")}
@@ -426,13 +427,13 @@ CLASSES = ((1, 1), (1, -1), (-1, 1), (-1, -1))
 class TestColdKeys:
     """A key fresh from parse_key signs its first message at the signer's floor.
 
+    Its first signature, in every class ((h/p), (h/q)), takes the same
+    full-size modexps as any later one: one per prime, and two for variant1.
     The constants of a 3-mod-4 prime (z = -1 and its powers) take no
-    exponentiation, so a blum or rw key's first signature, in every class
-    ((h/p), (h/q)), takes the same full-size modexps as any later one.  A
-    general key's file holds each padding element's root, so its first
-    general signature takes no root of the element either: one modexp per
-    prime in every class on 3-mod-4 primes, and two on 1-mod-4 primes, whose
-    Tonelli-Shanks steps build the powers of z on the first root.
+    exponentiation, and the key file holds each constant that does: z**exp
+    of a 1-mod-4 prime, whose Tonelli-Shanks steps need the powers of z,
+    2**(-(p+1)/4) on an rw key, whose classes that differ take f = 2, and a
+    general key's root of each padding element.
     """
 
     modexps = TestJacobiBudget.modexps  # counted as the budget counts them
@@ -440,11 +441,10 @@ class TestColdKeys:
     @pytest.mark.parametrize("scheme,kind,per_prime,target", [
         *(("variant2", "blum", 1, target) for target in CLASSES),
         *(("variant1", "blum", 2, target) for target in CLASSES),
-        ("rw", "rw", 1, (1, 1)), ("rw", "rw", 1, (-1, -1)),
-        # classes that differ take f = 2, and 2**(-(p+1)/4) is one more modexp per prime
-        ("rw", "rw", 2, (1, -1)), ("rw", "rw", 2, (-1, 1)),
+        # classes that differ take f = 2, and 2**(-(p+1)/4) from the key file
+        *(("rw", "rw", 1, target) for target in ((1, 1), (-1, -1), (1, -1), (-1, 1))),
         *(("general", "general-3mod4", 1, target) for target in CLASSES),
-        *(("general", "general", 2, target) for target in CLASSES),
+        *(("general", "general", 1, target) for target in CLASSES),
     ])
     def test_first_signature_takes_the_floor(self, modexps, rng, scheme, kind, per_prime, target):
         key = TestJacobiBudget.KEYS[kind]
@@ -453,6 +453,20 @@ class TestColdKeys:
         modexps.clear()  # the proofs parse_key checks take modexps of their own
         sig = sign(cold, m, scheme, rng=rng)
         assert sorted(modexps) == sorted([key.p, key.q] * per_prime)
+        assert verify(key, sig).valid
+
+    @pytest.mark.parametrize("target", CLASSES)
+    def test_a_fresh_general_key_keeps_the_constants_of_its_padding_roots(self, modexps, rng, target):
+        # gen_keypair hands the key the powers of z that the roots of its padding multipliers built;
+        # the first 64-bit key whose primes are both 1 mod 4, so that each has a z**exp
+        key = next(key for key in (gen_keypair("general", 64, IDENTITY, random.Random(f"fresh/{target}/{i}"))
+                                   for i in itertools.count()) if key.p % 4 == key.q % 4 == 1)
+        m = next(m for m in range(2, key.n) if (jacobi(m, key.p), jacobi(m, key.q)) == target)
+        modexps.clear()
+        text = dump_private(key)
+        assert "\np_zpow = " in text and "\nq_zpow = " in text and modexps == []
+        sig = sign(key, m, "general", rng=rng)
+        assert sorted(modexps) == sorted([key.p, key.q])
         assert verify(key, sig).valid
 
 
