@@ -7,7 +7,6 @@ Key kinds:
   rw       -- one prime congruent to 3 and the other to 7 mod 8
 """
 
-import functools
 import math
 import re
 from dataclasses import InitVar, dataclass, field
@@ -295,11 +294,13 @@ class PublicKey:
 class KeyPair:
     """A private key: its primes, with N, psi1 and psi2 read from their ring (idem).
 
-    A proven p or q is a ProvenPrime, whose chain is as secret as the prime:
-    it acts as its int, so like idem the chain stays out of ==, hash, repr and public().
-    prime_roots, the root constants of p and q (numtheory._PrimeRoots) as
-    from_primes or gen_keypair built them, is no field either: __init__
-    takes it, and idem hands it to the key's ring.
+    idem, the ring of p and q (numtheory._KeyRoots), is the key's one store
+    of derived constants.  __init__ takes it as `ring`, as from_primes and
+    gen_keypair pass the ring they filled, or builds a fresh one, as
+    dataclasses.replace does, and hands it a padding set's stored roots.  A
+    proven p or q is a ProvenPrime, whose chain is as secret as the prime: it
+    acts as its int, so like idem, which is no field, the chain stays out of
+    ==, hash, repr and public().
     """
 
     kind: str
@@ -307,30 +308,16 @@ class KeyPair:
     q: int
     redundancy: RedundancySpec
     padding: PaddingSet | None = None
-    prime_roots: InitVar[tuple[_PrimeRoots, _PrimeRoots] | None] = None
+    ring: InitVar[_KeyRoots | None] = None
 
-    def __post_init__(self, prime_roots):
-        object.__setattr__(self, "_prime_roots", prime_roots)
-
-    @functools.cached_property
-    def idem(self) -> _KeyRoots:
-        """The key's ring: N, psi1 and psi2, and the root constants of p and q on their first use.
-
-        Not a field, so it stays out of ==, hash, repr, key files and public().
-        The primes' root constants that the key was given, and a padding set's
-        stored roots as its elements' unit roots, are handed over here, so
-        that no signature computes them again.
-        """
-        ring = crt_idempotents(self.p, self.q)
-        if self._prime_roots is not None:
-            ring.know_prime_roots(*self._prime_roots)
+    def __post_init__(self, ring):
+        ring = ring or _KeyRoots(self.p, self.q)
+        if (ring.p, ring.q) != (self.p, self.q):
+            raise ValueError("ring is not the ring of p and q")
         if self.padding is not None and self.padding.roots is not None:
             ring.know_unit_roots(self.padding.elements, self.padding.roots)
-        return ring
-
-    @functools.cached_property
-    def n(self) -> int:
-        return self.idem.n
+        object.__setattr__(self, "idem", ring)
+        object.__setattr__(self, "n", ring.n)
 
     @property
     def psi1(self) -> int:
@@ -358,8 +345,8 @@ class KeyPair:
         by squaring each element's root when the set has roots (one product
         mod each prime, or two for a non-residue), which also refuses a root
         that is no root of its element over a class, and by Jacobi symbols
-        when it has none.  The key keeps the primes' root constants that this
-        builds, each prime's non-residue z among them.
+        when it has none.  The key is built on the ring that does this, so it
+        keeps the root constants built here, each prime's non-residue z too.
         """
         if kind not in KINDS:
             raise ValueError(f"unknown key kind {kind!r}")
@@ -384,17 +371,17 @@ class KeyPair:
             raise ValueError(f"{kind} keys need {_KIND_CLASSES[kind][3]}")
         if padding is not None and kind != "general":
             raise ValueError("only general keys carry a padding set")
-        at = _PrimeRoots(p), _PrimeRoots(q)  # only now, as a least non-residue search needs a prime
+        ring = _KeyRoots(p, q)  # its z are found only now, as a least non-residue search needs a prime
         if padding is not None:  # the classes are certified here, never taken on trust
             if padding.roots is None:
                 classes = tuple((jacobi(u, p), jacobi(u, q)) for u in padding.elements)
             else:
-                classes = _root_classes(padding.elements, padding.roots, *at)
+                classes = _root_classes(padding.elements, padding.roots, ring.at_p, ring.at_q)
             flaws = _padding_flaws(padding.elements, classes, p * q)
             if flaws:
                 raise ValueError(f"unsafe padding set: {flaws[0]}")
             padding = PaddingSet(padding.elements, classes, padding.roots)
-        return cls(kind, p, q, redundancy, padding, at)
+        return cls(kind, p, q, redundancy, padding, ring)
 
 
 def _root_classes(elements, roots, at_p: _PrimeRoots, at_q: _PrimeRoots) -> tuple[tuple[int, int], ...]:
@@ -428,9 +415,9 @@ def gen_keypair(kind: str, bits: int, redundancy=IDENTITY, rng=None) -> KeyPair:
 
     The primes come straight from gen_prime, so the key is built without the
     re-certification that KeyPair.from_primes gives untrusted primes, and
-    they keep their proofs for its key file.  A general key keeps the root
-    constants of p and q that its padding set's roots built.  Raises
-    ValueError for more than MAX_PRIME_BITS bits.
+    they keep their proofs for its key file.  A general key is built on the
+    ring that gave its padding roots, and keeps the constants they built.
+    Raises ValueError for more than MAX_PRIME_BITS bits.
     """
     if kind not in KINDS:
         raise ValueError(f"unknown key kind {kind!r}")
@@ -444,9 +431,8 @@ def gen_keypair(kind: str, bits: int, redundancy=IDENTITY, rng=None) -> KeyPair:
         q = gen_prime(bits, q_constraint, rng)
     if kind != "general":
         return KeyPair(kind, p, q, redundancy)
-    idem = crt_idempotents(p, q)
-    padding = build_padding_set(p, q, idem.psi1, idem.psi2, rng, idem)
-    return KeyPair(kind, p, q, redundancy, padding, (idem.at_p, idem.at_q))
+    ring = crt_idempotents(p, q)
+    return KeyPair(kind, p, q, redundancy, build_padding_set(p, q, ring.psi1, ring.psi2, rng, ring), ring)
 
 
 # ---------------------------------------------------------------------------
@@ -489,11 +475,13 @@ def dump_public(pub: PublicKey | KeyPair) -> str:
 
 
 def dump_private(key: KeyPair) -> str:
-    fields = _public_fields(key) | {"p": key.p, "q": key.q, "psi1": key.psi1, "psi2": key.psi2}
-    if key.padding is not None and key.padding.roots is not None:  # each the least of its lifts: one file per key
-        fields.update((f"u{i}_root", _canonical_lift(w % key.p, w % key.q, key.idem))
-                      for i, w in enumerate(key.padding.roots, start=1))
-    for name, prime, at in (("p", key.p, key.idem.at_p), ("q", key.q, key.idem.at_q)):
+    """The private key file, with every stored constant: any the key's ring lacks is computed here."""
+    ring = key.idem
+    fields = _public_fields(key) | {"p": key.p, "q": key.q, "psi1": ring.psi1, "psi2": ring.psi2}
+    if key.padding is not None:  # each root the least of its lifts: one file per key
+        fields.update((f"u{i}_root", _canonical_lift(*ring.unit_roots(u), ring))
+                      for i, u in enumerate(key.padding.elements, start=1))
+    for name, prime, at in (("p", key.p, ring.at_p), ("q", key.q, ring.at_q)):
         fields.update((f"{name}_{c}", getattr(at, c)) for c in _prime_constants(key.kind, prime))
     for name, prime in (("p_proof", key.p), ("q_proof", key.q)):
         if chain := getattr(prime, "chain", ()):
@@ -560,12 +548,13 @@ def parse_key(text: str, path_hint: str = "key file") -> KeyPair | PublicKey:
     general key's u1_root .. u4_root, by which it certifies the padding
     classes in place of Jacobi symbols.  Each root must be the least of its
     four lifts mod N, so that a key has one file.  Each of a prime's
-    _prime_constants may be there too, certified by a few squarings and
-    handed to the key's ring; an error names its field, never its value.  An N
-    above 2*MAX_PRIME_BITS bits is refused before any arithmetic on it.  A
-    public file's padding set gets the checks that need no factor of N: each
-    element is a unit below N and no square root of unity, and no difference
-    shares a factor with N.  A private file's gets every check, in from_primes.
+    _prime_constants may be there too, certified by a few squarings.  The
+    key's ring takes psi1, psi2 and each constant that passes; an error
+    names its field, never its value.  An N above 2*MAX_PRIME_BITS bits is
+    refused before any arithmetic on it.  A public file's padding set gets
+    the checks that need no factor of N: each element is a unit below N and
+    no square root of unity, and no difference shares a factor with N.  A
+    private file's gets every check, in from_primes.
     """
     record = _Record(text, KEY_MAGIC, KeyFormatError, path_hint)
     kind = record.pop("kind", None)
@@ -610,9 +599,8 @@ def parse_key(text: str, path_hint: str = "key file") -> KeyPair | PublicKey:
         key = KeyPair.from_primes(kind, p, q, redundancy, padding)
     except ValueError as exc:
         raise KeyFormatError(f"invalid key material in {path_hint}: {exc}") from None
-    # psi1 by its definition, the one value in 0..N-1 that is 1 mod p and 0 mod q: no inverse
-    # is taken, and key.idem is built on the key's first root, as for any key
-    if not (psi1 < n and psi1 % p == 1 and psi1 % q == 0 and psi2 == (1 - psi1) % n):
+    ring = key.idem
+    if not ring.know_idempotents(psi1, psi2):  # by their definition, with no inverse
         raise KeyFormatError(f"idempotents do not match the prime factors in {path_hint}")
     if padding is not None and padding.roots is not None:
         # the four lifts of a root w are +-w and +-w*e, e = psi1 - psi2 being 1 mod p and -1 mod q
@@ -622,6 +610,6 @@ def parse_key(text: str, path_hint: str = "key file") -> KeyPair | PublicKey:
             if w != min(w, n - w, w_e, n - w_e):
                 raise KeyFormatError(f"root of padding element {i} is not the least of its four lifts in {path_hint}")
     for (i, c), value in constants.items():
-        if not getattr(key._prime_roots[i], f"know_{c}")(value):  # each reveals p: the message names only its field
+        if not getattr((ring.at_p, ring.at_q)[i], f"know_{c}")(value):  # each reveals p: the message names only its field
             raise KeyFormatError(f"field '{'pq'[i]}_{c}' fails its check in {path_hint}")
     return key

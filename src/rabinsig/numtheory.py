@@ -9,20 +9,19 @@ per prime for sqrt_mod_pq and every signer; _four_lifts forms the four
 roots mod p*q, v, n-v, w and n-w, from two CRT lifts; and sqrt_mod_pq, the
 one checked root, returns them sorted, the canonical root first.
 
-The one ring object, _KeyRoots, holds p, q, n = p*q, psi1 and psi2, and
-the constants a root needs, each computed on its first use.  Per prime they
-are the root exponent, a non-residue z and its powers for Tonelli-Shanks,
-the one root algorithm, and 2**(-(p+1)/4) for the rw signer (_PrimeRoots);
-per padding element, its root over its class (_KeyRoots.unit_roots).  A
-private key that stores them hands them over instead (know_prime_roots,
-know_unit_roots), each prime constant certified by a few squarings
-(_PrimeRoots.know_zpow, know_half_root).  crt_idempotents
-is the one ring constructor, and the ring is the only modulus argument of
-every CRT and root function (`idem`).  KeyPair.idem keeps its key's
-ring.  Each constant is fixed by its prime and written once, so a
-concurrent first use just computes it twice.  Every one of them reveals p
-(a root x of u gives gcd(x**2 - u, n) = p), so they stay as private as
-psi1 and psi2.
+The one ring object, _KeyRoots, holds p, q and n = p*q, and computes each
+constant a lift or a root needs on its first use: psi1 and psi2; per prime,
+the root exponent, a non-residue z and its powers for Tonelli-Shanks, the
+one root algorithm, and 2**(-(p+1)/4) for the rw signer (_PrimeRoots); per
+padding element, its root over its class (unit_roots).  A private key file
+that stores them hands them over, each certified with no inverse
+(know_idempotents, _PrimeRoots.know_zpow and know_half_root; know_unit_roots
+after KeyPair.from_primes squares them).  crt_idempotents is the validating
+constructor, and the ring is the only modulus argument of every CRT and
+root function (`idem`).  A KeyPair is built on its ring (key.idem).  Each
+constant is fixed by the primes and written once, so a concurrent first
+use just computes it twice.  Every one of them reveals p (a root x of u
+gives gcd(x**2 - u, n) = p), so they stay as private as psi1 and psi2.
 """
 
 import math
@@ -192,15 +191,34 @@ class _KeyRoots:
     """The ring Z_n, n = p*q, of two distinct odd primes: its CRT idempotents and root constants.
 
     psi1 is 1 mod p and 0 mod q; psi2 is 0 mod p and 1 mod q.  They satisfy
-    psi1 + psi2 = 1, psi1 * psi2 = 0 and psi_i**2 = psi_i, all mod p*q.  The
-    root constants of p and of q (at_p, at_q) are built on the first root
-    taken, unless a key hands them over (know_prime_roots), so a ring that
-    only lifts computes no Jacobi symbol.
+    psi1 + psi2 = 1, psi1 * psi2 = 0 and psi_i**2 = psi_i, all mod p*q.  They
+    and the root constants of p and q (at_p, at_q) are computed on first use
+    unless a key file hands them over, so a ring costs nothing to build and
+    one that only lifts computes no Jacobi symbol.
     """
 
-    def __init__(self, p: int, q: int, psi1: int, psi2: int):
-        self.p, self.q, self.n, self.psi1, self.psi2 = p, q, p * q, psi1, psi2
+    def __init__(self, p: int, q: int):
+        self.p, self.q, self.n = p, q, p * q
         self._unit_roots: dict[int, tuple[int, int]] = {}
+
+    @cached_property
+    def psi1(self) -> int:
+        """q * (q**-1 mod p).  Raises ValueError unless p and q are coprime (and so distinct)."""
+        try:
+            return self.q * pow(self.q, -1, self.p)
+        except ValueError:
+            raise ValueError("prime factors must be coprime") from None
+
+    @cached_property
+    def psi2(self) -> int:
+        return (1 - self.psi1) % self.n
+
+    def know_idempotents(self, psi1: int, psi2: int) -> bool:
+        """Take psi1 and psi2, as a key file holds them, if they meet their definition; returns whether they do."""
+        if not (psi1 < self.n and psi1 % self.p == 1 and psi1 % self.q == 0 and psi2 == (1 - psi1) % self.n):
+            return False
+        self.psi1, self.psi2 = psi1, psi2
+        return True
 
     @cached_property
     def at_p(self) -> "_PrimeRoots":
@@ -221,22 +239,12 @@ class _KeyRoots:
         """Take unit_roots from a root mod n of each element over its class, as a private key holds them."""
         self._unit_roots.update((u, (w % self.p, w % self.q)) for u, w in zip(elements, roots))
 
-    def know_prime_roots(self, at_p: "_PrimeRoots", at_q: "_PrimeRoots") -> None:
-        """Take at_p and at_q as a private key holds them, with whatever constants they know."""
-        if (at_p.p, at_q.p) != (self.p, self.q):
-            raise ValueError("root constants of other primes")
-        self.at_p, self.at_q = at_p, at_q
-
 
 def crt_idempotents(p: int, q: int) -> _KeyRoots:
-    """The ring Z_pq, with psi1 = q * (q**-1 mod p) and psi2 = 1 - psi1."""
-    if p == q:
-        raise ValueError("prime factors must be distinct")
-    try:
-        psi1 = q * pow(q, -1, p)
-    except ValueError:
-        raise ValueError("prime factors must be coprime") from None
-    return _KeyRoots(p, q, psi1, (1 - psi1) % (p * q))
+    """The ring Z_pq with its idempotents computed.  Raises ValueError unless p and q are coprime."""
+    ring = _KeyRoots(p, q)
+    ring.psi1  # the one inverse
+    return ring
 
 
 def crt_combine(rp: int, rq: int, idem: _KeyRoots) -> int:

@@ -1,6 +1,7 @@
 import dataclasses
 import functools
 import random
+import sys
 
 import pytest
 
@@ -61,6 +62,24 @@ class SeqRng:
 
     def choice(self, seq):
         return seq[self.randrange(len(seq))]
+
+
+# The rabinsig modules these tests imported.  perfbench's tests re-import the
+# package (workloads.load_package(fresh=True)), which would leave sys.modules
+# holding classes and globals other than the ones these tests use, and pickle
+# finds a class by its module there.
+_COLLECTED_MODULES: dict = {}
+
+
+def pytest_collection_finish(session):
+    _COLLECTED_MODULES.update((name, module) for name, module in sys.modules.items()
+                              if name == "rabinsig" or name.startswith("rabinsig."))
+
+
+@pytest.fixture(autouse=True)
+def _collected_modules():
+    """Put back the rabinsig modules of collection time, when one suite runs both test directories."""
+    sys.modules.update(_COLLECTED_MODULES)
 
 
 @pytest.fixture

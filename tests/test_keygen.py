@@ -819,8 +819,9 @@ def test_loading_a_proven_key_takes_one_exponentiation_per_step(monkeypatch):
 
 
 def test_loading_a_private_key_takes_no_inverse(monkeypatch):
-    # psi1 and psi2 are checked by their definition, so the load takes no pow(x, -1, m) and builds
-    # no ring; its modexps modulo numbers above 2**64 are the chains' b**f, one per step
+    # psi1 and psi2 are checked by their definition and handed to the key's ring, so neither the load
+    # nor the ring takes a pow(x, -1, m); the load's modexps modulo numbers above 2**64 are the chains'
+    # b**f, one per step
     key = proven_key()
     text = dump_private(key)
     inverses, powers = [], []
@@ -836,12 +837,10 @@ def test_loading_a_private_key_takes_no_inverse(monkeypatch):
         monkeypatch.setattr(module, "pow", recorded, raising=False)
         monkeypatch.setattr(module, "crt_idempotents", lambda p, q: pytest.fail("crt_idempotents called"))
     parsed = parse_key(text)
-    assert parsed == key and inverses == [] and "idem" not in vars(parsed)
+    assert (parsed.idem.psi1, parsed.idem.psi2) == (_filed(text, "psi1"), _filed(text, "psi2"))
     steps = [(f, m) for prime in (key.p, key.q)
              for m, (f, _) in zip((prime, *(f for f, _ in prime.chain)), prime.chain)]
-    assert powers == steps
-    monkeypatch.undo()
-    assert (parsed.psi1, parsed.psi2) == (key.psi1, key.psi2)  # the ring, built on first use
+    assert parsed == key and inverses == [] and powers == steps
 
 
 def test_a_key_file_without_proofs_still_loads_with_40_rounds_per_prime(monkeypatch):
@@ -965,11 +964,15 @@ def test_a_rooted_file_certifies_the_classes_with_no_jacobi_symbol(monkeypatch):
     assert len(calls) == 8  # a file of an earlier version: one class ((u/p), (u/q)) per element
 
 
-def test_a_rootless_file_loads_signs_the_same_and_reads_back_the_same():
+def test_a_rootless_file_loads_signs_the_same_and_gains_the_roots():
+    # as with the constants of its primes, the file gains the root lines when the key is written again
     key = rooted_key()
-    text = _without_roots(dump_private(key))
+    full = dump_private(key)
+    text = _without_roots(full)
     parsed = parse_key(text)
-    assert parsed == key and parsed.padding.roots is None and dump_private(parsed) == text
+    assert parsed == key and parsed.padding.roots is None
+    rewritten = dump_private(parsed)
+    assert rewritten == full and _without_roots(rewritten) == text
     for target in ((1, 1), (1, -1), (-1, 1), (-1, -1)):
         m = next(m for m in range(2, key.n) if (jacobi(m, key.p), jacobi(m, key.q)) == target)
         signed = sign(parsed, m, "general")
@@ -1185,7 +1188,9 @@ def test_any_zpow_that_passes_signs_the_same():
                     assert sign(parsed, m, "general") == sign(key, m, "general")
 
 
-def test_loading_the_constants_takes_no_exponentiation_and_builds_no_ring(monkeypatch):
+def test_loading_the_constants_takes_no_exponentiation_and_no_inverse(monkeypatch):
+    # beyond the chains' b**f, neither the load nor the key's ring takes a modexp or an inverse
+    # modulo a number above 2**64: the ring holds psi1, psi2 and the constants the file holds
     keys = (rooted_key(), rw_key())
     texts = [dump_private(key) for key in keys]
     powers = []
@@ -1200,7 +1205,13 @@ def test_loading_the_constants_takes_no_exponentiation_and_builds_no_ring(monkey
         monkeypatch.setattr(module, "pow", recorded, raising=False)
         monkeypatch.setattr(module, "crt_idempotents", lambda p, q: pytest.fail("crt_idempotents called"))
     parsed = [parse_key(text) for text in texts]
-    assert powers == [] and not any("idem" in vars(key) for key in parsed)
+    for key, text in zip(parsed, texts):
+        ring = key.idem
+        held = {"psi1": ring.psi1, "psi2": ring.psi2}
+        held.update((field, getattr(ring.at_p if field[0] == "p" else ring.at_q, field[2:]))
+                    for field in CONSTANT_FIELDS if f"\n{field} = " in text)
+        assert held == {field: _filed(text, field) for field in held} and len(held) in (3, 4)
+    assert powers == []
     monkeypatch.undo()
     assert parsed == list(keys)
 
@@ -1217,9 +1228,13 @@ def test_prime_constants_stay_private():
         assert bare == parsed and hash(bare) == hash(parsed) and repr(bare) == repr(parsed)
 
 
-def test_a_key_refuses_the_root_constants_of_other_primes():
-    # prime_roots is handed to the key's ring as it is, so a pair for other primes must not reach a signer
-    for at in ((numtheory._PrimeRoots(11), numtheory._PrimeRoots(7)), (numtheory._PrimeRoots(7),) * 2):
-        with pytest.raises(ValueError, match="root constants of other primes"):
-            KeyPair("blum", 7, 11, IDENTITY, prime_roots=at).idem
-    assert KeyPair("blum", 7, 11, IDENTITY, prime_roots=(numtheory._PrimeRoots(7), numtheory._PrimeRoots(11))).n == 77
+def test_a_key_refuses_a_ring_of_other_primes():
+    # the key signs with the ring it is given, so a ring of other primes must not reach a signer
+    for other in ((11, 7), (7, 7), (7, 13)):
+        with pytest.raises(ValueError, match="ring is not the ring of p and q"):
+            KeyPair("blum", 7, 11, IDENTITY, ring=numtheory._KeyRoots(*other))
+    ring = crt_idempotents(7, 11)
+    key = KeyPair("blum", 7, 11, IDENTITY, ring=ring)
+    assert key.idem is ring and key.n == 77
+    # a copy made by the dataclass gets a ring of its own
+    assert dataclasses.replace(key).idem is not ring and dataclasses.replace(key) == key

@@ -469,6 +469,39 @@ class TestColdKeys:
         assert sorted(modexps) == sorted([key.p, key.q])
         assert verify(key, sig).valid
 
+    @pytest.fixture
+    def inverses(self, monkeypatch):
+        made = []
+
+        def counted(base, exp, mod=None):
+            if exp < 0:
+                made.append(mod)
+            return pow(base, exp, mod)
+
+        for module in (numtheory, schemes):
+            monkeypatch.setattr(module, "pow", counted, raising=False)
+        return made
+
+    def test_a_fresh_general_key_signs_on_the_ring_that_built_it(self, inverses, rng):
+        # gen_keypair builds one ring, whose psi1 its padding set took, and the key signs on it
+        key = gen_keypair("general", 64, IDENTITY, random.Random("one-ring"))
+        inverses.clear()
+        for target in CLASSES:
+            m = next(m for m in range(2, key.n) if (jacobi(m, key.p), jacobi(m, key.q)) == target)
+            assert verify(key, sign(key, m, "general", rng=rng)).valid
+        assert inverses == []
+
+    @pytest.mark.parametrize("scheme,kind", [("classic", "general"), ("general", "general"),
+                                             ("variant1", "blum"), ("variant2", "blum"), ("rw", "rw")])
+    def test_a_loaded_key_signs_with_the_idempotents_of_its_file(self, inverses, rng, scheme, kind):
+        key = TestJacobiBudget.KEYS[kind]
+        cold = parse_key(dump_private(key))
+        inverses.clear()
+        for target in CLASSES:
+            m = next(m for m in range(2, key.n) if (jacobi(m, key.p), jacobi(m, key.q)) == target)
+            assert verify(key, sign(cold, m, scheme, rng=rng)).valid
+        assert inverses == []
+
 
 class TestZeroComponents:
     """A component that is 0 mod N never verifies, under any redundancy.
