@@ -14,7 +14,7 @@ from .hashing import Message
 from .keygen import KeyPair, PublicKey
 from .numtheory import SYSTEM_RNG, canonical_sqrt_mod_pq, jacobi, mod_inv, random_unit, sqrt_mod_pq
 from .schemes import (SCHEMES, _OUT_OF_RANGE, Variant2Signature, VerifyReport, _class_padding, _hash_for_signing,
-                      _in_range, _OpCounter, _power_chain_check)
+                      _in_range, _OpCounter, _power_chain_check, _released)
 
 
 @dataclass(frozen=True)
@@ -51,7 +51,8 @@ def blind_sign(key: KeyPair, disguised: int, rng=None) -> BlindSignature:
     S is the canonical root of disguised*u, where the unity-root padding u
     is computed from the Jacobi class of the disguised value; since the
     blinding square cannot change that class, u equals the padding of the
-    underlying message.
+    underlying message.  Like every signer, it checks its answer before
+    returning it, by the blind verifier's equation (schemes._released).
     """
     SCHEMES["variant2"].check_key(key)
     if math.gcd(disguised, key.n) != 1:
@@ -60,7 +61,9 @@ def blind_sign(key: KeyPair, disguised: int, rng=None) -> BlindSignature:
         raise UnsignableMessageError("disguised value is not below N")
     root = _recover_root(key, disguised)
     nonce = random_unit(key.n, rng)
-    return BlindSignature(disguised, nonce * root % key.n, pow(nonce, 3, key.n))
+    f_val, r3 = nonce * root % key.n, pow(nonce, 3, key.n)
+    return _released(BlindSignature(disguised, f_val, r3),
+                     _power_chain_check(f_val, r3, disguised, key.n, _OpCounter()))
 
 
 def unblind(bsig: BlindSignature, r: int, m: Message, pub: PublicKey | KeyPair) -> Variant2Signature:
@@ -79,7 +82,7 @@ def verify_blind_signature(bsig: BlindSignature, n: int) -> VerifyReport:
     if not _in_range(n, bsig.F, bsig.R3, bsig.disguised):
         return _OUT_OF_RANGE
     ops = _OpCounter()
-    return ops.report(_power_chain_check(bsig.F, bsig.R3, bsig.disguised, n, ops), "verification equation")
+    return ops.report(_power_chain_check(bsig.F, bsig.R3, bsig.disguised, n, ops))
 
 
 def naive_blind_sign(key: KeyPair, disguised: int, rng=None) -> int:

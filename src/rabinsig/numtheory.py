@@ -200,6 +200,7 @@ class _KeyRoots:
     def __init__(self, p: int, q: int):
         self.p, self.q, self.n = p, q, p * q
         self._unit_roots: dict[int, tuple[int, int]] = {}
+        self._stored_roots: dict[int, int] = {}  # know_unit_roots's roots mod n, reduced on first use
 
     @cached_property
     def psi1(self) -> int:
@@ -229,15 +230,24 @@ class _KeyRoots:
         return _PrimeRoots(self.q)
 
     def unit_roots(self, u: int) -> tuple[int, int]:
-        """root_over_class of u mod p and mod q, computed once per u (a padding element)."""
+        """root_over_class of u mod p and mod q, computed once per u (a padding element), or a stored root reduced."""
         roots = self._unit_roots.get(u)
         if roots is None:
-            roots = self._unit_roots[u] = self.at_p.root_over_class(u), self.at_q.root_over_class(u)
+            w = self._stored_roots.get(u)
+            if w is None:
+                roots = self.at_p.root_over_class(u), self.at_q.root_over_class(u)
+            else:
+                roots = w % self.p, w % self.q
+            self._unit_roots[u] = roots
         return roots
 
     def know_unit_roots(self, elements, roots) -> None:
-        """Take unit_roots from a root mod n of each element over its class, as a private key holds them."""
-        self._unit_roots.update((u, (w % self.p, w % self.q)) for u, w in zip(elements, roots))
+        """Take a root mod n of each element over its class, as a private key holds them, for unit_roots.
+
+        Each is reduced mod p and mod q only when unit_roots first asks for it,
+        so a key that never signs general pays nothing for them.
+        """
+        self._stored_roots.update(zip(elements, roots))
 
 
 def crt_idempotents(p: int, q: int) -> _KeyRoots:

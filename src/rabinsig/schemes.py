@@ -6,8 +6,13 @@ variant1  [m, U, S, T]  T**2 = (U+1)*S and S**2 = H(m)*U  (Blum primes)
 variant2  [m, F, R3]    F**12 = R3**4 * H(m)**6           (Blum primes)
 rw        [m, e, f, S]  e*f*S**2 = H(m), e in {1,N-1}, f in {1,2}
 
-Verification is pure and reports the exact number of modular squares and
-products it performed, excluding the redundancy evaluation.  Each signature
+Verification is pure.  Each scheme states its equation once, in a private
+helper that <tag>_verify calls after its range checks and each signer calls
+on its own output (_released).  The helper checks each congruence with one
+reduction: the equation's last square and product are taken unreduced and
+only their difference is reduced mod N.  A verdict reports the squares and
+products taken, excluding the redundancy evaluation: those of the paper,
+for example 7 squares and 3 products for variant2.  Each signature
 has one valid encoding, the one its signer emits and its file holds: every
 verifier first rejects, as "component range" with no operations counted, a
 component outside 0 < x < N (_in_range) or a message outside the message
@@ -83,7 +88,12 @@ class VerifyReport:
 
 
 class _OpCounter:
-    """Counts the modular squares and products spent during verification."""
+    """Counts the squares and products a verification takes, as it takes them.
+
+    sq and mul reduce mod n.  sq_wide and mul_wide leave the result
+    unreduced, for an equation's last square and product, whose
+    difference alone is reduced.
+    """
 
     __slots__ = ("squares", "products")
 
@@ -99,9 +109,17 @@ class _OpCounter:
         self.products += 1
         return x * y % n
 
-    def report(self, ok: bool, check: str) -> "VerifyReport":
-        """The verdict with the counts so far; `check` names the failed one."""
-        return _verdict(ok, None if ok else check, self.squares, self.products)
+    def sq_wide(self, x):
+        self.squares += 1
+        return x * x
+
+    def mul_wide(self, x, y):
+        self.products += 1
+        return x * y
+
+    def report(self, failed: str | None) -> "VerifyReport":
+        """The verdict with the counts so far; `failed` names the failed check, None when all held."""
+        return _verdict(failed is None, failed, self.squares, self.products)
 
 
 @functools.cache
@@ -140,6 +158,19 @@ def _hash_for_signing(key: PublicKey | KeyPair, m: Message) -> int:
     return h
 
 
+def _released(sig, failed: str | None):
+    """sig, once its scheme's equation has held for it, as each signer checks its output.
+
+    A fault in one CRT half gives a signature that holds mod one prime only,
+    and publishing it gives that prime away (Boneh, DeMillo and Lipton,
+    EUROCRYPT 1997), so it is withheld: FactorLeakError, whose message
+    carries no number.
+    """
+    if failed is not None:
+        raise FactorLeakError("the signature failed its own equation and was withheld")
+    return sig
+
+
 def _class_padding(key: KeyPair, hp: int, hq: int, r: int) -> int:
     """Padding value r**2 * (f1*psi1 + f2*psi2) for h of class (hp, hq).
 
@@ -161,8 +192,13 @@ def classic_sign(key: KeyPair, m: Message, rng=None) -> ClassicSignature:
     hp, xp, hq, xq = _class_roots(h, key.idem)
     r = random_unit(key.n, rng)
     p, q = key.p, key.q
-    root = _canonical_lift(r * xp % p, r * xq % q, key.idem)
-    return ClassicSignature(m, _class_padding(key, hp, hq, r), root)
+    padding, root = _class_padding(key, hp, hq, r), _canonical_lift(r * xp % p, r * xq % q, key.idem)
+    return _released(ClassicSignature(m, padding, root), _square_equation(key.n, h, padding, root, _OpCounter()))
+
+
+def _square_equation(n: int, h: int, u: int, s: int, ops: _OpCounter) -> str | None:
+    """S**2 = h*u, the classic and general equation: the failed check, or None when it holds."""
+    return "signature equation" if (ops.sq_wide(s) - ops.mul_wide(h, u)) % n else None
 
 
 def classic_verify(pub: PublicKey | KeyPair, sig: ClassicSignature) -> VerifyReport:
@@ -170,7 +206,7 @@ def classic_verify(pub: PublicKey | KeyPair, sig: ClassicSignature) -> VerifyRep
         return _OUT_OF_RANGE
     h = apply_redundancy(pub.redundancy, sig.m, pub.n)
     ops = _OpCounter()
-    return ops.report(ops.sq(sig.S, pub.n) == ops.mul(h, sig.U, pub.n), "signature equation")
+    return ops.report(_square_equation(pub.n, h, sig.U, sig.S, ops))
 
 
 # ---------------------------------------------------------------------------
@@ -192,7 +228,8 @@ def general_sign(key: KeyPair, m: Message, rng=None) -> GeneralSignature:
         raise ValueError("padding set does not cover the class of the message") from None
     p, q, k = key.p, key.q, key.idem
     up, uq = k.unit_roots(u)
-    return GeneralSignature(m, u, _canonical_lift(xp * up % p, xq * uq % q, k))
+    root = _canonical_lift(xp * up % p, xq * uq % q, k)
+    return _released(GeneralSignature(m, u, root), _square_equation(key.n, h, u, root, _OpCounter()))
 
 
 def general_verify(pub: PublicKey | KeyPair, sig: GeneralSignature) -> VerifyReport:
@@ -202,7 +239,7 @@ def general_verify(pub: PublicKey | KeyPair, sig: GeneralSignature) -> VerifyRep
         return _verdict(False, "membership", 0, 0)
     h = apply_redundancy(pub.redundancy, sig.m, pub.n)
     ops = _OpCounter()
-    return ops.report(ops.sq(sig.S, pub.n) == ops.mul(h, sig.u, pub.n), "signature equation")
+    return ops.report(_square_equation(pub.n, h, sig.u, sig.S, ops))
 
 
 # ---------------------------------------------------------------------------
@@ -233,7 +270,9 @@ def variant1_sign(key: KeyPair, m: Message, rng=None) -> Variant1Signature:
         raise FactorLeakError("could not draw a padding value U with U+1 a unit")
     sp, tp = _binding_root(r * xp % p, padding + 1, k.at_p)
     sq, tq = _binding_root(r * xq % q, padding + 1, k.at_q)
-    return Variant1Signature(m, padding, crt_combine(sp, sq, k), _canonical_lift(tp, tq, k))
+    root, t = crt_combine(sp, sq, k), _canonical_lift(tp, tq, k)
+    return _released(Variant1Signature(m, padding, root, t),
+                     _variant1_equations(key.n, h, padding, root, t, _OpCounter()))
 
 
 def _binding_root(s: int, v: int, c) -> tuple[int, int]:
@@ -244,14 +283,22 @@ def _binding_root(s: int, v: int, c) -> tuple[int, int]:
     return (s, t) if symbol == 1 else (c.p - s, t)
 
 
+def _variant1_equations(n: int, h: int, u: int, s: int, t: int, ops: _OpCounter) -> str | None:
+    """T**2 = (U+1)*S, then S**2 = h*U: the first that fails, or None when both hold.
+
+    U+1 is not reduced first: U+1 = N gives (U+1)*S = 0 mod N all the same.
+    """
+    if (ops.sq_wide(t) - ops.mul_wide(u + 1, s)) % n:
+        return "T equation"
+    return "S equation" if (ops.sq_wide(s) - ops.mul_wide(h, u)) % n else None
+
+
 def variant1_verify(pub: PublicKey | KeyPair, sig: Variant1Signature) -> VerifyReport:
     if not (_in_range(pub.n, sig.U, sig.S, sig.T) and _message_in_range(pub, sig.m)):
         return _OUT_OF_RANGE
     h = apply_redundancy(pub.redundancy, sig.m, pub.n)
     ops = _OpCounter()
-    if ops.sq(sig.T, pub.n) != ops.mul((sig.U + 1) % pub.n, sig.S, pub.n):
-        return ops.report(False, "T equation")
-    return ops.report(ops.sq(sig.S, pub.n) == ops.mul(h, sig.U, pub.n), "S equation")
+    return ops.report(_variant1_equations(pub.n, h, sig.U, sig.S, sig.T, ops))
 
 
 # ---------------------------------------------------------------------------
@@ -266,21 +313,24 @@ def variant2_sign(key: KeyPair, m: Message, rng=None) -> Variant2Signature:
     _, xp, _, xq = _class_roots(h, key.idem)
     root = _canonical_lift(xp, xq, key.idem)
     r = random_unit(key.n, rng)
-    return Variant2Signature(m, r * root % key.n, pow(r, 3, key.n))
+    f_val, r3 = r * root % key.n, pow(r, 3, key.n)
+    return _released(Variant2Signature(m, f_val, r3), _power_chain_check(f_val, r3, h, key.n, _OpCounter()))
 
 
-def _power_chain_check(f_val: int, r3: int, h: int, n: int, ops: _OpCounter) -> bool:
-    """Check F**12 == R3**4 * h**6 using 7 squares and 3 products."""
+def _power_chain_check(f_val: int, r3: int, h: int, n: int, ops: _OpCounter) -> str | None:
+    """F**12 = R3**4 * h**6 in 7 squares and 3 products: the failed check, or None when it holds.
+
+    The last two products, F**8 * F**4 and R3**4 * h**6, are taken unreduced.
+    """
     f2 = ops.sq(f_val, n)
     f4 = ops.sq(f2, n)
     f8 = ops.sq(f4, n)
-    f12 = ops.mul(f8, f4, n)
     r3_2 = ops.sq(r3, n)
     r3_4 = ops.sq(r3_2, n)
     h2 = ops.sq(h, n)
     h4 = ops.sq(h2, n)
     h6 = ops.mul(h4, h2, n)
-    return f12 == ops.mul(r3_4, h6, n)
+    return "verification equation" if (ops.mul_wide(f8, f4) - ops.mul_wide(r3_4, h6)) % n else None
 
 
 def variant2_verify(pub: PublicKey | KeyPair, sig: Variant2Signature) -> VerifyReport:
@@ -288,7 +338,7 @@ def variant2_verify(pub: PublicKey | KeyPair, sig: Variant2Signature) -> VerifyR
         return _OUT_OF_RANGE
     h = apply_redundancy(pub.redundancy, sig.m, pub.n)
     ops = _OpCounter()
-    return ops.report(_power_chain_check(sig.F, sig.R3, h, pub.n, ops), "verification equation")
+    return ops.report(_power_chain_check(sig.F, sig.R3, h, pub.n, ops))
 
 
 # ---------------------------------------------------------------------------
@@ -312,7 +362,13 @@ def rw_sign(key: KeyPair, m: Message, rng=None) -> RWSignature:
     else:
         e, f = hp * (1 if p % 8 == 7 else -1), 2
         yp, yq = yp * k.at_p.half_root % p, yq * k.at_q.half_root % q
-    return RWSignature(m, e % key.n, f, _canonical_lift(yp, yq, k))
+    e, root = e % key.n, _canonical_lift(yp, yq, k)
+    return _released(RWSignature(m, e, f, root), _rw_equation(key.n, h, e, f, root, _OpCounter()))
+
+
+def _rw_equation(n: int, h: int, e: int, f: int, s: int, ops: _OpCounter) -> str | None:
+    """e*f*S**2 = h with e in {1, n-1}, checked as f*S**2 - e*h = 0 (e*e = 1): the failed check, or None."""
+    return "verification equation" if (ops.mul_wide(f, ops.sq_wide(s)) - (h if e == 1 else -h)) % n else None
 
 
 def rw_verify(pub: PublicKey | KeyPair, sig: RWSignature) -> VerifyReport:
@@ -321,8 +377,7 @@ def rw_verify(pub: PublicKey | KeyPair, sig: RWSignature) -> VerifyReport:
         return _OUT_OF_RANGE
     h = apply_redundancy(pub.redundancy, sig.m, pub.n)
     ops = _OpCounter()
-    lhs = ops.mul(sig.f, ops.sq(sig.S, pub.n), pub.n)  # e*f*S**2 = h, that is f*S**2 = e*h
-    return ops.report(lhs == (h if sig.e == 1 else (pub.n - h) % pub.n), "verification equation")
+    return ops.report(_rw_equation(pub.n, h, sig.e, sig.f, sig.S, ops))
 
 
 # ---------------------------------------------------------------------------

@@ -964,6 +964,23 @@ def test_a_rooted_file_certifies_the_classes_with_no_jacobi_symbol(monkeypatch):
     assert len(calls) == 8  # a file of an earlier version: one class ((u/p), (u/q)) per element
 
 
+def test_a_loaded_key_reduces_a_stored_root_only_when_the_general_signer_takes_it():
+    # a key that signs other schemes never pays for the padding roots its file holds
+    key = rooted_key()
+    text = dump_private(key)
+    parsed = parse_key(text)
+    ring = parsed.idem
+    assert ring._unit_roots == {}
+    assert verify(key.public(), sign(parsed, 5, "classic")).valid and ring._unit_roots == {}
+    stored = dict(zip(key.padding.elements, _filed_roots(key)))
+    taken = set()
+    for target in ((1, 1), (1, -1), (-1, 1), (-1, -1)):
+        m = next(m for m in range(2, key.n) if (jacobi(m, key.p), jacobi(m, key.q)) == target)
+        taken.add(sign(parsed, m, "general").u)
+        assert ring._unit_roots == {u: (stored[u] % key.p, stored[u] % key.q) for u in taken}
+    assert dump_private(parsed) == text
+
+
 def test_a_rootless_file_loads_signs_the_same_and_gains_the_roots():
     # as with the constants of its primes, the file gains the root lines when the key is written again
     key = rooted_key()

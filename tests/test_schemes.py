@@ -1,14 +1,16 @@
 import dataclasses
+import functools
 import itertools
 import math
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import given, reject, settings
 from hypothesis import strategies as st
 
-from rabinsig.blind import BlindSignature, verify_blind_signature
+from rabinsig.blind import BlindSignature, blind_sign, verify_blind_signature
 from rabinsig.errors import FactorLeakError, SignatureFormatError, UnsignableMessageError
+from rabinsig.forgery import apply_scaling
 from rabinsig.hashing import IDENTITY, QUADRATIC, DigestRef, RedundancySpec, digest_int
 from rabinsig.keygen import KeyPair, PaddingSet, build_padding_set, dump_private, gen_keypair, gen_prime, parse_key
 from rabinsig import numtheory, schemes
@@ -827,3 +829,132 @@ class TestExhaustiveAgreement:
         report = check_scheme_exhaustive("classic", RING77, IDENTITY, rng)
         assert not report.ok
         assert report.failures and all("verifier disagrees with brute force" in f for f in report.failures)
+
+
+DIGEST = RedundancySpec("digest", "sha256")
+REDUNDANCIES = (IDENTITY, QUADRATIC, DIGEST)
+
+
+def flip_the_root_mod(monkeypatch, q: int):
+    """A signer fault in one CRT half: every root numtheory._class_root takes mod q gets its lowest bit flipped.
+
+    Every signer takes its roots through that module global (_class_roots,
+    sqrt_mod_pq, _PrimeRoots.root_over_class), so each then computes a
+    signature that holds mod the other prime only.
+    """
+    real = numtheory._class_root
+
+    def faulty(a, c):
+        symbol, x = real(a, c)
+        return symbol, x ^ 1 if c.p == q else x
+
+    monkeypatch.setattr(numtheory, "_class_root", faulty)
+
+
+class TestSignersCheckTheirOutput:
+    """No signer releases a signature that fails its own equation.
+
+    A fault in one CRT half gives a signature that holds mod p only, and
+    the gcd of its verification residue with N is p (Boneh, DeMillo and
+    Lipton, EUROCRYPT 1997).  Each signer checks its output with its
+    scheme's equation helper and raises FactorLeakError, with no number in
+    its message, instead of returning it.
+    """
+
+    KEYS = {kind: gen_keypair(kind, 128, DIGEST, random.Random(f"fault/{kind}")) for kind in ("general", "blum", "rw")}
+
+    @pytest.mark.parametrize("scheme,kind", SCHEMES_AND_KINDS)
+    def test_a_fault_in_one_crt_half_is_withheld(self, monkeypatch, rng, scheme, kind):
+        key = self.KEYS[kind]
+        for m in (b"a", b"b", b"c", b"d"):
+            assert verify(key.public(), sign(key, m, scheme, rng=rng)).valid
+        flip_the_root_mod(monkeypatch, key.q)
+        for m in (b"a", b"b", b"c", b"d"):
+            with pytest.raises(FactorLeakError) as exc:
+                sign(key, m, scheme, rng=rng)
+            assert not any(ch.isdigit() for ch in str(exc.value))
+
+    def test_the_blind_signer_withholds_a_faulty_answer(self, monkeypatch, rng):
+        key = self.KEYS["blum"]
+        disguised = [x * x % key.n for x in (3, 5, 7, 11)]
+        for d in disguised:
+            assert verify_blind_signature(blind_sign(key, d, rng), key.n).valid
+        flip_the_root_mod(monkeypatch, key.q)
+        for d in disguised:
+            with pytest.raises(FactorLeakError) as exc:
+                blind_sign(key, d, rng)
+            assert not any(ch.isdigit() for ch in str(exc.value))
+
+    def test_signers_do_not_call_the_verifiers(self, monkeypatch, rng):
+        # the check is the private equation helper, so a traced verifier's call count stays the verifications made
+        called = []
+
+        def counted(name, real):
+            return lambda *args: called.append(name) or real(*args)
+
+        monkeypatch.setattr(schemes, "verify", counted("verify", schemes.verify))
+        for tag, scheme in schemes.SCHEMES.items():
+            real = getattr(schemes, f"{tag}_verify")
+            monkeypatch.setattr(schemes, f"{tag}_verify", counted(tag, real))
+            monkeypatch.setitem(schemes._VERIFIERS, scheme.sig_type, counted(tag, real))
+        for scheme, kind in SCHEMES_AND_KINDS:
+            sign(self.KEYS[kind], b"m", scheme, rng=rng)
+        blind_sign(self.KEYS["blum"], 9, rng)
+        assert called == []
+
+
+@functools.cache
+def _real_size_key(kind: str, bits: int, token: str) -> KeyPair:
+    key = gen_keypair(kind, bits, IDENTITY, random.Random(f"real-size/{kind}/{bits}"))
+    return dataclasses.replace(key, redundancy=RedundancySpec.from_token(token))
+
+
+def _edits(value, n):
+    # a component's +-1 perturbations and its negation mod n
+    return value + 1, value - 1, n - value
+
+
+class TestAgreementAtRealSizes:
+    """The verifiers against plain pow() at 128-bit and 512-bit primes.
+
+    The exhaustive oracle stops at N = 437; these catch a sign slip or an
+    operand left unreduced that only shows at full size, such as rw's -h
+    or variant1's U+1 = N.
+    """
+
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data())
+    def test_every_verifier_agrees_with_brute_valid(self, data):
+        scheme, kind = data.draw(st.sampled_from(SCHEMES_AND_KINDS))
+        redundancy = data.draw(st.sampled_from(REDUNDANCIES))
+        key = _real_size_key(kind, data.draw(st.sampled_from((128, 512))), redundancy.token)
+        pub, n = key.public(), key.n
+        try:
+            sig = sign(key, data.draw(st.integers(0, n - 1)), scheme, rng=random.Random(data.draw(st.integers(0))))
+        except UnsignableMessageError:
+            reject()
+        elements = key.padding.elements if key.padding else ()
+        variants = [sig, apply_scaling(sig, data.draw(st.integers(2, n - 1)), n)]
+        for f in dataclasses.fields(sig):
+            variants += [dataclasses.replace(sig, **{f.name: x}) for x in _edits(getattr(sig, f.name), n)]
+        assert verify(pub, sig).valid
+        for variant in variants:
+            assert verify(pub, variant).valid == brute_valid(variant, n, redundancy, elements), variant
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_the_blind_verifier_agrees_with_plain_pow(self, data):
+        key = _real_size_key("blum", data.draw(st.sampled_from((128, 512))), "identity")
+        n = key.n
+        x = data.draw(st.integers(2, n - 1))
+        if math.gcd(x, n) != 1:
+            reject()
+        bsig = blind_sign(key, x * x % n, random.Random(data.draw(st.integers(0))))
+        variants = [bsig, apply_scaling(bsig, data.draw(st.integers(2, n - 1)), n)]
+        for name in ("disguised", "F", "R3"):
+            variants += [dataclasses.replace(bsig, **{name: v}) for v in _edits(getattr(bsig, name), n)]
+        assert verify_blind_signature(bsig, n).valid
+        for v in variants:
+            expected = (0 < v.F < n and 0 < v.R3 < n and 0 < v.disguised < n
+                        and pow(v.F, 12, n) == pow(v.R3, 4, n) * pow(v.disguised, 6, n) % n)
+            assert verify_blind_signature(v, n).valid == expected, v
