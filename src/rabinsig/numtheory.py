@@ -4,8 +4,10 @@ Jacobi symbols, modular inverses, least non-residues, CRT idempotents,
 the CRT lift and the padding built on it, and square-root extraction mod p
 and mod p*q.  Each of these facts is stated here once.  Everything here is
 a pure function of its arguments and never mutates key material.  Roots
-are stated once too: _class_roots, the one root pair, takes one _class_root
-per prime for sqrt_mod_pq and every signer; _four_lifts forms the four
+are stated once too, and every root a signer takes is one _class_root per
+prime: _class_roots, the one root pair, for sqrt_mod_pq and every signer
+but variant1; _binding_root, for variant1, the root of v*s mod a 3-mod-4
+prime after it sets the sign of s to the class of v; _four_lifts forms the four
 roots mod p*q, v, n-v, w and n-w, from two CRT lifts; and sqrt_mod_pq, the
 one checked root, returns them sorted, the canonical root first.
 
@@ -416,6 +418,16 @@ def _class_roots(a: int, idem: _KeyRoots) -> tuple[int, int, int, int]:
     1-mod-4 prime.  Likewise xq mod q.
     """
     return _class_root(a, idem.at_p) + _class_root(a, idem.at_q)
+
+
+def _binding_root(s: int, v: int, c: _PrimeRoots) -> tuple[int, int]:
+    """The one of s, -s mod the 3-mod-4 prime p = c.p that makes v times it a residue, and a root of that product.
+
+    One _class_root of v*s: its x**2 is -v*s when v*s is a non-residue, and
+    -1 is a non-residue mod p, so -s is then the one and x its root.
+    """
+    symbol, t = _class_root(v * s, c)
+    return (s, t) if symbol == 1 else (c.p - s, t)
 
 
 def _four_lifts(rp: int, rq: int, idem: _KeyRoots) -> tuple[int, int, int, int]:

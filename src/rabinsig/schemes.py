@@ -30,7 +30,7 @@ from typing import ClassVar, Union
 from .errors import FactorLeakError, SignatureFormatError, UnsignableMessageError
 from .hashing import DigestRef, Message, apply_redundancy, digest_int
 from .keygen import _KIND_CLASSES, KeyPair, PublicKey, _dump_record, _fits_kind, _Record
-from .numtheory import _canonical_lift, _class_root, _class_roots, crt_combine, crt_padding, random_unit
+from .numtheory import _binding_root, _canonical_lift, _class_roots, crt_combine, crt_padding, random_unit
 
 
 @dataclass(frozen=True)
@@ -249,38 +249,35 @@ def general_verify(pub: PublicKey | KeyPair, sig: GeneralSignature) -> VerifyRep
 def variant1_sign(key: KeyPair, m: Message, rng=None) -> Variant1Signature:
     """Sign as [m, U, S, T] with T**2 = (U+1)*S and S**2 = H(m)*U.
 
-    One rule picks U: it is re-drawn, at most 64 times, until U+1 is a unit,
+    U = h*w**2 for h = H(m) and a uniform unit w, so h*w is already a root
+    of h*U and the signer takes one root per prime, that of (U+1)*S.  U runs
+    over h's class coset, each value from 4 draws, as r**2 times a fixed
+    element of that class would.  w stays secret: S/(h*w) is +-1 mod each
+    prime, which gives a factor of N whenever the two signs differ.  One
+    rule picks w: it is re-drawn, at most 64 times, until U+1 is a unit,
     since a published U with gcd(U+1, N) > 1 reveals a factor; after 64 bad
     draws the signer raises FactorLeakError.  The rule covers the nontrivial
     square roots of unity: each is 1 mod one prime and -1 mod the other, so
-    its U+1 is a multiple of the second prime.  S is the unique root of
-    H(m)*U whose Jacobi class matches U+1, which makes (U+1)*S a residue; T
-    is its canonical root.
+    its U+1 is a multiple of the second prime.  S is h*w with its sign mod
+    each prime set to the Jacobi class of U+1 (_binding_root): the unique
+    root of h*U that makes (U+1)*S a residue.  T is its canonical root.
     """
     SCHEMES["variant1"].check_key(key)
     h = _hash_for_signing(key, m)
-    p, q, k = key.p, key.q, key.idem
-    hp, xp, hq, xq = _class_roots(h, k)
+    n, k = key.n, key.idem
     for _ in range(64):
-        r = random_unit(key.n, rng)
-        padding = _class_padding(key, hp, hq, r)
-        if math.gcd(padding + 1, key.n) == 1:
+        w = random_unit(n, rng)
+        padding = h * w * w % n
+        if math.gcd(padding + 1, n) == 1:
             break
     else:
         raise FactorLeakError("could not draw a padding value U with U+1 a unit")
-    sp, tp = _binding_root(r * xp % p, padding + 1, k.at_p)
-    sq, tq = _binding_root(r * xq % q, padding + 1, k.at_q)
+    s0 = h * w
+    sp, tp = _binding_root(s0 % key.p, padding + 1, k.at_p)
+    sq, tq = _binding_root(s0 % key.q, padding + 1, k.at_q)
     root, t = crt_combine(sp, sq, k), _canonical_lift(tp, tq, k)
     return _released(Variant1Signature(m, padding, root, t),
-                     _variant1_equations(key.n, h, padding, root, t, _OpCounter()))
-
-
-def _binding_root(s: int, v: int, c) -> tuple[int, int]:
-    # The one of s, -s mod the 3-mod-4 prime c.p that makes v times it a
-    # residue, and a root of that product: _class_root's x**2 = -v*s when
-    # v*s is a non-residue.
-    symbol, t = _class_root(v * s, c)
-    return (s, t) if symbol == 1 else (c.p - s, t)
+                     _variant1_equations(n, h, padding, root, t, _OpCounter()))
 
 
 def _variant1_equations(n: int, h: int, u: int, s: int, t: int, ops: _OpCounter) -> str | None:

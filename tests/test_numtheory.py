@@ -15,6 +15,7 @@ from rabinsig.keygen import KeyPair, ProvenPrime, dump_private, gen_keypair, gen
 from rabinsig.numtheory import (
     _EXACT_BASES,
     _SINCLAIR_BASES,
+    _binding_root,
     _bls_test,
     _class_root,
     _exact_prime,
@@ -360,6 +361,26 @@ class TestSqrtModPrime:
                 assert self.canonical(a, p) == min(roots)
             else:
                 assert _class_root(a, _PrimeRoots(p))[0] == -1
+
+
+class TestBindingRoot:
+    # variant1's one root per prime: the sign of s that makes v*s a residue, and a root of v*s
+
+    def test_known_value(self):
+        # mod 7: 2*3 = 6 is a non-residue, so -3 = 4 is taken, and 2*4 = 1 has the root 1 or 6
+        s, t = _binding_root(3, 2, _PrimeRoots(7))
+        assert s == 4 and t in (1, 6)
+
+    @pytest.mark.parametrize("p", [p for p in ODD_PRIMES if p % 4 == 3])
+    def test_exhaustive_against_brute_force(self, p):
+        squares = {x * x % p for x in range(1, p)}
+        for s in range(1, p):
+            for v in range(1, p):
+                signed, t = _binding_root(s, v, _PrimeRoots(p))
+                assert signed in (s, p - s)
+                assert v * signed % p in squares  # the one sign: -1 is a non-residue mod p
+                assert v * (p - signed) % p not in squares
+                assert t * t % p == v * signed % p
 
 
 class TestSqrtModPq:

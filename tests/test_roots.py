@@ -6,7 +6,8 @@ correction and on 1 mod 8 several.  A key keeps its constants after their
 first use; roots taken with them must equal roots taken with a fresh ring's
 constants.  The signers read the class of H(m) from the same
 exponentiation; their paddings and roots must equal those of the
-Jacobi-symbol path that the blind signer still takes.
+Jacobi-symbol path that the blind signer still takes, and variant1's,
+whose padding is H(m)*w**2, those of the class of U+1.
 """
 
 import math
@@ -177,9 +178,9 @@ def test_blum_signers_match_the_jacobi_path(pq, m, seed):
     assert (sig.F, sig.R3) == (r * root % n, pow(r, 3, n))
 
     sig = sign(key, h, "variant1", rng=random.Random(seed))
+    # U = h * w**2 for the first draw w that is not a unity root
     rng, forbidden = random.Random(seed), sqrt_of_unity_nontrivial(ring)
-    padding = next(u for u in (_jacobi_padding(key, h, random_unit(n, rng)) for _ in range(64))
-                   if u not in forbidden)
+    padding = next(u for u in (h * random_unit(n, rng) ** 2 % n for _ in range(64)) if u not in forbidden)
     assert sig.U == padding
     target = (jacobi(padding + 1, p), jacobi(padding + 1, q))
     assert sig.S == next(r for r in sqrt_mod_pq(h * padding, ring) if (jacobi(r, p), jacobi(r, q)) == target)

@@ -1,3 +1,4 @@
+import collections
 import dataclasses
 import functools
 import itertools
@@ -15,7 +16,7 @@ from rabinsig.hashing import IDENTITY, QUADRATIC, DigestRef, RedundancySpec, dig
 from rabinsig.keygen import KeyPair, PaddingSet, build_padding_set, dump_private, gen_keypair, gen_prime, parse_key
 from rabinsig import numtheory, schemes
 from rabinsig.numtheory import canonical_sqrt_mod_pq, jacobi, mod_inv
-from rabinsig.oracle import SmallRing, all_roots, brute_valid, qr_set
+from rabinsig.oracle import SmallRing, all_roots, brute_valid, qr_set, units
 from rabinsig.schemes import (
     ClassicSignature,
     GeneralSignature,
@@ -124,7 +125,7 @@ class TestGeneral:
 
 class TestVariant1:
     def test_sign_toy_vector(self, toy_key):
-        sig = variant1_sign(toy_key, 3, rng=SeqRng(2))
+        sig = variant1_sign(toy_key, 3, rng=SeqRng(15))  # w = 15: U = 3 * 15**2 = 59
         assert sig == Variant1Signature(3, 59, 67, 4)
         # S is the unique root whose class matches U+1, making (U+1)S a residue
         assert 60 * 67 % 77 in QR77
@@ -149,28 +150,55 @@ class TestVariant1:
         assert variant1_verify(toy_key.public(), Variant1Signature(48, 59, 37, 8)).valid
 
     def test_forbidden_unity_padding_resampled(self, toy_key):
-        # m=2 has class (+1, -1); the nonce R=1 would give U = psi1 - psi2 = 43,
+        # m=2 has class (+1, -1); the draw w=37, whose square is 60, would give U = 2 * 60 = 43 = psi1 - psi2,
         # one of the factor-revealing unity roots, so signing must re-draw.
-        sig = variant1_sign(toy_key, 2, rng=SeqRng(1, 2))
+        sig = variant1_sign(toy_key, 2, rng=SeqRng(37, 2))
         assert sig.U not in (43, 34)
         assert variant1_verify(toy_key.public(), sig).valid
 
     def test_padding_next_to_a_factor_multiple_resampled(self, toy_key):
-        # m=2 with R=10 gives U = 65, and U+1 = 66 = 6*11 shares a factor with N;
-        # the rule that re-draws the unity roots (U+1 a unit) re-draws it too
-        sig = variant1_sign(toy_key, 2, rng=SeqRng(10, 2))
+        # m=2 with w=4 gives U = 2 * 16 = 32, and U+1 = 33 = 3*11 shares a factor with N;
+        # the rule that re-draws the unity roots (U+1 a unit) re-draws it too: w=3 gives U = 18
+        sig = variant1_sign(toy_key, 2, rng=SeqRng(4, 3))
         assert sig == Variant1Signature(2, 18, 6, 24)
         assert variant1_verify(toy_key.public(), sig).valid
 
     def test_64_bad_draws_raise_factor_leak(self, toy_key):
         # SeqRng holds exactly 64 values, so a 65th draw would fail the test another way
         with pytest.raises(FactorLeakError):
-            variant1_sign(toy_key, 2, rng=SeqRng(*[10] * 64))
+            variant1_sign(toy_key, 2, rng=SeqRng(*[4] * 64))
 
     def test_blum_key_required(self):
         key = KeyPair.from_primes("general", 13, 17, IDENTITY)
         with pytest.raises(ValueError):
             variant1_sign(key, 2)
+
+    @pytest.mark.parametrize("p,q", [(7, 11), (3, 19)])
+    def test_every_draw_signs_as_the_reference_rule(self, p, q):
+        # for each unit message, the signer's (U, S, T) over every unit draw against the paper's rule,
+        # built from oracle helpers only: U = r**2 * c over the units r, for a fixed c in h's class
+        key, ring = KeyPair.from_primes("blum", p, q, IDENTITY), SmallRing(p, q)
+        n, residues = ring.n, qr_set(ring)
+        for h in units(ring):
+            signed = collections.Counter()
+            for w in units(ring):
+                try:
+                    sig = variant1_sign(key, h, rng=SeqRng(*[w] * 64))  # a bad draw comes back until the 64th
+                except FactorLeakError:
+                    signed["withheld"] += 1
+                else:
+                    signed[sig.U, sig.S, sig.T] += 1
+            c = next(c for c in units(ring) if h * c % n in residues)  # units share a class when their product is a residue
+            reference = collections.Counter()
+            for r in units(ring):
+                u = r * r * c % n
+                if math.gcd(u + 1, n) != 1:
+                    reference["withheld"] += 1
+                    continue
+                # S: the one root of h*U in the class of U+1, which makes (U+1)*S a residue
+                [s] = [s for s in all_roots(h * u, ring) if (u + 1) * s % n in residues]
+                reference[u, s, min(all_roots((u + 1) * s, ring))] += 1
+            assert signed == reference, h
 
 
 class TestVariant2:
@@ -310,13 +338,16 @@ def _general_key_on_primes(rng, constraint: str, p_residue: int, q_residue: int)
 
 
 class TestJacobiBudget:
-    """Signing takes no Jacobi symbol, and only its half-size modexps.
+    """Signing takes no Jacobi symbol, and only its half-size modexps: one per prime, for every signer.
 
     Each signer reads the class of H(m) from the root exponentiation itself
     (numtheory._class_root): one Tonelli-Shanks for every odd prime, which
     sees Euler's criterion, and on a 3-mod-4 prime takes a**((p+1)/4), whose
-    square is (a/p)*a.  The only Jacobi symbols left are the least-non-residue
-    search of a 1-mod-4 prime, made once when the key builds its constants.
+    square is (a/p)*a.  variant1 draws U = H(m)*w**2, so H(m)*w is a root of
+    H(m)*U, and its one root per prime is that of (U+1)*S, whose class sets
+    the sign of S (numtheory._binding_root).  The only Jacobi symbols left
+    are the least-non-residue search of a 1-mod-4 prime, made once when the
+    key builds its constants.
     The other constants take one modexp each on first use, on a key that
     was not handed them: the powers of z on a 1-mod-4 prime (for z = -1 on
     a 3-mod-4 prime they take none), 2**(-(p+1)/4), and a root per padding
@@ -406,12 +437,12 @@ class TestJacobiBudget:
         assert calls == []
 
     @pytest.mark.parametrize("scheme,kind,budget", [
-        ("variant2", "blum", 2), ("rw", "rw", 2), ("variant1", "blum", 4),
+        ("variant2", "blum", 2), ("rw", "rw", 2), ("variant1", "blum", 2),
         ("classic", "blum", 2), ("classic", "rw", 2), ("classic", "general", 2), ("classic", "general-3mod4", 2),
         ("general", "general", 2), ("general", "general-3mod4", 2),
     ])
     def test_signers_stay_within_budget(self, calls, modexps, rng, scheme, kind, budget):
-        # budget is the signer's floor in half-size modexps: one root per prime, two for variant1
+        # budget is the signer's floor in half-size modexps: one root per prime
         key = self.KEYS[kind]
         assert verify(key, sign(key, 5, scheme, rng=rng)).valid  # a first signature builds the key's constants
         calls.clear()
@@ -430,7 +461,7 @@ class TestColdKeys:
     """A key fresh from parse_key signs its first message at the signer's floor.
 
     Its first signature, in every class ((h/p), (h/q)), takes the same
-    full-size modexps as any later one: one per prime, and two for variant1.
+    full-size modexps as any later one: one per prime, for every signer.
     The constants of a 3-mod-4 prime (z = -1 and its powers) take no
     exponentiation, and the key file holds each constant that does: z**exp
     of a 1-mod-4 prime, whose Tonelli-Shanks steps need the powers of z,
@@ -442,7 +473,7 @@ class TestColdKeys:
 
     @pytest.mark.parametrize("scheme,kind,per_prime,target", [
         *(("variant2", "blum", 1, target) for target in CLASSES),
-        *(("variant1", "blum", 2, target) for target in CLASSES),
+        *(("variant1", "blum", 1, target) for target in CLASSES),
         # classes that differ take f = 2, and 2**(-(p+1)/4) from the key file
         *(("rw", "rw", 1, target) for target in ((1, 1), (-1, -1), (1, -1), (-1, 1))),
         *(("general", "general-3mod4", 1, target) for target in CLASSES),

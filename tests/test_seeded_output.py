@@ -68,7 +68,7 @@ def _sha256(text: str) -> str:
 SIGN_DIGESTS = {
     "classic": "363c8e0236da6cc77123f1251a880f9fca55d8f837feb2437d2f3953994c10d9",
     "general": "a72ca6a897ff2f987c421a129159b98d8bbdb8c277982e2cacc1d884c32f05b4",
-    "variant1": "87bdc9071b95a1869d96de585dd83e0c69dcfb6a24e5316dd74a5265fbe828d4",
+    "variant1": "203b5dfcb628f9fa302d640989327532f17d548411c5b91c042c62bf46c950c5",
     "variant2": "24b2dac22bc0af31f58bddb5415764fdc4b1b7a25d06611ce8829c3611e9d6d7",
     "rw": "08934820edab107171c2b94759eefd292128ed35a6b373c3aedc43a85918342a",
 }
