@@ -20,6 +20,7 @@ from .numtheory import (
     _exact_prime,
     _canonical_lift,
     _KeyRoots,
+    _modexp,
     _pocklington,
     _PrimeRoots,
     _sieve_primes,
@@ -59,17 +60,22 @@ MAX_PRIME_BITS = 4096
 
 # The most bits of a prime that comes without a proof: from_primes refuses a
 # larger one before its 40 Miller-Rabin rounds.  A key file without proofs took
-# 0.4 s to load at 1024 bits and 16 s at MAX_PRIME_BITS (CPython 3.11, x86-64);
-# a proof costs a few modexps at any size.
+# 0.03 s to load at 1024 bits and 1.4 s at MAX_PRIME_BITS with the rounds in
+# libcrypto (numtheory._modexp), and 0.37 s and 16 s where they take pow
+# (CPython 3.11, x86-64); a proof costs a few modexps at any size.
 MAX_UNPROVEN_BITS = 1024
 
 # Padding multipliers a, b only matter through their residue classes, so
 # small values are enough and keep generation cheap.
 _MULTIPLIER_BOUND = 1 << 16
 
-# gen_prime strikes multiples of odd primes below bits**2/16, at most 2**14,
-# from each window of candidates; at 512 bits that leaves about 12% of them.
-# A full 2**14 sieve at every level of the recursion costs more than it saves.
+# gen_prime strikes multiples of odd primes below bits**2/64, at most 2**14,
+# from each window of candidates: below 4096 at 512 bits, which leaves about
+# 13.5% of them (Mertens), and below 2**14 from 1024 bits on.  With witnesses
+# in libcrypto (numtheory._modexp), a 512-bit prime took about 0.8x the time
+# of the earlier bits**2/16, over interleaved reps that found the same primes;
+# at 1536 bits both reach 2**14.  A full 2**14 sieve at every level of the
+# recursion costs more than it saves.
 _SIEVE_PRIMES = _sieve_primes(1 << 14)[1:]
 
 
@@ -103,7 +109,9 @@ def gen_prime(bits: int, constraint: str = "none", rng=None) -> int:
     tested with the witness b = 2**((p-1)/f) by numtheory._pocklington, whose
     size and square test proves p prime once (2f)**3 >= p.  A 512-bit prime
     thus takes two steps, through f of 171 and 57 bits.  The prime keeps each
-    step's (f, b) as its proof.
+    step's (f, b) as its proof.  Each witness is one numtheory._modexp, in
+    libcrypto where it can be reached and by pow where not; both find the
+    same prime from the same rng.
     """
     if bits < 8:
         raise ValueError("need at least 8 bits per prime factor")
@@ -125,7 +133,7 @@ def _proven_prime(bits: int, residue: int, step: int, rng) -> ProvenPrime:
 
 def _base_2_witness(n: int, f: int) -> int:
     # b = 2**((n-1)/f) mod n when it proves n prime by _pocklington, and 0 when not.
-    b = pow(2, (n - 1) // f, n)
+    b = _modexp(2, (n - 1) // f, n)
     return b if _pocklington(n, f, b) else 0
 
 
@@ -133,14 +141,14 @@ def _search(bits: int, residue: int, modulus: int, witness, rng) -> tuple[int, i
     """The first `bits`-bit n = residue mod modulus with a true witness(n), and that witness.
 
     HAC section 4.4.1: a random start in the class, then its next 2*bits
-    members, of which those with an odd prime factor below bits**2/16 (at
+    members, of which those with an odd prime factor below bits**2/64 (at
     most 2**14) are struck out and the rest tested in order.  modulus is a
     power of 2, or one times a prime above the sieve bound, so it is a unit
     modulo every sieving prime.
     """
     low = 1 << (bits - 1)
     window = 2 * bits
-    limit = min(bits * bits // 16, 1 << 14)  # below 2**(bits-1), so no candidate is struck as itself
+    limit = min(bits * bits // 64, 1 << 14)  # below 2**(bits-1), so no candidate is struck as itself
     while True:
         start = low | rng.getrandbits(bits - 1)
         start += (residue - start) % modulus

@@ -5,6 +5,7 @@ import sys
 
 import pytest
 
+from rabinsig import keygen, numtheory
 from rabinsig.hashing import IDENTITY, QUADRATIC
 from rabinsig.keygen import KeyPair, PaddingSet, ProvenPrime, gen_prime
 from rabinsig.numtheory import is_probable_prime, jacobi
@@ -80,6 +81,31 @@ def pytest_collection_finish(session):
 def _collected_modules():
     """Put back the rabinsig modules of collection time, when one suite runs both test directories."""
     sys.modules.update(_COLLECTED_MODULES)
+
+
+@pytest.fixture
+def record_modexps(monkeypatch):
+    """A function that starts recording the modular powers numtheory and keygen take, and returns the record.
+
+    From the call on, each pow and each _modexp call in those modules appends
+    (base, exp, mod).  The recorder stands in for both, and computes with the
+    builtin pow, so a modexp that _modexp hands to libcrypto is counted once,
+    as one that it hands to pow is.
+    """
+
+    def start() -> list:
+        calls = []
+
+        def recorded(base, exp, mod=None):
+            calls.append((base, exp, mod))
+            return pow(base, exp, mod)
+
+        for module in (numtheory, keygen):
+            monkeypatch.setattr(module, "pow", recorded, raising=False)
+            monkeypatch.setattr(module, "_modexp", recorded)
+        return calls
+
+    return start
 
 
 @pytest.fixture

@@ -798,48 +798,34 @@ def test_loading_a_proven_key_takes_no_random_round(monkeypatch):
     assert bases and set(bases) <= set(_SINCLAIR_BASES)  # only the chains' last elements, below 2**64
 
 
-def test_loading_a_proven_key_takes_one_exponentiation_per_step(monkeypatch):
+def test_loading_a_proven_key_takes_one_exponentiation_per_step(record_modexps):
     # b**f mod m for each step (f, b) of m is every modexp modulo a number above 2**64,
     # so no 2**((m-1)/f) is computed
     key = proven_key()
     text = dump_private(key)
-    powers = []
-
-    def recorded(base, exp, mod=None):
-        if mod is not None and mod >= 1 << 64 and exp > 0:
-            powers.append((exp, mod))
-        return pow(base, exp, mod)
-
-    for module in (numtheory, keygen):
-        monkeypatch.setattr(module, "pow", recorded, raising=False)
+    modexps = record_modexps()
     assert parse_key(text) == key
+    powers = [(exp, mod) for _, exp, mod in modexps if mod is not None and mod >= 1 << 64 and exp > 0]
     steps = [(f, m) for prime in (key.p, key.q)
              for m, (f, _) in zip((prime, *(f for f, _ in prime.chain)), prime.chain)]
     assert powers == steps and len(steps) == 4
 
 
-def test_loading_a_private_key_takes_no_inverse(monkeypatch):
+def test_loading_a_private_key_takes_no_inverse(monkeypatch, record_modexps):
     # psi1 and psi2 are checked by their definition and handed to the key's ring, so neither the load
     # nor the ring takes a pow(x, -1, m); the load's modexps modulo numbers above 2**64 are the chains'
     # b**f, one per step
     key = proven_key()
     text = dump_private(key)
-    inverses, powers = [], []
-
-    def recorded(base, exp, mod=None):
-        if exp < 0:
-            inverses.append(mod)
-        elif mod is not None and mod >= 1 << 64:
-            powers.append((exp, mod))
-        return pow(base, exp, mod)
-
+    modexps = record_modexps()
     for module in (numtheory, keygen):
-        monkeypatch.setattr(module, "pow", recorded, raising=False)
         monkeypatch.setattr(module, "crt_idempotents", lambda p, q: pytest.fail("crt_idempotents called"))
     parsed = parse_key(text)
     assert (parsed.idem.psi1, parsed.idem.psi2) == (_filed(text, "psi1"), _filed(text, "psi2"))
     steps = [(f, m) for prime in (key.p, key.q)
              for m, (f, _) in zip((prime, *(f for f, _ in prime.chain)), prime.chain)]
+    inverses = [mod for _, exp, mod in modexps if exp < 0]
+    powers = [(exp, mod) for _, exp, mod in modexps if exp >= 0 and mod is not None and mod >= 1 << 64]
     assert parsed == key and inverses == [] and powers == steps
 
 
@@ -1205,21 +1191,13 @@ def test_any_zpow_that_passes_signs_the_same():
                     assert sign(parsed, m, "general") == sign(key, m, "general")
 
 
-def test_loading_the_constants_takes_no_exponentiation_and_no_inverse(monkeypatch):
+def test_loading_the_constants_takes_no_exponentiation_and_no_inverse(monkeypatch, record_modexps):
     # beyond the chains' b**f, neither the load nor the key's ring takes a modexp or an inverse
     # modulo a number above 2**64: the ring holds psi1, psi2 and the constants the file holds
     keys = (rooted_key(), rw_key())
     texts = [dump_private(key) for key in keys]
-    powers = []
-
-    def recorded(base, exp, mod=None):
-        if mod is not None and mod >= 1 << 64 and exp not in {f for key in keys for prime in (key.p, key.q)
-                                                             for f, _ in prime.chain}:
-            powers.append((exp, mod))
-        return pow(base, exp, mod)
-
+    modexps = record_modexps()
     for module in (numtheory, keygen):
-        monkeypatch.setattr(module, "pow", recorded, raising=False)
         monkeypatch.setattr(module, "crt_idempotents", lambda p, q: pytest.fail("crt_idempotents called"))
     parsed = [parse_key(text) for text in texts]
     for key, text in zip(parsed, texts):
@@ -1228,6 +1206,9 @@ def test_loading_the_constants_takes_no_exponentiation_and_no_inverse(monkeypatc
         held.update((field, getattr(ring.at_p if field[0] == "p" else ring.at_q, field[2:]))
                     for field in CONSTANT_FIELDS if f"\n{field} = " in text)
         assert held == {field: _filed(text, field) for field in held} and len(held) in (3, 4)
+    chain_factors = {f for key in keys for prime in (key.p, key.q) for f, _ in prime.chain}
+    powers = [(exp, mod) for _, exp, mod in modexps
+              if mod is not None and mod >= 1 << 64 and exp not in chain_factors]
     assert powers == []
     monkeypatch.undo()
     assert parsed == list(keys)

@@ -3,6 +3,8 @@ import itertools
 import math
 import random
 import signal
+import sys
+import threading
 
 import pytest
 from hypothesis import given
@@ -20,6 +22,7 @@ from rabinsig.numtheory import (
     _class_root,
     _exact_prime,
     _miller_rabin,
+    _modexp,
     _pocklington,
     _PrimeRoots,
     _proven,
@@ -112,6 +115,88 @@ class TestPrimality:
         for _ in range(200):
             n = rng.randrange(3, 1 << 40) | 1
             assert is_probable_prime(n, rng) == sympy.isprime(n)
+
+
+needs_libcrypto = pytest.mark.skipif(numtheory._libcrypto is None,
+                                     reason="libcrypto's BN_* functions were not found through _hashlib")
+
+
+class TestModexp:
+    @given(a=st.integers(-(1 << 1200), 1 << 1200), e=st.integers(0, 1 << 700),
+           m=st.integers(1 << 64, 1 << 1100), odd=st.booleans())
+    def test_agrees_with_pow(self, a, e, m, odd):
+        m = m & ~1 | odd  # 2**64 is even, so m stays at or above it
+        assert _modexp(a, e, m) == pow(a, e, m)
+
+    @pytest.mark.parametrize("m", [(1 << 64) - 1, 1 << 64, (1 << 64) + 1, (1 << 127) - 1])
+    @pytest.mark.parametrize("a", [0, 1, 2, -1, -2, (1 << 64) - 1, 1 << 64, 3 << 64])
+    @pytest.mark.parametrize("e", [0, 1, 2, (1 << 64) - 3])
+    def test_edge_cases_agree_with_pow(self, a, e, m):
+        assert _modexp(a, e, m) == pow(a, e, m)
+
+    def test_four_threads_at_once_agree_with_pow(self):
+        # each thread has its own BIGNUMs, and libcrypto runs without the interpreter lock
+        barrier, failures, done = threading.Barrier(4, timeout=30), [], []
+
+        def work(seed):
+            rng = random.Random(seed)
+            barrier.wait()
+            for _ in range(100):
+                m = rng.getrandbits(rng.randrange(65, 1100)) | 1 << 64
+                a, e = rng.getrandbits(1100), rng.getrandbits(600)
+                if _modexp(a, e, m) != pow(a, e, m):
+                    failures.append((seed, a, e, m))
+            done.append(seed)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [threading.Thread(target=work, args=(seed,)) for seed in range(4)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert failures == [] and sorted(done) == [0, 1, 2, 3]
+
+    @needs_libcrypto
+    def test_pow_runs_below_2_to_64_only(self, monkeypatch):
+        moduli = []
+
+        def recorded(base, exp, mod):
+            moduli.append(mod)
+            return pow(base, exp, mod)
+
+        monkeypatch.setattr(numtheory, "pow", recorded, raising=False)
+        for m in ((1 << 64) - 1, 1 << 64, (1 << 512) - 569):
+            assert _modexp(3, 1 << 40, m) == pow(3, 1 << 40, m)
+        assert moduli == [(1 << 64) - 1]
+
+    @needs_libcrypto
+    def test_a_failure_in_libcrypto_raises_naming_no_number(self, monkeypatch):
+        real = numtheory._libcrypto
+
+        class Failing:
+            def __getattr__(self, name):
+                return (lambda *args: 0) if name == "BN_mod_exp" else getattr(real, name)
+
+        monkeypatch.setattr(numtheory, "_libcrypto", Failing())
+        with pytest.raises(ArithmeticError) as info:
+            _modexp(5, 12345, (1 << 89) - 1)
+        assert not any(ch.isdigit() for ch in str(info.value))
+
+    def test_without_libcrypto_a_seeded_key_and_its_load_are_the_same(self, monkeypatch):
+        def seeded_key_and_load():
+            key = gen_keypair("general", 512, rng=random.Random("modexp/512"))
+            text = dump_private(key)
+            loaded = parse_key(text)
+            return text, loaded, dump_private(loaded)
+
+        native = seeded_key_and_load()
+        monkeypatch.setattr(numtheory, "_libcrypto", None)
+        assert seeded_key_and_load() == native
 
 
 PSI_12 = 318665857834031151167461  # least strong pseudoprime to the bases 2..37
