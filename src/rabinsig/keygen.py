@@ -450,9 +450,11 @@ def gen_keypair(kind: str, bits: int, redundancy=IDENTITY, rng=None) -> KeyPair:
 # break may be left out.  A private key file may add p_proof and q_proof, each
 # chain's steps in decimal separated by single spaces, f1 b1 f2 b2 ...; a
 # prime below 2**64 has none.  A private general key file may add u1_root ..
-# u4_root, all four or none: each padding element's root over its class.  It
-# may add, per prime, the root constants that cost an exponentiation
+# u4_root, all four or none: each padding element's root over its class.
+# Files of earlier versions may also hold, per prime, a root constant
 # (_prime_constants): p_zpow and q_zpow, and p_half_root and q_half_root.
+# They load when each equals what the key's ring computes, and are not
+# written back.
 
 KEY_MAGIC = "rabin-key v1"
 
@@ -462,11 +464,10 @@ _DECIMALS = re.compile(rf"(?:{_DECIMAL.pattern})(?: (?:{_DECIMAL.pattern}))*")
 
 
 def _prime_constants(kind: str, prime: int) -> tuple[str, ...]:
-    """The _PrimeRoots constants a private key file holds for a prime of a `kind` key.
+    """The _PrimeRoots constants a private key file of an earlier version may hold for a prime of a `kind` key.
 
     zpow for a prime that is 1 mod 4, whose z is no -1, and half_root on an
-    rw key: each costs an exponentiation to compute and a few squarings to
-    certify (_PrimeRoots.know_zpow, know_half_root).
+    rw key.
     """
     return ("zpow",) * (prime % 4 == 1) + ("half_root",) * (kind == "rw")
 
@@ -483,14 +484,12 @@ def dump_public(pub: PublicKey | KeyPair) -> str:
 
 
 def dump_private(key: KeyPair) -> str:
-    """The private key file, with every stored constant: any the key's ring lacks is computed here."""
+    """The private key file, with psi1, psi2 and any padding roots: each the key's ring lacks is computed here."""
     ring = key.idem
     fields = _public_fields(key) | {"p": key.p, "q": key.q, "psi1": ring.psi1, "psi2": ring.psi2}
     if key.padding is not None:  # each root the least of its lifts: one file per key
         fields.update((f"u{i}_root", _canonical_lift(*ring.unit_roots(u), ring))
                       for i, u in enumerate(key.padding.elements, start=1))
-    for name, prime, at in (("p", key.p, ring.at_p), ("q", key.q, ring.at_q)):
-        fields.update((f"{name}_{c}", getattr(at, c)) for c in _prime_constants(key.kind, prime))
     for name, prime in (("p_proof", key.p), ("q_proof", key.q)):
         if chain := getattr(prime, "chain", ()):
             fields[name] = " ".join(str(x) for step in chain for x in step)
@@ -556,13 +555,14 @@ def parse_key(text: str, path_hint: str = "key file") -> KeyPair | PublicKey:
     general key's u1_root .. u4_root, by which it certifies the padding
     classes in place of Jacobi symbols.  Each root must be the least of its
     four lifts mod N, so that a key has one file.  Each of a prime's
-    _prime_constants may be there too, certified by a few squarings.  The
-    key's ring takes psi1, psi2 and each constant that passes; an error
-    names its field, never its value.  An N above 2*MAX_PRIME_BITS bits is
-    refused before any arithmetic on it.  A public file's padding set gets
-    the checks that need no factor of N: each element is a unit below N and
-    no square root of unity, and no difference shares a factor with N.  A
-    private file's gets every check, in from_primes.
+    _prime_constants, as earlier versions wrote them, may be there too, and
+    must equal the value the key's ring computes.  The key's ring takes psi1
+    and psi2; an error names its field, never its value.  An N above
+    2*MAX_PRIME_BITS bits is refused before any arithmetic on it.  A public
+    file's padding set gets the checks that need no factor of N: each
+    element is a unit below N and no square root of unity, and no
+    difference shares a factor with N.  A private file's gets every check,
+    in from_primes.
     """
     record = _Record(text, KEY_MAGIC, KeyFormatError, path_hint)
     kind = record.pop("kind", None)
@@ -618,6 +618,6 @@ def parse_key(text: str, path_hint: str = "key file") -> KeyPair | PublicKey:
             if w != min(w, n - w, w_e, n - w_e):
                 raise KeyFormatError(f"root of padding element {i} is not the least of its four lifts in {path_hint}")
     for (i, c), value in constants.items():
-        if not getattr((ring.at_p, ring.at_q)[i], f"know_{c}")(value):  # each reveals p: the message names only its field
+        if getattr((ring.at_p, ring.at_q)[i], c) != value:  # each reveals p: the message names only its field
             raise KeyFormatError(f"field '{'pq'[i]}_{c}' fails its check in {path_hint}")
     return key

@@ -16,14 +16,15 @@ constant a lift or a root needs on its first use: psi1 and psi2; per prime,
 the root exponent, a non-residue z and its powers for Tonelli-Shanks, the
 one root algorithm, and 2**(-(p+1)/4) for the rw signer (_PrimeRoots); per
 padding element, its root over its class (unit_roots).  A private key file
-that stores them hands them over, each certified with no inverse
-(know_idempotents, _PrimeRoots.know_zpow and know_half_root; know_unit_roots
-after KeyPair.from_primes squares them).  crt_idempotents is the validating
-constructor, and the ring is the only modulus argument of every CRT and
-root function (`idem`).  A KeyPair is built on its ring (key.idem).  Each
-constant is fixed by the primes and written once, so a concurrent first
-use just computes it twice.  Every one of them reveals p (a root x of u
-gives gcd(x**2 - u, n) = p), so they stay as private as psi1 and psi2.
+hands over psi1, psi2 and the padding roots, each certified with no inverse
+(know_idempotents; know_unit_roots after KeyPair.from_primes squares them);
+a prime's constants cost one _modexp each, and the ring computes them.
+crt_idempotents is the validating constructor, and the ring is the only
+modulus argument of every CRT and root function (`idem`).  A KeyPair is
+built on its ring (key.idem).  Each constant is fixed by the primes and
+written once, so a concurrent first use just computes it twice.  Every one
+of them reveals p (a root x of u gives gcd(x**2 - u, n) = p), so they stay
+as private as psi1 and psi2.
 
 The exponentiations that decide primality, a Miller-Rabin round's a**d, a
 Pocklington witness's b**f and keygen's 2**((n-1)/f), go through _modexp:
@@ -31,7 +32,8 @@ OpenSSL's BN_mod_exp, in the libcrypto that hashlib already loads, for a
 modulus of at least 2**64, about a twelfth of pow's time at 512 bits; pow
 below that, and wherever libcrypto cannot be reached.  Both give the same
 integers, so no prime, chain, key file or seeded output depends on which
-ran.  The roots (_class_root, zpow) still take pow.
+ran.  A prime's constants (zpow, half_root) take _modexp too; the roots
+(_class_root) still take pow.
 """
 
 import math
@@ -290,9 +292,9 @@ class _KeyRoots:
 
     psi1 is 1 mod p and 0 mod q; psi2 is 0 mod p and 1 mod q.  They satisfy
     psi1 + psi2 = 1, psi1 * psi2 = 0 and psi_i**2 = psi_i, all mod p*q.  They
-    and the root constants of p and q (at_p, at_q) are computed on first use
-    unless a key file hands them over, so a ring costs nothing to build and
-    one that only lifts computes no Jacobi symbol.
+    are computed on first use unless a key file hands them over, and the root
+    constants of p and q (at_p, at_q) on first use, so a ring costs nothing
+    to build and one that only lifts computes no Jacobi symbol.
     """
 
     def __init__(self, p: int, q: int):
@@ -390,8 +392,8 @@ class _PrimeRoots:
     in Computational Algebraic Number Theory", Alg. 1.5.1).  z is a
     non-residue: -1 for p = 3 mod 4, the least one for p = 1 mod 4.  The
     powers of z that a non-residue needs, and 2**(-(p+1)/4) for the rw
-    signer, are computed on the first call that needs them, one modexp
-    each, unless a key file handed them over (know_zpow, know_half_root).
+    signer, are computed on the first call that needs them, one _modexp
+    each.
     """
 
     def __init__(self, p: int):
@@ -404,7 +406,7 @@ class _PrimeRoots:
     @cached_property
     def zpow(self) -> int:
         """z**exp for p = 1 mod 4, from one modexp: what z_powers needs."""
-        return pow(self.z, self.exp, self.p)
+        return _modexp(self.z, self.exp, self.p)
 
     @cached_property
     def z_powers(self) -> tuple[int, int]:
@@ -416,41 +418,12 @@ class _PrimeRoots:
 
     @cached_property
     def half_root(self) -> int:
-        """2**(-(p+1)/4) for p = 3 mod 4, or p minus it, whichever is below p/2: a square root of (2/p)/2."""
-        c = pow(2, -(self.exp + 1), self.p)
+        """2**(-(p+1)/4) for p = 3 mod 4, or p minus it, whichever is below p/2: a square root of (2/p)/2.
+
+        One modexp of (p+1)/2, the inverse of 2, by exp + 1 = (p+1)/4.
+        """
+        c = _modexp((self.p + 1) // 2, self.exp + 1, self.p)
         return min(c, self.p - c)
-
-    def know_zpow(self, y: int) -> bool:
-        """Take zpow = y, as a key file holds it, if 0 < y < p and y**2 * z has order 2**s.
-
-        s - 1 squarings show that order, and it is all Tonelli-Shanks needs of
-        z**d = zpow**2 * z: its powers are the roots of unity of order 2**s,
-        and zh**2 = z * z**d holds for any y.  So a y that passes gives the
-        roots that z**exp gives, up to sign, and each signer that takes them
-        emits the canonical lift, which no sign changes.  Returns whether y passes.
-        """
-        p = self.p
-        if not 0 < y < p:
-            return False
-        zd = y * y * self.z % p
-        for _ in range(self.s - 1):
-            zd = zd * zd % p
-        if zd != p - 1:
-            return False
-        self.zpow = y
-        return True
-
-    def know_half_root(self, c: int) -> bool:
-        """Take half_root = c, as a key file holds it, if 0 < c < p/2 and 2 * c**2 = (2/p); returns whether c passes.
-
-        For p = 3 mod 4, where (2/p) is 1 for p = 7 mod 8 and -1 for p = 3 mod 8:
-        c is then the one value that half_root gives.
-        """
-        p = self.p
-        if not 0 < 2 * c < p or 2 * c * c % p != (1 if p % 8 == 7 else p - 1):
-            return False
-        self.half_root = c
-        return True
 
     def root_over_class(self, u: int) -> int:
         """A root of u, or of u/z when u is a non-residue."""

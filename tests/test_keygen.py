@@ -1,6 +1,7 @@
 import copy
 import dataclasses
 import functools
+import hashlib
 import math
 import pickle
 import random
@@ -33,7 +34,7 @@ from rabinsig.keygen import (
 )
 from rabinsig.numtheory import _SINCLAIR_BASES, _proven, crt_idempotents, crt_padding, jacobi
 from rabinsig.oracle import SmallRing, qr_set, units
-from rabinsig.schemes import SCHEMES, sign, verify
+from rabinsig.schemes import SCHEME_TAGS, SCHEMES, dump_signature, sign, verify
 
 from conftest import ORACLE_PADDING, NoRandomness, composite_with_a_proven_factor, general_key_with_unchecked_padding
 
@@ -968,7 +969,7 @@ def test_a_loaded_key_reduces_a_stored_root_only_when_the_general_signer_takes_i
 
 
 def test_a_rootless_file_loads_signs_the_same_and_gains_the_roots():
-    # as with the constants of its primes, the file gains the root lines when the key is written again
+    # the file gains the root lines when the key is written again
     key = rooted_key()
     full = dump_private(key)
     text = _without_roots(full)
@@ -1058,20 +1059,21 @@ def test_padding_roots_stay_private():
 
 
 # ---------------------------------------------------------------------------
-# Root constants of the primes, carried by private general and rw keys
+# Root constants of the primes, which earlier versions filed in private general and rw keys
 
 CONSTANT_FIELDS = ("p_zpow", "q_zpow", "p_half_root", "q_half_root")
+# `rabinsig keygen --kind general|rw --bits 64 --seed 11`, written by the last version that filed the
+# constants: the general primes are 1 mod 8, so that file holds p_zpow and q_zpow, and the rw file
+# holds p_half_root and q_half_root
+CONSTANT_FILES = {kind: Path(__file__).parent / "data" / f"{kind}-constants.key" for kind in ("general", "rw")}
+# sha256 of what those files signed in that version: 40 messages per scheme that each key signs
+CONSTANT_FILE_SIGNATURES = "6fc9eea7d4b6ef853a77d3b6d5460c8acbbb6d5bc2567a722722efd4c0e4279d"
 
 
-@functools.cache
-def rw_key() -> KeyPair:
-    """An rw key on proven 80-bit primes."""
-    return gen_keypair("rw", 80, IDENTITY, random.Random("rw-constants"))
-
-
-def _constant_keys() -> dict[str, KeyPair]:
-    # each constant field of a key that holds it: rooted_key's p is 1 mod 8 and its q 3 mod 4
-    return {"p_zpow": rooted_key(), "p_half_root": rw_key(), "q_half_root": rw_key()}
+def _constant_files() -> dict[str, str]:
+    # each constant field, with the text of the committed file that holds it
+    general, rw = (path.read_text() for path in CONSTANT_FILES.values())
+    return {"p_zpow": general, "q_zpow": general, "p_half_root": rw, "q_half_root": rw}
 
 
 def _filed(text: str, field: str) -> int:
@@ -1086,82 +1088,98 @@ def _without_constants(text: str) -> str:
     return "".join(line for line in text.splitlines(keepends=True) if not line.startswith(CONSTANT_FIELDS))
 
 
-def _refused_naming_no_digit(text, match, tmp_path, monkeypatch, capsys):
-    """_refused_everywhere, where neither parse_key's message nor the command's holds a digit: a constant reveals p."""
-    capsys.readouterr()
-    _refused_everywhere(text, tmp_path, monkeypatch, match)
-    err = capsys.readouterr().err.replace(str(tmp_path / "tampered.key"), "")
-    with pytest.raises(KeyFormatError) as caught:
+def _refused_naming_no_digit(text, match, tmp_path, capsys):
+    """parse_key refuses the file and `rabinsig sign` exits 3, and neither message holds a digit: a constant reveals p."""
+    with pytest.raises(KeyFormatError, match=match) as caught:
         parse_key(text)
+    path = tmp_path / "tampered.key"
+    path.write_text(text)
+    capsys.readouterr()
+    assert main(["sign", "--key", str(path), "--scheme", "classic", "--message", "5",
+                 "--out", str(tmp_path / "tampered.sig")]) == 3
+    err = capsys.readouterr().err.replace(str(path), "")
     assert err and not re.search(r"\d", err + str(caught.value))
 
 
-def test_each_key_file_holds_the_constants_its_primes_need():
+def test_no_key_file_holds_a_constant_of_its_primes():
+    for kind in KINDS:
+        text = dump_private(gen_keypair(kind, 80, IDENTITY, random.Random(f"constants/{kind}")))
+        assert not any(line.startswith(CONSTANT_FIELDS) for line in text.splitlines())
+
+
+def test_each_filed_constant_is_the_one_its_ring_computes():
     # z**exp for a 1-mod-4 prime, and 2**(-(p+1)/4), or p minus it, below p/2 on an rw key
-    key = rooted_key()
-    text = dump_private(key)
-    assert [line.split(" = ")[0] for line in text.splitlines() if line.startswith(CONSTANT_FIELDS)] == ["p_zpow"]
-    s = ((key.p - 1) & (1 - key.p)).bit_length() - 1
-    d = (key.p - 1) >> s
-    assert _filed(text, "p_zpow") == pow(numtheory.least_nonresidue(key.p), (d - 1) // 2, key.p)
-    rw = rw_key()
-    text = dump_private(rw)
-    for name, prime in (("p", rw.p), ("q", rw.q)):
-        c = _filed(text, f"{name}_half_root")
-        assert c in (pow(2, -(prime + 1) // 4, prime), prime - pow(2, -(prime + 1) // 4, prime)) and 2 * c < prime
-    assert not any(line.startswith(CONSTANT_FIELDS) for line in dump_private(gen_keypair("blum", 80, IDENTITY,
-                                                                                           random.Random(1))).splitlines())
+    for field, text in _constant_files().items():
+        prime, value = _filed(text, field[0]), _filed(text, field)
+        s = ((prime - 1) & (1 - prime)).bit_length() - 1
+        d = (prime - 1) >> s
+        if field.endswith("_zpow"):
+            assert prime % 8 == 1 and value == pow(numtheory.least_nonresidue(prime), (d - 1) // 2, prime)
+        else:
+            c = pow(2, -(prime + 1) // 4, prime)
+            assert value == min(c, prime - c)
+        ring = parse_key(text).idem
+        assert getattr(ring.at_p if field[0] == "p" else ring.at_q, field[2:]) == value
 
 
 def _bad_constants(field: str) -> dict:
-    key = _constant_keys()[field]
-    value, prime = _filed(dump_private(key), field), getattr(key, field[0])
+    text = _constant_files()[field]
+    value, prime = _filed(text, field), _filed(text, field[0])
     return {
         "digit": str(value)[:-1] + str((int(str(value)[-1]) + 1) % 10),
         "zero": 0,
         "p-1": prime - 1,
+        "minus": prime - value,
         "plus-p": value + prime,
     }
 
 
-@pytest.mark.parametrize("edit", ["digit", "zero", "p-1", "plus-p"])
-@pytest.mark.parametrize("field", list(_constant_keys()))
-def test_a_constant_that_fails_its_check_is_refused(field, edit, tmp_path, monkeypatch, capsys):
-    text = dump_private(_constant_keys()[field])
+@pytest.mark.parametrize("edit", ["digit", "zero", "p-1", "minus", "plus-p"])
+@pytest.mark.parametrize("field", CONSTANT_FIELDS)
+def test_a_constant_that_fails_its_check_is_refused(field, edit, tmp_path, capsys):
+    text = _constant_files()[field]
     edited = _with_constant(text, field, _bad_constants(field)[edit])
     assert edited != text
-    _refused_naming_no_digit(edited, f"field '{field}' fails its check", tmp_path, monkeypatch, capsys)
+    _refused_naming_no_digit(edited, f"field '{field}' fails its check", tmp_path, capsys)
 
 
-def test_constant_lines_stand_only_where_their_prime_needs_them(tmp_path, monkeypatch, capsys):
-    key, rw = rooted_key(), rw_key()
+def test_constant_lines_stand_only_where_their_prime_needs_them(tmp_path, capsys):
+    general, rw = _constant_files()["p_zpow"], _constant_files()["p_half_root"]
+    line = f"p_zpow = {_filed(general, 'p_zpow')}\n"
+    _refused_naming_no_digit(general + line, "duplicate field 'p_zpow'", tmp_path, capsys)
+    # rooted_key's q is 3 mod 4, whose z = -1 needs no constant
+    key = rooted_key()
     text = dump_private(key)
-    line = f"p_zpow = {_filed(text, 'p_zpow')}\n"
-    _refused_naming_no_digit(text + line, "duplicate field 'p_zpow'", tmp_path, monkeypatch, capsys)
-    # q is 3 mod 4, whose z = -1 needs no constant
-    _refused_naming_no_digit(text + line.replace("p_", "q_"), re.escape("unexpected fields ['q_zpow']"),
-                             tmp_path, monkeypatch, capsys)
-    half = "".join(line for line in dump_private(rw).splitlines(keepends=True) if "_half_root" in line)
-    _refused_naming_no_digit(text + half, "unexpected fields", tmp_path, monkeypatch, capsys)
+    assert parse_key(text + f"p_zpow = {key.idem.at_p.zpow}\n") == key
+    _refused_naming_no_digit(text + f"q_zpow = {key.idem.at_q.zpow}\n", re.escape("unexpected fields ['q_zpow']"),
+                             tmp_path, capsys)
+    half = "".join(line for line in rw.splitlines(keepends=True) if "_half_root" in line)
+    _refused_naming_no_digit(general + half, "unexpected fields", tmp_path, capsys)
     blum = dump_private(gen_keypair("blum", 80, IDENTITY, random.Random(1)))
-    _refused_naming_no_digit(blum + half, "unexpected fields", tmp_path, monkeypatch, capsys)
-    for public in (dump_public(key) + line, dump_public(rw) + half):
-        _refused_naming_no_digit(public, "unexpected fields", tmp_path, monkeypatch, capsys)
+    _refused_naming_no_digit(blum + half, "unexpected fields", tmp_path, capsys)
+    for kind, lines in (("general", line), ("rw", half)):
+        public = CONSTANT_FILES[kind].with_suffix(".key.pub").read_text()
+        _refused_naming_no_digit(public + lines, "unexpected fields", tmp_path, capsys)
 
 
-def test_an_earlier_file_loads_signs_the_same_and_gains_the_constants():
-    for key in (rooted_key(), rw_key()):
-        text = dump_private(key)
+def test_an_earlier_file_loads_signs_the_same_and_is_written_back_without_them():
+    signed = []
+    for name, path in CONSTANT_FILES.items():
+        text = path.read_text()
         earlier = _without_constants(text)
         assert earlier != text
-        parsed, full = parse_key(earlier), parse_key(text)
-        assert parsed == full == key and dump_private(parsed) == text
-        scheme = "general" if key.kind == "general" else "rw"
-        for target in ((1, 1), (1, -1), (-1, 1), (-1, -1)):
-            m = next(m for m in range(2, key.n) if (jacobi(m, key.p), jacobi(m, key.q)) == target)
-            signed = sign(parse_key(earlier), m, scheme)
-            assert signed == sign(parse_key(text), m, scheme) == sign(key, m, scheme)
-            assert verify(key.public(), signed).valid
+        key = parse_key(text)
+        assert key == parse_key(earlier) and dump_private(key) == earlier
+        public = parse_key(path.with_suffix(".key.pub").read_text())
+        for scheme in SCHEME_TAGS:
+            if SCHEMES[scheme].key_ok(key):
+                for m in range(2, 42):
+                    rng = f"{name}-constants/{scheme}/{m}"
+                    sig = sign(key, m, scheme, rng=random.Random(rng))
+                    assert sig == sign(parse_key(earlier), m, scheme, rng=random.Random(rng))
+                    assert verify(public, sig).valid
+                    signed.append(dump_signature(sig, key))
+    assert hashlib.sha256("".join(signed).encode()).hexdigest() == CONSTANT_FILE_SIGNATURES
 
 
 def _five_mod_8_key() -> KeyPair:
@@ -1170,57 +1188,29 @@ def _five_mod_8_key() -> KeyPair:
                                 for i in range(100)) if key.p % 8 == 5)
 
 
-def test_any_zpow_that_passes_signs_the_same():
-    # p - y squares as y does, so it passes, and so does y*i for i = z**d, a root of -1 when p = 5 mod 8;
-    # there z = 2 and y = +-1/(1 - i), so y*i is y - 1 or y + 1; each signs as y does, up to the sign of
-    # a root, which the canonical lift takes away
-    for key in (rooted_key(), _five_mod_8_key()):
-        text = dump_private(key)
-        y, p = _filed(text, "p_zpow"), key.p
-        others = [p - y]
+def test_only_the_computed_zpow_loads(tmp_path, capsys):
+    # y = z**exp is the one value that loads, so a key has one file: p - y and y*z**d, which squared
+    # times z give z**d and z**(3d) of the same order 2**s, are refused; on a 5-mod-8 prime, where
+    # z = 2 and z**d is a root of -1, y*z**d is y - 1 or y + 1
+    five = _five_mod_8_key()
+    for text in (_constant_files()["p_zpow"], dump_private(five) + f"p_zpow = {five.idem.at_p.zpow}\n"):
+        y, p = _filed(text, "p_zpow"), _filed(text, "p")
+        zd = y * y * numtheory.least_nonresidue(p) % p
+        others = [p - y, y * zd % p]
         if p % 8 == 5:
-            i = y * y * 2 % p
-            assert y * i % p in (y - 1, y + 1)
-            others.append(y * i % p)
+            assert others[1] in (y - 1, y + 1)
         for value in others:
-            edited = _with_constant(text, "p_zpow", value)
-            parsed = parse_key(edited)
-            assert parsed == key and dump_private(parsed) == edited
-            for m in range(2, 40):
-                if math.gcd(m, key.n) == 1:
-                    assert sign(parsed, m, "general") == sign(key, m, "general")
-
-
-def test_loading_the_constants_takes_no_exponentiation_and_no_inverse(monkeypatch, record_modexps):
-    # beyond the chains' b**f, neither the load nor the key's ring takes a modexp or an inverse
-    # modulo a number above 2**64: the ring holds psi1, psi2 and the constants the file holds
-    keys = (rooted_key(), rw_key())
-    texts = [dump_private(key) for key in keys]
-    modexps = record_modexps()
-    for module in (numtheory, keygen):
-        monkeypatch.setattr(module, "crt_idempotents", lambda p, q: pytest.fail("crt_idempotents called"))
-    parsed = [parse_key(text) for text in texts]
-    for key, text in zip(parsed, texts):
-        ring = key.idem
-        held = {"psi1": ring.psi1, "psi2": ring.psi2}
-        held.update((field, getattr(ring.at_p if field[0] == "p" else ring.at_q, field[2:]))
-                    for field in CONSTANT_FIELDS if f"\n{field} = " in text)
-        assert held == {field: _filed(text, field) for field in held} and len(held) in (3, 4)
-    chain_factors = {f for key in keys for prime in (key.p, key.q) for f, _ in prime.chain}
-    powers = [(exp, mod) for _, exp, mod in modexps
-              if mod is not None and mod >= 1 << 64 and exp not in chain_factors]
-    assert powers == []
-    monkeypatch.undo()
-    assert parsed == list(keys)
+            _refused_naming_no_digit(_with_constant(text, "p_zpow", value), "field 'p_zpow' fails its check",
+                                     tmp_path, capsys)
 
 
 def test_prime_constants_stay_private():
-    for key in (rooted_key(), rw_key()):
-        text = dump_private(key)
+    for path in CONSTANT_FILES.values():
+        text = path.read_text()
         parsed = parse_key(text)
         values = [_filed(text, field) for field in CONSTANT_FIELDS if f"\n{field} = " in text]
         shown = repr(parsed) + dump_public(parsed) + repr(parsed.public()) + dump_public(parsed.public())
-        assert values and not any(str(v) in shown for v in values)
+        assert len(values) == 2 and not any(str(v) in shown + dump_private(parsed) for v in values)
         # like a chain, the constants take no part in == or hash
         bare = parse_key(_without_constants(text))
         assert bare == parsed and hash(bare) == hash(parsed) and repr(bare) == repr(parsed)

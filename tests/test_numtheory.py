@@ -198,6 +198,21 @@ class TestModexp:
         monkeypatch.setattr(numtheory, "_libcrypto", None)
         assert seeded_key_and_load() == native
 
+    @pytest.mark.parametrize("libcrypto", ["as loaded", "None"])
+    def test_a_primes_constants_equal_their_pow_definitions(self, monkeypatch, libcrypto):
+        # every prime of the fixed 96-bit keys whose seeded outputs are pinned: 1 mod 16, 5 mod 8,
+        # 1 mod 8, 3 mod 8 and 7 mod 8; both constants are integers for any odd prime
+        from test_seeded_output import KEYS
+
+        if libcrypto == "None":
+            monkeypatch.setattr(numtheory, "_libcrypto", None)
+        primes = [prime for _, p, q, _ in KEYS.values() for prime in (p, q)]
+        assert {p % 16 for p in primes} >= {1, 13, 9, 11, 15} and min(primes) > 1 << 64
+        for p in primes:
+            at = _PrimeRoots(p)
+            c = pow(2, -(at.exp + 1), p)
+            assert at.zpow == pow(at.z, at.exp, p) and at.half_root == min(c, p - c)
+
 
 PSI_12 = 318665857834031151167461  # least strong pseudoprime to the bases 2..37
 

@@ -121,8 +121,6 @@ def test_selfcheck_seed_7(capsys):
 
 
 ROOT_LINES = tuple(f"u{i}_root = " for i in range(1, 5))
-# the root constants of the general key's two 1-mod-4 primes and of the rw key's primes
-CONSTANT_LINES = ("p_zpow = ", "q_zpow = ", "p_half_root = ", "q_half_root = ")
 
 
 def _without(text: str, prefixes: tuple[str, ...]) -> str:
@@ -130,16 +128,13 @@ def _without(text: str, prefixes: tuple[str, ...]) -> str:
 
 
 def test_seeded_keygen():
-    # the three keys the benchmark's cli set-up draws, in its order and from its rng
+    # the three keys the benchmark's cli set-up draws, in its order and from its rng; no file holds
+    # a root constant of its primes, so this is the text of the versions before they were filed
     rng = random.Random("cli/pool")
     text = "".join(dump_private(gen_keypair(kind, 512, redundancy, rng)) for kind, redundancy in (
         ("general", IDENTITY), ("blum", IDENTITY), ("rw", RedundancySpec("digest", "sha256"))))
-    assert _sha256(text) == "11bcf32308939b517cf465b3dcbb6dc30a88a5c692c3e2341e46397f24478769"
-    # without the root constants, the text that keys written before them hold
-    constantless = _without(text, CONSTANT_LINES)
-    assert len(text.splitlines()) - len(constantless.splitlines()) == 4
-    assert _sha256(constantless) == "5fa8eb8770e6c0a35a609993f9168709e050047151f1c1819f3fc9ec799e7cb5"
-    # without the general key's padding roots too, the text that keys written before the roots hold
-    rootless = _without(constantless, ROOT_LINES)
-    assert len(constantless.splitlines()) - len(rootless.splitlines()) == 4
+    assert _sha256(text) == "5fa8eb8770e6c0a35a609993f9168709e050047151f1c1819f3fc9ec799e7cb5"
+    # without the general key's padding roots, the text that keys written before the roots hold
+    rootless = _without(text, ROOT_LINES)
+    assert len(text.splitlines()) - len(rootless.splitlines()) == 4
     assert _sha256(rootless) == "c4cc8d9be3724364820221ea7535adeb013a29cd0b477e21f8619fa1b7e5646d"
