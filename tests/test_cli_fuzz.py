@@ -122,13 +122,16 @@ def _constant_edits():
 
 
 def _edit_line(lines, k, op, at, step):
-    """`lines` with line k dropped, repeated, or with the digit at `at` of its value raised by `step` mod 10."""
+    """`lines` with line k dropped, repeated, or with the digit at `at` of its value raised by `step` mod 10.
+
+    A value that an earlier edit left without decimal digits only, such as "" or "abc", has no digit to change.
+    """
     name, _, value = lines[k].partition(" = ")
     if op == "drop":
         del lines[k]
     elif op == "repeat":
         lines.insert(k, lines[k])
-    elif op == "digit":  # never to a leading zero
+    elif op == "digit" and value.isascii() and value.isdecimal():  # never to a leading zero
         at %= len(value)
         digit = (int(value[at]) + step) % 10
         if at == 0 and digit == 0 and len(value) > 1:
