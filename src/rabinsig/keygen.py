@@ -75,7 +75,8 @@ _MULTIPLIER_BOUND = 1 << 16
 # in libcrypto (numtheory._modexp), a 512-bit prime took about 0.8x the time
 # of the earlier bits**2/16, over interleaved reps that found the same primes;
 # at 1536 bits both reach 2**14.  A full 2**14 sieve at every level of the
-# recursion costs more than it saves.
+# recursion costs more than it saves.  That was measured when a refused
+# survivor cost two modexps; with the Fermat test first it costs one.
 _SIEVE_PRIMES = _sieve_primes(1 << 14)[1:]
 
 
@@ -105,13 +106,14 @@ def gen_prime(bits: int, constraint: str = "none", rng=None) -> int:
     Returns a ProvenPrime, which carries its proof.  Below 2**64 the search
     tests candidates with the exact _exact_prime.  Above, a prime is built as in
     Maurer's generator (J. Cryptology 8, 1995; HAC Alg. 4.62): a proven prime
-    f of ceil(bits/3) bits, then a search over candidates p = 2*R*f + 1, each
-    tested with the witness b = 2**((p-1)/f) by numtheory._pocklington, whose
-    size and square test proves p prime once (2f)**3 >= p.  A 512-bit prime
-    thus takes two steps, through f of 171 and 57 bits.  The prime keeps each
-    step's (f, b) as its proof.  Each witness is one numtheory._modexp, in
-    libcrypto where it can be reached and by pow where not; both find the
-    same prime from the same rng.
+    f of ceil(bits/3) bits, then a search over candidates p = 2*R*f + 1.  A
+    candidate that passes the Fermat test 2**(p-1) = 1 gets the witness
+    b = 2**((p-1)/f), checked by numtheory._pocklington, whose size and
+    square test proves p prime once (2f)**3 >= p.  A 512-bit prime thus takes
+    two steps, through f of 171 and 57 bits.  The prime keeps each step's
+    (f, b) as its proof.  A refused candidate costs one numtheory._modexp and
+    the prime three, in libcrypto where it can be reached and by pow where
+    not; both find the same prime from the same rng.
     """
     if bits < 8:
         raise ValueError("need at least 8 bits per prime factor")
@@ -132,7 +134,10 @@ def _proven_prime(bits: int, residue: int, step: int, rng) -> ProvenPrime:
 
 
 def _base_2_witness(n: int, f: int) -> int:
-    # b = 2**((n-1)/f) mod n when it proves n prime by _pocklington, and 0 when not.
+    # b = 2**((n-1)/f) mod n when it proves n prime by _pocklington, and 0 when not.  With f | n - 1,
+    # b**f = 2**(n-1), so an n that fails the Fermat test to base 2 fails _pocklington: one modexp refuses it.
+    if _modexp(2, n - 1, n) != 1:
+        return 0
     b = _modexp(2, (n - 1) // f, n)
     return b if _pocklington(n, f, b) else 0
 
@@ -147,8 +152,7 @@ def _search(bits: int, residue: int, modulus: int, witness, rng) -> tuple[int, i
     modulo every sieving prime.
     """
     low = 1 << (bits - 1)
-    window = 2 * bits
-    limit = min(bits * bits // 64, 1 << 14)  # below 2**(bits-1), so no candidate is struck as itself
+    window, limit = _sieve_bounds(bits)
     while True:
         start = low | rng.getrandbits(bits - 1)
         start += (residue - start) % modulus
@@ -166,6 +170,12 @@ def _search(bits: int, residue: int, modulus: int, witness, rng) -> tuple[int, i
             cand = start + modulus * i
             if w := witness(cand):
                 return cand, w
+
+
+def _sieve_bounds(bits: int) -> tuple[int, int]:
+    # _search's window length and sieve limit for bits-bit candidates; the limit is below 2**(bits-1),
+    # so no candidate is struck as itself
+    return 2 * bits, min(bits * bits // 64, 1 << 14)
 
 
 @dataclass(frozen=True)

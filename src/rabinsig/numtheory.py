@@ -27,7 +27,8 @@ of them reveals p (a root x of u gives gcd(x**2 - u, n) = p), so they stay
 as private as psi1 and psi2.
 
 The exponentiations that decide primality, a Miller-Rabin round's a**d, a
-Pocklington witness's b**f and keygen's 2**((n-1)/f), go through _modexp:
+Pocklington witness's b**f, and keygen's Fermat test 2**(n-1) and witness
+2**((n-1)/f), go through _modexp:
 OpenSSL's BN_mod_exp, in the libcrypto that hashlib already loads, for a
 modulus of at least 2**64, about a twelfth of pow's time at 512 bits; pow
 below that, and wherever libcrypto cannot be reached.  Both give the same

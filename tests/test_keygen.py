@@ -774,6 +774,79 @@ def test_search_draws_again_when_the_class_moves_its_start_past_the_top():
     assert rng.values == []
 
 
+def test_a_refused_candidate_takes_one_modexp_and_the_prime_three(monkeypatch, record_modexps):
+    # at each Pocklington level of a seeded 512-bit search (512 and 171 bits), each candidate that reaches
+    # the witness takes the Fermat test 2**(n-1), and the prime 2**((n-1)/f) and b**f besides
+    witnessed = []
+    real = keygen._base_2_witness
+
+    def recorded(n, f):
+        b = real(n, f)
+        witnessed.append((n, f, b))
+        return b
+
+    monkeypatch.setattr(keygen, "_base_2_witness", recorded)
+    modexps = record_modexps()
+    p = gen_prime(512, "3mod4", random.Random(35))
+    powers = [(base, exp, mod) for base, exp, mod in modexps if exp != -1]  # the sieve's inverses go
+    for bits in (512, 171):
+        level = [(n, f, b) for n, f, b in witnessed if n.bit_length() == bits]
+        *refused, (prime, f, b) = level
+        at_level = [power for power in powers if power[2].bit_length() == bits]
+        assert refused and all(c == 0 for *_, c in refused) and b != 0
+        for n, _, _ in refused:
+            assert [power for power in at_level if power[2] == n] == [(2, n - 1, n)]
+        assert [power for power in at_level if power[2] == prime] == [
+            (2, prime - 1, prime), (2, (prime - 1) // f, prime), (b, f, prime)]
+        assert len(at_level) == len(level) + 2
+    assert witnessed[-1][0] == p and p.chain[0] == witnessed[-1][1:]
+
+
+def test_no_candidate_is_struck_as_itself():
+    # a bits-bit candidate is at least 2**(bits-1), and every sieve prime lies below the limit, so below it
+    for bits in range(8, MAX_PRIME_BITS + 1):
+        window, limit = keygen._sieve_bounds(bits)
+        assert window == 2 * bits and 0 < limit < 1 << (bits - 1)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(8, 600), st.sampled_from([(1, 2), (3, 4), (3, 8), (7, 8)]), st.booleans(), st.data())
+def test_search_tests_the_candidates_a_full_sieve_leaves_in_order(bits, congruence, by_factor, data):
+    # the reference strikes every candidate with a sieve prime below the limit as a factor, one by one
+    residue, modulus = congruence
+    if by_factor:  # a modulus 2*f*half for a prime f above the sieve bound, as _proven_prime searches
+        f = 16411
+        assert numtheory._exact_prime(f) and f > keygen._SIEVE_PRIMES[-1]
+        half = modulus // 2
+        residue, modulus = 1 + 2 * f * ((residue - 1) // 2 * pow(f, -1, half) % half), 2 * f * half
+    low = 1 << (bits - 1)
+    draw = data.draw(st.integers(0, low - 1))
+    start = low | draw
+    start += (residue - start) % modulus
+    count = min(2 * bits, ((low << 1) - 1 - start) // modulus + 1)
+    limit = min(bits * bits // 64, 1 << 14)
+    survivors = [c for c in (start + modulus * i for i in range(max(count, 0)))
+                 if all(c % s for s in keygen._SIEVE_PRIMES if s < limit)]
+    if not survivors:
+        reject()
+
+    class OneDraw:
+        draws = [draw]
+
+        def getrandbits(self, k):
+            assert k == bits - 1 and self.draws, "the search drew a second window"
+            return self.draws.pop()
+
+    tested = []
+
+    def witness(n):
+        tested.append(n)
+        return n if n == survivors[-1] else 0
+
+    assert keygen._search(bits, residue, modulus, witness, OneDraw()) == (survivors[-1], survivors[-1])
+    assert tested == survivors
+
+
 def test_gen_keypair_refuses_more_bits_than_the_ceiling(monkeypatch):
     monkeypatch.setattr(keygen, "gen_prime", lambda *args: pytest.fail("gen_prime called"))
     with pytest.raises(ValueError, match=f"at most {MAX_PRIME_BITS} bits per prime factor"):

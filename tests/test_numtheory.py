@@ -7,7 +7,7 @@ import sys
 import threading
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rabinsig.errors import FactorLeakError, NonResidueError
@@ -275,6 +275,12 @@ def _witness_of_order(f, r, t):
     return crt_combine(br, bt, crt_idempotents(r, t))
 
 
+def _reference_witness(n, f):
+    # keygen's witness without its Fermat test first: b = 2**((n-1)/f) when _pocklington accepts it, else 0
+    b = pow(2, (n - 1) // f, n)
+    return b if _pocklington(n, f, b) else 0
+
+
 class TestProven:
     def test_a_factor_below_the_cube_root_proves_nothing(self):
         # the Carmichael number (6k+1)(12k+1)(18k+1) passes both witness conditions with
@@ -385,6 +391,27 @@ class TestProven:
         n, f = composite_with_a_proven_factor()
         for b in (h, pow(h, (n - 1) // f, n)):
             assert not _pocklington(n, f, b) and not _proven(n, ((f, b), *f.chain))
+
+    @settings(deadline=None)
+    @given(st.integers(20, 200), st.integers(0, 1 << 32), st.integers(0, 1 << 800))
+    def test_the_fermat_test_refuses_what_the_witness_refuses(self, bits, seed, r):
+        # n = 2fR + 1, R below 8f**2: about half of them within the size test's (2f)**3 >= n
+        f = gen_prime(bits, "none", random.Random(seed))
+        n = 2 * f * (1 + r % (8 * f * f)) + 1
+        assert keygen._base_2_witness(n, f) == _reference_witness(n, f)
+
+    def test_the_fermat_test_keeps_the_witness_of_a_prime_and_refuses_each_composite(self):
+        n, f = composite_with_a_proven_factor()  # fails the Fermat test
+        m, g = 2298041 * 9361973132609, 8138064073  # passes it: its witness is 1, refused by the gcd
+        p = gen_prime(200, "none", random.Random(4))
+        (h, b), *_ = p.chain
+        # a prime passes it, but a factor e with (2e)**3 < r proves nothing
+        e = gen_prime(21, "none", random.Random(4))
+        r, _ = keygen._search(100, 1, 2 * e, lambda c: is_probable_prime(c, random.Random(1)), random.Random(4))
+        assert pow(2, n - 1, n) != 1 and pow(2, m - 1, m) == 1 and pow(2, (m - 1) // g, m) == 1
+        assert (2 * e) ** 3 < r and pow(2, r - 1, r) == 1
+        for number, factor, witness in ((n, f, 0), (m, g, 0), (r, e, 0), (int(p), h, b)):
+            assert keygen._base_2_witness(number, factor) == _reference_witness(number, factor) == witness
 
 
 class TestIdempotents:
