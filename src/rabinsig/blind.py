@@ -7,7 +7,7 @@ bare random root is also provided as the target of the blinding attack.
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .errors import FactorLeakError, UnsignableMessageError
 from .hashing import Message
@@ -28,11 +28,11 @@ class BlindSignature:
 
 @dataclass
 class BlindSession:
-    """One full author/signer exchange, kept for demos and inspection."""
+    """One full author/signer exchange, kept for demos and inspection; its secrets r and signer_R stay out of repr."""
 
     m: Message
-    r: int
-    signer_R: int
+    r: int = field(repr=False)
+    signer_R: int = field(repr=False)
     disguised: int
     blind_sig: BlindSignature
     published: Variant2Signature

@@ -182,14 +182,16 @@ def _sieve_bounds(bits: int) -> tuple[int, int]:
 class PaddingSet:
     """Four public multipliers covering the four Jacobi classes.
 
-    `classes` lists ((u/p), (u/q)) per element and is only populated on the
-    private side, where KeyPair.from_primes certifies it; the published form
-    is the bare elements in a randomised order.  `roots` holds, per element
-    u, a root w over its class: w**2 = u mod p where u is a residue and
+    `classes` lists ((u/p), (u/q)) per element and `roots`, per element u, a
+    root w over its class: w**2 = u mod p where u is a residue and
     w**2 * z = u where it is not, z the ring's non-residue, and likewise mod
-    q; a key file holds the least of w's four lifts mod N.
-    build_padding_set makes them, and key files of earlier versions lack
-    them.  A root is as secret as a chain (gcd(w**2 - u, N) = p for an
+    q.  Both are only populated on the private side, where a set from
+    KeyPair.from_primes always has both, and they are the one store of the
+    roots that the general signer takes; the published form is the bare
+    elements in a randomised order.  build_padding_set makes the roots,
+    from_primes takes them from a set that lacks them, as key files of
+    earlier versions do, and a key file holds the least of w's four lifts
+    mod N.  A root is as secret as a chain (gcd(w**2 - u, N) = p for an
     element that is a residue mod p only), so it stays out of ==, hash,
     repr and the published form.
     """
@@ -313,17 +315,19 @@ class KeyPair:
     """A private key: its primes, with N, psi1 and psi2 read from their ring (idem).
 
     idem, the ring of p and q (numtheory._KeyRoots), is the key's one store
-    of derived constants.  __init__ takes it as `ring`, as from_primes and
+    of derived constants of the primes; the roots of the padding elements
+    are the padding set's.  __init__ takes it as `ring`, as from_primes and
     gen_keypair pass the ring they filled, or builds a fresh one, as
-    dataclasses.replace does, and hands it a padding set's stored roots.  A
-    proven p or q is a ProvenPrime, whose chain is as secret as the prime: it
-    acts as its int, so like idem, which is no field, the chain stays out of
-    ==, hash, repr and public().
+    dataclasses.replace does.  p and q stay out of repr.  A proven p or q is
+    a ProvenPrime, whose chain is as secret as the prime: it acts as its
+    int, so like idem, which is no field, the chain stays out of ==, hash,
+    repr and public().  A key built here, not by from_primes, on a padding
+    set without roots cannot sign general.
     """
 
     kind: str
-    p: int
-    q: int
+    p: int = field(repr=False)
+    q: int = field(repr=False)
     redundancy: RedundancySpec
     padding: PaddingSet | None = None
     ring: InitVar[_KeyRoots | None] = None
@@ -332,8 +336,6 @@ class KeyPair:
         ring = ring or _KeyRoots(self.p, self.q)
         if (ring.p, ring.q) != (self.p, self.q):
             raise ValueError("ring is not the ring of p and q")
-        if self.padding is not None and self.padding.roots is not None:
-            ring.know_unit_roots(self.padding.elements, self.padding.roots)
         object.__setattr__(self, "idem", ring)
         object.__setattr__(self, "n", ring.n)
 
@@ -359,12 +361,15 @@ class KeyPair:
         any other int by is_probable_prime.  Raises ValueError unless p and q have
         at most MAX_PRIME_BITS bits, and MAX_UNPROVEN_BITS without a chain, pass and
         meet the kind's congruences, and unless a padding set is on a general key
-        and passes padding_set_flaws.  The padding classes are certified here:
-        by squaring each element's root when the set has roots (one product
-        mod each prime, or two for a non-residue), which also refuses a root
-        that is no root of its element over a class, and by Jacobi symbols
-        when it has none.  The key is built on the ring that does this, so it
-        keeps the root constants built here, each prime's non-residue z too.
+        and passes padding_set_flaws.  A padding set without roots, as key
+        files of earlier versions hold it, gets them here, one root over its
+        class per element and prime.  The classes of every set are then
+        certified in one way, by squaring each element's root (one product mod
+        each prime, or two for a non-residue), which also refuses a root that
+        is no root of its element over a class.  The key's set carries its
+        roots and certified classes.  The key is built on the ring that does
+        this, so it keeps the root constants built here, each prime's
+        non-residue z too.
         """
         if kind not in KINDS:
             raise ValueError(f"unknown key kind {kind!r}")
@@ -391,14 +396,15 @@ class KeyPair:
             raise ValueError("only general keys carry a padding set")
         ring = _KeyRoots(p, q)  # its z are found only now, as a least non-residue search needs a prime
         if padding is not None:  # the classes are certified here, never taken on trust
-            if padding.roots is None:
-                classes = tuple((jacobi(u, p), jacobi(u, q)) for u in padding.elements)
-            else:
-                classes = _root_classes(padding.elements, padding.roots, ring.at_p, ring.at_q)
+            roots = padding.roots
+            if roots is None:
+                roots = tuple(crt_combine(ring.at_p.root_over_class(u), ring.at_q.root_over_class(u), ring)
+                              for u in padding.elements)
+            classes = _root_classes(padding.elements, roots, ring.at_p, ring.at_q)
             flaws = _padding_flaws(padding.elements, classes, p * q)
             if flaws:
                 raise ValueError(f"unsafe padding set: {flaws[0]}")
-            padding = PaddingSet(padding.elements, classes, padding.roots)
+            padding = PaddingSet(padding.elements, classes, roots)
         return cls(kind, p, q, redundancy, padding, ring)
 
 
@@ -457,10 +463,13 @@ def gen_keypair(kind: str, bits: int, redundancy=IDENTITY, rng=None) -> KeyPair:
 # Key and signature files share one record format: a magic line, then one
 # "name = value" line per field, every integer in canonical decimal.  _Record
 # reads no other form, so each value has one encoding; only the final line
-# break may be left out.  A private key file may add p_proof and q_proof, each
-# chain's steps in decimal separated by single spaces, f1 b1 f2 b2 ...; a
-# prime below 2**64 has none.  A private general key file may add u1_root ..
-# u4_root, all four or none: each padding element's root over its class.
+# break may be left out.  A name has _FIELD_NAME's form, which holds no run
+# of digits, so an error may name a field, but it names any other line only
+# by its number, since such a line may hold a secret anywhere.  A private
+# key file may add p_proof and q_proof, each chain's steps in decimal
+# separated by single spaces, f1 b1 f2 b2 ...; a prime below 2**64 has none.
+# A private general key file may add u1_root .. u4_root, all four or none:
+# each padding element's root over its class.
 # Files of earlier versions may also hold, per prime, a root constant
 # (_prime_constants): p_zpow and q_zpow, and p_half_root and q_half_root.
 # They load when each equals what the key's ring computes, and are not
@@ -469,6 +478,7 @@ def gen_keypair(kind: str, bits: int, redundancy=IDENTITY, rng=None) -> KeyPair:
 KEY_MAGIC = "rabin-key v1"
 
 _PROOF_FORM = "pairs 'f1 b1 f2 b2 ...' of a factor and its witness"
+_FIELD_NAME = re.compile(r"[A-Za-z]+[0-9]?(?:[_-][a-z]+)*")
 _DECIMAL = re.compile(r"0|[1-9][0-9]*")
 _DECIMALS = re.compile(rf"(?:{_DECIMAL.pattern})(?: (?:{_DECIMAL.pattern}))*")
 
@@ -494,12 +504,12 @@ def dump_public(pub: PublicKey | KeyPair) -> str:
 
 
 def dump_private(key: KeyPair) -> str:
-    """The private key file, with psi1, psi2 and any padding roots: each the key's ring lacks is computed here."""
+    """The private key file, with psi1, psi2 and the padding set's roots, if it has them."""
     ring = key.idem
     fields = _public_fields(key) | {"p": key.p, "q": key.q, "psi1": ring.psi1, "psi2": ring.psi2}
-    if key.padding is not None:  # each root the least of its lifts: one file per key
-        fields.update((f"u{i}_root", _canonical_lift(*ring.unit_roots(u), ring))
-                      for i, u in enumerate(key.padding.elements, start=1))
+    if key.padding is not None and key.padding.roots is not None:  # each the least of its lifts: one file per key
+        fields.update((f"u{i}_root", _canonical_lift(w % key.p, w % key.q, ring))
+                      for i, w in enumerate(key.padding.roots, start=1))
     for name, prime in (("p_proof", key.p), ("q_proof", key.q)):
         if chain := getattr(prime, "chain", ()):
             fields[name] = " ".join(str(x) for step in chain for x in step)
@@ -519,10 +529,10 @@ class _Record(dict):
         lines = text.removesuffix("\n").split("\n")
         if lines[0] != magic:
             raise error(f"{path_hint} does not start with {magic!r}")
-        for line in lines[1:]:
+        for number, line in enumerate(lines[1:], start=2):
             name, sep, value = line.partition(" = ")
-            if not sep:
-                raise error(f"malformed line {line!r} in {path_hint}")
+            if not (sep and _FIELD_NAME.fullmatch(name)):
+                raise error(f"malformed line {number} in {path_hint}")
             if name in self:
                 raise error(f"duplicate field {name!r} in {path_hint}")
             self[name] = value

@@ -14,11 +14,11 @@ one checked root, returns them sorted, the canonical root first.
 The one ring object, _KeyRoots, holds p, q and n = p*q, and computes each
 constant a lift or a root needs on its first use: psi1 and psi2; per prime,
 the root exponent, a non-residue z and its powers for Tonelli-Shanks, the
-one root algorithm, and 2**(-(p+1)/4) for the rw signer (_PrimeRoots); per
-padding element, its root over its class (unit_roots).  A private key file
-hands over psi1, psi2 and the padding roots, each certified with no inverse
-(know_idempotents; know_unit_roots after KeyPair.from_primes squares them);
-a prime's constants cost one _modexp each, and the ring computes them.
+one root algorithm, and 2**(-(p+1)/4) for the rw signer (_PrimeRoots).  A
+private key file hands over psi1 and psi2, certified with no inverse
+(know_idempotents); a prime's constants cost one _modexp each, and the ring
+computes them.  The roots of a key's padding elements are no ring constant:
+the key's padding set carries them (keygen.PaddingSet.roots).
 crt_idempotents is the validating constructor, and the ring is the only
 modulus argument of every CRT and root function (`idem`).  A KeyPair is
 built on its ring (key.idem).  Each constant is fixed by the primes and
@@ -295,13 +295,12 @@ class _KeyRoots:
     psi1 + psi2 = 1, psi1 * psi2 = 0 and psi_i**2 = psi_i, all mod p*q.  They
     are computed on first use unless a key file hands them over, and the root
     constants of p and q (at_p, at_q) on first use, so a ring costs nothing
-    to build and one that only lifts computes no Jacobi symbol.
+    to build and one that only lifts computes no Jacobi symbol.  It holds
+    nothing per padding element: the key's padding set carries those roots.
     """
 
     def __init__(self, p: int, q: int):
         self.p, self.q, self.n = p, q, p * q
-        self._unit_roots: dict[int, tuple[int, int]] = {}
-        self._stored_roots: dict[int, int] = {}  # know_unit_roots's roots mod n, reduced on first use
 
     @cached_property
     def psi1(self) -> int:
@@ -329,26 +328,6 @@ class _KeyRoots:
     @cached_property
     def at_q(self) -> "_PrimeRoots":
         return _PrimeRoots(self.q)
-
-    def unit_roots(self, u: int) -> tuple[int, int]:
-        """root_over_class of u mod p and mod q, computed once per u (a padding element), or a stored root reduced."""
-        roots = self._unit_roots.get(u)
-        if roots is None:
-            w = self._stored_roots.get(u)
-            if w is None:
-                roots = self.at_p.root_over_class(u), self.at_q.root_over_class(u)
-            else:
-                roots = w % self.p, w % self.q
-            self._unit_roots[u] = roots
-        return roots
-
-    def know_unit_roots(self, elements, roots) -> None:
-        """Take a root mod n of each element over its class, as a private key holds them, for unit_roots.
-
-        Each is reduced mod p and mod q only when unit_roots first asks for it,
-        so a key that never signs general pays nothing for them.
-        """
-        self._stored_roots.update(zip(elements, roots))
 
 
 def crt_idempotents(p: int, q: int) -> _KeyRoots:

@@ -217,18 +217,18 @@ def general_sign(key: KeyPair, m: Message, rng=None) -> GeneralSignature:
     """Sign with the unique padding-set element in the Jacobi class of H(m).
 
     With f the class representative of both h and u mod p (1 or z), the
-    root of h*u mod p is the product of h's root over f and u's.
+    root of h*u mod p is the product of h's root over f and u's, which the
+    key's padding set carries.
     """
     SCHEMES["general"].check_key(key)
     h = _hash_for_signing(key, m)
     hp, xp, hq, xq = _class_roots(h, key.idem)
     try:
-        u = key.padding.elements[key.padding.classes.index((hp, hq))]
+        i = key.padding.classes.index((hp, hq))
     except ValueError:
         raise ValueError("padding set does not cover the class of the message") from None
-    p, q, k = key.p, key.q, key.idem
-    up, uq = k.unit_roots(u)
-    root = _canonical_lift(xp * up % p, xq * uq % q, k)
+    p, q, u, w = key.p, key.q, key.padding.elements[i], key.padding.roots[i]
+    root = _canonical_lift(xp * w % p, xq * w % q, key.idem)
     return _released(GeneralSignature(m, u, root), _square_equation(key.n, h, u, root, _OpCounter()))
 
 
@@ -392,7 +392,7 @@ class Scheme:
 
     sig_type: type
     key_kind: str  # the key kind the oracle builds, whose congruences a signing key must meet
-    needs_padding: bool = False  # and a private padding set (general)
+    needs_padding: bool = False  # and a private padding set, with classes and roots (general)
 
     @property
     def tag(self) -> str:
@@ -403,8 +403,9 @@ class Scheme:
         return tuple(f.name for f in dataclasses.fields(self.sig_type)[1:])
 
     def key_ok(self, key: KeyPair) -> bool:
+        padding = key.padding
         return _fits_kind(key.p, key.q, self.key_kind) and (
-            not self.needs_padding or (key.padding is not None and key.padding.classes is not None))
+            not self.needs_padding or (padding is not None and None not in (padding.classes, padding.roots)))
 
     def check_key(self, key: KeyPair):
         """Raise ValueError unless the key meets this scheme's requirement."""

@@ -1,6 +1,7 @@
 import dataclasses
 import functools
 import random
+import re
 import sys
 
 import pytest
@@ -8,7 +9,7 @@ import pytest
 from rabinsig import keygen, numtheory
 from rabinsig.hashing import IDENTITY, QUADRATIC
 from rabinsig.keygen import KeyPair, PaddingSet, ProvenPrime, gen_prime
-from rabinsig.numtheory import is_probable_prime, jacobi
+from rabinsig.numtheory import crt_combine, is_probable_prime, jacobi
 
 # Padding set for the n=77 fixture, composed with multipliers a=(2,3), b=(3,2)
 # and all r_i = 1.  With equal r_i the pairwise-difference safety check fails
@@ -20,11 +21,30 @@ def general_key_with_unchecked_padding(p: int, q: int, elements, redundancy=IDEN
     """A general key whose padding set skips the safety checks of KeyPair.from_primes.
 
     For sets that fail them on purpose, such as ORACLE_PADDING; the classes
-    are still computed from the elements.
+    are still computed from the elements, and each element's root over its
+    class as from_primes computes it.
     """
+    key = KeyPair.from_primes("general", p, q, redundancy)
+    ring = key.idem
     classes = tuple((jacobi(u, p), jacobi(u, q)) for u in elements)
-    return dataclasses.replace(KeyPair.from_primes("general", p, q, redundancy),
-                               padding=PaddingSet(tuple(elements), classes))
+    roots = tuple(crt_combine(ring.at_p.root_over_class(u), ring.at_q.root_over_class(u), ring) for u in elements)
+    return dataclasses.replace(key, padding=PaddingSet(tuple(elements), classes, roots))
+
+
+def private_values(key: KeyPair) -> set[int]:
+    """Every private value of a key: p, q, psi1, psi2, the numbers in the chains, and the lifts of each padding root."""
+    values = {key.p, key.q, key.psi1, key.psi2}
+    values.update(x for prime in (key.p, key.q) for step in getattr(prime, "chain", ()) for x in step)
+    if key.padding is not None and key.padding.roots is not None:
+        values.update(x for w in key.padding.roots for x in numtheory._four_lifts(w % key.p, w % key.q, key.idem))
+    return values
+
+
+def secret_runs(text: str, *keys: KeyPair) -> list[str]:
+    """Each run of 20 digits in `text` that also occurs in a private value of one of `keys`: a leak."""
+    known = {value[i:i + 20] for key in keys for value in map(str, private_values(key)) for i in range(len(value) - 19)}
+    runs = (run[i:i + 20] for run in re.findall(r"[0-9]{20,}", text) for i in range(len(run) - 19))
+    return [run for run in runs if run in known]
 
 
 @functools.cache

@@ -7,14 +7,17 @@ another odd class mod 8; lists of decimals for the primality proofs; a
 general key's padding element set to a square root of 1 or to another
 element plus a prime factor of N; a private general key's padding root
 dropped, repeated, swapped with another or with one digit changed; a
-prime's root constant dropped, repeated or with one digit changed; dropped,
-repeated and added lines; a byte that is not UTF-8) and runs one
-`verify`, `sign` or file-driven `attack` command through `cli.main`.
-Whatever the files hold, the command must end with an exit code from 0 to 3
-and raise nothing.  A signature file whose component or message is its own
-value plus a multiple of N never verifies against its key.  A key file
-written by an earlier version with root constants signs as it does without
-them, and one with a root constant repeated or changed is refused.
+prime's root constant dropped, repeated or with one digit changed; a line's
+separator changed, to a tab after `=`, no spaces or a second `=`, or its
+value moved to the left; dropped, repeated and added lines; a byte that is
+not UTF-8) and runs one `verify`, `sign` or file-driven `attack` command
+through `cli.main`.  Whatever the files hold, the command must end with an
+exit code from 0 to 3 and raise nothing.  A signature file whose component
+or message is its own value plus a multiple of N never verifies against its
+key.  A key file written by an earlier version with root constants signs as
+it does without them, and one with a root constant repeated or changed is
+refused.  An edited private key file is refused with no secret of the key
+on stdout or stderr (conftest.secret_runs).
 """
 
 import io
@@ -34,6 +37,8 @@ from rabinsig.keygen import dump_private, dump_public, gen_keypair, parse_key
 from rabinsig.numtheory import sqrt_of_unity_nontrivial
 from rabinsig.schemes import SCHEME_TAGS, dump_signature, sign
 
+from conftest import secret_runs
+
 ROOT_NAMES = ("u1_root", "u2_root", "u3_root", "u4_root")
 CONSTANT_NAMES = ("p_zpow", "q_zpow", "p_half_root", "q_half_root")
 CONSTANT_FILES = tuple(Path(__file__).parent / "data" / f"{kind}-constants.key" for kind in ("general", "rw"))
@@ -43,6 +48,8 @@ JUNK_NAMES = ("", "x", "n", "N N", "u5", "psi3", "message_digest", "ل")
 WORDS = ("general", "blum", "rw", "identity", "quadratic", "digest", "digest:sha256",
          "digest:shake_128", "digest:no-such-hash", *SCHEME_TAGS)
 NON_CANONICAL = ("", " ", "-1", "+5", "05", "7_7", "0x4d", "1e3", "٧٧", "5 5", "5  5", "5\t5", "5,5", "5 05", "abc")
+SEPARATOR_FORMS = ("tab", "unspaced", "second", "left")
+PRIVATE_NAMES = ("p", "q", "psi1", "psi2", "p_proof", "q_proof", *ROOT_NAMES)
 
 
 @pytest.fixture(scope="module")
@@ -104,6 +111,7 @@ def _edits(n, unsafe):
         st.tuples(st.just("add"), name, _values(n)),
         st.tuples(st.just("shift"), index, st.integers(1, 3)),
         st.tuples(st.just("recast"), st.integers(1, 3)),
+        st.tuples(st.just("separator"), index, st.sampled_from(SEPARATOR_FORMS)),
         _root_edits(),
         _constant_edits(),
     ), max_size=4)
@@ -164,6 +172,13 @@ def _edit_constant(lines, edit):
     return lines if k is None else _edit_line(lines, k, op.removeprefix("constant-"), at, step)
 
 
+def _separate(line, form):
+    """The line with its " = " made a tab after `=`, no spaces or a second `=`, or with name and value swapped."""
+    name, _, value = line.partition(" = ")
+    return {"tab": f"{name} =\t{value}", "unspaced": f"{name}={value}", "second": f"{name} = = {value}",
+            "left": f"{value} = {name}"}[form]
+
+
 def _shift(line, k, n):
     """The line with its value raised by k*N, if that value is a decimal that int() converts."""
     name, _, value = line.partition(" = ")
@@ -186,6 +201,8 @@ def _apply(text, edits, n):
             lines.append(f"{edit[1]} = {edit[2]}")
         elif op == "shift":
             lines[i] = _shift(lines[i], edit[2], n)
+        elif op == "separator":
+            lines[i] = _separate(lines[i], edit[2])
         elif op == "recast":  # N + 2k is in another odd class mod 8
             lines = [f"N = {n + 2 * edit[1]}" if line == f"N = {n}" else line for line in lines]
         elif op == "pad":
@@ -269,8 +286,7 @@ def test_re_encoded_signature_file_never_verifies(corpus, data):
 def test_an_edited_padding_root_exits_3(corpus, data):
     # every edit of a root line leaves a file that no general key reads: three roots, a repeated
     # field, or a root of the wrong element or of none (two roots swapped, or a digit changed)
-    key_texts = corpus[0]
-    text, n = next((text, n) for text, n in key_texts if "\nu1_root = " in text)
+    text, n = data.draw(st.sampled_from([(text, n) for text, n in corpus[0] if "\nu1_root = " in text]))
     edit = data.draw(_root_edits())
     edited = _apply(text, [edit], n)
     assert edited != text
@@ -278,23 +294,26 @@ def test_an_edited_padding_root_exits_3(corpus, data):
     with tempfile.TemporaryDirectory() as tmp:
         key, out = Path(tmp) / "fuzz.key", Path(tmp) / "out.sig"
         key.write_text(edited)
-        err = io.StringIO()
-        with redirect_stdout(io.StringIO()), redirect_stderr(err):
+        shown = io.StringIO()
+        with redirect_stdout(shown), redirect_stderr(shown):
             code = main(["sign", "--key", str(key), "--scheme", scheme, "--message", "5", "--out", str(out)])
-    assert code == 3, (edit, err.getvalue())
+    assert code == 3, (edit, shown.getvalue())
+    assert not secret_runs(shown.getvalue(), parse_key(text))
 
 
 def _signed_with(text, pub_text, scheme):
-    """`sign` with the key file `text`: its exit code, whether the signature verifies under pub_text, and the signature."""
+    """`sign` with the key file `text`: its exit code, whether the signature verifies under pub_text, the
+    signature, and what the commands wrote to stdout and stderr."""
     with tempfile.TemporaryDirectory() as tmp:
         key, pub, out = Path(tmp) / "fuzz.key", Path(tmp) / "fuzz.key.pub", Path(tmp) / "out.sig"
         key.write_text(text)
         pub.write_text(pub_text)
-        with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
+        shown = io.StringIO()
+        with redirect_stdout(shown), redirect_stderr(shown):
             code = main(["sign", "--key", str(key), "--scheme", scheme, "--message", "5", "--out", str(out),
                          "--seed", "1"])
             valid = code == 0 and main(["verify", "--pub", str(pub), "--sig", str(out)]) == 0
-        return code, valid, out.read_text() if code == 0 else None
+        return code, valid, out.read_text() if code == 0 else None, shown.getvalue()
 
 
 def _constant_key(corpus, name):
@@ -308,7 +327,7 @@ def test_a_key_file_without_a_root_constant_signs_the_same(corpus, name):
     text, n, pub_text, scheme = _constant_key(corpus, name)
     edited = _apply(text, [("constant-drop", name, 0, 1)], n)
     assert edited != text
-    code, valid, sig = _signed_with(edited, pub_text, scheme)
+    code, valid, sig, _ = _signed_with(edited, pub_text, scheme)
     assert code == 0 and valid and sig == _signed_with(text, pub_text, scheme)[2]
 
 
@@ -321,4 +340,26 @@ def test_an_edited_root_constant_exits_3(corpus, data):
     text, n, pub_text, scheme = _constant_key(corpus, edit[1])
     edited = _apply(text, [edit], n)
     assert edited != text
-    assert _signed_with(edited, pub_text, scheme)[0] == 3, edit
+    code, _, _, shown = _signed_with(edited, pub_text, scheme)
+    assert code == 3, edit
+    assert not secret_runs(shown, parse_key(text))
+
+
+@pytest.fixture(scope="module")
+def general80():
+    """A private general key file on 80-bit primes, whose every private value has at least 20 digits, and its key."""
+    key = gen_keypair("general", 80, IDENTITY, random.Random("general80"))
+    return dump_private(key), key
+
+
+@pytest.mark.parametrize("form", SEPARATOR_FORMS)
+@pytest.mark.parametrize("name", PRIVATE_NAMES)
+def test_a_private_line_with_another_separator_exits_3_naming_no_secret(general80, name, form):
+    # the reader names a line it cannot read by its number, and a field by its name, never by a value
+    text, key = general80
+    lines = text.splitlines()
+    k = next(k for k, line in enumerate(lines) if line.startswith(f"{name} = "))
+    lines[k] = _separate(lines[k], form)
+    code, _, _, shown = _signed_with("\n".join(lines) + "\n", dump_public(key), "general")
+    assert code == 3, shown
+    assert not secret_runs(shown, key), shown

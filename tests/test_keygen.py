@@ -1011,43 +1011,46 @@ def test_each_built_element_carries_its_root_over_its_class_and_the_file_its_lea
 
 
 def test_a_rooted_file_certifies_the_classes_with_no_jacobi_symbol(monkeypatch):
+    # a file with roots takes no root at load, and one without them, as earlier versions wrote, one
+    # half-size root per element and prime; the classes are read off the roots either way
     key = rooted_key()
     text = dump_private(key)
     assert [line.split(" = ")[0] for line in text.splitlines() if "_root" in line] == list(ROOT_FIELDS)
-    calls = []
-    real = keygen.jacobi
+    calls, roots = [], []
+    real, root = keygen.jacobi, numtheory._class_root
     monkeypatch.setattr(keygen, "jacobi", lambda a, n: calls.append(n) or real(a, n))
+    monkeypatch.setattr(numtheory, "_class_root", lambda a, c: roots.append(c.p) or root(a, c))
     parsed = parse_key(text)
     assert parsed == key and parsed.padding.classes == key.padding.classes and dump_private(parsed) == text
-    assert calls == []
-    parse_key(_without_roots(text))
-    assert len(calls) == 8  # a file of an earlier version: one class ((u/p), (u/q)) per element
+    assert calls == [] and roots == []
+    parsed = parse_key(_without_roots(text))
+    assert parsed.padding.classes == key.padding.classes
+    assert calls == [] and roots == [key.p, key.q] * 4
 
 
-def test_a_loaded_key_reduces_a_stored_root_only_when_the_general_signer_takes_it():
-    # a key that signs other schemes never pays for the padding roots its file holds
+def test_a_loaded_key_signs_with_the_roots_of_its_file():
+    # the key's padding set carries the file's roots as they are, and the general signer takes them
     key = rooted_key()
     text = dump_private(key)
     parsed = parse_key(text)
-    ring = parsed.idem
-    assert ring._unit_roots == {}
-    assert verify(key.public(), sign(parsed, 5, "classic")).valid and ring._unit_roots == {}
-    stored = dict(zip(key.padding.elements, _filed_roots(key)))
-    taken = set()
+    assert list(parsed.padding.roots) == _filed_roots(key)
+    assert verify(key.public(), sign(parsed, 5, "classic")).valid
     for target in ((1, 1), (1, -1), (-1, 1), (-1, -1)):
         m = next(m for m in range(2, key.n) if (jacobi(m, key.p), jacobi(m, key.q)) == target)
-        taken.add(sign(parsed, m, "general").u)
-        assert ring._unit_roots == {u: (stored[u] % key.p, stored[u] % key.q) for u in taken}
+        signed = sign(parsed, m, "general")
+        assert signed == sign(key, m, "general") and verify(key.public(), signed).valid
     assert dump_private(parsed) == text
 
 
 def test_a_rootless_file_loads_signs_the_same_and_gains_the_roots():
-    # the file gains the root lines when the key is written again
+    # from_primes fills in the roots, and the file gains the root lines when the key is written again
     key = rooted_key()
     full = dump_private(key)
     text = _without_roots(full)
     parsed = parse_key(text)
-    assert parsed == key and parsed.padding.roots is None
+    idem = parsed.idem
+    assert parsed == key
+    assert [numtheory._canonical_lift(w % key.p, w % key.q, idem) for w in parsed.padding.roots] == _filed_roots(key)
     rewritten = dump_private(parsed)
     assert rewritten == full and _without_roots(rewritten) == text
     for target in ((1, 1), (1, -1), (-1, 1), (-1, -1)):

@@ -18,6 +18,7 @@ from rabinsig import numtheory, schemes
 from rabinsig.numtheory import canonical_sqrt_mod_pq, jacobi, mod_inv
 from rabinsig.oracle import SmallRing, all_roots, brute_valid, qr_set, units
 from rabinsig.schemes import (
+    SCHEMES,
     ClassicSignature,
     GeneralSignature,
     RWSignature,
@@ -39,7 +40,7 @@ from rabinsig.schemes import (
     verify,
 )
 
-from conftest import ORACLE_PADDING, SeqRng
+from conftest import ORACLE_PADDING, SeqRng, general_key_with_unchecked_padding
 
 RING77 = SmallRing(7, 11)
 QR77 = qr_set(RING77)
@@ -115,9 +116,19 @@ class TestGeneral:
         with pytest.raises(ValueError, match="needs a key with a private padding set"):
             general_sign(public_only, 5)
 
+    def test_a_directly_built_key_without_roots_is_refused(self, general_toy_key):
+        # from_primes fills in a set's roots; a key built on a set with classes but no roots has none to sign with
+        classes = general_toy_key.padding.classes
+        rootless = KeyPair("general", 7, 11, IDENTITY, PaddingSet(ORACLE_PADDING.elements, classes))
+        assert not SCHEMES["general"].key_ok(rootless)
+        with pytest.raises(ValueError, match="^the general scheme needs a key with a private padding set$"):
+            SCHEMES["general"].check_key(rootless)
+        assert SCHEMES["general"].key_ok(general_toy_key)
+
     def test_a_set_whose_labels_miss_the_class_is_refused(self):
         # built directly, the key keeps labels that from_primes would recompute: all four claim (1, 1)
-        key = KeyPair("general", 7, 11, IDENTITY, PaddingSet(ORACLE_PADDING.elements, ((1, 1),) * 4))
+        roots = general_key_with_unchecked_padding(7, 11, ORACLE_PADDING.elements).padding.roots
+        key = KeyPair("general", 7, 11, IDENTITY, PaddingSet(ORACLE_PADDING.elements, ((1, 1),) * 4, roots))
         assert sign(key, 4, "general").u == 58  # a residue is in the one labelled class
         with pytest.raises(ValueError, match="^padding set does not cover the class of the message$"):
             sign(key, 5, "general")  # (5/7) = -1
@@ -350,9 +361,11 @@ class TestJacobiBudget:
     key builds its constants.
     The other constants take one modexp each on first use: the powers of z
     on a 1-mod-4 prime (for z = -1 on a 3-mod-4 prime they take none) and
-    2**(-(p+1)/4), which the key's ring computes, and a root per padding
-    element, which a private key file holds.  TestColdKeys pins that a
-    loaded key's first signature takes at most one of them per prime.
+    2**(-(p+1)/4), which the key's ring computes.  The root of each padding
+    element is no such constant: the key's padding set carries it, and
+    KeyPair.from_primes fills it in for a set without roots.  TestColdKeys
+    pins that a loaded key's first signature takes at most one of them per
+    prime.
     """
 
     KEYS = {kind: gen_keypair(kind, 64, IDENTITY, random.Random(f"budget/{kind}")) for kind in ("blum", "rw")}
