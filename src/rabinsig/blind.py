@@ -14,7 +14,7 @@ from .hashing import Message
 from .keygen import KeyPair, PublicKey
 from .numtheory import SYSTEM_RNG, canonical_sqrt_mod_pq, jacobi, mod_inv, random_unit, sqrt_mod_pq
 from .schemes import (SCHEMES, _OUT_OF_RANGE, Variant2Signature, VerifyReport, _class_padding, _hash_for_signing,
-                      _in_range, _OpCounter, _power_chain_check, _released)
+                      _hidden_root, _in_range, _OpCounter, _power_chain_check)
 
 
 @dataclass(frozen=True)
@@ -46,7 +46,7 @@ def disguise(m: Message, r: int, pub: PublicKey | KeyPair) -> int:
 
 
 def blind_sign(key: KeyPair, disguised: int, rng=None) -> BlindSignature:
-    """Signer step: pick a secret nonce R and answer [disguised, R*S, R**3].
+    """Signer step: answer [disguised, R*S, R**3] for a secret nonce R, as variant2 answers (schemes._hidden_root).
 
     S is the canonical root of disguised*u, where the unity-root padding u
     is computed from the Jacobi class of the disguised value; since the
@@ -59,11 +59,7 @@ def blind_sign(key: KeyPair, disguised: int, rng=None) -> BlindSignature:
         raise FactorLeakError("disguised value is degenerate")
     if not _in_range(key.n, disguised):  # the answer echoes it, and the blind verifier refuses it
         raise UnsignableMessageError("disguised value is not below N")
-    root = _recover_root(key, disguised)
-    nonce = random_unit(key.n, rng)
-    f_val, r3 = nonce * root % key.n, pow(nonce, 3, key.n)
-    return _released(BlindSignature(disguised, f_val, r3),
-                     _power_chain_check(f_val, r3, disguised, key.n, _OpCounter()))
+    return BlindSignature(disguised, *_hidden_root(_recover_root(key, disguised), disguised, key.n, rng))
 
 
 def unblind(bsig: BlindSignature, r: int, m: Message, pub: PublicKey | KeyPair) -> Variant2Signature:

@@ -18,7 +18,7 @@ from .hashing import IDENTITY, RedundancySpec
 from .numtheory import (
     SYSTEM_RNG,
     _exact_prime,
-    _canonical_lift,
+    _four_lifts,
     _KeyRoots,
     _modexp,
     _pocklington,
@@ -221,11 +221,11 @@ def _padding_flaws(elements, classes, n: int) -> list[str]:
     # a gcd per element or per pair runs only to name what a product's gcd (_coprime) found
     units = _coprime(elements, n)
     flaws = []
-    for u in elements:
+    for i, u in enumerate(elements):  # named by its place: a value moved into a private file's line may be secret
         if not 0 < u < n or not units and math.gcd(u, n) != 1:  # 1..N-1: one encoding per element, as in a key file
-            flaws.append(f"element {u} is not a unit in 1..N-1")
+            flaws.append(f"element {i} is not a unit in 1..N-1")
         elif u * u % n == 1:
-            flaws.append(f"element {u} is a square root of unity")
+            flaws.append(f"element {i} is a square root of unity")
     if classes is not None and len({c for c in classes if 0 not in c}) != 4:
         flaws.append("elements do not cover all four Jacobi classes")
     pairs = [(i, j) for i in range(4) for j in range(i + 1, 4)]
@@ -508,8 +508,7 @@ def dump_private(key: KeyPair) -> str:
     ring = key.idem
     fields = _public_fields(key) | {"p": key.p, "q": key.q, "psi1": ring.psi1, "psi2": ring.psi2}
     if key.padding is not None and key.padding.roots is not None:  # each the least of its lifts: one file per key
-        fields.update((f"u{i}_root", _canonical_lift(w % key.p, w % key.q, ring))
-                      for i, w in enumerate(key.padding.roots, start=1))
+        fields.update((f"u{i}_root", min(_four_lifts(w, ring))) for i, w in enumerate(key.padding.roots, start=1))
     for name, prime in (("p_proof", key.p), ("q_proof", key.q)):
         if chain := getattr(prime, "chain", ()):
             fields[name] = " ".join(str(x) for step in chain for x in step)
@@ -591,8 +590,8 @@ def parse_key(text: str, path_hint: str = "key file") -> KeyPair | PublicKey:
     token = record.pop("hash", "")
     try:
         redundancy = RedundancySpec.from_token(token)
-    except ValueError as exc:
-        raise KeyFormatError(f"bad hash field in {path_hint}: {exc}") from None
+    except ValueError:  # the token may hold a secret moved into its line: the message names the field only
+        raise KeyFormatError(f"bad hash field in {path_hint}") from None
     if token != redundancy.token:  # one encoding per key file: no 'digest' shorthand
         raise KeyFormatError(f"hash field is not the one token {redundancy.token!r} in {path_hint}")
     n = record.integer("N")
@@ -631,11 +630,8 @@ def parse_key(text: str, path_hint: str = "key file") -> KeyPair | PublicKey:
     if not ring.know_idempotents(psi1, psi2):  # by their definition, with no inverse
         raise KeyFormatError(f"idempotents do not match the prime factors in {path_hint}")
     if padding is not None and padding.roots is not None:
-        # the four lifts of a root w are +-w and +-w*e, e = psi1 - psi2 being 1 mod p and -1 mod q
-        e = psi1 - psi2
         for i, w in enumerate(padding.roots, start=1):
-            w_e = w * e % n
-            if w != min(w, n - w, w_e, n - w_e):
+            if w != min(_four_lifts(w, ring)):
                 raise KeyFormatError(f"root of padding element {i} is not the least of its four lifts in {path_hint}")
     for (i, c), value in constants.items():
         if getattr((ring.at_p, ring.at_q)[i], c) != value:  # each reveals p: the message names only its field

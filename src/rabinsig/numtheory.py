@@ -8,7 +8,7 @@ are stated once too, and every root a signer takes is one _class_root per
 prime: _class_roots, the one root pair, for sqrt_mod_pq and every signer
 but variant1; _binding_root, for variant1, the root of v*s mod a 3-mod-4
 prime after it sets the sign of s to the class of v; _four_lifts forms the four
-roots mod p*q, v, n-v, w and n-w, from two CRT lifts; and sqrt_mod_pq, the
+roots mod p*q, v, n-v, w and n-w, from one CRT lift v; and sqrt_mod_pq, the
 one checked root, returns them sorted, the canonical root first.
 
 The one ring object, _KeyRoots, holds p, q and n = p*q, and computes each
@@ -479,21 +479,21 @@ def _binding_root(s: int, v: int, c: _PrimeRoots) -> tuple[int, int]:
     return (s, t) if symbol == 1 else (c.p - s, t)
 
 
-def _four_lifts(rp: int, rq: int, idem: _KeyRoots) -> tuple[int, int, int, int]:
-    """The four values that are +-rp mod p and +-rq mod q.
+def _four_lifts(v: int, idem: _KeyRoots) -> tuple[int, int, int, int]:
+    """The four values that are +-v mod p and +-v mod q: v, n-v, w and n-w, with v first reduced mod n.
 
-    Two CRT lifts, v from (rp, rq) and w from (rp, -rq), give them as
-    v, n-v, w and n-w.  For roots rp, rq of a mod p and q they are the four
-    square roots of a mod n.
+    w = v*(psi1 - psi2) mod n is v mod p and -v mod q, as psi1 - psi2 is 1 mod
+    p and -1 mod q.  For a root v of a mod n they are the four square roots
+    of a mod n.
     """
     n = idem.n
-    v = crt_combine(rp, rq, idem)
-    w = crt_combine(rp, idem.q - rq, idem)
+    v %= n
+    w = v * (idem.psi1 - idem.psi2) % n
     return v, n - v, w, n - w
 
 
 def sqrt_mod_pq(a: int, idem: _KeyRoots) -> tuple[int, int, int, int]:
-    """All four square roots of a unit a modulo n = p*q, sorted: _four_lifts of its prime roots.
+    """All four square roots of a unit a modulo n = p*q, sorted: _four_lifts of the lift of its prime roots.
 
     Raises FactorLeakError when gcd(a, n) > 1 (treated as a degenerate,
     factorisation-revealing input) and NonResidueError when a is not a
@@ -505,7 +505,7 @@ def sqrt_mod_pq(a: int, idem: _KeyRoots) -> tuple[int, int, int, int]:
     jp, sp, jq, sq = _class_roots(a, idem)
     if jp == -1 or jq == -1:
         raise NonResidueError("value is not a quadratic residue modulo both primes")
-    return tuple(sorted(_four_lifts(sp, sq, idem)))
+    return tuple(sorted(_four_lifts(crt_combine(sp, sq, idem), idem)))
 
 
 def canonical_sqrt_mod_pq(a: int, idem: _KeyRoots) -> int:
@@ -514,14 +514,14 @@ def canonical_sqrt_mod_pq(a: int, idem: _KeyRoots) -> int:
 
 
 def _canonical_lift(rp: int, rq: int, idem: _KeyRoots) -> int:
-    # The least of _four_lifts: for roots rp, rq of a mod p and q, a's canonical root.
-    return min(_four_lifts(rp, rq, idem))
+    # The least of _four_lifts of the lift of (rp, rq): for roots rp, rq of a mod p and q, a's canonical root.
+    return min(_four_lifts(crt_combine(rp, rq, idem), idem))
 
 
 def sqrt_of_unity_nontrivial(idem: _KeyRoots) -> tuple[int, int]:
-    """The two square roots of 1 mod p*q other than 1 and n-1: the second pair of _four_lifts(1, 1).
+    """The two square roots of 1 mod p*q other than 1 and n-1: the second pair of _four_lifts(1).
 
     Both equal psi1 - psi2 up to sign.  Adding 1 to either gives a multiple
     of one prime factor, so neither may ever appear as a padding value.
     """
-    return _four_lifts(1, 1, idem)[2:]
+    return _four_lifts(1, idem)[2:]

@@ -308,10 +308,14 @@ def variant2_sign(key: KeyPair, m: Message, rng=None) -> Variant2Signature:
     h = _hash_for_signing(key, m)
     # the hidden padding U = f1*psi1 + f2*psi2 is a root of unity, and S the canonical root of h*U
     _, xp, _, xq = _class_roots(h, key.idem)
-    root = _canonical_lift(xp, xq, key.idem)
-    r = random_unit(key.n, rng)
-    f_val, r3 = r * root % key.n, pow(r, 3, key.n)
-    return _released(Variant2Signature(m, f_val, r3), _power_chain_check(f_val, r3, h, key.n, _OpCounter()))
+    return Variant2Signature(m, *_hidden_root(_canonical_lift(xp, xq, key.idem), h, key.n, rng))
+
+
+def _hidden_root(root: int, h: int, n: int, rng) -> tuple[int, int]:
+    """(R*root, R**3), R a secret nonce, once F**12 = R3**4 * h**6 holds: the answer of variant2 and blind_sign."""
+    r = random_unit(n, rng)
+    f_val, r3 = r * root % n, pow(r, 3, n)
+    return _released((f_val, r3), _power_chain_check(f_val, r3, h, n, _OpCounter()))
 
 
 def _power_chain_check(f_val: int, r3: int, h: int, n: int, ops: _OpCounter) -> str | None:

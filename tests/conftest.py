@@ -36,7 +36,7 @@ def private_values(key: KeyPair) -> set[int]:
     values = {key.p, key.q, key.psi1, key.psi2}
     values.update(x for prime in (key.p, key.q) for step in getattr(prime, "chain", ()) for x in step)
     if key.padding is not None and key.padding.roots is not None:
-        values.update(x for w in key.padding.roots for x in numtheory._four_lifts(w % key.p, w % key.q, key.idem))
+        values.update(x for w in key.padding.roots for x in numtheory._four_lifts(w, key.idem))
     return values
 
 

@@ -14,10 +14,10 @@ from rabinsig.blind import (
     verify_blind_signature,
 )
 from rabinsig.errors import FactorLeakError, NonResidueError, UnsignableMessageError
-from rabinsig.hashing import IDENTITY, QUADRATIC, apply_redundancy
+from rabinsig.hashing import IDENTITY, QUADRATIC, RedundancySpec, apply_redundancy
 from rabinsig.keygen import gen_keypair
 from rabinsig.oracle import SmallRing, all_roots
-from rabinsig.schemes import sign, variant2_verify
+from rabinsig.schemes import sign, variant2_sign, variant2_verify
 
 from conftest import SeqRng
 
@@ -76,6 +76,18 @@ class TestBlindSign:
             blind_sign(toy_key, 7)
         with pytest.raises(FactorLeakError):
             blind_sign(toy_key, 0)
+
+    @pytest.mark.parametrize("kind", ["blum", "rw"])
+    @pytest.mark.parametrize("redundancy", [IDENTITY, RedundancySpec("digest", "sha256")],
+                             ids=["identity", "digest:sha256"])
+    def test_answers_h_of_m_as_variant2_signs_m_on_the_same_rng(self, kind, redundancy):
+        # one answer for both signers: blind_sign(key, H(m)) draws the nonce that variant2_sign(key, m) draws
+        key = gen_keypair(kind, 64, redundancy, random.Random(kind))
+        for seed in range(16):
+            m = b"message %d" % seed if redundancy.tag == "digest" else random.Random(seed).randrange(2, key.n)
+            sig = variant2_sign(key, m, random.Random(seed))
+            bsig = blind_sign(key, apply_redundancy(redundancy, m, key.n), random.Random(seed))
+            assert (bsig.F, bsig.R3) == (sig.F, sig.R3)
 
     def test_disguised_value_outside_the_range_refused(self, toy_key):
         # its answer would echo 36 + 77, which the blind verifier refuses

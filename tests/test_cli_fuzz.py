@@ -9,15 +9,18 @@ element plus a prime factor of N; a private general key's padding root
 dropped, repeated, swapped with another or with one digit changed; a
 prime's root constant dropped, repeated or with one digit changed; a line's
 separator changed, to a tab after `=`, no spaces or a second `=`, or its
-value moved to the left; dropped, repeated and added lines; a byte that is
-not UTF-8) and runs one `verify`, `sign` or file-driven `attack` command
-through `cli.main`.  Whatever the files hold, the command must end with an
-exit code from 0 to 3 and raise nothing.  A signature file whose component
-or message is its own value plus a multiple of N never verifies against its
-key.  A key file written by an earlier version with root constants signs as
-it does without them, and one with a root constant repeated or changed is
-refused.  An edited private key file is refused with no secret of the key
-on stdout or stderr (conftest.secret_runs).
+value moved to the left; a private key's p copied into its hash or u1
+line; dropped, repeated and added lines; a byte that is not UTF-8) and
+runs one `verify`, `sign` or file-driven `attack` command through
+`cli.main`.  Whatever the files hold, the command must end with an exit
+code from 0 to 3 and raise nothing, and it prints no secret of a private
+key file's key on stdout or stderr (conftest.secret_runs), save the factor
+of N that the variant2-factor attack finds.  A signature file whose
+component or message is its own value plus a multiple of N never verifies
+against its key.  A key file written by an earlier version with root
+constants signs as it does without them, and one with a root constant
+repeated or changed is refused.  An edited private key file is refused
+with no secret of the key on stdout or stderr.
 """
 
 import io
@@ -33,7 +36,7 @@ from hypothesis import strategies as st
 
 from rabinsig.cli import main
 from rabinsig.hashing import IDENTITY, QUADRATIC, RedundancySpec
-from rabinsig.keygen import dump_private, dump_public, gen_keypair, parse_key
+from rabinsig.keygen import KeyPair, dump_private, dump_public, gen_keypair, parse_key
 from rabinsig.numtheory import sqrt_of_unity_nontrivial
 from rabinsig.schemes import SCHEME_TAGS, dump_signature, sign
 
@@ -59,8 +62,8 @@ def corpus():
     The primes of the proven key exceed 2**64, so its private file carries p_proof and q_proof.
     The key files in tests/data that an earlier version wrote with root constants join them:
     the general one's primes are 1 mod 8, so it carries p_zpow and q_zpow, and the rw one
-    p_half_root and q_half_root.  Last, by N, the values that make a padding set unsafe with
-    no factor needed to see it.
+    p_half_root and q_half_root.  Then, by N, the values that make a padding set unsafe with
+    no factor needed to see it, and last, by its text, the key of each private file.
     """
     rng = random.Random(20240501)
     keys = {
@@ -76,6 +79,7 @@ def corpus():
     general = keys["general"]
     unsafe = {general.n: (1, general.n - 1, *sqrt_of_unity_nontrivial(general.idem),
                           *((u + general.p) % general.n for u in general.padding.elements))}
+    owners = {text: key for text, _ in key_texts if isinstance(key := parse_key(text), KeyPair)}
     sig_texts, signed = [], []
     for scheme, kind in (("classic", "general"), ("general", "general"), ("variant1", "blum"),
                          ("variant2", "blum"), ("rw", "rw"), ("variant2", "proven")):
@@ -83,7 +87,7 @@ def corpus():
         m = b"fuzz" if key.redundancy.tag == "digest" else 1234
         sig_texts.append((dump_signature(sign(key, m, scheme, rng=rng), key), key.n))
         signed.append((dump_public(key.public()), sig_texts[-1][0], key.n))
-    return key_texts, sig_texts, signed, unsafe
+    return key_texts, sig_texts, signed, unsafe, owners
 
 
 def _values(n):
@@ -112,6 +116,7 @@ def _edits(n, unsafe):
         st.tuples(st.just("shift"), index, st.integers(1, 3)),
         st.tuples(st.just("recast"), st.integers(1, 3)),
         st.tuples(st.just("separator"), index, st.sampled_from(SEPARATOR_FORMS)),
+        st.tuples(st.just("copy-p"), st.sampled_from(("hash", "u1"))),
         _root_edits(),
         _constant_edits(),
     ), max_size=4)
@@ -205,6 +210,9 @@ def _apply(text, edits, n):
             lines[i] = _separate(lines[i], edit[2])
         elif op == "recast":  # N + 2k is in another odd class mod 8
             lines = [f"N = {n + 2 * edit[1]}" if line == f"N = {n}" else line for line in lines]
+        elif op == "copy-p":  # p moved into a line that a public file holds too
+            p = next((line.partition(" = ")[2] for line in lines if line.startswith("p = ")), None)
+            lines = [f"{edit[1]} = {p}" if p and line.startswith(f"{edit[1]} = ") else line for line in lines]
         elif op == "pad":
             lines = [f"u{edit[1]} = {edit[2]}" if line.startswith(f"u{edit[1]} = ") else line for line in lines]
         elif op.startswith("root-"):
@@ -218,21 +226,21 @@ def _apply(text, edits, n):
 def _edited(draw, texts, unsafe):
     text, n = draw(st.sampled_from(texts))
     # unedited about half the time, so that files reach the verifier and the signer
-    return _apply(text, draw(st.one_of(st.just(()), _edits(n, unsafe.get(n, ())))), n).encode(), n
+    return _apply(text, draw(st.one_of(st.just(()), _edits(n, unsafe.get(n, ())))), n).encode(), n, text
 
 
 @st.composite
 def cases(draw, corpus):
-    key_texts, sig_texts, _, unsafe = corpus
-    key_bytes, n = draw(_edited(key_texts, unsafe))
-    sig_bytes, _ = draw(_edited(sig_texts, {}))
+    key_texts, sig_texts, _, unsafe, owners = corpus
+    key_bytes, n, key_text = draw(_edited(key_texts, unsafe))
+    sig_bytes, _, _ = draw(_edited(sig_texts, {}))
     if draw(st.integers(0, 9)) == 0:
         key_bytes, sig_bytes = draw(st.sampled_from(((key_bytes + b"\xff", sig_bytes),
                                                      (key_bytes, b"\xfe" + sig_bytes))))
     number = draw(st.one_of(st.integers(-3, 4 * n), st.sampled_from((0, 1, n - 1, n))))
     command = draw(st.sampled_from(("verify", "sign", "classic-forge", "scale", "variant2-factor")))
     scheme = draw(st.sampled_from(SCHEME_TAGS))
-    return key_bytes, sig_bytes, command, scheme, number
+    return key_bytes, sig_bytes, command, scheme, number, owners.get(key_text)
 
 
 def _argv(command, scheme, number, key, sig, out):
@@ -250,14 +258,18 @@ def _argv(command, scheme, number, key, sig, out):
 @settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(data=st.data())
 def test_cli_exits_with_a_code_and_never_raises(corpus, data):
-    key_bytes, sig_bytes, command, scheme, number = data.draw(cases(corpus))
+    key_bytes, sig_bytes, command, scheme, number, owner = data.draw(cases(corpus))
     with tempfile.TemporaryDirectory() as tmp:
         key, sig, out = (str(Path(tmp) / name) for name in ("fuzz.key", "fuzz.sig", "out.sig"))
         Path(key).write_bytes(key_bytes)
         Path(sig).write_bytes(sig_bytes)
-        with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
+        stdout, stderr = io.StringIO(), io.StringIO()
+        with redirect_stdout(stdout), redirect_stderr(stderr):
             code = main(_argv(command, scheme, number, key, sig, out))
     assert code in (0, 1, 2, 3)
+    if owner is not None:  # the variant2-factor attack prints the factor of N it finds from a signature, by design
+        shown = stderr.getvalue() + ("" if command == "variant2-factor" else stdout.getvalue())
+        assert not secret_runs(shown, owner), shown
 
 
 @settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.too_slow])
@@ -361,5 +373,18 @@ def test_a_private_line_with_another_separator_exits_3_naming_no_secret(general8
     k = next(k for k, line in enumerate(lines) if line.startswith(f"{name} = "))
     lines[k] = _separate(lines[k], form)
     code, _, _, shown = _signed_with("\n".join(lines) + "\n", dump_public(key), "general")
+    assert code == 3, shown
+    assert not secret_runs(shown, key), shown
+
+
+@pytest.mark.parametrize("secret", ["p", "q", "psi1", "psi2", "u1_root"])
+@pytest.mark.parametrize("name", ["hash", "u1"])
+def test_a_private_value_moved_into_the_hash_or_a_padding_line_exits_3_naming_no_secret(general80, name, secret):
+    # the reader names a bad hash token by its field, and a bad padding element by its place in the set
+    text, key = general80
+    value = re.search(rf"^{secret} = (\d+)$", text, re.M)[1]
+    moved = re.sub(rf"^{name} = .*$", f"{name} = {value}", text, count=1, flags=re.M)
+    assert moved != text
+    code, _, _, shown = _signed_with(moved, dump_public(key), "general")
     assert code == 3, shown
     assert not secret_runs(shown, key), shown

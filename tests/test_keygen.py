@@ -181,7 +181,7 @@ def accepted_keys(draw):
         built = build_padding_set(p, q, idem.psi1, idem.psi2, rng)
         elements = list(built.elements)
         if padding == "rooted":  # with its roots, each as any of its four lifts; the file holds the least
-            lifts = [numtheory._four_lifts(w % p, w % q, idem) for w in built.roots]
+            lifts = [numtheory._four_lifts(w, idem) for w in built.roots]
             roots = tuple(four[draw(st.integers(0, 3))] for four in lifts)
     elif padding == "drawn":
         elements = draw(st.lists(st.integers(1, p * q - 1), min_size=4, max_size=4))
@@ -246,11 +246,11 @@ class TestPaddingSet:
         assert any("unity" in f for f in flaws)
 
     @pytest.mark.parametrize("elements,flaw", [
-        ((7, 2, 3, 24), "element 7 is not a unit in 1..N-1"),
+        ((7, 2, 3, 24), "element 0 is not a unit in 1..N-1"),
         # the safe set (12, 53, 6, 65) that build_padding_set(7, 11, ..., random.Random(5)) returns,
         # its first element moved by N: the general signer would emit signatures outside [0, N)
-        ((12 + 77, 53, 6, 65), "element 89 is not a unit in 1..N-1"),
-        ((12 - 77, 53, 6, 65), "element -65 is not a unit in 1..N-1"),
+        ((12 + 77, 53, 6, 65), "element 0 is not a unit in 1..N-1"),
+        ((12 - 77, 53, 6, 65), "element 0 is not a unit in 1..N-1"),
     ])
     def test_element_flaws_detected(self, elements, flaw):
         assert padding_set_flaws(elements, 7, 11)[0] == flaw  # the one from_primes reports
@@ -332,11 +332,11 @@ class TestPaddingSet:
 def _per_pair_padding_flaws(elements, classes, n):
     # keygen._padding_flaws as one gcd per element and one per pair of elements
     flaws = []
-    for u in elements:
+    for i, u in enumerate(elements):
         if not 0 < u < n or math.gcd(u, n) != 1:
-            flaws.append(f"element {u} is not a unit in 1..N-1")
+            flaws.append(f"element {i} is not a unit in 1..N-1")
         elif u * u % n == 1:
-            flaws.append(f"element {u} is a square root of unity")
+            flaws.append(f"element {i} is a square root of unity")
     if len({c for c in classes if 0 not in c}) != 4:
         flaws.append("elements do not cover all four Jacobi classes")
     for i in range(4):
@@ -434,14 +434,14 @@ class TestKeyFiles:
 
     @pytest.mark.parametrize("n, elements, flaw", [
         # N = 7*11*13*17: no factor is needed to see that N-1 and 1 square to 1
-        (N_FOUR_PRIMES, (N_FOUR_PRIMES - 1, 1, 4, 9), f"element {N_FOUR_PRIMES - 1} is a square root of unity"),
-        (77, (43, 2, 3, 5), "element 43 is a square root of unity"),  # 1 mod 7 and -1 mod 11
+        (N_FOUR_PRIMES, (N_FOUR_PRIMES - 1, 1, 4, 9), "element 0 is a square root of unity"),
+        (77, (43, 2, 3, 5), "element 0 is a square root of unity"),  # 1 mod 7 and -1 mod 11
         (77, (2, 9, 3, 5), "difference of elements 0 and 1 shares a factor with the modulus"),  # 9 - 2 = 7
         (N_FOUR_PRIMES, (2, 4, 5, 24), "difference of elements 0 and 3 shares a factor with the modulus"),  # 22
         # the first flaw found is the one named, as for a private file
         (77, (0, 2, 3, 24), "element 0 is not a unit in 1..N-1"),
-        (77, (2, 3, 24, 79), "element 79 is not a unit in 1..N-1"),
-        (77, (2, 3, 24, 14), "element 14 is not a unit in 1..N-1"),
+        (77, (2, 3, 24, 79), "element 3 is not a unit in 1..N-1"),
+        (77, (2, 3, 24, 14), "element 3 is not a unit in 1..N-1"),
         (77, (2, 2, 3, 24), "difference of elements 0 and 1 shares a factor with the modulus"),
     ])
     def test_public_padding_must_pass_the_checks_that_need_no_factor(self, n, elements, flaw, tmp_path):
@@ -458,7 +458,7 @@ class TestKeyFiles:
         # the safe set (12, 53, 6, 65) that build_padding_set(7, 11, ..., random.Random(5)) returns
         key = KeyPair.from_primes("general", 7, 11, IDENTITY, PaddingSet((12, 53, 6, 65)))
         text = dump_private(key).replace("\nu1 = 12\n", "\nu1 = 14\n")
-        with pytest.raises(KeyFormatError, match=re.escape("unsafe padding set: element 14 is not a unit in 1..N-1")):
+        with pytest.raises(KeyFormatError, match=re.escape("unsafe padding set: element 0 is not a unit in 1..N-1")):
             parse_key(text)
 
     def test_each_padding_check_runs_once(self, monkeypatch):
@@ -1007,7 +1007,14 @@ def test_each_built_element_carries_its_root_over_its_class_and_the_file_its_lea
             z = numtheory._PrimeRoots(prime).z
             assert symbol == jacobi(u, prime)
             assert w * w % prime == (u if symbol == 1 else u * pow(z, -1, prime)) % prime
-        assert least == min(numtheory._four_lifts(w % p, w % q, idem))
+        assert least == min(numtheory._four_lifts(w, idem))
+
+
+def test_roots_raised_by_n_write_the_file_of_the_roots_themselves():
+    # a file holds each root as the least of its four lifts mod N, whatever multiple of N it came with
+    key = rooted_key()
+    raised = PaddingSet(key.padding.elements, roots=tuple(w + key.n for w in key.padding.roots))
+    assert dump_private(KeyPair.from_primes("general", key.p, key.q, IDENTITY, raised)) == dump_private(key)
 
 
 def test_a_rooted_file_certifies_the_classes_with_no_jacobi_symbol(monkeypatch):
@@ -1111,7 +1118,7 @@ def test_a_non_unit_element_keeps_its_flaw_message_beside_its_root():
     padding = build_padding_set(7, 11, idem.psi1, idem.psi2, random.Random(5))
     assert padding.elements == (12, 53, 6, 65) and padding.roots is not None
     text = dump_private(KeyPair.from_primes("general", 7, 11, IDENTITY, padding))
-    with pytest.raises(KeyFormatError, match=re.escape("unsafe padding set: element 14 is not a unit in 1..N-1")):
+    with pytest.raises(KeyFormatError, match=re.escape("unsafe padding set: element 0 is not a unit in 1..N-1")):
         parse_key(text.replace("\nu1 = 12\n", "\nu1 = 14\n"))
 
 

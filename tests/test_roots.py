@@ -22,6 +22,7 @@ from rabinsig.hashing import IDENTITY
 from rabinsig.keygen import KeyPair, build_padding_set
 from rabinsig.numtheory import (
     _class_root,
+    _four_lifts,
     _PrimeRoots,
     canonical_sqrt_mod_pq,
     crt_combine,
@@ -101,6 +102,23 @@ def test_roots_with_the_key_constants_equal_roots_built_per_call(pq, xs):
 
 
 one_mod_four_primes = st.builds(_prime_in_class, st.integers(3, 1 << 80), st.sampled_from(((5, 8), (1, 8))))
+blum_primes = st.builds(_prime_in_class, st.integers(3, 1 << 80), st.just((3, 4)))
+lift_rings = st.one_of(st.tuples(blum_primes, blum_primes),
+                       st.tuples(one_mod_four_primes, one_mod_four_primes)).filter(lambda pq: pq[0] != pq[1])
+
+
+@given(lift_rings, st.integers(0, 1 << 200), st.integers(0, 3), st.booleans())
+def test_four_lifts_are_the_values_that_are_plus_or_minus_v_mod_each_prime(pq, x, k, on_p):
+    # v is k*N above a value in 1..N-1, a multiple of p half the time; the lifts are of v mod N
+    p, q = pq
+    ring = crt_idempotents(p, q)
+    n = ring.n
+    v = k * n + (p * (x % (q - 1) + 1) if on_p else x % (n - 1) + 1)
+    lifts = _four_lifts(v, ring)
+    expected = {int(sympy.ntheory.modular.crt([p, q], [s * v % p, t * v % q])[0]) for s in (1, -1) for t in (1, -1)}
+    assert set(lifts) == expected and all(0 < lift < n for lift in lifts)
+    assert lifts[0] == v % n and lifts[1] == n - lifts[0] and lifts[3] == n - lifts[2]
+    assert (lifts[2] - v) % p == 0 and (lifts[2] + v) % q == 0
 
 
 @given(one_mod_four_primes, st.lists(st.integers(1, 1 << 100), min_size=1, max_size=8))
