@@ -13,8 +13,8 @@ from .errors import FactorLeakError, UnsignableMessageError
 from .hashing import Message
 from .keygen import KeyPair, PublicKey
 from .numtheory import SYSTEM_RNG, canonical_sqrt_mod_pq, jacobi, mod_inv, random_unit, sqrt_mod_pq
-from .schemes import (SCHEMES, _OUT_OF_RANGE, Variant2Signature, VerifyReport, _class_padding, _hash_for_signing,
-                      _hidden_root, _in_range, _OpCounter, _power_chain_check)
+from .schemes import (SCHEMES, _OUT_OF_RANGE, Variant2Signature, VerifyReport, _checked, _class_padding,
+                      _hash_for_signing, _hidden_root, _in_range, _power_chain_check)
 
 
 @dataclass(frozen=True)
@@ -52,7 +52,7 @@ def blind_sign(key: KeyPair, disguised: int, rng=None) -> BlindSignature:
     is computed from the Jacobi class of the disguised value; since the
     blinding square cannot change that class, u equals the padding of the
     underlying message.  Like every signer, it checks its answer before
-    returning it, by the blind verifier's equation (schemes._released).
+    returning it, by the blind verifier's check (schemes._released).
     """
     SCHEMES["variant2"].check_key(key)
     if math.gcd(disguised, key.n) != 1:
@@ -73,12 +73,11 @@ def unblind(bsig: BlindSignature, r: int, m: Message, pub: PublicKey | KeyPair) 
 def verify_blind_signature(bsig: BlindSignature, n: int) -> VerifyReport:
     """Check F**12 == R3**4 * disguised**6; same cost as the triple scheme.
 
-    As every verifier does, first rejects a value outside 0 < x < n: F, R3 or the disguised value.
+    As every verifier does, first rejects a value outside 0 < x < n: the disguised value, F or R3.
     """
-    if not _in_range(n, bsig.F, bsig.R3, bsig.disguised):
+    if not _in_range(n, bsig.disguised):
         return _OUT_OF_RANGE
-    ops = _OpCounter()
-    return ops.report(_power_chain_check(bsig.F, bsig.R3, bsig.disguised, n, ops))
+    return _checked(_power_chain_check, n, bsig.disguised, bsig.F, bsig.R3)
 
 
 def naive_blind_sign(key: KeyPair, disguised: int, rng=None) -> int:

@@ -23,10 +23,9 @@ from dataclasses import dataclass, fields
 from typing import Callable
 
 from .blind import BlindSignature, blind_sign
-from .hashing import apply_redundancy
 from .keygen import KeyPair, PublicKey
 from .numtheory import SYSTEM_RNG, mod_inv, random_unit
-from .schemes import ClassicSignature, Signature, Variant2Signature, _message_in_range
+from .schemes import ClassicSignature, Signature, Variant2Signature, _message_hash
 
 
 @dataclass(frozen=True)
@@ -153,11 +152,8 @@ def variant2_factor(pub: PublicKey | KeyPair, sig: Variant2Signature | BlindSign
     no inverse needed.  A message outside the key's message rule gives None.
     """
     n = pub.n
-    if isinstance(sig, BlindSignature):
-        h = sig.disguised
-    elif _message_in_range(pub, sig.m):
-        h = apply_redundancy(pub.redundancy, sig.m, n)
-    else:
+    h = sig.disguised if isinstance(sig, BlindSignature) else _message_hash(pub, sig.m)
+    if h is None:
         return None
     g = math.gcd(pow(sig.F, 6, n) - sig.R3 * sig.R3 * pow(h, 3, n), n)
     return g if 1 < g < n else None

@@ -428,7 +428,7 @@ def _root_classes(elements, roots, at_p: _PrimeRoots, at_q: _PrimeRoots) -> tupl
         if square * at.z % prime == u:
             return -1
         # the root is as secret as p, so the message names only its place
-        raise ValueError(f"the root of padding element {i + 1} is no root of it over a Jacobi class")
+        raise ValueError(f"the root of padding element {i} is no root of it over a Jacobi class")
 
     p, q = at_p.p, at_q.p
     return tuple((symbol(i, at_p), symbol(i, at_q)) if u % p and u % q else (0, 0) for i, u in enumerate(elements))
@@ -630,7 +630,7 @@ def parse_key(text: str, path_hint: str = "key file") -> KeyPair | PublicKey:
     if not ring.know_idempotents(psi1, psi2):  # by their definition, with no inverse
         raise KeyFormatError(f"idempotents do not match the prime factors in {path_hint}")
     if padding is not None and padding.roots is not None:
-        for i, w in enumerate(padding.roots, start=1):
+        for i, w in enumerate(padding.roots):
             if w != min(_four_lifts(w, ring)):
                 raise KeyFormatError(f"root of padding element {i} is not the least of its four lifts in {path_hint}")
     for (i, c), value in constants.items():

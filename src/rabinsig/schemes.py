@@ -7,18 +7,20 @@ variant2  [m, F, R3]    F**12 = R3**4 * H(m)**6           (Blum primes)
 rw        [m, e, f, S]  e*f*S**2 = H(m), e in {1,N-1}, f in {1,2}
 
 Verification is pure.  Each scheme states its equation once, in a private
-helper that <tag>_verify calls after its range checks and each signer calls
-on its own output (_released).  The helper checks each congruence with one
-reduction: the equation's last square and product are taken unreduced and
-only their difference is reduced mod N.  A verdict reports the squares and
-products taken, excluding the redundancy evaluation: those of the paper,
-for example 7 squares and 3 products for variant2.  Each signature
-has one valid encoding, the one its signer emits and its file holds: every
-verifier first rejects, as "component range" with no operations counted, a
-component outside 0 < x < N (_in_range) or a message outside the message
-rule (_message_in_range).  Otherwise x + k*N would verify wherever x does,
-and zeros satisfy every scheme's equations for each message whose
-redundancy is 0 mod N, and classic's [m, 0, 0] for every message.
+helper equation(n, h, *components, ops), which checks each congruence with
+one reduction: its last square and product are taken unreduced and only
+their difference is reduced mod N.  One function, _checked, applies the
+range rule, the message rule and the count for every <tag>_verify, the
+blind verifier and each signer's check of its own output (_released).  A
+verdict reports the squares and products taken, excluding the redundancy
+evaluation: those of the paper, for example 7 squares and 3 products for
+variant2.  Each signature has one valid encoding, the one its signer emits
+and its file holds: _checked first rejects, as "component range" with no
+operations counted, a component outside 0 < x < N (_in_range) or a message
+outside the message rule (_message_in_range).  Otherwise x + k*N would
+verify wherever x does, and zeros satisfy every scheme's equations for
+each message whose redundancy is 0 mod N, and classic's [m, 0, 0] for
+every message.
 """
 
 import dataclasses
@@ -148,26 +150,43 @@ def _message_in_range(key: PublicKey | KeyPair, m: Message) -> bool:
     return isinstance(m, bytes) or 0 <= m.digest_int < spec.digest_limit
 
 
+def _message_hash(key: PublicKey | KeyPair, m: Message) -> int | None:
+    """H(m), or None for a message outside the message rule."""
+    return apply_redundancy(key.redundancy, m, key.n) if _message_in_range(key, m) else None
+
+
 def _hash_for_signing(key: PublicKey | KeyPair, m: Message) -> int:
     """H(m), refusing a message outside the message rule or whose H(m) is not a unit."""
-    if not _message_in_range(key, m):
+    h = _message_hash(key, m)
+    if h is None:
         raise UnsignableMessageError("message is outside the range the key signs")
-    h = apply_redundancy(key.redundancy, m, key.n)
     if math.gcd(h, key.n) != 1:
         raise UnsignableMessageError("message redundancy value is zero or not a unit")
     return h
 
 
-def _released(sig, failed: str | None):
-    """sig, once its scheme's equation has held for it, as each signer checks its output.
+def _checked(equation, n: int, h: int | None, *components: int) -> VerifyReport:
+    """The verdict on components under equation(n, h, *components, ops), which names its failed check or gives None.
+
+    h None (a message outside the message rule) or a component outside
+    0 < x < n is "component range", with no operations counted.
+    """
+    if h is None or not _in_range(n, *components):
+        return _OUT_OF_RANGE
+    ops = _OpCounter()
+    return ops.report(equation(n, h, *components, ops))
+
+
+def _released(sig, report: VerifyReport):
+    """sig, once its verifier's check has passed for it, as each signer checks its output.
 
     A fault in one CRT half gives a signature that holds mod one prime only,
     and publishing it gives that prime away (Boneh, DeMillo and Lipton,
     EUROCRYPT 1997), so it is withheld: FactorLeakError, whose message
     carries no number.
     """
-    if failed is not None:
-        raise FactorLeakError("the signature failed its own equation and was withheld")
+    if not report.valid:
+        raise FactorLeakError("the signature failed its own check and was withheld")
     return sig
 
 
@@ -193,7 +212,7 @@ def classic_sign(key: KeyPair, m: Message, rng=None) -> ClassicSignature:
     r = random_unit(key.n, rng)
     p, q = key.p, key.q
     padding, root = _class_padding(key, hp, hq, r), _canonical_lift(r * xp % p, r * xq % q, key.idem)
-    return _released(ClassicSignature(m, padding, root), _square_equation(key.n, h, padding, root, _OpCounter()))
+    return _released(ClassicSignature(m, padding, root), _checked(_square_equation, key.n, h, padding, root))
 
 
 def _square_equation(n: int, h: int, u: int, s: int, ops: _OpCounter) -> str | None:
@@ -202,11 +221,7 @@ def _square_equation(n: int, h: int, u: int, s: int, ops: _OpCounter) -> str | N
 
 
 def classic_verify(pub: PublicKey | KeyPair, sig: ClassicSignature) -> VerifyReport:
-    if not (_in_range(pub.n, sig.U, sig.S) and _message_in_range(pub, sig.m)):
-        return _OUT_OF_RANGE
-    h = apply_redundancy(pub.redundancy, sig.m, pub.n)
-    ops = _OpCounter()
-    return ops.report(_square_equation(pub.n, h, sig.U, sig.S, ops))
+    return _checked(_square_equation, pub.n, _message_hash(pub, sig.m), sig.U, sig.S)
 
 
 # ---------------------------------------------------------------------------
@@ -229,17 +244,17 @@ def general_sign(key: KeyPair, m: Message, rng=None) -> GeneralSignature:
         raise ValueError("padding set does not cover the class of the message") from None
     p, q, u, w = key.p, key.q, key.padding.elements[i], key.padding.roots[i]
     root = _canonical_lift(xp * w % p, xq * w % q, key.idem)
-    return _released(GeneralSignature(m, u, root), _square_equation(key.n, h, u, root, _OpCounter()))
+    return _released(GeneralSignature(m, u, root), _checked(_square_equation, key.n, h, u, root))
+
+
+def _not_a_member(n: int, h: int, u: int, s: int, ops: _OpCounter) -> str:
+    """general's refusal of a u outside the padding set, once the range rule holds: no operation taken."""
+    return "membership"
 
 
 def general_verify(pub: PublicKey | KeyPair, sig: GeneralSignature) -> VerifyReport:
-    if not (_in_range(pub.n, sig.u, sig.S) and _message_in_range(pub, sig.m)):
-        return _OUT_OF_RANGE
-    if pub.padding is None or sig.u not in pub.padding.elements:
-        return _verdict(False, "membership", 0, 0)
-    h = apply_redundancy(pub.redundancy, sig.m, pub.n)
-    ops = _OpCounter()
-    return ops.report(_square_equation(pub.n, h, sig.u, sig.S, ops))
+    member = pub.padding is not None and sig.u in pub.padding.elements
+    return _checked(_square_equation if member else _not_a_member, pub.n, _message_hash(pub, sig.m), sig.u, sig.S)
 
 
 # ---------------------------------------------------------------------------
@@ -276,8 +291,7 @@ def variant1_sign(key: KeyPair, m: Message, rng=None) -> Variant1Signature:
     sp, tp = _binding_root(s0 % key.p, padding + 1, k.at_p)
     sq, tq = _binding_root(s0 % key.q, padding + 1, k.at_q)
     root, t = crt_combine(sp, sq, k), _canonical_lift(tp, tq, k)
-    return _released(Variant1Signature(m, padding, root, t),
-                     _variant1_equations(n, h, padding, root, t, _OpCounter()))
+    return _released(Variant1Signature(m, padding, root, t), _checked(_variant1_equations, n, h, padding, root, t))
 
 
 def _variant1_equations(n: int, h: int, u: int, s: int, t: int, ops: _OpCounter) -> str | None:
@@ -291,11 +305,7 @@ def _variant1_equations(n: int, h: int, u: int, s: int, t: int, ops: _OpCounter)
 
 
 def variant1_verify(pub: PublicKey | KeyPair, sig: Variant1Signature) -> VerifyReport:
-    if not (_in_range(pub.n, sig.U, sig.S, sig.T) and _message_in_range(pub, sig.m)):
-        return _OUT_OF_RANGE
-    h = apply_redundancy(pub.redundancy, sig.m, pub.n)
-    ops = _OpCounter()
-    return ops.report(_variant1_equations(pub.n, h, sig.U, sig.S, sig.T, ops))
+    return _checked(_variant1_equations, pub.n, _message_hash(pub, sig.m), sig.U, sig.S, sig.T)
 
 
 # ---------------------------------------------------------------------------
@@ -315,10 +325,10 @@ def _hidden_root(root: int, h: int, n: int, rng) -> tuple[int, int]:
     """(R*root, R**3), R a secret nonce, once F**12 = R3**4 * h**6 holds: the answer of variant2 and blind_sign."""
     r = random_unit(n, rng)
     f_val, r3 = r * root % n, pow(r, 3, n)
-    return _released((f_val, r3), _power_chain_check(f_val, r3, h, n, _OpCounter()))
+    return _released((f_val, r3), _checked(_power_chain_check, n, h, f_val, r3))
 
 
-def _power_chain_check(f_val: int, r3: int, h: int, n: int, ops: _OpCounter) -> str | None:
+def _power_chain_check(n: int, h: int, f_val: int, r3: int, ops: _OpCounter) -> str | None:
     """F**12 = R3**4 * h**6 in 7 squares and 3 products: the failed check, or None when it holds.
 
     The last two products, F**8 * F**4 and R3**4 * h**6, are taken unreduced.
@@ -335,11 +345,7 @@ def _power_chain_check(f_val: int, r3: int, h: int, n: int, ops: _OpCounter) -> 
 
 
 def variant2_verify(pub: PublicKey | KeyPair, sig: Variant2Signature) -> VerifyReport:
-    if not (_in_range(pub.n, sig.F, sig.R3) and _message_in_range(pub, sig.m)):
-        return _OUT_OF_RANGE
-    h = apply_redundancy(pub.redundancy, sig.m, pub.n)
-    ops = _OpCounter()
-    return ops.report(_power_chain_check(sig.F, sig.R3, h, pub.n, ops))
+    return _checked(_power_chain_check, pub.n, _message_hash(pub, sig.m), sig.F, sig.R3)
 
 
 # ---------------------------------------------------------------------------
@@ -364,7 +370,7 @@ def rw_sign(key: KeyPair, m: Message, rng=None) -> RWSignature:
         e, f = hp * (1 if p % 8 == 7 else -1), 2
         yp, yq = yp * k.at_p.half_root % p, yq * k.at_q.half_root % q
     e, root = e % key.n, _canonical_lift(yp, yq, k)
-    return _released(RWSignature(m, e, f, root), _rw_equation(key.n, h, e, f, root, _OpCounter()))
+    return _released(RWSignature(m, e, f, root), _checked(_rw_equation, key.n, h, e, f, root))
 
 
 def _rw_equation(n: int, h: int, e: int, f: int, s: int, ops: _OpCounter) -> str | None:
@@ -373,12 +379,9 @@ def _rw_equation(n: int, h: int, e: int, f: int, s: int, ops: _OpCounter) -> str
 
 
 def rw_verify(pub: PublicKey | KeyPair, sig: RWSignature) -> VerifyReport:
-    if not (sig.e in (1, pub.n - 1) and sig.f in (1, 2) and _in_range(pub.n, sig.S)
-            and _message_in_range(pub, sig.m)):
+    if sig.e not in (1, pub.n - 1) or sig.f not in (1, 2):
         return _OUT_OF_RANGE
-    h = apply_redundancy(pub.redundancy, sig.m, pub.n)
-    ops = _OpCounter()
-    return ops.report(_rw_equation(pub.n, h, sig.e, sig.f, sig.S, ops))
+    return _checked(_rw_equation, pub.n, _message_hash(pub, sig.m), sig.e, sig.f, sig.S)
 
 
 # ---------------------------------------------------------------------------

@@ -41,10 +41,17 @@ def private_values(key: KeyPair) -> set[int]:
 
 
 def secret_runs(text: str, *keys: KeyPair) -> list[str]:
-    """Each run of 20 digits in `text` that also occurs in a private value of one of `keys`: a leak."""
-    known = {value[i:i + 20] for key in keys for value in map(str, private_values(key)) for i in range(len(value) - 19)}
+    """Each leak of a private value of one of `keys` in `text`: a run of 20 digits that also occurs in one,
+    or a whole decimal token of 7 to 19 digits that is one.
+
+    The tokens find the values of small keys, whose primes have about 8 digits and psi1 and psi2 about 15;
+    the floor of 7 digits keeps out counts and element numbers.
+    """
+    values = {str(value) for key in keys for value in private_values(key)}
+    known = {value[i:i + 20] for value in values for i in range(len(value) - 19)}
     runs = (run[i:i + 20] for run in re.findall(r"[0-9]{20,}", text) for i in range(len(run) - 19))
-    return [run for run in runs if run in known]
+    tokens = (token for token in re.findall(r"[0-9]+", text) if 7 <= len(token) <= 19 and token in values)
+    return [run for run in runs if run in known] + list(tokens)
 
 
 @functools.cache

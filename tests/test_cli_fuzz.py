@@ -272,6 +272,17 @@ def test_cli_exits_with_a_code_and_never_raises(corpus, data):
         assert not secret_runs(shown, owner), shown
 
 
+def test_the_secret_scan_sees_the_small_corpus_keys(corpus):
+    # a 24-bit key's p and q have about 8 digits and its psi1 and psi2 about 15, too few for a run of 20:
+    # each is found as a whole token, and N, a count and an element number are not
+    small = {key for key in corpus[4].values() if len(str(key.psi1)) < 20}
+    assert len(small) >= 3
+    for key in small:
+        for value in (key.p, key.q, key.psi1, key.psi2):
+            assert secret_runs(f"error: field 'hash' holds {value}, not a redundancy token\n", key) == [str(value)]
+        assert not secret_runs(f"error: element 0 of 4 in line 12 differs from N = {key.n}\n", key)
+
+
 @settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(data=st.data())
 def test_re_encoded_signature_file_never_verifies(corpus, data):

@@ -1071,7 +1071,7 @@ def _bad_roots():
     n, e = key.n, key.psi1 - key.psi2
     w, other = _filed_roots(key)[:2]
     wrong = "no root of it over a Jacobi class"
-    not_least = "root of padding element 1 is not the least of its four lifts"
+    not_least = "root of padding element 0 is not the least of its four lifts"
     return {
         "digit": (str(w)[:-1] + str((int(str(w)[-1]) + 1) % 10), wrong),
         "zero": (0, wrong),
@@ -1108,7 +1108,7 @@ def test_a_swap_of_two_roots_is_refused():
     text = dump_private(rooted_key())
     first, second = _filed_roots(rooted_key())[:2]
     swapped = _with_root(_with_root(text, 1, second), 2, first)
-    with pytest.raises(KeyFormatError, match="the root of padding element 1 is no root of it"):
+    with pytest.raises(KeyFormatError, match="the root of padding element 0 is no root of it"):
         parse_key(swapped)
 
 
@@ -1125,7 +1125,7 @@ def test_a_non_unit_element_keeps_its_flaw_message_beside_its_root():
 def test_from_primes_refuses_a_root_that_is_none_of_its_element_and_a_short_list():
     key = rooted_key()
     elements, roots = key.padding.elements, key.padding.roots
-    with pytest.raises(ValueError, match="the root of padding element 3 is no root of it"):
+    with pytest.raises(ValueError, match="the root of padding element 2 is no root of it"):
         KeyPair.from_primes("general", key.p, key.q, IDENTITY, PaddingSet(elements, roots=(*roots[:2], 2, roots[3])))
     with pytest.raises(ValueError, match="not 3 roots for 4"):
         KeyPair.from_primes("general", key.p, key.q, IDENTITY, PaddingSet(elements, roots=roots[:3]))

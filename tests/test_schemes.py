@@ -822,6 +822,10 @@ class TestFailedVerdictCounts:
         ("toy_key", Variant1Signature(3, 59, 67, 0), "component range", (0, 0)),
         ("toy_key", Variant2Signature(77, 10, 8), "component range", (0, 0)),
         ("rw_toy_key", RWSignature(5, 76, 2, 0), "component range", (0, 0)),
+        # the range rule is checked before general's membership and before rw's equation
+        ("general_toy_key", GeneralSignature(5, 4, 77), "component range", (0, 0)),
+        ("general_toy_key", GeneralSignature(77, 4, 13), "component range", (0, 0)),
+        ("rw_toy_key", RWSignature(5, 2, 2, 6), "component range", (0, 0)),
     )
     HONEST = {  # a valid signature of each type under the same keys, and its counts
         ClassicSignature: ("toy_key", ClassicSignature(5, 59, 8), (1, 1)),
@@ -911,9 +915,9 @@ class TestSignersCheckTheirOutput:
 
     A fault in one CRT half gives a signature that holds mod p only, and
     the gcd of its verification residue with N is p (Boneh, DeMillo and
-    Lipton, EUROCRYPT 1997).  Each signer checks its output with its
-    scheme's equation helper and raises FactorLeakError, with no number in
-    its message, instead of returning it.
+    Lipton, EUROCRYPT 1997).  Each signer checks its output by its
+    verifier's full rule (schemes._checked), range rule included, and raises
+    FactorLeakError, with no number in its message, instead of returning it.
     """
 
     KEYS = {kind: gen_keypair(kind, 128, DIGEST, random.Random(f"fault/{kind}")) for kind in ("general", "blum", "rw")}
@@ -929,6 +933,15 @@ class TestSignersCheckTheirOutput:
                 sign(key, m, scheme, rng=rng)
             assert not any(ch.isdigit() for ch in str(exc.value))
 
+    @pytest.mark.parametrize("scheme,kind", [pair for pair in SCHEMES_AND_KINDS if pair[0] != "variant2"])
+    def test_a_root_raised_by_n_is_withheld(self, monkeypatch, rng, scheme, kind):
+        # its equation still holds mod N, and only the range rule refuses it; variant2 reduces F = R*S mod N
+        key = self.KEYS[kind]
+        real = schemes._canonical_lift
+        monkeypatch.setattr(schemes, "_canonical_lift", lambda *args: real(*args) + key.n)
+        with pytest.raises(FactorLeakError):
+            sign(key, b"a", scheme, rng=rng)
+
     def test_the_blind_signer_withholds_a_faulty_answer(self, monkeypatch, rng):
         key = self.KEYS["blum"]
         disguised = [x * x % key.n for x in (3, 5, 7, 11)]
@@ -941,7 +954,7 @@ class TestSignersCheckTheirOutput:
             assert not any(ch.isdigit() for ch in str(exc.value))
 
     def test_signers_do_not_call_the_verifiers(self, monkeypatch, rng):
-        # the check is the private equation helper, so a traced verifier's call count stays the verifications made
+        # the check is the private schemes._checked, so a traced verifier's call count stays the verifications made
         called = []
 
         def counted(name, real):
