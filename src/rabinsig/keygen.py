@@ -470,10 +470,6 @@ def gen_keypair(kind: str, bits: int, redundancy=IDENTITY, rng=None) -> KeyPair:
 # separated by single spaces, f1 b1 f2 b2 ...; a prime below 2**64 has none.
 # A private general key file may add u1_root .. u4_root, all four or none:
 # each padding element's root over its class.
-# Files of earlier versions may also hold, per prime, a root constant
-# (_prime_constants): p_zpow and q_zpow, and p_half_root and q_half_root.
-# They load when each equals what the key's ring computes, and are not
-# written back.
 
 KEY_MAGIC = "rabin-key v1"
 
@@ -481,15 +477,6 @@ _PROOF_FORM = "pairs 'f1 b1 f2 b2 ...' of a factor and its witness"
 _FIELD_NAME = re.compile(r"[A-Za-z]+[0-9]?(?:[_-][a-z]+)*")
 _DECIMAL = re.compile(r"0|[1-9][0-9]*")
 _DECIMALS = re.compile(rf"(?:{_DECIMAL.pattern})(?: (?:{_DECIMAL.pattern}))*")
-
-
-def _prime_constants(kind: str, prime: int) -> tuple[str, ...]:
-    """The _PrimeRoots constants a private key file of an earlier version may hold for a prime of a `kind` key.
-
-    zpow for a prime that is 1 mod 4, whose z is no -1, and half_root on an
-    rw key.
-    """
-    return ("zpow",) * (prime % 4 == 1) + ("half_root",) * (kind == "rw")
 
 
 def _public_fields(pub: PublicKey | KeyPair) -> dict:
@@ -573,9 +560,7 @@ def parse_key(text: str, path_hint: str = "key file") -> KeyPair | PublicKey:
     which KeyPair.from_primes checks in place of the 40-round test, and a
     general key's u1_root .. u4_root, by which it certifies the padding
     classes in place of Jacobi symbols.  Each root must be the least of its
-    four lifts mod N, so that a key has one file.  Each of a prime's
-    _prime_constants, as earlier versions wrote them, may be there too, and
-    must equal the value the key's ring computes.  The key's ring takes psi1
+    four lifts mod N, so that a key has one file.  The key's ring takes psi1
     and psi2; an error names its field, never its value.  An N above
     2*MAX_PRIME_BITS bits is refused before any arithmetic on it.  A public
     file's padding set gets the checks that need no factor of N: each
@@ -617,8 +602,6 @@ def parse_key(text: str, path_hint: str = "key file") -> KeyPair | PublicKey:
     p, q = record.proven(p, "p_proof"), record.proven(q, "q_proof")
     if padding is not None and any(f"u{i}_root" in record for i in range(1, 5)):  # all four or none
         padding = PaddingSet(padding.elements, roots=tuple(record.integer(f"u{i}_root") for i in range(1, 5)))
-    constants = {(i, c): record.integer(f"{name}_{c}") for i, (name, prime) in enumerate((("p", p), ("q", q)))
-                 for c in _prime_constants(kind, prime) if f"{name}_{c}" in record}
     record.done()
     if p * q != n:
         raise KeyFormatError(f"N does not equal p*q in {path_hint}")
@@ -633,7 +616,4 @@ def parse_key(text: str, path_hint: str = "key file") -> KeyPair | PublicKey:
         for i, w in enumerate(padding.roots):
             if w != min(_four_lifts(w, ring)):
                 raise KeyFormatError(f"root of padding element {i} is not the least of its four lifts in {path_hint}")
-    for (i, c), value in constants.items():
-        if getattr((ring.at_p, ring.at_q)[i], c) != value:  # each reveals p: the message names only its field
-            raise KeyFormatError(f"field '{'pq'[i]}_{c}' fails its check in {path_hint}")
     return key

@@ -33,7 +33,7 @@ OpenSSL's BN_mod_exp, in the libcrypto that hashlib already loads, for a
 modulus of at least 2**64, about a twelfth of pow's time at 512 bits; pow
 below that, and wherever libcrypto cannot be reached.  Both give the same
 integers, so no prime, chain, key file or seeded output depends on which
-ran.  A prime's constants (zpow, half_root) take _modexp too; the roots
+ran.  A prime's constants (z_powers, half_root) take _modexp too; the roots
 (_class_root) still take pow.
 """
 
@@ -384,17 +384,13 @@ class _PrimeRoots:
         self.z = -1 if p % 4 == 3 else least_nonresidue(p)
 
     @cached_property
-    def zpow(self) -> int:
-        """z**exp for p = 1 mod 4, from one modexp: what z_powers needs."""
-        return _modexp(self.z, self.exp, self.p)
-
-    @cached_property
     def z_powers(self) -> tuple[int, int]:
-        """zh and z**d, with zh**2 = z * z**d: zpow times z and zpow**2 times z, or (1, -1) for z = -1."""
+        """zh = z**exp * z and z**d = zh * z**exp, so zh**2 = z * z**d, from one modexp; (1, -1) for z = -1."""
         if self.z == -1:
             return 1, self.p - 1
-        zh = self.zpow * self.z % self.p
-        return zh, zh * self.zpow % self.p
+        y = _modexp(self.z, self.exp, self.p)
+        zh = y * self.z % self.p
+        return zh, zh * y % self.p
 
     @cached_property
     def half_root(self) -> int:

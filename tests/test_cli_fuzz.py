@@ -6,8 +6,7 @@ N-1 and N values; a line's own value plus a multiple of N; N moved to
 another odd class mod 8; lists of decimals for the primality proofs; a
 general key's padding element set to a square root of 1 or to another
 element plus a prime factor of N; a private general key's padding root
-dropped, repeated, swapped with another or with one digit changed; a
-prime's root constant dropped, repeated or with one digit changed; a line's
+dropped, repeated, swapped with another or with one digit changed; a line's
 separator changed, to a tab after `=`, no spaces or a second `=`, or its
 value moved to the left; a private key's p copied into its hash or u1
 line; dropped, repeated and added lines; a byte that is not UTF-8) and
@@ -17,10 +16,10 @@ code from 0 to 3 and raise nothing, and it prints no secret of a private
 key file's key on stdout or stderr (conftest.secret_runs), save the factor
 of N that the variant2-factor attack finds.  A signature file whose
 component or message is its own value plus a multiple of N never verifies
-against its key.  A key file written by an earlier version with root
-constants signs as it does without them, and one with a root constant
-repeated or changed is refused.  An edited private key file is refused
-with no secret of the key on stdout or stderr.
+against its key.  A private key file with a line for a prime's root
+constant, which earlier versions wrote, is refused, whatever its value; with
+those lines deleted it signs as its key does.  Every edited private key
+file is refused with no secret of the key on stdout or stderr.
 """
 
 import io
@@ -60,9 +59,9 @@ def corpus():
     """Small fixed keys, each dumped public and private, and one signature file per scheme; each with its N.
 
     The primes of the proven key exceed 2**64, so its private file carries p_proof and q_proof.
-    The key files in tests/data that an earlier version wrote with root constants join them:
-    the general one's primes are 1 mod 8, so it carries p_zpow and q_zpow, and the rw one
-    p_half_root and q_half_root.  Then, by N, the values that make a padding set unsafe with
+    The key files in tests/data that an earlier version wrote with root constants join them,
+    without those lines, which this version refuses; their primes have 20 digits, so the
+    secret scan finds them as runs.  Then, by N, the values that make a padding set unsafe with
     no factor needed to see it, and last, by its text, the key of each private file.
     """
     rng = random.Random(20240501)
@@ -74,7 +73,9 @@ def corpus():
     }
     key_texts = [(dump(key), key.n) for key in keys.values() for dump in (dump_public, dump_private)]
     for path in CONSTANT_FILES:
-        for text in (path.read_text(), path.with_suffix(".key.pub").read_text()):
+        private = "".join(line for line in path.read_text().splitlines(keepends=True)
+                          if not line.startswith(CONSTANT_NAMES))
+        for text in (private, path.with_suffix(".key.pub").read_text()):
             key_texts.append((text, parse_key(text).n))
     general = keys["general"]
     unsafe = {general.n: (1, general.n - 1, *sqrt_of_unity_nontrivial(general.idem),
@@ -118,7 +119,6 @@ def _edits(n, unsafe):
         st.tuples(st.just("separator"), index, st.sampled_from(SEPARATOR_FORMS)),
         st.tuples(st.just("copy-p"), st.sampled_from(("hash", "u1"))),
         _root_edits(),
-        _constant_edits(),
     ), max_size=4)
 
 
@@ -126,12 +126,6 @@ def _root_edits():
     """An edit of padding root i: drop it, repeat it, swap its value with root j != i, or change one digit."""
     return st.tuples(st.sampled_from(("root-drop", "root-repeat", "root-swap", "root-digit")), st.integers(1, 4),
                      st.integers(1, 3), st.integers(0, 1 << 16), st.integers(1, 9))
-
-
-def _constant_edits():
-    """An edit of a prime's root constant: drop it, repeat it, or change one digit."""
-    return st.tuples(st.sampled_from(("constant-drop", "constant-repeat", "constant-digit")),
-                     st.sampled_from(CONSTANT_NAMES), st.integers(0, 1 << 16), st.integers(1, 9))
 
 
 def _edit_line(lines, k, op, at, step):
@@ -168,13 +162,6 @@ def _edit_root(lines, edit):
                                       f"u{j}_root = {lines[k].partition(' = ')[2]}")
         return lines
     return _edit_line(lines, k, op.removeprefix("root-"), at, step)
-
-
-def _edit_constant(lines, edit):
-    """`lines` after one of _constant_edits; lines without that constant are left as they are."""
-    op, name, at, step = edit
-    k = next((k for k, line in enumerate(lines) if line.startswith(f"{name} = ")), None)
-    return lines if k is None else _edit_line(lines, k, op.removeprefix("constant-"), at, step)
 
 
 def _separate(line, form):
@@ -217,8 +204,6 @@ def _apply(text, edits, n):
             lines = [f"u{edit[1]} = {edit[2]}" if line.startswith(f"u{edit[1]} = ") else line for line in lines]
         elif op.startswith("root-"):
             lines = _edit_root(lines, edit)
-        elif op.startswith("constant-"):
-            lines = _edit_constant(lines, edit)
     return "\n".join(lines) + "\n"
 
 
@@ -339,33 +324,36 @@ def _signed_with(text, pub_text, scheme):
         return code, valid, out.read_text() if code == 0 else None, shown.getvalue()
 
 
-def _constant_key(corpus, name):
-    """The private file that holds the constant `name`, its N and public file, and the scheme that signs with it."""
-    text, n = next((text, n) for text, n in corpus[0] if f"\n{name} = " in text)
-    return text, n, dump_public(parse_key(text)), "general" if "\nkind = general\n" in text else "rw"
-
-
 @pytest.mark.parametrize("name", CONSTANT_NAMES)
-def test_a_key_file_without_a_root_constant_signs_the_same(corpus, name):
-    text, n, pub_text, scheme = _constant_key(corpus, name)
-    edited = _apply(text, [("constant-drop", name, 0, 1)], n)
-    assert edited != text
-    code, valid, sig, _ = _signed_with(edited, pub_text, scheme)
-    assert code == 0 and valid and sig == _signed_with(text, pub_text, scheme)[2]
+def test_a_key_file_without_a_root_constant_signs_the_same(name):
+    # the committed file that holds `name` exits 3 while any of its constant lines stays; without them
+    # all, `sign` writes what the key signs in process, and it verifies under the committed public file
+    path = next(path for path in CONSTANT_FILES if f"\n{name} = " in path.read_text())
+    lines = path.read_text().splitlines(keepends=True)
+    pub_text = path.with_suffix(".key.pub").read_text()
+    stripped = "".join(line for line in lines if not line.startswith(CONSTANT_NAMES))
+    key = parse_key(stripped)
+    scheme = "general" if key.kind == "general" else "rw"
+    for kept in (lines, [line for line in lines if not line.startswith(f"{name} = ")]):
+        code, _, _, shown = _signed_with("".join(kept), pub_text, scheme)
+        assert code == 3 and "unexpected fields" in shown and not secret_runs(shown, key), shown
+    code, valid, sig, _ = _signed_with(stripped, pub_text, scheme)
+    assert code == 0 and valid and sig == dump_signature(sign(key, 5, scheme, rng=random.Random(1)), key)
 
 
 @settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(data=st.data())
-def test_an_edited_root_constant_exits_3(corpus, data):
-    # a repeated field, or a changed digit: each constant loads only as the value its ring computes
-    edit = data.draw(st.tuples(st.sampled_from(("constant-repeat", "constant-digit")), st.sampled_from(CONSTANT_NAMES),
-                               st.integers(0, 1 << 16), st.integers(1, 9)))
-    text, n, pub_text, scheme = _constant_key(corpus, edit[1])
-    edited = _apply(text, [edit], n)
-    assert edited != text
-    code, _, _, shown = _signed_with(edited, pub_text, scheme)
-    assert code == 3, edit
-    assert not secret_runs(shown, parse_key(text))
+def test_a_root_constant_line_exits_3(corpus, data):
+    # earlier versions filed these; no value makes this version's reader take one, not even the ring's own
+    text, key = data.draw(st.sampled_from(list(corpus[4].items())))
+    name = data.draw(st.sampled_from(CONSTANT_NAMES))
+    at = key.idem.at_p if name[0] == "p" else key.idem.at_q
+    own = pow(at.z, at.exp, at.p) if name.endswith("_zpow") else at.half_root
+    value = data.draw(st.one_of(st.just(str(own)), _values(key.n)))
+    scheme = {"general": "general", "blum": "variant2", "rw": "rw"}[key.kind]
+    code, _, _, shown = _signed_with(f"{text}{name} = {value}\n", dump_public(key), scheme)
+    assert code == 3, (name, value, shown)
+    assert not secret_runs(shown, key), shown
 
 
 @pytest.fixture(scope="module")

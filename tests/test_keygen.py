@@ -1142,7 +1142,8 @@ def test_padding_roots_stay_private():
 
 
 # ---------------------------------------------------------------------------
-# Root constants of the primes, which earlier versions filed in private general and rw keys
+# Root constants of the primes, which earlier versions filed in private general and rw keys: this
+# version's reader refuses them as fields that no writer produces
 
 CONSTANT_FIELDS = ("p_zpow", "q_zpow", "p_half_root", "q_half_root")
 # `rabinsig keygen --kind general|rw --bits 64 --seed 11`, written by the last version that filed the
@@ -1153,18 +1154,8 @@ CONSTANT_FILES = {kind: Path(__file__).parent / "data" / f"{kind}-constants.key"
 CONSTANT_FILE_SIGNATURES = "6fc9eea7d4b6ef853a77d3b6d5460c8acbbb6d5bc2567a722722efd4c0e4279d"
 
 
-def _constant_files() -> dict[str, str]:
-    # each constant field, with the text of the committed file that holds it
-    general, rw = (path.read_text() for path in CONSTANT_FILES.values())
-    return {"p_zpow": general, "q_zpow": general, "p_half_root": rw, "q_half_root": rw}
-
-
 def _filed(text: str, field: str) -> int:
     return int(re.search(rf"^{field} = (\d+)$", text, re.M)[1])
-
-
-def _with_constant(text: str, field: str, value) -> str:
-    return re.sub(rf"^{field} = \d+$", f"{field} = {value}", text, flags=re.M)
 
 
 def _without_constants(text: str) -> str:
@@ -1190,113 +1181,81 @@ def test_no_key_file_holds_a_constant_of_its_primes():
         assert not any(line.startswith(CONSTANT_FIELDS) for line in text.splitlines())
 
 
-def test_each_filed_constant_is_the_one_its_ring_computes():
-    # z**exp for a 1-mod-4 prime, and 2**(-(p+1)/4), or p minus it, below p/2 on an rw key
-    for field, text in _constant_files().items():
-        prime, value = _filed(text, field[0]), _filed(text, field)
-        s = ((prime - 1) & (1 - prime)).bit_length() - 1
-        d = (prime - 1) >> s
-        if field.endswith("_zpow"):
-            assert prime % 8 == 1 and value == pow(numtheory.least_nonresidue(prime), (d - 1) // 2, prime)
-        else:
-            c = pow(2, -(prime + 1) // 4, prime)
-            assert value == min(c, prime - c)
-        ring = parse_key(text).idem
-        assert getattr(ring.at_p if field[0] == "p" else ring.at_q, field[2:]) == value
+def _ring_constant(key: KeyPair, field: str) -> int:
+    # the value an earlier version filed as `field`: z**exp, or 2**(-(p+1)/4) or p minus it, below p/2
+    at = key.idem.at_p if field[0] == "p" else key.idem.at_q
+    return pow(at.z, at.exp, at.p) if field.endswith("_zpow") else at.half_root
 
 
-def _bad_constants(field: str) -> dict:
-    text = _constant_files()[field]
-    value, prime = _filed(text, field), _filed(text, field[0])
+@pytest.mark.parametrize("field", CONSTANT_FIELDS)
+def test_each_filed_constant_is_the_one_its_ring_computes(field):
+    # z**exp for a 1-mod-4 prime, and 2**(-(p+1)/4), or p minus it, below p/2 on an rw key: the key
+    # of the file without its constant lines computes each one, so deleting them loses nothing
+    text = next(text for text in map(Path.read_text, CONSTANT_FILES.values()) if f"\n{field} = " in text)
+    prime, value = _filed(text, field[0]), _filed(text, field)
+    s = ((prime - 1) & (1 - prime)).bit_length() - 1
+    d = (prime - 1) >> s
+    if field.endswith("_zpow"):
+        assert prime % 8 == 1 and value == pow(numtheory.least_nonresidue(prime), (d - 1) // 2, prime)
+    else:
+        c = pow(2, -(prime + 1) // 4, prime)
+        assert value == min(c, prime - c)
+    assert _ring_constant(parse_key(_without_constants(text)), field) == value
+
+
+@functools.cache
+def _constant_hosts() -> tuple[str, ...]:
+    # a private file of each kind: the two fixtures without their constant lines, and a blum key
+    texts = [_without_constants(path.read_text()) for path in CONSTANT_FILES.values()]
+    return (*texts, dump_private(gen_keypair("blum", 80, IDENTITY, random.Random(1))))
+
+
+def _constant_value(key: KeyPair, field: str, value: str) -> int:
+    # the ring's own value, or one of the edits of it that an earlier reader refused as failing its check
+    own, prime = _ring_constant(key, field), key.p if field[0] == "p" else key.q
     return {
-        "digit": str(value)[:-1] + str((int(str(value)[-1]) + 1) % 10),
+        "own": own,
+        "digit": int(str(own)[:-1] + str((int(str(own)[-1]) + 1) % 10)),
         "zero": 0,
         "p-1": prime - 1,
-        "minus": prime - value,
-        "plus-p": value + prime,
-    }
+        "minus": prime - own,
+        "plus-p": own + prime,
+    }[value]
 
 
-@pytest.mark.parametrize("edit", ["digit", "zero", "p-1", "minus", "plus-p"])
+@pytest.mark.parametrize("value", ["own", "digit", "zero", "p-1", "minus", "plus-p"])
 @pytest.mark.parametrize("field", CONSTANT_FIELDS)
-def test_a_constant_that_fails_its_check_is_refused(field, edit, tmp_path, capsys):
-    text = _constant_files()[field]
-    edited = _with_constant(text, field, _bad_constants(field)[edit])
-    assert edited != text
-    _refused_naming_no_digit(edited, f"field '{field}' fails its check", tmp_path, capsys)
+def test_a_constant_line_is_refused_as_an_unexpected_field(field, value, tmp_path, capsys):
+    # whatever its value, the ring's own included, in a private file of each kind and in a public one;
+    # the general fixture's primes are 1 mod 8, whose zpow an earlier reader took
+    for text in _constant_hosts():
+        key = parse_key(text)
+        line = f"{field} = {_constant_value(key, field, value)}\n"
+        for host in (text, dump_public(key)):
+            _refused_naming_no_digit(host + line, re.escape(f"unexpected fields ['{field}']"), tmp_path, capsys)
 
 
-def test_constant_lines_stand_only_where_their_prime_needs_them(tmp_path, capsys):
-    general, rw = _constant_files()["p_zpow"], _constant_files()["p_half_root"]
-    line = f"p_zpow = {_filed(general, 'p_zpow')}\n"
-    _refused_naming_no_digit(general + line, "duplicate field 'p_zpow'", tmp_path, capsys)
-    # rooted_key's q is 3 mod 4, whose z = -1 needs no constant
-    key = rooted_key()
-    text = dump_private(key)
-    assert parse_key(text + f"p_zpow = {key.idem.at_p.zpow}\n") == key
-    _refused_naming_no_digit(text + f"q_zpow = {key.idem.at_q.zpow}\n", re.escape("unexpected fields ['q_zpow']"),
-                             tmp_path, capsys)
-    half = "".join(line for line in rw.splitlines(keepends=True) if "_half_root" in line)
-    _refused_naming_no_digit(general + half, "unexpected fields", tmp_path, capsys)
-    blum = dump_private(gen_keypair("blum", 80, IDENTITY, random.Random(1)))
-    _refused_naming_no_digit(blum + half, "unexpected fields", tmp_path, capsys)
-    for kind, lines in (("general", line), ("rw", half)):
-        public = CONSTANT_FILES[kind].with_suffix(".key.pub").read_text()
-        _refused_naming_no_digit(public + lines, "unexpected fields", tmp_path, capsys)
-
-
-def test_an_earlier_file_loads_signs_the_same_and_is_written_back_without_them():
+def test_an_earlier_file_is_refused_and_loads_signs_the_same_without_its_constant_lines(tmp_path, capsys):
+    # the workaround: delete the constant lines, and the key loads, is written back byte for byte,
+    # and signs what the earlier version signed with the full file
     signed = []
     for name, path in CONSTANT_FILES.items():
         text = path.read_text()
         earlier = _without_constants(text)
-        assert earlier != text
-        key = parse_key(text)
-        assert key == parse_key(earlier) and dump_private(key) == earlier
+        fields = sorted(field for field in CONSTANT_FIELDS if f"\n{field} = " in text)
+        assert len(fields) == 2
+        _refused_naming_no_digit(text, re.escape(f"unexpected fields {fields}"), tmp_path, capsys)
+        key = parse_key(earlier)
+        assert dump_private(key) == earlier
         public = parse_key(path.with_suffix(".key.pub").read_text())
         for scheme in SCHEME_TAGS:
             if SCHEMES[scheme].key_ok(key):
                 for m in range(2, 42):
-                    rng = f"{name}-constants/{scheme}/{m}"
-                    sig = sign(key, m, scheme, rng=random.Random(rng))
-                    assert sig == sign(parse_key(earlier), m, scheme, rng=random.Random(rng))
+                    sig = sign(key, m, scheme, rng=random.Random(f"{name}-constants/{scheme}/{m}"))
                     assert verify(public, sig).valid
                     signed.append(dump_signature(sig, key))
     assert hashlib.sha256("".join(signed).encode()).hexdigest() == CONSTANT_FILE_SIGNATURES
 
-
-def _five_mod_8_key() -> KeyPair:
-    # the first 64-bit general key from gen_keypair whose p is 5 mod 8
-    return next(key for key in (gen_keypair("general", 64, IDENTITY, random.Random(f"5mod8/{i}"))
-                                for i in range(100)) if key.p % 8 == 5)
-
-
-def test_only_the_computed_zpow_loads(tmp_path, capsys):
-    # y = z**exp is the one value that loads, so a key has one file: p - y and y*z**d, which squared
-    # times z give z**d and z**(3d) of the same order 2**s, are refused; on a 5-mod-8 prime, where
-    # z = 2 and z**d is a root of -1, y*z**d is y - 1 or y + 1
-    five = _five_mod_8_key()
-    for text in (_constant_files()["p_zpow"], dump_private(five) + f"p_zpow = {five.idem.at_p.zpow}\n"):
-        y, p = _filed(text, "p_zpow"), _filed(text, "p")
-        zd = y * y * numtheory.least_nonresidue(p) % p
-        others = [p - y, y * zd % p]
-        if p % 8 == 5:
-            assert others[1] in (y - 1, y + 1)
-        for value in others:
-            _refused_naming_no_digit(_with_constant(text, "p_zpow", value), "field 'p_zpow' fails its check",
-                                     tmp_path, capsys)
-
-
-def test_prime_constants_stay_private():
-    for path in CONSTANT_FILES.values():
-        text = path.read_text()
-        parsed = parse_key(text)
-        values = [_filed(text, field) for field in CONSTANT_FIELDS if f"\n{field} = " in text]
-        shown = repr(parsed) + dump_public(parsed) + repr(parsed.public()) + dump_public(parsed.public())
-        assert len(values) == 2 and not any(str(v) in shown + dump_private(parsed) for v in values)
-        # like a chain, the constants take no part in == or hash
-        bare = parse_key(_without_constants(text))
-        assert bare == parsed and hash(bare) == hash(parsed) and repr(bare) == repr(parsed)
 
 
 def test_a_key_refuses_a_ring_of_other_primes():
